@@ -1,0 +1,6 @@
+"""Seeded end-to-end and per-layer benchmark of the eqshbc package.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; ``BENCHMARK.json`` lists the
+workloads and metrics.
+"""
