@@ -31,6 +31,7 @@ __all__ = [
     "ANECHOIC_RETURN_BOOST",
     "BodyChannelParams",
     "CouplingCapModel",
+    "DEFAULT_C_BODY",
     "DEFAULT_COUPLING_ANCHORS",
     "DEFAULT_COUPLING_D0",
     "Environment",
@@ -63,6 +64,8 @@ ANECHOIC_RETURN_BOOST = 2.1271633
 # 77 pF so close-range analyses stay meaningful.
 DEFAULT_COUPLING_ANCHORS = ((1.0, 21e-12), (5.0, 6.6e-12))
 DEFAULT_COUPLING_D0 = 0.2
+
+DEFAULT_C_BODY = 150e-12  # body-to-earth self capacitance, farads
 
 SOURCE_LABEL = "VTX"
 INTRA_PROBE = (4, 5)   # receiver electrode, receiver floating ground
@@ -101,10 +104,6 @@ class LoadSpec:
         return Element("C", self.value, (n_plus, n_minus), "CL")
 
 
-def _default_load() -> LoadSpec:
-    return LoadSpec.capacitive(1e-12)
-
-
 @dataclass(frozen=True)
 class BodyChannelParams:
     """Canonical intra-body channel parameters.
@@ -117,7 +116,7 @@ class BodyChannelParams:
 
     c_g_tx: float = 0.6e-12
     c_g_rx: float = 0.6e-12
-    c_body: float = 150e-12
+    c_body: float = DEFAULT_C_BODY
     r_b: float = 1e3
     r_s: float = 50.0
     load: LoadSpec = None  # type: ignore[assignment]
@@ -126,7 +125,7 @@ class BodyChannelParams:
 
     def __post_init__(self):
         if self.load is None:
-            object.__setattr__(self, "load", _default_load())
+            object.__setattr__(self, "load", LoadSpec.capacitive())
         object.__setattr__(self, "environment", Environment(self.environment))
         for name in ("c_g_tx", "c_g_rx", "c_body", "r_b", "r_s"):
             if getattr(self, name) <= 0:
@@ -213,22 +212,22 @@ def build_inter_body(params: InterBodyParams) -> Netlist:
     return Netlist(elements=tuple(elements))
 
 
+def _probe_gain_db(netlist: Netlist, probe: tuple[int, int], f: float) -> float:
+    """Single-frequency gain in dB across probe for the unit source."""
+    sol = solve_ac(netlist, f)
+    return 20.0 * math.log10(abs(sol[probe[0]] - sol[probe[1]]))
+
+
 def intra_body_gain_db(params: BodyChannelParams, f: float) -> float:
-    sol = solve_ac(build_intra_body(params), f)
-    return 20.0 * math.log10(abs(sol[INTRA_PROBE[0]] - sol[INTRA_PROBE[1]]))
+    return _probe_gain_db(build_intra_body(params), INTRA_PROBE, f)
 
 
 def inter_body_gain_db(params: InterBodyParams, f: float) -> float:
-    sol = solve_ac(build_inter_body(params), f)
-    return 20.0 * math.log10(abs(sol[INTER_PROBE[0]] - sol[INTER_PROBE[1]]))
+    return _probe_gain_db(build_inter_body(params), INTER_PROBE, f)
 
 
 def intra_body_sweep(params: BodyChannelParams, grid: FrequencyGrid) -> SweepResult:
     return transfer(build_intra_body(params), SOURCE_LABEL, INTRA_PROBE, grid)
-
-
-def inter_body_sweep(params: InterBodyParams, grid: FrequencyGrid) -> SweepResult:
-    return transfer(build_inter_body(params), SOURCE_LABEL, INTER_PROBE, grid)
 
 
 def extra_loss_db(c_c: float, c_body: float) -> float:
@@ -262,6 +261,16 @@ class CouplingCapModel:
             raise ValueError("distance must be >= 0")
         return self.a / (d + self.d0) + self.b
 
+    def distance_at(self, c: float) -> float:
+        """Inverse of cap_at: inf at or below the tail b, 0 at or above C_C(0)."""
+        if math.isnan(c):
+            raise ValueError("capacitance must not be NaN")
+        if c <= self.b:
+            return math.inf
+        if c >= self.cap_at(0.0):
+            return 0.0
+        return self.a / (c - self.b) - self.d0
+
 
 def fit_coupling_model(anchors, d0: float = DEFAULT_COUPLING_D0) -> CouplingCapModel:
     """Fit a, b of C_C(d) = a/(d+d0) + b to (distance, farads) anchors.
@@ -290,7 +299,8 @@ def default_coupling_model() -> CouplingCapModel:
     return fit_coupling_model(DEFAULT_COUPLING_ANCHORS, DEFAULT_COUPLING_D0)
 
 
-def coupling_coefficient(model: CouplingCapModel, d: float, c_body: float = 150e-12) -> float:
+def coupling_coefficient(model: CouplingCapModel, d: float,
+                         c_body: float = DEFAULT_C_BODY) -> float:
     """Linear flat-band voltage ratio C_C(d)/c_body at distance d."""
     if c_body <= 0:
         raise ValueError("c_body must be > 0")
@@ -304,17 +314,23 @@ def scale_return_path(params: BodyChannelParams, scale: float) -> BodyChannelPar
     return replace(params, c_g_tx=params.c_g_tx * scale, c_g_rx=params.c_g_rx * scale)
 
 
-def _bisect_increasing(fn, lo: float, hi: float, target: float, iters: int = 100) -> float:
-    f_lo, f_hi = fn(lo), fn(hi)
-    if not (f_lo <= target <= f_hi):
-        raise ValueError(f"target {target:g} not bracketed by [{f_lo:g}, {f_hi:g}]")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < target:
+def _bisect_root(fn, lo: float, hi: float) -> float:
+    """Sign change of fn in the positive bracket [lo, hi], to full precision.
+
+    Splits at the geometric midpoint and stops once that midpoint no longer
+    falls strictly inside the bracket.
+    """
+    negative_lo = fn(lo) < 0.0
+    if negative_lo == (fn(hi) < 0.0):
+        raise ValueError(f"no sign change in [{lo:g}, {hi:g}]")
+    while True:
+        mid = math.sqrt(lo * hi)
+        if not lo < mid < hi:
+            return mid
+        if (fn(mid) < 0.0) == negative_lo:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def calibrate_anechoic_boost(params: BodyChannelParams | None = None,
@@ -322,8 +338,9 @@ def calibrate_anechoic_boost(params: BodyChannelParams | None = None,
                              target_db: float = 10.0) -> float:
     """Return-path boost that lifts the inter-body EQS gain by target_db.
 
-    Used to pin ANECHOIC_RETURN_BOOST; gain is strictly increasing in the
-    boost, so plain bisection suffices.
+    Used to pin ANECHOIC_RETURN_BOOST; the rise is strictly increasing in
+    the boost, so its target crossing is located by :func:`_bisect_root`
+    over boosts in [1, 50].
     """
     base = params or BodyChannelParams()
     base = replace(base, environment=Environment.OPEN_AIR)
@@ -333,7 +350,7 @@ def calibrate_anechoic_boost(params: BodyChannelParams | None = None,
         boosted = scale_return_path(base, boost)
         return inter_body_gain_db(InterBodyParams(base=boosted, c_c=c_c), f) - reference
 
-    return _bisect_increasing(rise, 1.0, 50.0, target_db)
+    return _bisect_root(lambda boost: rise(boost) - target_db, 1.0, 50.0)
 
 
 def calibrate_return_scale(target_loss_db: float, c_c: float | None = None,
@@ -345,7 +362,8 @@ def calibrate_return_scale(target_loss_db: float, c_c: float | None = None,
     otherwise to the intra-body channel. This is the regression-anchor
     helper for pinning absolute loss levels (e.g. 60 dB intra-body in a
     chamber, 80 dB inter-body in open air); it makes no physics claim
-    about the return capacitances themselves.
+    about the return capacitances themselves. The gain rises with the
+    scale; the target is located by :func:`_bisect_root` over [1e-3, 1e3].
     """
     base = params or BodyChannelParams()
     if target_loss_db <= 0:
@@ -357,4 +375,4 @@ def calibrate_return_scale(target_loss_db: float, c_c: float | None = None,
             return intra_body_gain_db(scaled, f)
         return inter_body_gain_db(InterBodyParams(base=scaled, c_c=c_c), f)
 
-    return _bisect_increasing(gain, 1e-3, 1e3, -target_loss_db)
+    return _bisect_root(lambda scale: gain(scale) + target_loss_db, 1e-3, 1e3)

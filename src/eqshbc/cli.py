@@ -14,17 +14,18 @@ import sys
 from pathlib import Path
 
 from . import config as cfgmod
-from .bodychannel import default_coupling_model
+from .bodychannel import DEFAULT_C_BODY
 from .fcc import fcc_limit, is_unintentional_radiator
 from .multiregion import (
     CrossoverError,
     RegionLabel,
     classify_grid,
+    classify_sweep,
     crossover_frequency,
     max_detection_distance,
     total_response,
 )
-from .netlist import NetlistError, parse_netlist
+from .netlist import parse_netlist
 from .risk import (
     AttackScenario,
     InterferenceScenario,
@@ -32,7 +33,7 @@ from .risk import (
     max_cochannel_users,
     sir_db,
 )
-from .solver import FrequencyGrid, SingularCircuitError, sweep_csv, transfer
+from .solver import FrequencyGrid, sweep_csv, transfer
 
 __all__ = ["main"]
 
@@ -40,15 +41,9 @@ __all__ = ["main"]
 def _parse_grid(spec: str) -> FrequencyGrid:
     try:
         start, stop, count = spec.split(":")
-        if count.endswith("lin"):
-            n, spacing = int(count[:-3]), "lin"
-        elif count.endswith("log"):
-            n, spacing = int(count[:-3]), "log"
-        else:
-            n, spacing = int(count), "log"
-        if spacing == "lin":
-            return FrequencyGrid.linear(float(start), float(stop), n)
-        return FrequencyGrid.log(float(start), float(stop), n)
+        build = FrequencyGrid.linear if count.endswith("lin") else FrequencyGrid.log
+        n = int(count[:-3]) if count[-3:] in ("lin", "log") else int(count)
+        return build(float(start), float(stop), n)
     except (ValueError, TypeError):
         raise argparse.ArgumentTypeError(
             f"grid must be 'start:stop:N[log|lin]', got {spec!r}") from None
@@ -88,15 +83,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(record: dict, out: str | None) -> None:
-    _emit(json.dumps(_round9(record), sort_keys=True, indent=2) + "\n", out)
+    _emit(json.dumps(_round9(record), sort_keys=True, indent=2, allow_nan=False) + "\n", out)
 
 
 def _load_scenario(args) -> dict:
-    if getattr(args, "scenario", None):
-        return cfgmod.load_config(args.scenario)
-    if getattr(args, "config", None):
-        return cfgmod.load_config(args.config)
-    return {}
+    return cfgmod.load_config(args.config) if args.config else {}
 
 
 def _cmd_solve(args) -> None:
@@ -114,7 +105,7 @@ def _cmd_sweep(args) -> None:
     region_config = cfgmod.region_config_from_config(cfg, args.env)
     eqs = region_config.eqs_sweep(args.grid)
     total = total_response(eqs, region_config.em, region_config.device, args.grid)
-    labels = [label.value for label in classify_grid(region_config, args.grid)]
+    labels = [label.value for label in classify_sweep(region_config, eqs)]
     _emit(sweep_csv(total, regions=labels), args.out)
 
 
@@ -125,7 +116,7 @@ def _cmd_attack(args) -> None:
         attacker_distance=args.distance,
         snr_threshold_db=args.threshold,
         coupling=cfgmod.coupling_model_from_config(cfg),
-        c_body=cfg.get("c_body", 150e-12),
+        c_body=cfg.get("c_body", DEFAULT_C_BODY),
     )
     _emit_json(attack_report(scenario), args.out)
 
@@ -133,7 +124,7 @@ def _cmd_attack(args) -> None:
 def _cmd_sir(args) -> None:
     cfg = _load_scenario(args)
     coupling = cfgmod.coupling_model_from_config(cfg)
-    c_body = cfg.get("c_body", 150e-12)
+    c_body = cfg.get("c_body", DEFAULT_C_BODY)
     interferers = list(args.interferer or [])
     if not interferers and "interferers" in cfg:
         interferers = [(v, d) for v, d in cfg["interferers"]]
@@ -172,15 +163,10 @@ def _cmd_regions(args) -> None:
     cfg = cfgmod.load_config(args.scenario)
     region_config = cfgmod.region_config_from_config(cfg, args.env)
     labels = classify_grid(region_config, args.grid)
-    segments = []
-    start = args.grid.points[0]
-    for i in range(1, len(labels)):
-        if labels[i] != labels[i - 1]:
-            segments.append({"f_lo_hz": start, "f_hi_hz": args.grid.points[i],
-                             "region": labels[i - 1].value})
-            start = args.grid.points[i]
-    segments.append({"f_lo_hz": start, "f_hi_hz": args.grid.points[-1],
-                     "region": labels[-1].value})
+    points = args.grid.points
+    edges = [0, *(i for i in range(1, len(labels)) if labels[i] != labels[i - 1]), len(labels) - 1]
+    segments = [{"f_lo_hz": points[lo], "f_hi_hz": points[hi], "region": labels[lo].value}
+                for lo, hi in zip(edges, edges[1:])]
     crossovers = {}
     for name, (a, b) in (("eqs_to_em_hz", (RegionLabel.EQS, RegionLabel.EM_SMALL_MONOPOLE)),
                          ("em_to_device_hz", (RegionLabel.EM_RESONANT,
@@ -266,8 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (NetlistError, SingularCircuitError, cfgmod.ConfigError, CrossoverError,
-            ValueError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__,
                                      "message": str(exc)}) + "\n")
         return 1

@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 from .bodychannel import (
+    DEFAULT_COUPLING_D0,
     BodyChannelParams,
     CouplingCapModel,
     Environment,
@@ -42,8 +44,6 @@ from .bodychannel import (
 from .fcc import DEFAULT_FIELD_MODEL, FieldDecayModel
 from .multiregion import (
     ANECHOIC_EM_ATTENUATION_DB,
-    DEVICE_REF_OPEN_AIR_DB,
-    EM_REF_OPEN_AIR_DB,
     DeviceModel,
     EmBodyModel,
     RegionConfig,
@@ -68,6 +68,19 @@ BUNDLED_CONFIGS = ("inter_body.cfg", "intra_body.cfg")
 
 class ConfigError(ValueError):
     pass
+
+
+# Config key -> dataclass field; absent keys keep the dataclass default.
+_BODY_KEYS = {key: key for key in ("c_g_tx", "c_g_rx", "c_body", "r_b", "r_s", "anechoic_boost")}
+_EM_KEYS = {"multiregion.em_height": "height", "multiregion.em_q": "q",
+            "multiregion.em_ref_db": "ref_db"}
+_DEVICE_KEYS = {"multiregion.device_length": "electrode_length",
+                "multiregion.device_ref_db": "ref_db"}
+_FIELD_KEYS = {f"fcc.{name}": name for name in ("anchor_field", "anchor_distance", "exponent")}
+
+
+def _present(cfg: dict, keys: dict[str, str]) -> dict:
+    return {name: cfg[key] for key, name in keys.items() if key in cfg}
 
 
 def parse_config(text: str) -> dict:
@@ -115,20 +128,12 @@ def load_config(name: str) -> dict:
 
 def body_params_from_config(cfg: dict, environment: str | None = None) -> BodyChannelParams:
     defaults = BodyChannelParams()
-    load = defaults.load
+    changes = _present(cfg, _BODY_KEYS)
     if "load.kind" in cfg or "load.value" in cfg:
-        load = LoadSpec(cfg.get("load.kind", load.kind), cfg.get("load.value", load.value))
-    env = environment or cfg.get("environment", defaults.environment.value)
-    return BodyChannelParams(
-        c_g_tx=cfg.get("c_g_tx", defaults.c_g_tx),
-        c_g_rx=cfg.get("c_g_rx", defaults.c_g_rx),
-        c_body=cfg.get("c_body", defaults.c_body),
-        r_b=cfg.get("r_b", defaults.r_b),
-        r_s=cfg.get("r_s", defaults.r_s),
-        load=load,
-        environment=Environment(env),
-        anechoic_boost=cfg.get("anechoic_boost", defaults.anechoic_boost),
-    )
+        changes["load"] = LoadSpec(cfg.get("load.kind", defaults.load.kind),
+                                   cfg.get("load.value", defaults.load.value))
+    changes["environment"] = environment or cfg.get("environment", defaults.environment)
+    return replace(defaults, **changes)
 
 
 def inter_params_from_config(cfg: dict, environment: str | None = None) -> InterBodyParams:
@@ -141,30 +146,19 @@ def inter_params_from_config(cfg: dict, environment: str | None = None) -> Inter
 def coupling_model_from_config(cfg: dict) -> CouplingCapModel:
     if "coupling.anchors" not in cfg:
         return default_coupling_model()
-    anchors = [(d, c) for d, c in cfg["coupling.anchors"]]
-    return fit_coupling_model(anchors, cfg.get("coupling.d0", 0.2))
+    return fit_coupling_model(cfg["coupling.anchors"], cfg.get("coupling.d0", DEFAULT_COUPLING_D0))
 
 
 def region_config_from_config(cfg: dict, environment: str | None = None) -> RegionConfig:
     channel = inter_params_from_config(cfg, environment)
-    em_ref = cfg.get("multiregion.em_ref_db", EM_REF_OPEN_AIR_DB)
-    dev_ref = cfg.get("multiregion.device_ref_db", DEVICE_REF_OPEN_AIR_DB)
+    em = EmBodyModel(**_present(cfg, _EM_KEYS))
+    device = DeviceModel(**_present(cfg, _DEVICE_KEYS))
     if channel.base.environment is Environment.ANECHOIC:
         attn = cfg.get("multiregion.anechoic_em_attenuation_db", ANECHOIC_EM_ATTENUATION_DB)
-        em_ref -= attn
-        dev_ref -= attn
-    em = EmBodyModel(height=cfg.get("multiregion.em_height", 1.8),
-                     q=cfg.get("multiregion.em_q", 3.0), ref_db=em_ref)
-    device = DeviceModel(electrode_length=cfg.get("multiregion.device_length", 0.05),
-                         ref_db=dev_ref)
+        em = replace(em, ref_db=em.ref_db - attn)
+        device = replace(device, ref_db=device.ref_db - attn)
     return RegionConfig(channel=channel, em=em, device=device)
 
 
 def field_model_from_config(cfg: dict) -> FieldDecayModel:
-    if not any(k.startswith("fcc.") for k in cfg):
-        return DEFAULT_FIELD_MODEL
-    return FieldDecayModel(
-        anchor_field=cfg.get("fcc.anchor_field", DEFAULT_FIELD_MODEL.anchor_field),
-        anchor_distance=cfg.get("fcc.anchor_distance", DEFAULT_FIELD_MODEL.anchor_distance),
-        exponent=cfg.get("fcc.exponent", DEFAULT_FIELD_MODEL.exponent),
-    )
+    return replace(DEFAULT_FIELD_MODEL, **_present(cfg, _FIELD_KEYS))

@@ -113,6 +113,8 @@ def limit_table() -> tuple[FccLimitRow, ...]:
 
 def fcc_limit(f: float) -> tuple[float, float]:
     """(limit in uV/m, measurement distance in m) for the row containing f."""
+    if not math.isfinite(f):
+        raise ValueError(f"frequency must be finite, got {f}")
     if f < limit_table()[0].f_low_hz:
         raise ValueError(f"{f:g} Hz is below the table floor of 9 kHz")
     for row in limit_table():

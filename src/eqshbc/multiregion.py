@@ -30,17 +30,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bodychannel import (
+    INTER_PROBE,
     SOURCE_LABEL,
     BodyChannelParams,
     Environment,
     InterBodyParams,
     LoadSpec,
+    _bisect_root,
+    _probe_gain_db,
     build_inter_body,
     default_coupling_model,
     scale_return_path,
 )
 from .netlist import Netlist
-from .solver import FrequencyGrid, SweepResult, solve_ac, transfer
+from .solver import FrequencyGrid, SweepResult, transfer
 
 __all__ = [
     "DEVICE_Q",
@@ -53,6 +56,7 @@ __all__ = [
     "body_em_pair_gain",
     "classify_region",
     "classify_grid",
+    "classify_sweep",
     "crossover_frequency",
     "default_region_config",
     "device_pair_gain",
@@ -155,8 +159,6 @@ def body_em_pair_gain(model: EmBodyModel, f: float) -> float:
     """Pair gain in dB of two body-monopoles; 40 dB/decade below resonance."""
     if f <= 0:
         raise ValueError("frequency must be > 0")
-    if model.ref_db == -math.inf:
-        return -math.inf
     return model.ref_db + _resonant_shape_db(f, model.f_res, model.q)
 
 
@@ -164,8 +166,6 @@ def device_pair_gain(model: DeviceModel, f: float) -> float:
     """Pair gain in dB of the two device electrodes; peaks at c/(4*l_e)."""
     if f <= 0:
         raise ValueError("frequency must be > 0")
-    if model.ref_db == -math.inf:
-        return -math.inf
     return model.ref_db + _resonant_shape_db(f, model.f_res, DEVICE_Q)
 
 
@@ -192,33 +192,33 @@ class RegionConfig:
         object.__setattr__(self, "_netlist", build_inter_body(self.channel))
 
     def eqs_gain_db(self, f: float) -> float:
-        sol = solve_ac(self._netlist, f)
-        return 20.0 * math.log10(abs(sol[5] - sol[6]))
+        return _probe_gain_db(self._netlist, INTER_PROBE, f)
 
     def eqs_sweep(self, grid: FrequencyGrid) -> SweepResult:
-        return transfer(self._netlist, SOURCE_LABEL, (5, 6), grid)
+        return transfer(self._netlist, SOURCE_LABEL, INTER_PROBE, grid)
 
     def mechanism_gains_db(self, f: float) -> tuple[float, float, float]:
-        return (self.eqs_gain_db(f),
-                body_em_pair_gain(self.em, f),
-                device_pair_gain(self.device, f))
+        return tuple(gain(self, f) for gain in _MECHANISM_GAINS)
+
+
+# (config, f) -> gain in dB: quasistatic circuit, EM body pair, device electrodes.
+_MECHANISM_GAINS = (
+    RegionConfig.eqs_gain_db,
+    lambda config, f: body_em_pair_gain(config.em, f),
+    lambda config, f: device_pair_gain(config.device, f),
+)
 
 
 def default_region_config(environment: Environment | str = Environment.OPEN_AIR) -> RegionConfig:
     """The pinned default scenario: two subjects 1 m apart, capacitive load."""
     environment = Environment(environment)
     base = scale_return_path(BodyChannelParams(), RETURN_SCALE_80DB)
-    base = replace(base, load=LoadSpec.capacitive(1e-12), environment=environment,
+    base = replace(base, load=LoadSpec.capacitive(), environment=environment,
                    anechoic_boost=MULTIREGION_ANECHOIC_BOOST)
-    if environment is Environment.ANECHOIC:
-        em_ref = EM_REF_OPEN_AIR_DB - ANECHOIC_EM_ATTENUATION_DB
-        dev_ref = DEVICE_REF_OPEN_AIR_DB - ANECHOIC_EM_ATTENUATION_DB
-    else:
-        em_ref = EM_REF_OPEN_AIR_DB
-        dev_ref = DEVICE_REF_OPEN_AIR_DB
+    attn = ANECHOIC_EM_ATTENUATION_DB if environment is Environment.ANECHOIC else 0.0
     return RegionConfig(channel=InterBodyParams(base=base, c_c=21e-12),
-                        em=EmBodyModel(ref_db=em_ref),
-                        device=DeviceModel(ref_db=dev_ref))
+                        em=EmBodyModel(ref_db=EM_REF_OPEN_AIR_DB - attn),
+                        device=DeviceModel(ref_db=DEVICE_REF_OPEN_AIR_DB - attn))
 
 
 def total_response(eqs_sweep: SweepResult, em: EmBodyModel, device: DeviceModel,
@@ -251,15 +251,15 @@ _MECHANISM = {
 }
 
 
-def classify_region(f: float, config: RegionConfig) -> RegionLabel:
+def _label(config: RegionConfig, f: float, eqs_db: float) -> RegionLabel:
     """Label of the mechanism contributing the largest gain at f.
 
     The EM mechanism is reported as a small-monopole region below a
     quarter of the body resonance (wavelength still large against the
     body) and as the resonant region above it.
     """
-    gains = config.mechanism_gains_db(f)
-    winner = int(np.argmax(gains))
+    winner = int(np.argmax((eqs_db, body_em_pair_gain(config.em, f),
+                            device_pair_gain(config.device, f))))
     if winner == 0:
         return RegionLabel.EQS
     if winner == 2:
@@ -269,8 +269,17 @@ def classify_region(f: float, config: RegionConfig) -> RegionLabel:
     return RegionLabel.EM_RESONANT
 
 
+def classify_region(f: float, config: RegionConfig) -> RegionLabel:
+    return _label(config, f, config.eqs_gain_db(f))
+
+
+def classify_sweep(config: RegionConfig, eqs: SweepResult) -> list[RegionLabel]:
+    """Region labels over an already-solved quasistatic sweep; no circuit solves."""
+    return [_label(config, f, g) for f, g in zip(eqs.freqs, eqs.gain_db())]
+
+
 def classify_grid(config: RegionConfig, grid: FrequencyGrid) -> list[RegionLabel]:
-    return [classify_region(f, config) for f in grid]
+    return classify_sweep(config, config.eqs_sweep(grid))
 
 
 def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
@@ -279,8 +288,8 @@ def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
     """Smallest frequency where dominance flips between two mechanisms.
 
     The regions must map to adjacent mechanisms (quasistatic/EM-body or
-    EM-body/device). Located by scanning for the first sign change of the
-    gain difference, then bisecting.
+    EM-body/device); only those two are evaluated. Located by scanning for
+    the first sign change of the gain difference, then :func:`_bisect_root`.
     """
     mech_a, mech_b = _MECHANISM[RegionLabel(region_a)], _MECHANISM[RegionLabel(region_b)]
     if mech_a == mech_b:
@@ -289,9 +298,10 @@ def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
     if abs(mech_a - mech_b) != 1:
         raise CrossoverError(f"{region_a} and {region_b} are not adjacent mechanisms")
 
+    gain_a, gain_b = _MECHANISM_GAINS[mech_a], _MECHANISM_GAINS[mech_b]
+
     def diff(f: float) -> float:
-        gains = config.mechanism_gains_db(f)
-        return gains[mech_b] - gains[mech_a]
+        return gain_b(config, f) - gain_a(config, f)
 
     scan = np.geomspace(f_lo, f_hi, 241)
     values = [diff(f) for f in scan]
@@ -299,16 +309,7 @@ def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
         if values[i] == 0.0:
             return float(scan[i])
         if values[i] < 0.0 < values[i + 1] or values[i] > 0.0 > values[i + 1]:
-            lo, hi = scan[i], scan[i + 1]
-            d_lo = values[i]
-            for _ in range(80):
-                mid = math.sqrt(lo * hi)
-                d_mid = diff(mid)
-                if (d_mid < 0) == (d_lo < 0):
-                    lo = mid
-                else:
-                    hi = mid
-            return math.sqrt(lo * hi)
+            return _bisect_root(diff, float(scan[i]), float(scan[i + 1]))
     raise CrossoverError(
         f"{region_a} and {region_b} never exchange dominance in "
         f"[{f_lo:g}, {f_hi:g}] Hz")
@@ -333,14 +334,7 @@ def max_detection_distance(config: RegionConfig, f: float, min_gain_db: float,
     coupling = coupling or default_coupling_model()
     eqs_db, em_db, dev_db = config.mechanism_gains_db(f)
 
-    c_ref = coupling.cap_at(d_ref)
-    target_c = c_ref * 10.0 ** ((min_gain_db - eqs_db) / 20.0)
-    if target_c <= coupling.b:
-        d_eqs = DETECTION_DISTANCE_CAP_M  # far tail never drops below target
-    elif target_c >= coupling.cap_at(0.0):
-        d_eqs = 0.0
-    else:
-        d_eqs = coupling.a / (target_c - coupling.b) - coupling.d0
+    d_eqs = coupling.distance_at(coupling.cap_at(d_ref) * 10.0 ** ((min_gain_db - eqs_db) / 20.0))
 
     def radiative(gain_db: float) -> float:
         if gain_db == -math.inf:

@@ -14,7 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .bodychannel import CouplingCapModel, default_coupling_model
+from .bodychannel import (
+    DEFAULT_C_BODY,
+    CouplingCapModel,
+    coupling_coefficient,
+    default_coupling_model,
+)
 
 __all__ = [
     "AttackScenario",
@@ -35,7 +40,13 @@ DISTANCE_CAP_M = 100.0
 
 
 class UnboundedResult(RuntimeError):
-    """No finite answer below the search cap (e.g. unsafe at every distance)."""
+    """No finite answer below the distance cap (e.g. unsafe at every distance)."""
+
+
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -46,9 +57,12 @@ class AttackScenario:
     attacker_distance: float
     snr_threshold_db: float = 6.0
     coupling: CouplingCapModel = field(default_factory=default_coupling_model)
-    c_body: float = 150e-12
+    c_body: float = DEFAULT_C_BODY
 
     def __post_init__(self):
+        _require_finite(snr_intended_db=self.snr_intended_db,
+                        attacker_distance=self.attacker_distance,
+                        snr_threshold_db=self.snr_threshold_db, c_body=self.c_body)
         if self.attacker_distance < 0:
             raise ValueError("attacker_distance must be >= 0")
         if self.c_body <= 0:
@@ -62,27 +76,25 @@ class InterferenceScenario:
     v_sig_user: float
     interferers: tuple[tuple[float, float], ...] = ()
     coupling: CouplingCapModel = field(default_factory=default_coupling_model)
-    c_body: float = 150e-12
+    c_body: float = DEFAULT_C_BODY
 
     def __post_init__(self):
         object.__setattr__(self, "interferers",
                            tuple((float(v), float(d)) for v, d in self.interferers))
+        _require_finite(v_sig_user=self.v_sig_user, c_body=self.c_body)
         if self.v_sig_user <= 0:
             raise ValueError("v_sig_user must be > 0")
         for v, d in self.interferers:
+            _require_finite(interferer_amplitude=v, interferer_distance=d)
             if v <= 0 or d <= 0:
                 raise ValueError("interferer amplitudes and distances must be > 0")
         if self.c_body <= 0:
             raise ValueError("c_body must be > 0")
 
 
-def _coupling_ratio(coupling: CouplingCapModel, d: float, c_body: float) -> float:
-    return coupling.cap_at(d) / c_body
-
-
 def snooper_snr_db(scenario: AttackScenario) -> float:
     """SNR seen by a snooper at the scenario's distance."""
-    ratio = _coupling_ratio(scenario.coupling, scenario.attacker_distance, scenario.c_body)
+    ratio = coupling_coefficient(scenario.coupling, scenario.attacker_distance, scenario.c_body)
     return scenario.snr_intended_db + 20.0 * math.log10(ratio)
 
 
@@ -93,45 +105,36 @@ def is_attack_feasible(scenario: AttackScenario) -> bool:
 
 def min_safe_distance(snr_intended_db: float, threshold_db: float,
                       coupling: CouplingCapModel | None = None,
-                      c_body: float = 150e-12) -> float:
+                      c_body: float = DEFAULT_C_BODY) -> float:
     """Smallest distance at which an attack becomes infeasible.
 
-    Returns 0.0 when snooping already fails at contact range. Raises
-    :class:`UnboundedResult` when the snooper stays above threshold all
-    the way out to the 100 m search cap (possible when the coupling
-    model's far tail is non-zero).
+    Closed form: the distance where C_C(d) = c_body * 10^((threshold -
+    snr_intended)/20). Returns 0.0 when snooping already fails at contact
+    range. Raises :class:`UnboundedResult` when the snooper stays above
+    threshold out to the 100 m cap (possible when the coupling model's far
+    tail is non-zero).
     """
+    _require_finite(snr_intended_db=snr_intended_db, threshold_db=threshold_db, c_body=c_body)
+    if c_body <= 0:
+        raise ValueError("c_body must be > 0")
     coupling = coupling or default_coupling_model()
-
-    def snr(d: float) -> float:
-        return snr_intended_db + 20.0 * math.log10(_coupling_ratio(coupling, d, c_body))
-
-    if snr(0.0) < threshold_db:
-        return 0.0
-    if snr(DISTANCE_CAP_M) >= threshold_db:
+    d = coupling.distance_at(c_body * 10.0 ** ((threshold_db - snr_intended_db) / 20.0))
+    if d >= DISTANCE_CAP_M:
         raise UnboundedResult(
             f"snooper SNR stays at or above {threshold_db:g} dB out to "
             f"{DISTANCE_CAP_M:g} m; no finite safe distance")
-    lo, hi = 0.0, DISTANCE_CAP_M
-    # snr is strictly decreasing in d; shrink the bracket well below the
-    # documented 1e-3 m tolerance.
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if snr(mid) >= threshold_db:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return d
 
 
 def max_safe_snr(threshold_db: float, d_protect: float,
                  coupling: CouplingCapModel | None = None,
-                 c_body: float = 150e-12) -> float:
+                 c_body: float = DEFAULT_C_BODY) -> float:
     """Largest intended SNR that keeps attacks infeasible at d >= d_protect."""
+    _require_finite(threshold_db=threshold_db, d_protect=d_protect, c_body=c_body)
     if d_protect <= 0:
         raise ValueError("d_protect must be > 0")
     coupling = coupling or default_coupling_model()
-    return threshold_db - 20.0 * math.log10(_coupling_ratio(coupling, d_protect, c_body))
+    return threshold_db - 20.0 * math.log10(coupling_coefficient(coupling, d_protect, c_body))
 
 
 def sir_db(scenario: InterferenceScenario) -> float:
@@ -142,7 +145,7 @@ def sir_db(scenario: InterferenceScenario) -> float:
     """
     if not scenario.interferers:
         return math.inf
-    v_intf = sum(v * _coupling_ratio(scenario.coupling, d, scenario.c_body)
+    v_intf = sum(v * coupling_coefficient(scenario.coupling, d, scenario.c_body)
                  for v, d in scenario.interferers)
     return 20.0 * math.log10(scenario.v_sig_user / v_intf)
 
@@ -150,16 +153,18 @@ def sir_db(scenario: InterferenceScenario) -> float:
 def max_cochannel_users(v_sig_user: float, v_sig_each: float, d_each: float,
                         sir_min_db: float,
                         coupling: CouplingCapModel | None = None,
-                        c_body: float = 150e-12) -> int:
+                        c_body: float = DEFAULT_C_BODY) -> int:
     """Largest N identical interferers at d_each with SIR still >= sir_min_db.
 
     Capped at MAX_COCHANNEL_USERS when the coupling tail makes any number
     tolerable.
     """
+    _require_finite(v_sig_user=v_sig_user, v_sig_each=v_sig_each, d_each=d_each,
+                    sir_min_db=sir_min_db, c_body=c_body)
     if v_sig_user <= 0 or v_sig_each <= 0 or d_each <= 0:
         raise ValueError("amplitudes and distance must be > 0")
     coupling = coupling or default_coupling_model()
-    ratio = _coupling_ratio(coupling, d_each, c_body)
+    ratio = coupling_coefficient(coupling, d_each, c_body)
     if ratio == 0.0:
         return MAX_COCHANNEL_USERS
     # sir(N) >= sir_min  <=>  N <= v_user / (v_each * ratio * 10^(sir_min/20))

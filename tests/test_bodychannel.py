@@ -4,7 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from eqshbc import bodychannel
 from eqshbc.bodychannel import (
     ANECHOIC_RETURN_BOOST,
     INTER_PROBE,
@@ -14,6 +17,7 @@ from eqshbc.bodychannel import (
     Environment,
     InterBodyParams,
     LoadSpec,
+    _bisect_root,
     build_inter_body,
     build_intra_body,
     calibrate_anechoic_boost,
@@ -231,6 +235,37 @@ class TestCouplingModel:
         with pytest.raises(ValueError):
             default_coupling_model().cap_at(-0.1)
 
+    @given(st.floats(min_value=default_coupling_model().b,
+                     max_value=default_coupling_model().cap_at(0.0),
+                     exclude_min=True, exclude_max=True))
+    def test_distance_at_inverts_cap_at(self, c):
+        model = default_coupling_model()
+        d = model.distance_at(c)
+        assert 0.0 <= d < math.inf
+        assert model.cap_at(d) == pytest.approx(c, rel=1e-12)
+
+    def test_distance_at_edges(self):
+        model = default_coupling_model()
+        assert model.distance_at(model.b) == math.inf
+        assert model.distance_at(0.5 * model.b) == math.inf
+        assert model.distance_at(model.cap_at(0.0)) == 0.0
+        assert model.distance_at(2.0 * model.cap_at(0.0)) == 0.0
+        with pytest.raises(ValueError):
+            model.distance_at(math.nan)
+
+
+class TestBisectRoot:
+    def test_full_precision_root(self):
+        root = _bisect_root(lambda x: x * x - 2.0, 1.0, 2.0)
+        assert abs(root - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+
+    def test_decreasing_function(self):
+        assert _bisect_root(lambda x: 3.0 - x, 1.0, 10.0) == pytest.approx(3.0, rel=1e-15)
+
+    def test_no_sign_change_rejected(self):
+        with pytest.raises(ValueError, match="no sign change"):
+            _bisect_root(lambda x: x, 1.0, 2.0)
+
 
 class TestEnvironment:
     def test_anechoic_lifts_eqs_gain_10db(self):
@@ -242,6 +277,14 @@ class TestEnvironment:
 
     def test_pinned_boost_matches_recalibration(self):
         assert calibrate_anechoic_boost() == pytest.approx(ANECHOIC_RETURN_BOOST, abs=1e-4)
+
+    def test_boost_calibration_solve_budget(self, monkeypatch):
+        calls = []
+        original = bodychannel.solve_ac
+        monkeypatch.setattr(bodychannel, "solve_ac",
+                            lambda *args: calls.append(args) or original(*args))
+        assert calibrate_anechoic_boost() == pytest.approx(ANECHOIC_RETURN_BOOST, abs=1e-4)
+        assert len(calls) <= 60
 
     def test_environment_accepts_strings(self):
         p = BodyChannelParams(environment="anechoic")

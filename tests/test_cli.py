@@ -3,7 +3,8 @@ from importlib import resources
 
 import pytest
 
-from eqshbc.cli import main
+from eqshbc.cli import _parse_grid, main
+from eqshbc.solver import FrequencyGrid
 
 
 def run(capsys, *argv):
@@ -158,6 +159,35 @@ class TestRegions:
         rows = json.loads(out)["max_detection_distance_m"]
         assert len(rows) == 30
         assert rows[-1]["distance_m"] > rows[0]["distance_m"]
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("argv", [
+        ["attack", "--snr", "30", "--distance", "nan"],
+        ["attack", "--snr", "nan", "--distance", "1.0"],
+        ["attack", "--snr", "30", "--distance", "1.0", "--threshold", "inf"],
+        ["sir", "--v-sig", "1", "--interferer", "nan:1"],
+        ["sir", "--v-sig", "1", "--interferer", "1:inf"],
+        ["sir", "--v-sig", "inf", "--v-each", "1", "--d-each", "1", "--sir-min", "6"],
+        ["fcc", "--freq", "nan"],
+        ["fcc", "--freq", "inf"],
+    ])
+    def test_model_error_without_traceback(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.endswith("\n") and err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "ValueError"
+        assert "finite" in record["message"]
+
+
+class TestGridSpec:
+    def test_spacing_suffixes(self):
+        assert _parse_grid("1e5:1e6:10lin") == FrequencyGrid.linear(1e5, 1e6, 10)
+        assert _parse_grid("1e5:1e6:10log") == FrequencyGrid.log(1e5, 1e6, 10)
+        assert _parse_grid("1e5:1e6:10") == FrequencyGrid.log(1e5, 1e6, 10)
 
 
 class TestUsageErrors:

@@ -12,8 +12,9 @@ from eqshbc.config import (
     region_config_from_config,
     resolve_config_path,
 )
+from eqshbc.bodychannel import DEFAULT_COUPLING_D0, BodyChannelParams
 from eqshbc.fcc import DEFAULT_FIELD_MODEL
-from eqshbc.multiregion import default_region_config
+from eqshbc.multiregion import DeviceModel, EmBodyModel, default_region_config
 
 
 class TestParse:
@@ -90,6 +91,22 @@ class TestBuilders:
     def test_coupling_model_defaults(self):
         model = coupling_model_from_config({})
         assert model.cap_at(5.0) == pytest.approx(6.6e-12, rel=1e-9)
+
+    def test_absent_keys_keep_dataclass_defaults(self):
+        assert body_params_from_config({}) == BodyChannelParams()
+        config = region_config_from_config({"c_c": 21e-12})
+        assert config.em == EmBodyModel()
+        assert config.device == DeviceModel()
+        model = coupling_model_from_config({"coupling.anchors": [[1.0, 21e-12], [5.0, 6.6e-12]]})
+        assert model.d0 == DEFAULT_COUPLING_D0
+
+    def test_multiregion_keys_override_models(self):
+        cfg = {"c_c": 21e-12, "multiregion.em_height": 1.6, "multiregion.em_q": 2.5,
+               "multiregion.em_ref_db": 1.0, "multiregion.device_length": 0.04,
+               "multiregion.device_ref_db": 2.0, "multiregion.anechoic_em_attenuation_db": 5.0}
+        config = region_config_from_config(cfg, environment="anechoic")
+        assert config.em == EmBodyModel(height=1.6, q=2.5, ref_db=1.0 - 5.0)
+        assert config.device == DeviceModel(electrode_length=0.04, ref_db=2.0 - 5.0)
 
     def test_field_model(self):
         assert field_model_from_config({}) == DEFAULT_FIELD_MODEL

@@ -67,6 +67,11 @@ class TestFccLimit:
         with pytest.raises(ValueError, match="9 kHz"):
             fcc_limit(8e3)
 
+    @pytest.mark.parametrize("f", [math.nan, math.inf])
+    def test_non_finite_rejected(self, f):
+        with pytest.raises(ValueError, match="finite"):
+            fcc_limit(f)
+
 
 class TestFieldDecay:
     def test_anchor_identity(self):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from eqshbc import bodychannel, solver
 from eqshbc.bodychannel import Environment
+from eqshbc.cli import main
 from eqshbc.multiregion import (
     ANECHOIC_EM_ATTENUATION_DB,
     DEVICE_REF_OPEN_AIR_DB,
@@ -18,6 +20,7 @@ from eqshbc.multiregion import (
     calibrate_em_reference,
     classify_grid,
     classify_region,
+    classify_sweep,
     crossover_frequency,
     default_region_config,
     device_pair_gain,
@@ -293,3 +296,39 @@ class TestCalibrationRegression:
 
     def test_open_air_plateau_at_minus_80(self):
         assert default_region_config().eqs_gain_db(500e3) == pytest.approx(-80.0, abs=0.05)
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Count the circuit solves made by sweeps and single-point gains."""
+    calls = []
+    original = solver.solve_ac
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(solver, "solve_ac", counting)
+    monkeypatch.setattr(bodychannel, "solve_ac", counting)
+    return calls
+
+
+class TestSolveOnce:
+    def test_classify_sweep_matches_classify_region(self, solve_calls):
+        config = default_region_config()
+        grid = FrequencyGrid.log(1e5, 1e9, 60)
+        labels = classify_sweep(config, config.eqs_sweep(grid))
+        assert len(solve_calls) == len(grid)
+        assert labels == [classify_region(f, config) for f in grid]
+        assert labels == classify_grid(config, grid)
+
+    def test_cli_sweep_solves_each_point_once(self, solve_calls, tmp_path):
+        assert main(["sweep", "--scenario", "inter_body.cfg", "--grid", "1e5:1e9:80",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert len(solve_calls) == 80
+
+    def test_em_to_device_crossover_solves_nothing(self, solve_calls):
+        f = crossover_frequency(default_region_config(), RegionLabel.EM_RESONANT,
+                                RegionLabel.DEVICE_COUPLING)
+        assert f == pytest.approx(150e6, rel=0.05)
+        assert solve_calls == []

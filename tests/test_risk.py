@@ -93,6 +93,54 @@ class TestSafeDistance:
         model = CouplingCapModel(a=22.464e-12, d0=0.2, b=0.0)
         assert min_safe_distance(60.0, 6.0, coupling=model) < 100.0
 
+    @pytest.mark.parametrize("snr", [10.0, 15.0, 20.0, 30.0, 40.0])
+    def test_closed_form_puts_snooper_on_threshold(self, snr):
+        d = min_safe_distance(snr, 6.0)
+        assert snooper_snr_db(AttackScenario(snr, d)) == pytest.approx(6.0, abs=1e-9)
+
+
+NAN, INF = math.nan, math.inf
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("kwargs", [
+        {"snr_intended_db": NAN, "attacker_distance": 1.0},
+        {"snr_intended_db": 10.0, "attacker_distance": NAN},
+        {"snr_intended_db": 10.0, "attacker_distance": INF},
+        {"snr_intended_db": 10.0, "attacker_distance": 1.0, "snr_threshold_db": -INF},
+        {"snr_intended_db": 10.0, "attacker_distance": 1.0, "c_body": NAN},
+    ])
+    def test_attack_scenario(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            AttackScenario(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"v_sig_user": NAN},
+        {"v_sig_user": INF},
+        {"v_sig_user": 1.0, "interferers": ((NAN, 1.0),)},
+        {"v_sig_user": 1.0, "interferers": ((1.0, INF),)},
+        {"v_sig_user": 1.0, "c_body": INF},
+    ])
+    def test_interference_scenario(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            InterferenceScenario(**kwargs)
+
+    @pytest.mark.parametrize("args", [(NAN, 6.0), (10.0, NAN), (INF, 6.0), (10.0, -INF)])
+    def test_min_safe_distance(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            min_safe_distance(*args)
+
+    @pytest.mark.parametrize("args", [(NAN, 1.0), (6.0, NAN), (6.0, INF)])
+    def test_max_safe_snr(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            max_safe_snr(*args)
+
+    @pytest.mark.parametrize("args", [(INF, 1.0, 1.0, 6.0), (1.0, 1.0, NAN, 6.0),
+                                      (1.0, 1.0, 1.0, NAN)])
+    def test_max_cochannel_users(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            max_cochannel_users(*args)
+
 
 class TestMaxSafeSnr:
     def test_one_meter(self):
