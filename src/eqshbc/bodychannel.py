@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .netlist import Element, Netlist
-from .solver import FrequencyGrid, SweepResult, solve_ac, transfer
+from .netlist import Element, Netlist, _require_positive
+from .solver import FrequencyGrid, SweepResult, _gain_db, solve_ac, transfer
 
 __all__ = [
     "ANECHOIC_RETURN_BOOST",
@@ -87,8 +87,7 @@ class LoadSpec:
     def __post_init__(self):
         if self.kind not in ("resistive", "capacitive"):
             raise ValueError(f"load kind must be 'resistive' or 'capacitive', got {self.kind!r}")
-        if self.value <= 0:
-            raise ValueError("load value must be > 0")
+        _require_positive("load value", self.value)
 
     @classmethod
     def resistive(cls, ohms: float = 50.0) -> "LoadSpec":
@@ -127,11 +126,8 @@ class BodyChannelParams:
         if self.load is None:
             object.__setattr__(self, "load", LoadSpec.capacitive())
         object.__setattr__(self, "environment", Environment(self.environment))
-        for name in ("c_g_tx", "c_g_rx", "c_body", "r_b", "r_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.anechoic_boost <= 0:
-            raise ValueError("anechoic_boost must be > 0")
+        for name in ("c_g_tx", "c_g_rx", "c_body", "r_b", "r_s", "anechoic_boost"):
+            _require_positive(name, getattr(self, name))
 
     def effective_return_caps(self) -> tuple[float, float]:
         """(c_g_tx, c_g_rx) after the chamber boost, if any."""
@@ -151,8 +147,8 @@ class InterBodyParams:
     def __post_init__(self):
         if self.c_body2 is None:
             object.__setattr__(self, "c_body2", self.base.c_body)
-        if self.c_c <= 0:
-            raise ValueError("c_c must be > 0")
+        _require_positive("c_c", self.c_c)
+        _require_positive("c_body2", self.c_body2)
         if self.c_c > self.c_body2:
             raise ValueError(
                 f"c_c ({self.c_c}) exceeds the receiving body's self capacitance "
@@ -215,7 +211,7 @@ def build_inter_body(params: InterBodyParams) -> Netlist:
 def _probe_gain_db(netlist: Netlist, probe: tuple[int, int], f: float) -> float:
     """Single-frequency gain in dB across probe for the unit source."""
     sol = solve_ac(netlist, f)
-    return 20.0 * math.log10(abs(sol[probe[0]] - sol[probe[1]]))
+    return _gain_db(sol[probe[0]] - sol[probe[1]])
 
 
 def intra_body_gain_db(params: BodyChannelParams, f: float) -> float:

@@ -19,10 +19,9 @@ from .fcc import fcc_limit, is_unintentional_radiator
 from .multiregion import (
     CrossoverError,
     RegionLabel,
-    classify_grid,
+    _detection_distance,
     classify_sweep,
     crossover_frequency,
-    max_detection_distance,
     total_response,
 )
 from .netlist import parse_netlist
@@ -162,7 +161,8 @@ def _cmd_fcc(args) -> None:
 def _cmd_regions(args) -> None:
     cfg = cfgmod.load_config(args.scenario)
     region_config = cfgmod.region_config_from_config(cfg, args.env)
-    labels = classify_grid(region_config, args.grid)
+    eqs = region_config.eqs_sweep(args.grid)
+    labels = classify_sweep(region_config, eqs)
     points = args.grid.points
     edges = [0, *(i for i in range(1, len(labels)) if labels[i] != labels[i - 1]), len(labels) - 1]
     segments = [{"f_lo_hz": points[lo], "f_hi_hz": points[hi], "region": labels[lo].value}
@@ -180,9 +180,9 @@ def _cmd_regions(args) -> None:
         coupling = cfgmod.coupling_model_from_config(cfg)
         record["max_detection_distance_m"] = [
             {"freq_hz": f,
-             "distance_m": max_detection_distance(region_config, f, args.sensitivity_db,
-                                                  coupling=coupling)}
-            for f in args.grid]
+             "distance_m": _detection_distance(region_config, f, eqs_db, args.sensitivity_db,
+                                               coupling)}
+            for f, eqs_db in zip(points, eqs.gain_db().tolist())]
     _emit_json(record, args.out)
 
 

@@ -26,6 +26,7 @@ intra_body.cfg).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import replace
 from importlib import resources
@@ -79,8 +80,27 @@ _DEVICE_KEYS = {"multiregion.device_length": "electrode_length",
 _FIELD_KEYS = {f"fcc.{name}": name for name in ("anchor_field", "anchor_distance", "exponent")}
 
 
+# The documented keys above; load_config rejects any other key (a typo, say).
+_KNOWN_KEYS = frozenset((
+    *_BODY_KEYS, *_EM_KEYS, *_DEVICE_KEYS, *_FIELD_KEYS,
+    "load.kind", "load.value", "environment", "c_c", "c_body2",
+    "coupling.anchors", "coupling.d0", "multiregion.anechoic_em_attenuation_db",
+    "snr_intended_db", "attacker_distance", "snr_threshold_db",
+    "v_sig_user", "interferers", "sir_min_db",
+))
+
+
 def _present(cfg: dict, keys: dict[str, str]) -> dict:
     return {name: cfg[key] for key, name in keys.items() if key in cfg}
+
+
+def _finite(value) -> bool:
+    """False if value holds NaN or an infinity (json reads NaN, Infinity and 1e400)."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return True
 
 
 def parse_config(text: str) -> dict:
@@ -104,6 +124,9 @@ def parse_config(text: str) -> dict:
             raise ConfigError(
                 f"line {lineno}: value for {key!r} is not a JSON fragment: "
                 f"{value.strip()!r}") from None
+        if not _finite(out[key]):
+            raise ConfigError(f"line {lineno}: value for {key!r} is not finite: "
+                              f"{value.strip()!r}")
     return out
 
 
@@ -123,7 +146,13 @@ def resolve_config_path(name: str) -> Path:
 
 
 def load_config(name: str) -> dict:
-    return parse_config(resolve_config_path(name).read_text())
+    """Parse a scenario file; an undocumented key (a typo, say) is an error."""
+    path = resolve_config_path(name)
+    cfg = parse_config(path.read_text())
+    unknown = sorted(set(cfg) - _KNOWN_KEYS)
+    if unknown:
+        raise ConfigError(f"{path}: unknown config key {unknown[0]!r}")
+    return cfg
 
 
 def body_params_from_config(cfg: dict, environment: str | None = None) -> BodyChannelParams:

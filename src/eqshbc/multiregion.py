@@ -209,6 +209,14 @@ _MECHANISM_GAINS = (
 )
 
 
+def _mechanism_sweep_db(config: RegionConfig, mechanism: int, freqs) -> list[float]:
+    """A mechanism's gain in dB over freqs; the quasistatic one as one batched sweep."""
+    if mechanism == 0:
+        return config.eqs_sweep(FrequencyGrid(freqs)).gain_db().tolist()
+    gain = _MECHANISM_GAINS[mechanism]
+    return [gain(config, f) for f in freqs]
+
+
 def default_region_config(environment: Environment | str = Environment.OPEN_AIR) -> RegionConfig:
     """The pinned default scenario: two subjects 1 m apart, capacitive load."""
     environment = Environment(environment)
@@ -303,13 +311,14 @@ def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
     def diff(f: float) -> float:
         return gain_b(config, f) - gain_a(config, f)
 
-    scan = np.geomspace(f_lo, f_hi, 241)
-    values = [diff(f) for f in scan]
+    scan = np.geomspace(f_lo, f_hi, 241).tolist()
+    values = [b - a for a, b in zip(_mechanism_sweep_db(config, mech_a, scan),
+                                    _mechanism_sweep_db(config, mech_b, scan))]
     for i in range(len(scan) - 1):
         if values[i] == 0.0:
-            return float(scan[i])
+            return scan[i]
         if values[i] < 0.0 < values[i + 1] or values[i] > 0.0 > values[i + 1]:
-            return _bisect_root(diff, float(scan[i]), float(scan[i + 1]))
+            return _bisect_root(diff, scan[i], scan[i + 1])
     raise CrossoverError(
         f"{region_a} and {region_b} never exchange dominance in "
         f"[{f_lo:g}, {f_hi:g}] Hz")
@@ -331,9 +340,13 @@ def max_detection_distance(config: RegionConfig, f: float, min_gain_db: float,
     """
     if f <= 0 or d_ref <= 0:
         raise ValueError("frequency and d_ref must be > 0")
-    coupling = coupling or default_coupling_model()
-    eqs_db, em_db, dev_db = config.mechanism_gains_db(f)
+    return _detection_distance(config, f, config.eqs_gain_db(f), min_gain_db,
+                               coupling or default_coupling_model(), d_ref)
 
+
+def _detection_distance(config: RegionConfig, f: float, eqs_db: float, min_gain_db: float,
+                        coupling, d_ref: float = 1.0) -> float:
+    """max_detection_distance given the quasistatic gain eqs_db already solved at f."""
     d_eqs = coupling.distance_at(coupling.cap_at(d_ref) * 10.0 ** ((min_gain_db - eqs_db) / 20.0))
 
     def radiative(gain_db: float) -> float:
@@ -341,6 +354,7 @@ def max_detection_distance(config: RegionConfig, f: float, min_gain_db: float,
             return 0.0
         return d_ref * 10.0 ** ((gain_db - min_gain_db) / 20.0)
 
+    em_db, dev_db = body_em_pair_gain(config.em, f), device_pair_gain(config.device, f)
     return min(max(d_eqs, radiative(em_db), radiative(dev_db)), DETECTION_DISTANCE_CAP_M)
 
 

@@ -13,6 +13,7 @@ m = milli) as well as plain/scientific notation.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -41,6 +42,18 @@ SI_SUFFIXES = {
 _VALUE_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)([A-Za-z]*)$")
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_positive(name: str, value: float) -> None:
+    """value must be finite and > 0; NaN and inf fail as 0 does."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 class NetlistError(ValueError):
     """Raised for malformed netlists; carries the offending line number if known."""
 
@@ -60,7 +73,9 @@ def parse_si_value(text: str) -> float:
     if suffix not in SI_SUFFIXES:
         raise ValueError(f"unknown SI suffix {suffix!r} in {text!r} "
                          f"(accepted: {', '.join(s for s in SI_SUFFIXES if s)})")
-    return float(base) * SI_SUFFIXES[suffix]
+    value = float(base) * SI_SUFFIXES[suffix]
+    _require_finite(value=value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -91,10 +106,10 @@ class Element:
         if a < 0 or b < 0:
             raise ValueError(f"element {self.label}: negative node id")
         if self.kind == "V":
-            if self.value < 0:
-                raise ValueError(f"source {self.label}: amplitude must be >= 0")
-        elif self.value <= 0:
-            raise ValueError(f"element {self.label}: value must be > 0, got {self.value}")
+            if not 0.0 <= self.value < math.inf:
+                raise ValueError(f"source {self.label}: amplitude must be finite and >= 0")
+        else:
+            _require_positive(self.label, self.value)
 
 
 @dataclass(frozen=True)
@@ -115,8 +130,8 @@ class Netlist:
         if not self.elements:
             raise NetlistError("empty netlist")
         labels = [e.label for e in self.elements]
-        dupes = {l for l in labels if labels.count(l) > 1}
-        if dupes:
+        if len(set(labels)) != len(labels):
+            dupes = {l for l in labels if labels.count(l) > 1}
             raise NetlistError(f"duplicate element labels: {sorted(dupes)}")
         nodes = self.nodes()
         if self.ground not in nodes:

@@ -20,6 +20,7 @@ from .bodychannel import (
     coupling_coefficient,
     default_coupling_model,
 )
+from .netlist import _require_finite
 
 __all__ = [
     "AttackScenario",
@@ -41,12 +42,6 @@ DISTANCE_CAP_M = 100.0
 
 class UnboundedResult(RuntimeError):
     """No finite answer below the distance cap (e.g. unsafe at every distance)."""
-
-
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

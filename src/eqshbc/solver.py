@@ -1,16 +1,24 @@
 """Frequency-domain circuit solving via complex-valued modified nodal analysis.
 
-Capacitors and inductors enter as complex admittances jwC and 1/(jwL);
-each voltage source contributes one branch-current unknown and one
-constraint row (standard MNA). The dense system is solved per frequency
-with partial-pivoting LU; circuits here stay small (~20 nodes), so no
-sparsity machinery. A condition estimate above 1e12 attaches a warning to
-the result rather than failing.
+The netlist is stamped once into real matrices: ``g`` holds the resistor
+conductances and the +-1 incidence of each voltage source's branch-current
+unknown (standard MNA), ``c`` the capacitances and ``gamma`` the inverse
+inductances, so the system at angular frequency w is
 
-Netlists and results are immutable; every frequency point is an
-independent solve, so sweeps may be evaluated concurrently without shared
-state. The implementation here runs them in order, which also fixes the
-output ordering.
+    A(w) = g + jw*c + gamma/(jw),    A(w) x = z.
+
+A grid is solved in fixed-size frequency blocks: each block's matrices are
+built in one buffer of at most 128 KB (or one matrix, if larger), then pass
+through one batched condition number (the 2-norm, from the singular values)
+and one batched partial-pivoting LU solve, so memory stays flat however
+long the grid is. Circuits here stay small (up to ~70 unknowns), so no
+sparsity machinery. A condition number above 1e12 attaches a warning per
+offending frequency, in grid order, rather than failing; a singular system
+raises :class:`SingularCircuitError` for the first singular frequency.
+
+A single-frequency solve is the one-point case of the same path, so a
+sweep and per-frequency solves give bit-identical results. Netlists and
+results are immutable.
 """
 
 from __future__ import annotations
@@ -18,10 +26,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .netlist import Element, Netlist
+from .netlist import Element, Netlist, _require_positive
 
 __all__ = [
     "ACSolution",
@@ -34,6 +43,9 @@ __all__ = [
 ]
 
 COND_WARN_THRESHOLD = 1e12
+# Complex entries per frequency block (128 KB): the stacked system matrices
+# of one block stay cache-sized however long the grid is.
+_BLOCK_ENTRIES = 1 << 13
 
 
 class SingularCircuitError(ArithmeticError):
@@ -60,49 +72,58 @@ class ACSolution(dict):
         self.warnings = tuple(warnings)
 
 
-def _element_admittance(element: Element, omega: float) -> complex:
-    if element.kind == "R":
-        return 1.0 / element.value
-    if element.kind == "C":
-        return 1j * omega * element.value
-    if element.kind == "L":
-        return 1.0 / (1j * omega * element.value)
-    raise ValueError(f"element {element.label} has no admittance stamp")
+class _Stamp(NamedTuple):
+    """Real MNA matrices of a netlist; ``gamma`` is None without inductors."""
+
+    g: np.ndarray
+    c: np.ndarray
+    gamma: np.ndarray | None
+    z: np.ndarray  # shape (1, unknowns, 1): one right-hand side for every frequency
+    index: dict[int, int]  # non-ground node -> row
+    sources: tuple[Element, ...]  # source k -> row len(index) + k
 
 
-def _assemble(netlist: Netlist, f: float):
-    nonground = sorted(n for n in netlist.nodes() if n != netlist.ground)
-    index = {n: i for i, n in enumerate(nonground)}
+def _stamp(netlist: Netlist) -> _Stamp:
+    nodes = netlist.nodes()
+    nodes.discard(netlist.ground)
+    index = dict(zip(sorted(nodes), range(len(nodes))))
     sources = netlist.sources()
-    n, m = len(nonground), len(sources)
-    a = np.zeros((n + m, n + m), dtype=complex)
-    z = np.zeros(n + m, dtype=complex)
-    omega = 2.0 * math.pi * f
+    n, size = len(index), len(index) + len(sources)
+    # Entries of g, c and gamma stacked row-major (matrix m, entry (i, j) at
+    # m*size*size + i*size + j), summed in element order by bincount.
+    at: list[int] = []
+    values: list[float] = []
+    has_inductor = False
     for element in netlist.elements:
-        if element.kind == "V":
+        kind, value, (a, b) = element.kind, element.value, element.nodes
+        if kind == "R":
+            base, y = 0, 1.0 / value
+        elif kind == "C":
+            base, y = size * size, value
+        elif kind == "L":
+            base, y, has_inductor = 2 * size * size, 1.0 / value, True
+        else:
             continue
-        y = _element_admittance(element, omega)
-        i = index.get(element.nodes[0], -1)
-        j = index.get(element.nodes[1], -1)
+        i, j = index.get(a, -1), index.get(b, -1)
         if i >= 0:
-            a[i, i] += y
+            at.append(base + i * size + i)
+            values.append(y)
         if j >= 0:
-            a[j, j] += y
+            at.append(base + j * size + j)
+            values.append(y)
         if i >= 0 and j >= 0:
-            a[i, j] -= y
-            a[j, i] -= y
-    for k, src in enumerate(sources):
-        row = n + k
-        i = index.get(src.nodes[0], -1)
-        j = index.get(src.nodes[1], -1)
-        if i >= 0:
-            a[i, row] += 1.0
-            a[row, i] += 1.0
-        if j >= 0:
-            a[j, row] -= 1.0
-            a[row, j] -= 1.0
-        z[row] = src.value
-    return a, z, index, sources
+            at += (base + i * size + j, base + j * size + i)
+            values += (-y, -y)
+    z = np.zeros((1, size, 1), dtype=complex)
+    for row, src in enumerate(sources, start=n):
+        for node, sign in ((src.nodes[0], 1.0), (src.nodes[1], -1.0)):
+            i = index.get(node, -1)
+            if i >= 0:
+                at += (i * size + row, row * size + i)
+                values += (sign, sign)
+        z[0, row, 0] = src.value
+    m = np.bincount(at, values, 3 * size * size).reshape(3, size, size)
+    return _Stamp(m[0], m[1], m[2] if has_inductor else None, z, index, sources)
 
 
 def _singular_nodes(a: np.ndarray, index: dict[int, int]) -> tuple[int, ...]:
@@ -117,6 +138,52 @@ def _singular_nodes(a: np.ndarray, index: dict[int, int]) -> tuple[int, ...]:
     return tuple(sorted(rev[i] for i in range(n) if null[i] > 0.1 * peak))
 
 
+def _singular(a: np.ndarray, f: float, index: dict[int, int]) -> SingularCircuitError:
+    return SingularCircuitError(f"singular MNA system at f={f:g} Hz", _singular_nodes(a, index))
+
+
+def _solve_grid(netlist: Netlist, freqs) -> tuple[np.ndarray, _Stamp, list[str]]:
+    """Solve the MNA system at every frequency in ``freqs`` (hertz, > 0).
+
+    Returns the ``(len(freqs), unknowns)`` solutions, the stamp that gives
+    their row layout, and the ill-conditioning warnings in grid order.
+    """
+    stamp = _stamp(netlist)
+    freqs = np.asarray(freqs, dtype=float)
+    size = len(stamp.index) + len(stamp.sources)
+    block = max(1, _BLOCK_ENTRIES // (size * size))
+    x = np.empty((len(freqs), size), dtype=complex)
+    buffer = np.empty((min(block, len(freqs)), size, size), dtype=complex)
+    warnings: list[str] = []
+    for start in range(0, len(freqs), block):
+        f = freqs[start:start + block]
+        a = buffer[:len(f)]
+        omega = (2.0 * math.pi * f)[:, None, None]
+        a.real = stamp.g
+        np.multiply(omega, stamp.c, out=a.imag)
+        if stamp.gamma is not None:
+            a.imag -= stamp.gamma / omega
+        s = np.linalg.svd(a, compute_uv=False)
+        for k, singular_values in enumerate(s.tolist()):
+            s_max, s_min = singular_values[0], singular_values[-1]
+            if s_min == 0.0:
+                raise _singular(a[k], f[k], stamp.index)
+            cond = s_max / s_min  # the 2-norm condition number, as np.linalg.cond gives it
+            if cond > COND_WARN_THRESHOLD:
+                warnings.append(f"ill-conditioned MNA system at f={f[k]:g} Hz (cond~{cond:.3g})")
+        try:
+            x[start:start + len(f)] = np.linalg.solve(a, stamp.z)[..., 0]
+        except np.linalg.LinAlgError:
+            # An exact zero pivot the singular values missed: name its frequency.
+            for k in range(len(f)):
+                try:
+                    np.linalg.solve(a[k], stamp.z[0])
+                except np.linalg.LinAlgError:
+                    raise _singular(a[k], f[k], stamp.index) from None
+            raise
+    return x, stamp, warnings
+
+
 def solve_ac(netlist: Netlist, f: float) -> ACSolution:
     """Solve node voltages at a single frequency.
 
@@ -127,30 +194,17 @@ def solve_ac(netlist: Netlist, f: float) -> ACSolution:
     Raises
     ------
     ValueError
-        If ``f`` is not positive.
+        If ``f`` is not finite and positive.
     SingularCircuitError
         If the system has no unique solution; the offending node set is
         reported.
     """
-    if f <= 0:
-        raise ValueError(f"frequency must be > 0, got {f}")
-    a, z, index, sources = _assemble(netlist, f)
-    warnings: tuple[str, ...] = ()
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond):
-        raise SingularCircuitError(
-            f"singular MNA system at f={f:g} Hz", _singular_nodes(a, index))
-    if cond > COND_WARN_THRESHOLD:
-        warnings = (f"ill-conditioned MNA system at f={f:g} Hz (cond~{cond:.3g})",)
-    try:
-        x = np.linalg.solve(a, z)
-    except np.linalg.LinAlgError:
-        raise SingularCircuitError(
-            f"singular MNA system at f={f:g} Hz", _singular_nodes(a, index)) from None
+    _require_positive("frequency", f)
+    x, stamp, warnings = _solve_grid(netlist, (f,))
+    row = x[0].tolist()
     voltages = {netlist.ground: 0j}
-    for node, i in index.items():
-        voltages[node] = complex(x[i])
-    currents = {src.label: complex(x[len(index) + k]) for k, src in enumerate(sources)}
+    voltages.update(zip(stamp.index, row))  # index lists the nodes in row order
+    currents = dict(zip((src.label for src in stamp.sources), row[len(stamp.index):]))
     return ACSolution(voltages, currents, warnings)
 
 
@@ -164,8 +218,8 @@ class FrequencyGrid:
         object.__setattr__(self, "points", tuple(float(p) for p in self.points))
         if not self.points:
             raise ValueError("empty frequency grid")
-        if self.points[0] <= 0:
-            raise ValueError("frequencies must be > 0")
+        for p in self.points:
+            _require_positive("frequency", p)
         if any(b <= a for a, b in zip(self.points, self.points[1:])):
             raise ValueError("frequencies must be strictly increasing")
 
@@ -202,14 +256,18 @@ class SweepResult:
             raise ValueError("non-finite gain in sweep result")
 
     def gain_db(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return 20.0 * np.log10(np.abs(np.asarray(self.gain)))
+        return np.array([_gain_db(g) for g in self.gain])
 
     def phase_deg(self) -> np.ndarray:
         return np.degrees([cmath.phase(g) for g in self.gain])
 
     def magnitude(self) -> np.ndarray:
         return np.abs(np.asarray(self.gain))
+
+
+def _gain_db(gain: complex) -> float:
+    """20*log10|gain|, -inf for a zero gain: the one dB conversion of solved gains."""
+    return 20.0 * math.log10(abs(gain)) if gain else -math.inf
 
 
 def transfer(netlist: Netlist, source_label: str, probe: tuple[int, int],
@@ -222,15 +280,17 @@ def transfer(netlist: Netlist, source_label: str, probe: tuple[int, int],
     for p in probe:
         if p not in nodes:
             raise ValueError(f"probe node {p} not present in netlist")
-    gains: list[complex] = []
-    warnings: list[str] = []
-    for f in grid:
-        sol = solve_ac(netlist, f)
-        gains.append((sol[probe[0]] - sol[probe[1]]) / source.value)
-        warnings.extend(sol.warnings)
-    return SweepResult(freqs=tuple(grid), gain=tuple(gains),
-                       source_label=source_label, probe=probe,
-                       warnings=tuple(warnings))
+    x, stamp, warnings = _solve_grid(netlist, grid.points)
+
+    def voltages(node: int) -> list[complex]:
+        if node == netlist.ground:
+            return [0j] * len(grid)
+        return x[:, stamp.index[node]].tolist()
+
+    gains = tuple((p - m) / source.value for p, m in zip(voltages(probe[0]),
+                                                           voltages(probe[1])))
+    return SweepResult(freqs=grid.points, gain=gains, source_label=source_label,
+                       probe=probe, warnings=tuple(warnings))
 
 
 def sweep_csv(result: SweepResult, regions: list[str] | None = None) -> str:

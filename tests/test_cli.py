@@ -183,6 +183,52 @@ class TestNonFiniteArguments:
         assert "finite" in record["message"]
 
 
+class TestScenarioValidation:
+    @pytest.mark.parametrize("line,message", [
+        ("c_g_tx = NaN", "'c_g_tx' is not finite"),
+        ("c_c = Infinity", "'c_c' is not finite"),
+        ("c_body = 1e400", "'c_body' is not finite"),
+        ("c_gtx = 1e-9", "unknown config key 'c_gtx'"),
+    ])
+    def test_bad_scenario_is_one_json_error_line(self, capsys, tmp_path, line, message):
+        text = (resources.files("eqshbc.data") / "inter_body.cfg").read_text()
+        key = line.split(" = ")[0]
+        kept = [row for row in text.splitlines() if not row.startswith(f"{key} =")]
+        scenario = tmp_path / "bad.cfg"
+        scenario.write_text("\n".join(kept + [line]) + "\n")
+        for argv in (["sweep", "--scenario", str(scenario)],
+                     ["regions", "--scenario", str(scenario)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert "Traceback" not in err
+            assert err.endswith("\n") and err.count("\n") == 1
+            record = json.loads(err)
+            assert record["error"] == "ConfigError"
+            assert message in record["message"]
+
+    @pytest.mark.parametrize("load", ["capacitive:nan", "resistive:inf"])
+    def test_non_finite_load_override(self, capsys, load):
+        code, out, err = run(capsys, "sweep", "--scenario", "inter_body.cfg", "--load", load)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err and err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "ValueError"
+        assert "load value must be finite" in record["message"]
+
+    def test_overflowing_netlist_value(self, capsys, tmp_path):
+        netlist = tmp_path / "big.cir"
+        netlist.write_text("V1 1 0 1\nR1 1 2 1e400\nC1 2 0 1n\n")
+        code, out, err = run(capsys, "solve", "--netlist", str(netlist), "--probe", "2,0")
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err and err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "NetlistError"
+        assert "line 2" in record["message"] and "finite" in record["message"]
+
+
 class TestGridSpec:
     def test_spacing_suffixes(self):
         assert _parse_grid("1e5:1e6:10lin") == FrequencyGrid.linear(1e5, 1e6, 10)

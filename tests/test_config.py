@@ -38,6 +38,12 @@ class TestParse:
         with pytest.raises(ConfigError, match="JSON"):
             parse_config("a = not-json")
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400",
+                                         "[[1.0, 21e-12], [5.0, NaN]]"])
+    def test_non_finite_value_names_key(self, literal):
+        with pytest.raises(ConfigError, match="line 2: value for 'c_g_tx' is not finite"):
+            parse_config(f"c_c = 21e-12\nc_g_tx = {literal}")
+
 
 class TestResolution:
     def test_explicit_path(self, tmp_path):
@@ -55,6 +61,17 @@ class TestResolution:
         for name in ("inter_body.cfg", "intra_body.cfg"):
             cfg = load_config(name)
             assert cfg["c_body"] == 150e-12
+
+    def test_bundled_configs_load_without_error(self):
+        # every key the bundled scenarios (and the generated variants of them) use is known
+        for name in ("inter_body.cfg", "intra_body.cfg"):
+            assert load_config(name)
+
+    def test_unknown_key_rejected_by_name(self, tmp_path):
+        p = tmp_path / "typo.cfg"
+        p.write_text("c_c = 21e-12\nc_gtx = 1e-9\n")
+        with pytest.raises(ConfigError, match="unknown config key 'c_gtx'"):
+            load_config(str(p))
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="not found"):

@@ -1,9 +1,10 @@
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from eqshbc import bodychannel, solver
 from eqshbc.bodychannel import Environment
 from eqshbc.cli import main
 from eqshbc.multiregion import (
@@ -298,21 +299,6 @@ class TestCalibrationRegression:
         assert default_region_config().eqs_gain_db(500e3) == pytest.approx(-80.0, abs=0.05)
 
 
-@pytest.fixture
-def solve_calls(monkeypatch):
-    """Count the circuit solves made by sweeps and single-point gains."""
-    calls = []
-    original = solver.solve_ac
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(solver, "solve_ac", counting)
-    monkeypatch.setattr(bodychannel, "solve_ac", counting)
-    return calls
-
-
 class TestSolveOnce:
     def test_classify_sweep_matches_classify_region(self, solve_calls):
         config = default_region_config()
@@ -332,3 +318,23 @@ class TestSolveOnce:
                                 RegionLabel.DEVICE_COUPLING)
         assert f == pytest.approx(150e6, rel=0.05)
         assert solve_calls == []
+
+    def test_cli_regions_solves_grid_and_scan_once(self, solve_calls, tmp_path):
+        # grid (n) + the EQS->EM crossover scan (241) + its bisection (< 60);
+        # the detection distances reuse the grid sweep instead of re-solving it
+        n = 120
+        out = tmp_path / "regions.json"
+        assert main(["regions", "--grid", f"1e5:1e9:{n}", "--sensitivity-db", "-90",
+                     "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["max_detection_distance_m"]) == n
+        assert len(solve_calls) <= n + 241 + 60
+        batches = sorted(size for size in Counter(call for call, _ in solve_calls).values()
+                         if size > 1)
+        assert batches == [n, 241]
+
+    @pytest.mark.parametrize("environment", ["open_air", "anechoic"])
+    def test_scalar_and_sweep_gains_agree_bit_for_bit(self, environment):
+        # 400 points span three solver blocks of the 7-unknown circuit
+        config = default_region_config(environment)
+        grid = FrequencyGrid.log(1e5, 1e9, 400)
+        assert [config.eqs_gain_db(f) for f in grid] == config.eqs_sweep(grid).gain_db().tolist()

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from eqshbc.netlist import (
@@ -30,6 +32,11 @@ class TestSiValues:
     @pytest.mark.parametrize("text", ["", "k", "1Meg", "1G", "1.2.3", "ten", "1 k"])
     def test_rejected(self, text):
         with pytest.raises(ValueError):
+            parse_si_value(text)
+
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "1e308M"])
+    def test_overflow_rejected(self, text):
+        with pytest.raises(ValueError, match="finite"):
             parse_si_value(text)
 
 
@@ -127,3 +134,20 @@ class TestRoundTrip:
     def test_empty_netlist_rejected(self):
         with pytest.raises(NetlistError, match="empty"):
             Netlist(elements=())
+
+
+class TestNonFiniteElements:
+    @pytest.mark.parametrize("kind", ["R", "C", "L"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+    def test_passive_value_rejected(self, kind, value):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            Element(kind, value, (1, 0), f"{kind}1")
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_source_amplitude_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            Element("V", value, (1, 0), "V1")
+
+    def test_overflowing_netlist_value_reports_line(self):
+        with pytest.raises(NetlistError, match="line 2.*finite"):
+            parse_netlist("V1 1 0 1\nR1 1 0 1e400")

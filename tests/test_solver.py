@@ -1,9 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circuit_oracle import brute_force_voltages, random_rc_network
+from eqshbc.bodychannel import INTER_PROBE, SOURCE_LABEL
+from eqshbc.multiregion import default_region_config
 from eqshbc.netlist import Element, Netlist, parse_netlist
 from eqshbc.solver import (
     FrequencyGrid,
@@ -243,3 +248,128 @@ class TestGridAndCsv:
         assert text.splitlines()[0].endswith(",region")
         with pytest.raises(ValueError):
             sweep_csv(res, regions=["EQS"])
+
+
+def ladder(sections, r, c, l=None):
+    """Series R (paralleled by L when given) with shunt C at every node, driven at node 1."""
+    elements = [("V", 1, 0, 1.0)]
+    for k in range(1, sections + 1):
+        elements += [("R", k, k + 1, r * (1.0 + 0.1 * k)), ("C", k + 1, 0, c * (1.0 + 0.05 * k))]
+        if l is not None:
+            elements.append(("L", k, k + 1, l * (1.0 + 0.2 * k)))
+    return elements
+
+
+class TestBatchedSolve:
+    """The grid is solved in frequency blocks; results must not depend on the blocking."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(sections=st.integers(2, 12),
+           r=st.floats(1e1, 1e4), c=st.floats(1e-11, 1e-8),
+           l=st.one_of(st.none(), st.floats(1e-6, 1e-2)),
+           blocks=st.floats(1.5, 3.5))
+    def test_ladders_match_oracle_across_blocks(self, sections, r, c, l, blocks):
+        elements = ladder(sections, r, c, l)
+        net = netlist_from_tuples(elements)
+        # sections + 2 unknowns; a block holds 1 << 13 complex matrix entries
+        n = int(blocks * (1 << 13) / (sections + 2) ** 2)
+        corner = 1.0 / (2.0 * math.pi * r * c * sections ** 2)
+        grid = FrequencyGrid.log(corner / 100.0, corner * 100.0, n)
+        res = transfer(net, "V1", (sections + 1, 0), grid)
+        for f, g in zip(grid, res.gain):
+            expected = brute_force_voltages(elements, f)
+            scale = max(abs(v) for v in expected.values())
+            assert abs(g - expected[sections + 1]) <= 1e-9 * scale
+
+    def test_transfer_equals_single_point_solves_bit_for_bit(self):
+        cases = [(default_region_config()._netlist, SOURCE_LABEL, INTER_PROBE),
+                 (netlist_from_tuples(ladder(20, 1e3, 1e-9, 1e-3)), "V1", (21, 0))]
+        for net, source, probe in cases:
+            grid = FrequencyGrid.log(1e3, 1e9, 700)
+            res = transfer(net, source, probe, grid)
+            value = net.source(source).value
+            for f, g in zip(grid, res.gain):
+                sol = solve_ac(net, f)
+                assert g == (sol[probe[0]] - sol[probe[1]]) / value
+
+    def test_warnings_one_per_ill_conditioned_frequency_in_grid_order(self):
+        # cond ~ 1/(w*C) crosses 1e12 near 0.08 Hz; 2000 points span three blocks
+        c1, c2 = 1e-12, 1e-12
+        net = parse_netlist(f"V1 1 0 1.0\nC1 1 2 {c1}\nC2 2 0 {c2}")
+        grid = FrequencyGrid.log(1e-3, 1.0, 2000)
+        res = transfer(net, "V1", (2, 0), grid)
+
+        def mna(f):
+            jw = 2j * math.pi * f
+            return np.array([[jw * c1, -jw * c1, 1.0], [-jw * c1, jw * (c1 + c2), 0.0],
+                             [1.0, 0.0, 0.0]])
+
+        offending = [f for f in grid if np.linalg.cond(mna(f)) > 1e12]
+        assert 910 < len(offending) < len(grid)
+        assert res.warnings == tuple(
+            f"ill-conditioned MNA system at f={f:g} Hz (cond~{np.linalg.cond(mna(f)):.3g})"
+            for f in offending)
+        assert list(res.warnings) == [w for f in grid for w in solve_ac(net, f).warnings]
+
+    def test_singular_frequency_reported_first_in_later_block(self):
+        # series L-C from the source: node 2 has zero admittance at w = 1/sqrt(LC) = 1
+        net = parse_netlist("V1 1 0 1.0\nL1 1 2 1\nC1 2 0 1")
+        f_res = 1.0 / (2.0 * math.pi)
+        points = tuple(np.geomspace(1e-3, 1e-1, 1000)) + (f_res, 1.0, 10.0)
+        with pytest.raises(SingularCircuitError, match=r"f=0\.159155 Hz") as info:
+            transfer(net, "V1", (2, 0), FrequencyGrid(points))
+        assert info.value.nodes == (2,)
+        with pytest.raises(SingularCircuitError, match=r"f=0\.159155 Hz"):
+            solve_ac(net, f_res)
+        assert solve_ac(net, 1.0)[2] != 0
+
+    def test_lu_failure_reports_its_frequency(self, monkeypatch):
+        # a zero pivot that the singular values did not flag still names its frequency
+        grid = FrequencyGrid.log(1e3, 1e6, 20)
+        bad = grid.points[7]
+        c_entry = 2.0 * math.pi * bad * 1e-9  # imag of RC_POLE's node-2 diagonal at bad
+        real_solve = np.linalg.solve
+
+        def failing_solve(a, b):
+            if np.any(a[..., 1, 1].imag == c_entry):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        with pytest.raises(SingularCircuitError, match=f"f={bad:g} Hz"):
+            transfer(RC_POLE, "V1", (2, 0), grid)
+
+    def test_singular_everywhere_reports_first_grid_point(self):
+        net = Netlist(elements=(
+            Element("V", 1.0, (1, 0), "V1"),
+            Element("V", 2.0, (1, 0), "V2"),
+            Element("R", 50.0, (1, 0), "R1"),
+        ))
+        with pytest.raises(SingularCircuitError, match=r"f=1000 Hz"):
+            transfer(net, "V1", (1, 0), FrequencyGrid.log(1e3, 1e6, 50))
+
+    def test_large_ladder_memory_stays_blocked(self):
+        # A whole-grid (1000, 66, 66) complex stack would take 70 MB.
+        net = netlist_from_tuples(ladder(64, 1e3, 1e-9, 1e-3))
+        grid = FrequencyGrid.log(1e3, 1e7, 1000)
+        tracemalloc.start()
+        try:
+            res = transfer(net, "V1", (65, 0), grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res.gain) == 1000
+        assert peak < 2 * 2 ** 20
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("points", [(1.0, math.inf), (math.nan, 1.0), (1.0, math.nan, 3.0),
+                                        (-math.inf, 1.0)])
+    def test_grid_rejects_non_finite_points(self, points):
+        with pytest.raises(ValueError, match="finite"):
+            FrequencyGrid(points)
+
+    @pytest.mark.parametrize("f", [math.nan, math.inf])
+    def test_solve_ac_rejects_non_finite_frequency(self, f):
+        with pytest.raises(ValueError, match="finite"):
+            solve_ac(DIVIDER, f)
