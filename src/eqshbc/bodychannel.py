@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .netlist import Element, Netlist, _require_positive
+from .netlist import Element, Netlist, _require_non_negative, _require_positive
 from .solver import FrequencyGrid, SweepResult, _gain_db, solve_ac, transfer
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "DEFAULT_C_BODY",
     "DEFAULT_COUPLING_ANCHORS",
     "DEFAULT_COUPLING_D0",
+    "DEFAULT_COUPLING_MODEL",
     "Environment",
     "INTRA_PROBE",
     "INTER_PROBE",
@@ -231,8 +232,8 @@ def extra_loss_db(c_c: float, c_body: float) -> float:
 
     Closed-form flat-band oracle for the solved circuits above.
     """
-    if c_c <= 0 or c_body <= 0:
-        raise ValueError("capacitances must be > 0")
+    _require_positive("c_c", c_c)
+    _require_positive("c_body", c_body)
     return 20.0 * math.log10(c_c / c_body)
 
 
@@ -245,22 +246,17 @@ class CouplingCapModel:
     b: float   # farads, the far-distance tail
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("a must be > 0")
-        if self.d0 <= 0:
-            raise ValueError("d0 must be > 0")
-        if self.b < 0:
-            raise ValueError("b must be >= 0")
+        _require_positive("a", self.a)
+        _require_positive("d0", self.d0)
+        _require_non_negative("b", self.b)
 
     def cap_at(self, d: float) -> float:
-        if d < 0:
-            raise ValueError("distance must be >= 0")
+        _require_non_negative("distance", d)
         return self.a / (d + self.d0) + self.b
 
     def distance_at(self, c: float) -> float:
         """Inverse of cap_at: inf at or below the tail b, 0 at or above C_C(0)."""
-        if math.isnan(c):
-            raise ValueError("capacitance must not be NaN")
+        _require_non_negative("capacitance", c)
         if c <= self.b:
             return math.inf
         if c >= self.cap_at(0.0):
@@ -277,8 +273,10 @@ def fit_coupling_model(anchors, d0: float = DEFAULT_COUPLING_D0) -> CouplingCapM
     anchors = [(float(d), float(c)) for d, c in anchors]
     if len(anchors) < 2:
         raise ValueError("need at least 2 anchors")
-    if d0 <= 0:
-        raise ValueError("d0 must be > 0")
+    for d, c in anchors:
+        _require_non_negative("anchor_distance", d)
+        _require_positive("anchor_capacitance", c)
+    _require_positive("d0", d0)
     distances = [d for d, _ in anchors]
     if len(set(distances)) != len(distances):
         raise ValueError("anchor distances must be distinct")
@@ -290,23 +288,25 @@ def fit_coupling_model(anchors, d0: float = DEFAULT_COUPLING_D0) -> CouplingCapM
     return CouplingCapModel(a=float(a), d0=d0, b=float(b))
 
 
+# C_C(d) fitted once to the default 1 m / 5 m anchors.
+DEFAULT_COUPLING_MODEL = fit_coupling_model(DEFAULT_COUPLING_ANCHORS, DEFAULT_COUPLING_D0)
+
+
 def default_coupling_model() -> CouplingCapModel:
-    """C_C(d) fitted to the default 1 m / 5 m anchors."""
-    return fit_coupling_model(DEFAULT_COUPLING_ANCHORS, DEFAULT_COUPLING_D0)
+    """C_C(d) fitted to the default 1 m / 5 m anchors: DEFAULT_COUPLING_MODEL."""
+    return DEFAULT_COUPLING_MODEL
 
 
 def coupling_coefficient(model: CouplingCapModel, d: float,
                          c_body: float = DEFAULT_C_BODY) -> float:
     """Linear flat-band voltage ratio C_C(d)/c_body at distance d."""
-    if c_body <= 0:
-        raise ValueError("c_body must be > 0")
+    _require_positive("c_body", c_body)
     return model.cap_at(d) / c_body
 
 
 def scale_return_path(params: BodyChannelParams, scale: float) -> BodyChannelParams:
     """New parameter set with both return capacitances scaled."""
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
+    _require_positive("scale", scale)
     return replace(params, c_g_tx=params.c_g_tx * scale, c_g_rx=params.c_g_rx * scale)
 
 
@@ -361,9 +361,8 @@ def calibrate_return_scale(target_loss_db: float, c_c: float | None = None,
     about the return capacitances themselves. The gain rises with the
     scale; the target is located by :func:`_bisect_root` over [1e-3, 1e3].
     """
+    _require_positive("target_loss_db", target_loss_db)
     base = params or BodyChannelParams()
-    if target_loss_db <= 0:
-        raise ValueError("target_loss_db is a positive loss magnitude")
 
     def gain(scale: float) -> float:
         scaled = scale_return_path(base, scale)

@@ -20,7 +20,9 @@ Field decay:  fcc.anchor_field, fcc.anchor_distance, fcc.exponent
 
 Bare scenario names given to the CLI resolve against the directory in
 ``$EQSHBC_CONFIG_DIR`` first and then the bundled defaults (inter_body.cfg,
-intra_body.cfg).
+intra_body.cfg). The bundled ``inter_body.cfg`` is the one definition of
+the pinned default scenario: ``multiregion.default_region_config`` reads it
+straight from the package data.
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ from pathlib import Path
 
 from .bodychannel import (
     DEFAULT_COUPLING_D0,
+    DEFAULT_COUPLING_MODEL,
     BodyChannelParams,
     CouplingCapModel,
     Environment,
     InterBodyParams,
     LoadSpec,
-    default_coupling_model,
     fit_coupling_model,
 )
 from .fcc import DEFAULT_FIELD_MODEL, FieldDecayModel
@@ -141,13 +143,20 @@ def resolve_config_path(name: str) -> Path:
         if candidate.exists():
             return candidate
     if name in BUNDLED_CONFIGS:
-        return Path(str(resources.files("eqshbc.data").joinpath(name)))
+        return _bundled_path(name)
     raise ConfigError(f"config {name!r} not found (cwd, ${CONFIG_DIR_ENV}, bundled)")
+
+
+def _bundled_path(name: str) -> Path:
+    return Path(str(resources.files("eqshbc.data").joinpath(name)))
 
 
 def load_config(name: str) -> dict:
     """Parse a scenario file; an undocumented key (a typo, say) is an error."""
-    path = resolve_config_path(name)
+    return _read_config(resolve_config_path(name))
+
+
+def _read_config(path: Path) -> dict:
     cfg = parse_config(path.read_text())
     unknown = sorted(set(cfg) - _KNOWN_KEYS)
     if unknown:
@@ -174,7 +183,7 @@ def inter_params_from_config(cfg: dict, environment: str | None = None) -> Inter
 
 def coupling_model_from_config(cfg: dict) -> CouplingCapModel:
     if "coupling.anchors" not in cfg:
-        return default_coupling_model()
+        return DEFAULT_COUPLING_MODEL
     return fit_coupling_model(cfg["coupling.anchors"], cfg.get("coupling.d0", DEFAULT_COUPLING_D0))
 
 

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+from .netlist import _require_finite, _require_positive
 from .solver import FrequencyGrid
 
 __all__ = [
@@ -49,14 +50,11 @@ class FccLimitRow:
     distance_m: float
 
     def __post_init__(self):
-        if self.f_low_hz <= 0 or self.f_high_hz <= self.f_low_hz:
-            raise ValueError("rows need 0 < f_low < f_high")
-        if self.distance_m <= 0:
-            raise ValueError("measurement distance must be > 0")
+        _require_positive("f_low_hz", self.f_low_hz)
+        _require_positive("distance_m", self.distance_m)
+        if not self.f_low_hz < self.f_high_hz:  # f_high may be inf, never NaN
+            raise ValueError(f"rows need f_low < f_high, got {self.f_low_hz}, {self.f_high_hz}")
         self.limit_uv_per_m(self.f_low_hz)  # validates the spec string
-
-    def contains(self, f: float) -> bool:
-        return self.f_low_hz <= f < self.f_high_hz
 
     def limit_uv_per_m(self, f: float) -> float:
         if self.limit_spec == "2400/F_kHz":
@@ -67,8 +65,7 @@ class FccLimitRow:
             limit = float(self.limit_spec)
         except ValueError:
             raise ValueError(f"unknown limit spec {self.limit_spec!r}") from None
-        if limit <= 0:
-            raise ValueError("constant limits must be > 0")
+        _require_positive("constant_limit", limit)
         return limit
 
 
@@ -113,12 +110,12 @@ def limit_table() -> tuple[FccLimitRow, ...]:
 
 def fcc_limit(f: float) -> tuple[float, float]:
     """(limit in uV/m, measurement distance in m) for the row containing f."""
-    if not math.isfinite(f):
-        raise ValueError(f"frequency must be finite, got {f}")
-    if f < limit_table()[0].f_low_hz:
+    _require_finite("frequency", f)
+    table = limit_table()
+    if f < table[0].f_low_hz:
         raise ValueError(f"{f:g} Hz is below the table floor of 9 kHz")
-    for row in limit_table():
-        if row.contains(f):
+    for row in table:  # the rows partition the band upward from the floor
+        if f < row.f_high_hz:
             return row.limit_uv_per_m(f), row.distance_m
     raise AssertionError("open-ended final row should contain any frequency")
 
@@ -132,8 +129,9 @@ class FieldDecayModel:
     exponent: float = 3.0
 
     def __post_init__(self):
-        if self.anchor_field <= 0 or self.anchor_distance <= 0 or self.exponent <= 0:
-            raise ValueError("anchor_field, anchor_distance and exponent must be > 0")
+        _require_positive("anchor_field", self.anchor_field)
+        _require_positive("anchor_distance", self.anchor_distance)
+        _require_positive("exponent", self.exponent)
 
 
 # Pinned so margin_factor(500 kHz) == 2e4 exactly: the 30 m field is
@@ -143,15 +141,27 @@ DEFAULT_FIELD_MODEL = FieldDecayModel(anchor_field=0.0648)
 
 def field_at(model: FieldDecayModel, d: float) -> float:
     """Field strength in V/m at distance d."""
-    if d <= 0:
-        raise ValueError("distance must be > 0")
+    _require_positive("distance", d)
     return model.anchor_field * (model.anchor_distance / d) ** model.exponent
+
+
+def _compliance_row(model: FieldDecayModel, f: float) -> dict:
+    limit_uv, distance = fcc_limit(f)
+    field = field_at(model, distance)
+    margin = (limit_uv * 1e-6) / field
+    return {
+        "freq_hz": f,
+        "limit_uv_per_m": limit_uv,
+        "distance_m": distance,
+        "field_uv_per_m": field * 1e6,
+        "margin_factor": margin,
+        "compliant": bool(margin > 1.0),
+    }
 
 
 def margin_factor(model: FieldDecayModel, f: float) -> float:
     """Limit over modeled field at the row's measurement distance; > 1 is compliant."""
-    limit_uv, distance = fcc_limit(f)
-    return (limit_uv * 1e-6) / field_at(model, distance)
+    return _compliance_row(model, f)["margin_factor"]
 
 
 @dataclass(frozen=True)
@@ -161,18 +171,9 @@ class ComplianceReport:
 
 
 def is_unintentional_radiator(model: FieldDecayModel, freqs: FrequencyGrid) -> ComplianceReport:
-    """Check the decay model against the limit at every grid frequency."""
-    rows = []
-    for f in freqs:
-        limit_uv, distance = fcc_limit(f)
-        field = field_at(model, distance)
-        margin = (limit_uv * 1e-6) / field
-        rows.append({
-            "freq_hz": f,
-            "limit_uv_per_m": limit_uv,
-            "distance_m": distance,
-            "field_uv_per_m": field * 1e6,
-            "margin_factor": margin,
-            "compliant": bool(margin > 1.0),
-        })
-    return ComplianceReport(compliant=all(r["compliant"] for r in rows), rows=tuple(rows))
+    """Check the decay model against the limit at every grid frequency.
+
+    Each row is :func:`margin_factor`'s computation at one frequency.
+    """
+    rows = tuple(_compliance_row(model, f) for f in freqs)
+    return ComplianceReport(compliant=all(r["compliant"] for r in rows), rows=rows)

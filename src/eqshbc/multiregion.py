@@ -18,31 +18,31 @@ scenario reproduces the anchor behaviors: an 80 dB open-air inter-body
 EQS plateau, quasistatic-to-EM dominance handoff near 1 MHz in open air
 and near 10 MHz in a shielded chamber (where the return-path boost lifts
 the plateau 10 dB and the absorbers attenuate the radiative mechanisms),
-and an EM-to-device handoff near 150 MHz.
+and an EM-to-device handoff near 150 MHz. The bundled ``inter_body.cfg``
+is the one definition of that pinned scenario; :func:`default_region_config`
+reads it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bodychannel import (
+    DEFAULT_COUPLING_MODEL,
     INTER_PROBE,
     SOURCE_LABEL,
-    BodyChannelParams,
+    CouplingCapModel,
     Environment,
     InterBodyParams,
-    LoadSpec,
     _bisect_root,
     _probe_gain_db,
     build_inter_body,
-    default_coupling_model,
-    scale_return_path,
 )
-from .netlist import Netlist
+from .netlist import Netlist, _require_finite, _require_positive
 from .solver import FrequencyGrid, SweepResult, transfer
 
 __all__ = [
@@ -72,10 +72,8 @@ SPEED_OF_LIGHT = 299_792_458.0
 # than the lossy body, but nothing downstream is sensitive to the value.
 DEVICE_Q = 2.0
 
-# Pinned calibration constants for the default scenario (regression
-# anchors, not physics claims). Recomputable with calibrate_* below.
-RETURN_SCALE_80DB = 0.6437556          # open-air inter-body plateau at -80 dB
-MULTIREGION_ANECHOIC_BOOST = 2.0186178  # +10 dB plateau on the scaled params
+# Pinned calibration constants and model defaults (regression anchors, not
+# physics claims). Recomputable with calibrate_* below.
 EM_REF_OPEN_AIR_DB = 3.8549            # EQS/EM handoff at 1 MHz open air
 ANECHOIC_EM_ATTENUATION_DB = 30.9634   # EQS/EM handoff at 10 MHz in-chamber
 DEVICE_REF_OPEN_AIR_DB = 15.6885       # EM/device handoff at 150 MHz
@@ -92,6 +90,12 @@ class CrossoverError(ValueError):
     """The requested mechanisms never exchange dominance in band."""
 
 
+def _require_ref_db(ref_db: float) -> None:
+    """A peak reference gain is finite, or -inf to disable its mechanism."""
+    if ref_db != -math.inf:
+        _require_finite("ref_db", ref_db)
+
+
 @dataclass(frozen=True)
 class EmBodyModel:
     """Body-as-monopole pair response.
@@ -106,10 +110,9 @@ class EmBodyModel:
     ref_db: float = EM_REF_OPEN_AIR_DB
 
     def __post_init__(self):
-        if self.height <= 0:
-            raise ValueError("height must be > 0")
-        if self.q <= 0:
-            raise ValueError("q must be > 0")
+        _require_positive("height", self.height)
+        _require_positive("q", self.q)
+        _require_ref_db(self.ref_db)
 
     @property
     def f_res(self) -> float:
@@ -124,8 +127,8 @@ class DeviceModel:
     ref_db: float = DEVICE_REF_OPEN_AIR_DB
 
     def __post_init__(self):
-        if self.electrode_length <= 0:
-            raise ValueError("electrode_length must be > 0")
+        _require_positive("electrode_length", self.electrode_length)
+        _require_ref_db(self.ref_db)
 
     @property
     def f_res(self) -> float:
@@ -138,8 +141,8 @@ def monopole_rad_resistance(length: float, f: float) -> float:
     Valid for l/lambda <= 0.25; beyond that the resonant pair response
     applies and the input is rejected.
     """
-    if length <= 0 or f <= 0:
-        raise ValueError("length and frequency must be > 0")
+    _require_positive("length", length)
+    _require_positive("frequency", f)
     ratio = length * f / SPEED_OF_LIGHT
     if ratio > 0.25:
         raise ValueError(
@@ -157,15 +160,13 @@ def _resonant_shape_db(f: float, f_res: float, q: float) -> float:
 
 def body_em_pair_gain(model: EmBodyModel, f: float) -> float:
     """Pair gain in dB of two body-monopoles; 40 dB/decade below resonance."""
-    if f <= 0:
-        raise ValueError("frequency must be > 0")
+    _require_positive("frequency", f)
     return model.ref_db + _resonant_shape_db(f, model.f_res, model.q)
 
 
 def device_pair_gain(model: DeviceModel, f: float) -> float:
     """Pair gain in dB of the two device electrodes; peaks at c/(4*l_e)."""
-    if f <= 0:
-        raise ValueError("frequency must be > 0")
+    _require_positive("frequency", f)
     return model.ref_db + _resonant_shape_db(f, model.f_res, DEVICE_Q)
 
 
@@ -174,8 +175,8 @@ def friis_gain(d: float, f: float) -> float:
 
     Relative-comparison form: the antenna-gain constant is taken as 0 dB.
     """
-    if d <= 0 or f <= 0:
-        raise ValueError("distance and frequency must be > 0")
+    _require_positive("distance", d)
+    _require_positive("frequency", f)
     return 20.0 * math.log10(SPEED_OF_LIGHT / (f * d))
 
 
@@ -218,15 +219,15 @@ def _mechanism_sweep_db(config: RegionConfig, mechanism: int, freqs) -> list[flo
 
 
 def default_region_config(environment: Environment | str = Environment.OPEN_AIR) -> RegionConfig:
-    """The pinned default scenario: two subjects 1 m apart, capacitive load."""
-    environment = Environment(environment)
-    base = scale_return_path(BodyChannelParams(), RETURN_SCALE_80DB)
-    base = replace(base, load=LoadSpec.capacitive(), environment=environment,
-                   anechoic_boost=MULTIREGION_ANECHOIC_BOOST)
-    attn = ANECHOIC_EM_ATTENUATION_DB if environment is Environment.ANECHOIC else 0.0
-    return RegionConfig(channel=InterBodyParams(base=base, c_c=21e-12),
-                        em=EmBodyModel(ref_db=EM_REF_OPEN_AIR_DB - attn),
-                        device=DeviceModel(ref_db=DEVICE_REF_OPEN_AIR_DB - attn))
+    """The pinned default scenario, as defined by the bundled inter_body.cfg.
+
+    Two subjects 1 m apart with a capacitive load; ``environment`` replaces
+    the file's own.
+    """
+    from . import config  # config builds on this module, so import it late
+
+    cfg = config._read_config(config._bundled_path("inter_body.cfg"))
+    return config.region_config_from_config(cfg, environment)
 
 
 def total_response(eqs_sweep: SweepResult, em: EmBodyModel, device: DeviceModel,
@@ -266,8 +267,8 @@ def _label(config: RegionConfig, f: float, eqs_db: float) -> RegionLabel:
     quarter of the body resonance (wavelength still large against the
     body) and as the resonant region above it.
     """
-    winner = int(np.argmax((eqs_db, body_em_pair_gain(config.em, f),
-                            device_pair_gain(config.device, f))))
+    gains = (eqs_db, body_em_pair_gain(config.em, f), device_pair_gain(config.device, f))
+    winner = max(range(3), key=gains.__getitem__)
     if winner == 0:
         return RegionLabel.EQS
     if winner == 2:
@@ -299,6 +300,10 @@ def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
     EM-body/device); only those two are evaluated. Located by scanning for
     the first sign change of the gain difference, then :func:`_bisect_root`.
     """
+    _require_positive("f_lo", f_lo)
+    _require_positive("f_hi", f_hi)
+    if not f_lo < f_hi:
+        raise ValueError(f"f_lo ({f_lo:g} Hz) must be below f_hi ({f_hi:g} Hz)")
     mech_a, mech_b = _MECHANISM[RegionLabel(region_a)], _MECHANISM[RegionLabel(region_b)]
     if mech_a == mech_b:
         raise CrossoverError(
@@ -328,7 +333,8 @@ DETECTION_DISTANCE_CAP_M = 1e4
 
 
 def max_detection_distance(config: RegionConfig, f: float, min_gain_db: float,
-                           coupling=None, d_ref: float = 1.0) -> float:
+                           coupling: CouplingCapModel = DEFAULT_COUPLING_MODEL,
+                           d_ref: float = 1.0) -> float:
     """Largest separation at which the coupled signal stays above min_gain_db.
 
     Distance scaling per mechanism: the quasistatic gain follows the
@@ -338,14 +344,14 @@ def max_detection_distance(config: RegionConfig, f: float, min_gain_db: float,
     in the quasistatic region, rising steeply once the bodies radiate,
     saturating at the cap of 1e4 m in the resonant/device regions.
     """
-    if f <= 0 or d_ref <= 0:
-        raise ValueError("frequency and d_ref must be > 0")
-    return _detection_distance(config, f, config.eqs_gain_db(f), min_gain_db,
-                               coupling or default_coupling_model(), d_ref)
+    _require_positive("frequency", f)
+    _require_positive("d_ref", d_ref)
+    _require_finite("min_gain_db", min_gain_db)
+    return _detection_distance(config, f, config.eqs_gain_db(f), min_gain_db, coupling, d_ref)
 
 
 def _detection_distance(config: RegionConfig, f: float, eqs_db: float, min_gain_db: float,
-                        coupling, d_ref: float = 1.0) -> float:
+                        coupling: CouplingCapModel, d_ref: float = 1.0) -> float:
     """max_detection_distance given the quasistatic gain eqs_db already solved at f."""
     d_eqs = coupling.distance_at(coupling.cap_at(d_ref) * 10.0 ** ((min_gain_db - eqs_db) / 20.0))
 

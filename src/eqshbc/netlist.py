@@ -42,16 +42,21 @@ SI_SUFFIXES = {
 _VALUE_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)([A-Za-z]*)$")
 
 
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _require_positive(name: str, value: float) -> None:
     """value must be finite and > 0; NaN and inf fail as 0 does."""
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
+def _require_non_negative(name: str, value: float) -> None:
+    """value must be finite and >= 0."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 class NetlistError(ValueError):
@@ -74,7 +79,7 @@ def parse_si_value(text: str) -> float:
         raise ValueError(f"unknown SI suffix {suffix!r} in {text!r} "
                          f"(accepted: {', '.join(s for s in SI_SUFFIXES if s)})")
     value = float(base) * SI_SUFFIXES[suffix]
-    _require_finite(value=value)
+    _require_finite("value", value)
     return value
 
 
@@ -105,11 +110,8 @@ class Element:
             raise ValueError(f"element {self.label}: identical nodes ({a}, {b})")
         if a < 0 or b < 0:
             raise ValueError(f"element {self.label}: negative node id")
-        if self.kind == "V":
-            if not 0.0 <= self.value < math.inf:
-                raise ValueError(f"source {self.label}: amplitude must be finite and >= 0")
-        else:
-            _require_positive(self.label, self.value)
+        check = _require_non_negative if self.kind == "V" else _require_positive
+        check(self.label, self.value)
 
 
 @dataclass(frozen=True)

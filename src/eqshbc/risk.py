@@ -12,15 +12,15 @@ voltage-sum SIR definition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bodychannel import (
     DEFAULT_C_BODY,
+    DEFAULT_COUPLING_MODEL,
     CouplingCapModel,
     coupling_coefficient,
-    default_coupling_model,
 )
-from .netlist import _require_finite
+from .netlist import _require_finite, _require_non_negative, _require_positive
 
 __all__ = [
     "AttackScenario",
@@ -51,17 +51,14 @@ class AttackScenario:
     snr_intended_db: float
     attacker_distance: float
     snr_threshold_db: float = 6.0
-    coupling: CouplingCapModel = field(default_factory=default_coupling_model)
+    coupling: CouplingCapModel = DEFAULT_COUPLING_MODEL
     c_body: float = DEFAULT_C_BODY
 
     def __post_init__(self):
-        _require_finite(snr_intended_db=self.snr_intended_db,
-                        attacker_distance=self.attacker_distance,
-                        snr_threshold_db=self.snr_threshold_db, c_body=self.c_body)
-        if self.attacker_distance < 0:
-            raise ValueError("attacker_distance must be >= 0")
-        if self.c_body <= 0:
-            raise ValueError("c_body must be > 0")
+        _require_finite("snr_intended_db", self.snr_intended_db)
+        _require_finite("snr_threshold_db", self.snr_threshold_db)
+        _require_non_negative("attacker_distance", self.attacker_distance)
+        _require_positive("c_body", self.c_body)
 
 
 @dataclass(frozen=True)
@@ -70,21 +67,17 @@ class InterferenceScenario:
 
     v_sig_user: float
     interferers: tuple[tuple[float, float], ...] = ()
-    coupling: CouplingCapModel = field(default_factory=default_coupling_model)
+    coupling: CouplingCapModel = DEFAULT_COUPLING_MODEL
     c_body: float = DEFAULT_C_BODY
 
     def __post_init__(self):
         object.__setattr__(self, "interferers",
                            tuple((float(v), float(d)) for v, d in self.interferers))
-        _require_finite(v_sig_user=self.v_sig_user, c_body=self.c_body)
-        if self.v_sig_user <= 0:
-            raise ValueError("v_sig_user must be > 0")
+        _require_positive("v_sig_user", self.v_sig_user)
+        _require_positive("c_body", self.c_body)
         for v, d in self.interferers:
-            _require_finite(interferer_amplitude=v, interferer_distance=d)
-            if v <= 0 or d <= 0:
-                raise ValueError("interferer amplitudes and distances must be > 0")
-        if self.c_body <= 0:
-            raise ValueError("c_body must be > 0")
+            _require_positive("interferer_amplitude", v)
+            _require_positive("interferer_distance", d)
 
 
 def snooper_snr_db(scenario: AttackScenario) -> float:
@@ -99,7 +92,7 @@ def is_attack_feasible(scenario: AttackScenario) -> bool:
 
 
 def min_safe_distance(snr_intended_db: float, threshold_db: float,
-                      coupling: CouplingCapModel | None = None,
+                      coupling: CouplingCapModel = DEFAULT_COUPLING_MODEL,
                       c_body: float = DEFAULT_C_BODY) -> float:
     """Smallest distance at which an attack becomes infeasible.
 
@@ -109,10 +102,9 @@ def min_safe_distance(snr_intended_db: float, threshold_db: float,
     threshold out to the 100 m cap (possible when the coupling model's far
     tail is non-zero).
     """
-    _require_finite(snr_intended_db=snr_intended_db, threshold_db=threshold_db, c_body=c_body)
-    if c_body <= 0:
-        raise ValueError("c_body must be > 0")
-    coupling = coupling or default_coupling_model()
+    _require_finite("snr_intended_db", snr_intended_db)
+    _require_finite("threshold_db", threshold_db)
+    _require_positive("c_body", c_body)
     d = coupling.distance_at(c_body * 10.0 ** ((threshold_db - snr_intended_db) / 20.0))
     if d >= DISTANCE_CAP_M:
         raise UnboundedResult(
@@ -122,13 +114,12 @@ def min_safe_distance(snr_intended_db: float, threshold_db: float,
 
 
 def max_safe_snr(threshold_db: float, d_protect: float,
-                 coupling: CouplingCapModel | None = None,
+                 coupling: CouplingCapModel = DEFAULT_COUPLING_MODEL,
                  c_body: float = DEFAULT_C_BODY) -> float:
     """Largest intended SNR that keeps attacks infeasible at d >= d_protect."""
-    _require_finite(threshold_db=threshold_db, d_protect=d_protect, c_body=c_body)
-    if d_protect <= 0:
-        raise ValueError("d_protect must be > 0")
-    coupling = coupling or default_coupling_model()
+    _require_finite("threshold_db", threshold_db)
+    _require_positive("d_protect", d_protect)
+    _require_positive("c_body", c_body)
     return threshold_db - 20.0 * math.log10(coupling_coefficient(coupling, d_protect, c_body))
 
 
@@ -147,18 +138,18 @@ def sir_db(scenario: InterferenceScenario) -> float:
 
 def max_cochannel_users(v_sig_user: float, v_sig_each: float, d_each: float,
                         sir_min_db: float,
-                        coupling: CouplingCapModel | None = None,
+                        coupling: CouplingCapModel = DEFAULT_COUPLING_MODEL,
                         c_body: float = DEFAULT_C_BODY) -> int:
     """Largest N identical interferers at d_each with SIR still >= sir_min_db.
 
     Capped at MAX_COCHANNEL_USERS when the coupling tail makes any number
     tolerable.
     """
-    _require_finite(v_sig_user=v_sig_user, v_sig_each=v_sig_each, d_each=d_each,
-                    sir_min_db=sir_min_db, c_body=c_body)
-    if v_sig_user <= 0 or v_sig_each <= 0 or d_each <= 0:
-        raise ValueError("amplitudes and distance must be > 0")
-    coupling = coupling or default_coupling_model()
+    _require_positive("v_sig_user", v_sig_user)
+    _require_positive("v_sig_each", v_sig_each)
+    _require_positive("d_each", d_each)
+    _require_positive("c_body", c_body)
+    _require_finite("sir_min_db", sir_min_db)
     ratio = coupling_coefficient(coupling, d_each, c_body)
     if ratio == 0.0:
         return MAX_COCHANNEL_USERS

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eqshbc import bodychannel, config, multiregion, risk
 from eqshbc.bodychannel import (
     ANECHOIC_RETURN_BOOST,
+    DEFAULT_COUPLING_MODEL,
     INTER_PROBE,
     INTRA_PROBE,
     BodyChannelParams,
@@ -223,6 +225,20 @@ class TestCouplingModel:
         assert model.b == pytest.approx(2.28e-12, rel=1e-9)
         assert model.cap_at(1.0) == pytest.approx(21e-12, rel=1e-9)
         assert model.cap_at(5.0) == pytest.approx(6.6e-12, rel=1e-9)
+
+    def test_default_model_is_fitted_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bodychannel, "fit_coupling_model", lambda *a: calls.append(a))
+        monkeypatch.setattr(config, "fit_coupling_model", lambda *a: calls.append(a))
+        assert default_coupling_model() is DEFAULT_COUPLING_MODEL
+        assert config.coupling_model_from_config({}) is DEFAULT_COUPLING_MODEL
+        assert risk.AttackScenario(10.0, 1.0).coupling is DEFAULT_COUPLING_MODEL
+        assert risk.InterferenceScenario(1.0, ((1.0, 1.0),)).coupling is DEFAULT_COUPLING_MODEL
+        risk.min_safe_distance(20.0, 6.0)
+        risk.max_safe_snr(6.0, 1.0)
+        risk.max_cochannel_users(1.0, 1.0, 1.0, 6.0)
+        multiregion.max_detection_distance(multiregion.default_region_config(), 5e5, -95.0)
+        assert calls == []
 
     def test_close_range_value(self):
         model = default_coupling_model()

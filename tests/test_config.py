@@ -142,6 +142,14 @@ class TestBundledScenario:
         assert from_cfg.em.ref_db == pytest.approx(reference.em.ref_db, abs=1e-4)
         assert from_cfg.device.ref_db == pytest.approx(reference.device.ref_db, abs=1e-4)
 
+    @pytest.mark.parametrize("environment", ["open_air", "anechoic"])
+    def test_default_region_config_is_the_bundled_file(self, environment):
+        from_cfg = region_config_from_config(load_config("inter_body.cfg"), environment)
+        assert default_region_config(environment) == from_cfg
+
+    def test_intra_body_cfg_is_the_code_defaults(self):
+        assert body_params_from_config(load_config("intra_body.cfg")) == BodyChannelParams()
+
     def test_anechoic_override_applies_attenuation(self):
         cfg = load_config("inter_body.cfg")
         chamber = region_config_from_config(cfg, environment="anechoic")
