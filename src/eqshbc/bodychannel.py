@@ -22,8 +22,6 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .netlist import Element, Netlist, _require_non_negative, _require_positive
 from .solver import FrequencyGrid, SweepResult, _gain_db, solve_ac, transfer
 
@@ -277,15 +275,18 @@ def fit_coupling_model(anchors, d0: float = DEFAULT_COUPLING_D0) -> CouplingCapM
         _require_non_negative("anchor_distance", d)
         _require_positive("anchor_capacitance", c)
     _require_positive("d0", d0)
-    distances = [d for d, _ in anchors]
-    if len(set(distances)) != len(distances):
+    # Least-squares line C = a*u + b through the points (u, C), u = 1/(d + d0).
+    u = [1.0 / (d + d0) for d, _ in anchors]
+    if len(set(u)) != len(u):
         raise ValueError("anchor distances must be distinct")
-    design = np.array([[1.0 / (d + d0), 1.0] for d, _ in anchors])
-    target = np.array([c for _, c in anchors])
-    (a, b), *_ = np.linalg.lstsq(design, target, rcond=None)
+    u_mean = math.fsum(u) / len(u)
+    c_mean = math.fsum(c for _, c in anchors) / len(u)
+    a = (math.fsum((ui - u_mean) * (c - c_mean) for ui, (_, c) in zip(u, anchors))
+         / math.fsum((ui - u_mean) ** 2 for ui in u))
+    b = c_mean - a * u_mean
     if a <= 0 or b < 0:
         raise ValueError(f"fit is not a decreasing coupling model (a={a:g}, b={b:g})")
-    return CouplingCapModel(a=float(a), d0=d0, b=float(b))
+    return CouplingCapModel(a=a, d0=d0, b=b)
 
 
 # C_C(d) fitted once to the default 1 m / 5 m anchors.

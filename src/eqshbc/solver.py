@@ -7,20 +7,35 @@ inductances, so the system at angular frequency w is
 
     A(w) = g + jw*c + gamma/(jw),    A(w) x = z.
 
+The stamp is kept on the (immutable) netlist, so repeated solves of one
+circuit stamp it once.
+
 A grid is solved in fixed-size frequency blocks: each block's matrices are
 built in one buffer of at most 128 KB (or one matrix, if larger), then pass
-through one batched condition number (the 2-norm, from the singular values)
-and one batched partial-pivoting LU solve, so memory stays flat however
-long the grid is. Circuits here stay small (up to ~70 unknowns), so no
-sparsity machinery. A condition number above 1e12 attaches a warning per
-offending frequency, in grid order, rather than failing; a singular system
-raises :class:`SingularCircuitError` for the first singular frequency.
+through one batched partial-pivoting LU solve against ``[z | I]``, which
+gives the solution ``x`` in column 0 and the inverse in the rest. Memory
+stays flat however long the grid is. Circuits here stay small (up to ~70
+unknowns), so no sparsity machinery.
+
+A 2-norm condition number above 1e12 attaches a warning per offending
+frequency, in grid order, rather than failing; a singular system raises
+:class:`SingularCircuitError` for the first singular frequency. The
+inverse screens for both: ``U = |A|_F * |inv(A)|_F`` bounds cond_2 from
+above, and a frequency with ``U <= 1e10`` is cleared. The factor 100 below
+the threshold covers the rounding of the computed inverse: a backward-stable
+LU with residual ``|A X - I| <= n u rho |A| |X|`` (unit roundoff u, element
+growth rho) gives ``|X| >= |inv(A)| / (1 + cond * n u rho)``, so every
+frequency with cond_2 > 1e12 still reads U > 1e10 for growth up to about
+1e4 at 66 unknowns. The frequencies not cleared (NaN or inf included), and
+a whole block whose LU hits an exact zero pivot, get the exact check: the
+condition number from their singular values, as ``np.linalg.cond`` gives
+it. The warnings and errors are therefore those of the SVD check at every
+frequency.
 
 A single-frequency solve is the one-point case of the same path, so a
 sweep and per-frequency solves give bit-identical results. Netlists and
 results are immutable.
 """
-
 from __future__ import annotations
 
 import cmath
@@ -43,6 +58,9 @@ __all__ = [
 ]
 
 COND_WARN_THRESHOLD = 1e12
+# Squared bound |A|_F^2 * |inv(A)|_F^2 at or below which a frequency is
+# cleared without its singular values: (COND_WARN_THRESHOLD / 100) ** 2.
+_CLEARED_BOUND_SQ = (COND_WARN_THRESHOLD / 100.0) ** 2
 # Complex entries per frequency block (128 KB): the stacked system matrices
 # of one block stay cache-sized however long the grid is.
 _BLOCK_ENTRIES = 1 << 13
@@ -78,12 +96,23 @@ class _Stamp(NamedTuple):
     g: np.ndarray
     c: np.ndarray
     gamma: np.ndarray | None
-    z: np.ndarray  # shape (1, unknowns, 1): one right-hand side for every frequency
+    rhs: np.ndarray  # shape (1, unknowns, 1 + unknowns): [z | I] for every frequency
     index: dict[int, int]  # non-ground node -> row
     sources: tuple[Element, ...]  # source k -> row len(index) + k
 
 
 def _stamp(netlist: Netlist) -> _Stamp:
+    """The netlist's MNA stamp, built on first use and kept on the netlist."""
+    stamp = getattr(netlist, "_mna", None)
+    if stamp is None:
+        stamp = _build_stamp(netlist)
+        # Netlist is frozen; the stamp is derived from its fields and never
+        # compared, hashed or written, so it rides along as a plain attribute.
+        object.__setattr__(netlist, "_mna", stamp)
+    return stamp
+
+
+def _build_stamp(netlist: Netlist) -> _Stamp:
     nodes = netlist.nodes()
     nodes.discard(netlist.ground)
     index = dict(zip(sorted(nodes), range(len(nodes))))
@@ -114,16 +143,25 @@ def _stamp(netlist: Netlist) -> _Stamp:
         if i >= 0 and j >= 0:
             at += (base + i * size + j, base + j * size + i)
             values += (-y, -y)
-    z = np.zeros((1, size, 1), dtype=complex)
+    rhs = np.zeros((1, size, 1 + size), dtype=complex)
+    rhs.reshape(-1)[1::size + 2] = 1.0  # the identity: entry (i, 1 + i) of each row i
     for row, src in enumerate(sources, start=n):
         for node, sign in ((src.nodes[0], 1.0), (src.nodes[1], -1.0)):
             i = index.get(node, -1)
             if i >= 0:
                 at += (i * size + row, row * size + i)
                 values += (sign, sign)
-        z[0, row, 0] = src.value
+        rhs[0, row, 0] = src.value
     m = np.bincount(at, values, 3 * size * size).reshape(3, size, size)
-    return _Stamp(m[0], m[1], m[2] if has_inductor else None, z, index, sources)
+    m.setflags(write=False)
+    rhs.setflags(write=False)
+    return _Stamp(m[0], m[1], m[2] if has_inductor else None, rhs, index, sources)
+
+
+def _sum_sq(a: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix in a (k, rows, cols) complex stack."""
+    v = a.view(float)  # real and imaginary parts side by side
+    return np.einsum("kij,kij->k", v, v)
 
 
 def _singular_nodes(a: np.ndarray, index: dict[int, int]) -> tuple[int, ...]:
@@ -140,6 +178,25 @@ def _singular_nodes(a: np.ndarray, index: dict[int, int]) -> tuple[int, ...]:
 
 def _singular(a: np.ndarray, f: float, index: dict[int, int]) -> SingularCircuitError:
     return SingularCircuitError(f"singular MNA system at f={f:g} Hz", _singular_nodes(a, index))
+
+
+def _check_condition(a: np.ndarray, f: np.ndarray, points: list[int],
+                     index: dict[int, int], warnings: list[str]) -> None:
+    """The exact SVD check of ``a[k]`` for each k in ``points`` (ascending).
+
+    Appends the ill-conditioning warnings in order and raises for the first
+    singular point.
+    """
+    if not points:
+        return
+    s = np.linalg.svd(a[points], compute_uv=False)
+    for k, singular_values in zip(points, s.tolist()):
+        s_max, s_min = singular_values[0], singular_values[-1]
+        if s_min == 0.0:
+            raise _singular(a[k], f[k], index)
+        cond = s_max / s_min  # the 2-norm condition number, as np.linalg.cond gives it
+        if cond > COND_WARN_THRESHOLD:
+            warnings.append(f"ill-conditioned MNA system at f={f[k]:g} Hz (cond~{cond:.3g})")
 
 
 def _solve_grid(netlist: Netlist, freqs) -> tuple[np.ndarray, _Stamp, list[str]]:
@@ -163,24 +220,22 @@ def _solve_grid(netlist: Netlist, freqs) -> tuple[np.ndarray, _Stamp, list[str]]
         np.multiply(omega, stamp.c, out=a.imag)
         if stamp.gamma is not None:
             a.imag -= stamp.gamma / omega
-        s = np.linalg.svd(a, compute_uv=False)
-        for k, singular_values in enumerate(s.tolist()):
-            s_max, s_min = singular_values[0], singular_values[-1]
-            if s_min == 0.0:
-                raise _singular(a[k], f[k], stamp.index)
-            cond = s_max / s_min  # the 2-norm condition number, as np.linalg.cond gives it
-            if cond > COND_WARN_THRESHOLD:
-                warnings.append(f"ill-conditioned MNA system at f={f[k]:g} Hz (cond~{cond:.3g})")
         try:
-            x[start:start + len(f)] = np.linalg.solve(a, stamp.z)[..., 0]
+            solution = np.linalg.solve(a, stamp.rhs)
         except np.linalg.LinAlgError:
+            _check_condition(a, f, list(range(len(f))), stamp.index, warnings)
             # An exact zero pivot the singular values missed: name its frequency.
             for k in range(len(f)):
                 try:
-                    np.linalg.solve(a[k], stamp.z[0])
+                    np.linalg.solve(a[k], stamp.rhs[0, :, :1])
                 except np.linalg.LinAlgError:
                     raise _singular(a[k], f[k], stamp.index) from None
             raise
+        # Upper bound on cond_2, squared; written so that a NaN bound is not cleared.
+        bound_sq = (_sum_sq(a) * _sum_sq(solution[..., 1:])).tolist()
+        suspect = [k for k, u in enumerate(bound_sq) if not u <= _CLEARED_BOUND_SQ]
+        _check_condition(a, f, suspect, stamp.index, warnings)
+        x[start:start + len(f)] = solution[..., 0]
     return x, stamp, warnings
 
 

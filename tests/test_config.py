@@ -12,9 +12,16 @@ from eqshbc.config import (
     region_config_from_config,
     resolve_config_path,
 )
-from eqshbc.bodychannel import DEFAULT_COUPLING_D0, BodyChannelParams
+from eqshbc.bodychannel import DEFAULT_COUPLING_ANCHORS, DEFAULT_COUPLING_D0, BodyChannelParams
 from eqshbc.fcc import DEFAULT_FIELD_MODEL
-from eqshbc.multiregion import DeviceModel, EmBodyModel, default_region_config
+from eqshbc.multiregion import (
+    ANECHOIC_EM_ATTENUATION_DB,
+    DEVICE_REF_OPEN_AIR_DB,
+    EM_REF_OPEN_AIR_DB,
+    DeviceModel,
+    EmBodyModel,
+    default_region_config,
+)
 
 
 class TestParse:
@@ -146,6 +153,16 @@ class TestBundledScenario:
     def test_default_region_config_is_the_bundled_file(self, environment):
         from_cfg = region_config_from_config(load_config("inter_body.cfg"), environment)
         assert default_region_config(environment) == from_cfg
+
+    def test_inter_body_cfg_pins_equal_the_code_constants(self):
+        # The references and coupling anchors live both in the file and in the
+        # code defaults; recalibrating one copy alone must fail here.
+        cfg = load_config("inter_body.cfg")
+        assert cfg["multiregion.em_ref_db"] == EM_REF_OPEN_AIR_DB
+        assert cfg["multiregion.device_ref_db"] == DEVICE_REF_OPEN_AIR_DB
+        assert cfg["multiregion.anechoic_em_attenuation_db"] == ANECHOIC_EM_ATTENUATION_DB
+        assert tuple(map(tuple, cfg["coupling.anchors"])) == DEFAULT_COUPLING_ANCHORS
+        assert cfg["coupling.d0"] == DEFAULT_COUPLING_D0
 
     def test_intra_body_cfg_is_the_code_defaults(self):
         assert body_params_from_config(load_config("intra_body.cfg")) == BodyChannelParams()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from circuit_oracle import brute_force_voltages, random_rc_network
 from eqshbc.bodychannel import INTER_PROBE, SOURCE_LABEL
 from eqshbc.multiregion import default_region_config
+from eqshbc import solver
 from eqshbc.netlist import Element, Netlist, parse_netlist
 from eqshbc.solver import (
     FrequencyGrid,
@@ -360,6 +361,94 @@ class TestBatchedSolve:
             tracemalloc.stop()
         assert len(res.gain) == 1000
         assert peak < 2 * 2 ** 20
+
+
+@pytest.fixture
+def svd_points(monkeypatch):
+    """Matrices passed to np.linalg.svd, counted one per frequency point."""
+    points = []
+    real_svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        points.append(1 if a.ndim == 2 else a.shape[0])
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return points
+
+
+def divider_mna(r1, r2, c, f):
+    jwc = 2j * math.pi * f * c
+    return np.array([[1.0 / r1, -1.0 / r1, 1.0], [-1.0 / r1, 1.0 / r1 + 1.0 / r2 + jwc, 0.0],
+                     [1.0, 0.0, 0.0]])
+
+
+class TestConditionScreen:
+    """The LU inverse clears well-conditioned frequencies; the rest get the exact SVD check."""
+
+    def test_large_ladder_needs_no_svd(self, svd_points):
+        net = netlist_from_tuples(ladder(64, 1e3, 1e-9))
+        res = transfer(net, "V1", (65, 0), FrequencyGrid.log(1e3, 1e7, 200))
+        assert len(res.gain) == 200 and not res.warnings
+        assert svd_points == []
+
+    def test_warnings_equal_per_point_cond_reference(self, svd_points):
+        # cond_2 ~ 2.8 / R1 for R2 = 1 kOhm: R1 from 3e-8 down to 3e-14 ohm puts
+        # it between 1e8 and 1e14, with the series R1 far below R2.
+        grid = FrequencyGrid.log(1e2, 1e8, 7)
+        conds, swept = [], 0
+        for r1 in np.geomspace(3e-8, 3e-14, 31).tolist():
+            net = parse_netlist(f"V1 1 0 1.0\nR1 1 2 {r1!r}\nR2 2 0 1000\nC1 2 0 1e-9")
+            before = sum(svd_points)
+            res = transfer(net, "V1", (2, 0), grid)
+            cond = [np.linalg.cond(divider_mna(r1, 1000.0, 1e-9, f)) for f in grid]
+            assert res.warnings == tuple(
+                f"ill-conditioned MNA system at f={f:g} Hz (cond~{k:.3g})"
+                for f, k in zip(grid, cond) if k > 1e12)
+            # every frequency the bound cannot clear went through the SVD
+            assert sum(svd_points) - before >= sum(k > 1e10 for k in cond)
+            conds += cond
+            swept += len(grid)
+        assert min(conds) < 1e10 and max(conds) > 1e13
+        assert sum(1e10 < k <= 1e12 for k in conds) >= 20  # checked by SVD, not warned
+        assert 0 < sum(svd_points) < swept
+
+    def test_nan_bound_goes_through_svd(self, monkeypatch, svd_points):
+        grid = FrequencyGrid.log(1e3, 1e6, 20)
+        clean = transfer(RC_POLE, "V1", (2, 0), grid)
+        assert svd_points == []
+        real_solve = np.linalg.solve
+
+        def nan_inverse(a, b):
+            out = real_solve(a, b)
+            out[7, 0, 1] = math.nan  # one entry of point 7's inverse
+            return out
+
+        monkeypatch.setattr(np.linalg, "solve", nan_inverse)
+        res = transfer(RC_POLE, "V1", (2, 0), grid)
+        assert svd_points == [1]
+        assert res.gain == clean.gain and res.warnings == ()
+
+
+class TestStampOnce:
+    def test_repeated_solves_of_one_netlist_stamp_once(self, monkeypatch):
+        built = []
+        real_build = solver._build_stamp
+
+        def counting(netlist):
+            built.append(netlist)
+            return real_build(netlist)
+
+        monkeypatch.setattr(solver, "_build_stamp", counting)
+        net = parse_netlist("V1 1 0 1.0\nR1 1 2 1k\nC1 2 0 1n")
+        first = solve_ac(net, 1e5)
+        assert solve_ac(net, 1e5) == first
+        transfer(net, "V1", (2, 0), FrequencyGrid.log(1e4, 1e6, 5))
+        assert len(built) == 1
+        twin = parse_netlist("V1 1 0 1.0\nR1 1 2 1k\nC1 2 0 1n")
+        assert twin == net
+        assert solve_ac(twin, 1e5) == first
+        assert len(built) == 2 and built[1] is twin
 
 
 class TestNonFiniteInputs:
