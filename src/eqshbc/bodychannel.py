@@ -22,7 +22,9 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from .netlist import Element, Netlist, _require_non_negative, _require_positive
+import numpy as np
+
+from .netlist import Element, Netlist, _require_each, _require_non_negative, _require_positive
 from .solver import FrequencyGrid, SweepResult, _gain_db, solve_ac, transfer
 
 __all__ = [
@@ -252,8 +254,15 @@ class CouplingCapModel:
         _require_non_negative("distance", d)
         return self.a / (d + self.d0) + self.b
 
-    def distance_at(self, c: float) -> float:
-        """Inverse of cap_at: inf at or below the tail b, 0 at or above C_C(0)."""
+    def distance_at(self, c):
+        """Inverse of cap_at: inf at or below the tail b, 0 at or above C_C(0).
+
+        ``c`` is a float or an ndarray, inverted elementwise by the same expression.
+        """
+        if isinstance(c, np.ndarray):
+            _require_each(_require_non_negative, "capacitance", c)
+            d = np.divide(self.a, c - self.b, out=np.full(c.shape, math.inf), where=c > self.b)
+            return np.where(c < self.cap_at(0.0), d - self.d0, 0.0)
         _require_non_negative("capacitance", c)
         if c <= self.b:
             return math.inf
@@ -311,23 +320,55 @@ def scale_return_path(params: BodyChannelParams, scale: float) -> BodyChannelPar
     return replace(params, c_g_tx=params.c_g_tx * scale, c_g_rx=params.c_g_rx * scale)
 
 
+# ITP tolerance in log x: 2 * eps = 2**-52 is the largest log-width of one
+# ulp. Truncation kappa * w**2 uses kappa = 0.2 / (initial log-width).
+_ITP_EPS = 2.0 ** -53
+_ITP_KAPPA = 0.2
+
+
 def _bisect_root(fn, lo: float, hi: float) -> float:
     """Sign change of fn in the positive bracket [lo, hi], to full precision.
 
-    Splits at the geometric midpoint and stops once that midpoint no longer
-    falls strictly inside the bracket.
+    ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS
+    2020) in t = log x. Each step takes the regula-falsi point of the
+    bracket, moves it toward the midpoint by kappa * w**2 (at least one
+    ulp, so the bracket also closes from the far side) and keeps it close
+    enough to the midpoint that the bracket still reaches a log-width of
+    2 * eps within bisection's ceil(log2(w0 / (2 * eps))) steps; a smooth fn
+    needs far fewer. It stops once the geometric midpoint no longer falls
+    strictly inside the bracket.
     """
-    negative_lo = fn(lo) < 0.0
-    if negative_lo == (fn(hi) < 0.0):
+    y_lo, y_hi = fn(lo), fn(hi)
+    negative_lo = y_lo < 0.0
+    if negative_lo == (y_hi < 0.0):
         raise ValueError(f"no sign change in [{lo:g}, {hi:g}]")
+    w0 = max(math.log(hi) - math.log(lo), _ITP_EPS)
+    bound = _ITP_EPS * 2.0 ** math.ceil(math.log2(w0 / (2.0 * _ITP_EPS)))
+    kappa = _ITP_KAPPA / w0
     while True:
         mid = math.sqrt(lo * hi)
         if not lo < mid < hi:
             return mid
-        if (fn(mid) < 0.0) == negative_lo:
-            lo = mid
+        w = math.log1p((hi - lo) / lo)
+        half = 0.5 * w
+        t = w * y_lo / (y_lo - y_hi)
+        if not 0.0 <= t <= w:
+            t = half
+        delta = max(kappa * w * w, 2.0 * _ITP_EPS)
+        sigma = math.copysign(1.0, half - t)
+        t = t + sigma * delta if delta <= abs(half - t) else half
+        radius = max(bound - half, 0.0)
+        if abs(t - half) > radius:
+            t = half - sigma * radius
+        bound *= 0.5
+        x = mid + mid * math.expm1(t - half)
+        if not lo < x < hi:
+            x = mid
+        y = fn(x)
+        if (y < 0.0) == negative_lo:
+            lo, y_lo = x, y
         else:
-            hi = mid
+            hi, y_hi = x, y
 
 
 def calibrate_anechoic_boost(params: BodyChannelParams | None = None,

@@ -13,6 +13,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import config as cfgmod
 from .bodychannel import DEFAULT_C_BODY
 from .fcc import fcc_limit, is_unintentional_radiator
@@ -178,11 +180,10 @@ def _cmd_regions(args) -> None:
     record = {"segments": segments, "crossovers": crossovers}
     if args.sensitivity_db is not None:
         coupling = cfgmod.coupling_model_from_config(cfg)
-        record["max_detection_distance_m"] = [
-            {"freq_hz": f,
-             "distance_m": _detection_distance(region_config, f, eqs_db, args.sensitivity_db,
-                                               coupling)}
-            for f, eqs_db in zip(points, eqs.gain_db().tolist())]
+        distances = _detection_distance(region_config, np.asarray(points), eqs.gain_db(),
+                                        args.sensitivity_db, coupling)
+        record["max_detection_distance_m"] = [{"freq_hz": f, "distance_m": d}
+                                              for f, d in zip(points, distances.tolist())]
     _emit_json(record, args.out)
 
 
@@ -197,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--netlist", required=True)
     p.add_argument("--source", default="V1", help="voltage source label (default V1)")
     p.add_argument("--probe", type=_parse_probe, required=True, metavar="N+,N-")
-    p.add_argument("--grid", type=_parse_grid, default=FrequencyGrid.log())
+    p.add_argument("--grid", type=_parse_grid, default="1e5:1e9:200")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_solve)
 
@@ -206,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="config path or bundled name (inter_body.cfg)")
     p.add_argument("--env", choices=["open_air", "anechoic"])
     p.add_argument("--load", help="override load, e.g. resistive:50 or capacitive:1e-12")
-    p.add_argument("--grid", type=_parse_grid, default=FrequencyGrid.log())
+    p.add_argument("--grid", type=_parse_grid, default="1e5:1e9:200")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)
 
@@ -231,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fcc", help="radiator limit lookup or compliance report as JSON")
     p.add_argument("--freq", type=float, help="single-frequency limit lookup")
-    p.add_argument("--grid", type=_parse_grid, default=FrequencyGrid.log(1e5, 1e6, 25))
+    p.add_argument("--grid", type=_parse_grid, default="1e5:1e6:25")
     p.add_argument("--config", help="optional config with fcc.* model keys")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fcc)
@@ -239,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regions", help="region map and crossover frequencies as JSON")
     p.add_argument("--scenario", default="inter_body.cfg")
     p.add_argument("--env", choices=["open_air", "anechoic"])
-    p.add_argument("--grid", type=_parse_grid, default=FrequencyGrid.log())
+    p.add_argument("--grid", type=_parse_grid, default="1e5:1e9:200")
     p.add_argument("--sensitivity-db", type=float,
                    help="also report max detection distance for this channel-gain floor")
     p.add_argument("--out")

@@ -18,6 +18,10 @@ Attack:       snr_intended_db, attacker_distance, snr_threshold_db
 Interference: v_sig_user, interferers (list of [volts, meters]), sir_min_db
 Field decay:  fcc.anchor_field, fcc.anchor_distance, fcc.exponent
 
+``load.kind`` and ``environment`` take strings, ``coupling.anchors`` and
+``interferers`` lists of number pairs, and every other key a finite number
+(``true``/``false`` are not numbers); a file breaking this is rejected.
+
 Bare scenario names given to the CLI resolve against the directory in
 ``$EQSHBC_CONFIG_DIR`` first and then the bundled defaults (inter_body.cfg,
 intra_body.cfg). The bundled ``inter_body.cfg`` is the one definition of
@@ -30,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -90,6 +95,10 @@ _KNOWN_KEYS = frozenset((
     "snr_intended_db", "attacker_distance", "snr_threshold_db",
     "v_sig_user", "interferers", "sir_min_db",
 ))
+# Each known key takes one kind of value; the keys named here are the
+# non-numeric ones, every other key takes a finite real number.
+_STRING_KEYS = frozenset(("load.kind", "environment"))
+_PAIR_LIST_KEYS = frozenset(("coupling.anchors", "interferers"))
 
 
 def _present(cfg: dict, keys: dict[str, str]) -> dict:
@@ -103,6 +112,24 @@ def _finite(value) -> bool:
     if isinstance(value, list):
         return all(map(_finite, value))
     return True
+
+
+def _is_real(value) -> bool:
+    """A finite int or float; json reads true/false as bools, which Python counts as ints."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _value_kind_error(key: str, value) -> str | None:
+    """What a known key's value should have been, or None when it is of the right kind."""
+    if key in _STRING_KEYS:
+        return None if isinstance(value, str) else "a string"
+    if key in _PAIR_LIST_KEYS:
+        pairs = isinstance(value, list) and all(
+            isinstance(pair, list) and len(pair) == 2 and all(map(_is_real, pair))
+            for pair in value)
+        return None if pairs else "a list of [number, number] pairs"
+    return None if _is_real(value) else "a finite number"
 
 
 def parse_config(text: str) -> dict:
@@ -161,6 +188,11 @@ def _read_config(path: Path) -> dict:
     unknown = sorted(set(cfg) - _KNOWN_KEYS)
     if unknown:
         raise ConfigError(f"{path}: unknown config key {unknown[0]!r}")
+    for key, value in cfg.items():
+        expected = _value_kind_error(key, value)
+        if expected:
+            raise ConfigError(f"{path}: config key {key!r} must be {expected}, "
+                              f"got {json.dumps(value)}")
     return cfg
 
 

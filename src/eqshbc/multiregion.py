@@ -21,6 +21,12 @@ the plateau 10 dB and the absorbers attenuate the radiative mechanisms),
 and an EM-to-device handoff near 150 MHz. The bundled ``inter_body.cfg``
 is the one definition of that pinned scenario; :func:`default_region_config`
 reads it.
+
+The mechanism gains take a float frequency (a float out, through ``math``)
+or an ndarray of them (an ndarray out, through numpy), validated once per
+call. Everything over a frequency grid (the stitched response, the region
+labels, the detection distances, the crossover scan) is array arithmetic
+over one solved quasistatic sweep.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +49,7 @@ from .bodychannel import (
     _probe_gain_db,
     build_inter_body,
 )
-from .netlist import Netlist, _require_finite, _require_positive
+from .netlist import Netlist, _require_each, _require_finite, _require_positive
 from .solver import FrequencyGrid, SweepResult, transfer
 
 __all__ = [
@@ -114,7 +121,7 @@ class EmBodyModel:
         _require_positive("q", self.q)
         _require_ref_db(self.ref_db)
 
-    @property
+    @cached_property
     def f_res(self) -> float:
         return SPEED_OF_LIGHT / (4.0 * self.height)
 
@@ -130,7 +137,7 @@ class DeviceModel:
         _require_positive("electrode_length", self.electrode_length)
         _require_ref_db(self.ref_db)
 
-    @property
+    @cached_property
     def f_res(self) -> float:
         return SPEED_OF_LIGHT / (4.0 * self.electrode_length)
 
@@ -151,33 +158,39 @@ def monopole_rad_resistance(length: float, f: float) -> float:
     return 80.0 * math.pi ** 2 * ratio ** 2
 
 
-def _resonant_shape_db(f: float, f_res: float, q: float) -> float:
-    """Peak-normalized resonant pair response in dB (0 dB at f_res)."""
+def _resonant_shape_db(f, f_res: float, q: float):
+    """Peak-normalized resonant pair response in dB (0 dB at f_res); validates f."""
+    if isinstance(f, np.ndarray):
+        _require_each(_require_positive, "frequency", f)
+        log10 = np.log10
+    else:
+        _require_positive("frequency", f)
+        log10 = math.log10
     u = f / f_res
-    p = u * u / ((1.0 - u * u) ** 2 + (u / q) ** 2)
-    return 20.0 * math.log10(p / (q * q))
+    # squares as products, as numpy evaluates ** 2: both paths round alike up to the log
+    u2, v = u * u, u / q
+    return 20.0 * log10(u2 / ((1.0 - u2) * (1.0 - u2) + v * v) / (q * q))
 
 
-def body_em_pair_gain(model: EmBodyModel, f: float) -> float:
+def body_em_pair_gain(model: EmBodyModel, f):
     """Pair gain in dB of two body-monopoles; 40 dB/decade below resonance."""
-    _require_positive("frequency", f)
     return model.ref_db + _resonant_shape_db(f, model.f_res, model.q)
 
 
-def device_pair_gain(model: DeviceModel, f: float) -> float:
+def device_pair_gain(model: DeviceModel, f):
     """Pair gain in dB of the two device electrodes; peaks at c/(4*l_e)."""
-    _require_positive("frequency", f)
     return model.ref_db + _resonant_shape_db(f, model.f_res, DEVICE_Q)
 
 
-def friis_gain(d: float, f: float) -> float:
+def friis_gain(d, f):
     """Free-space path gain 20*log10(lambda/d), zero-referenced at d = lambda.
 
     Relative-comparison form: the antenna-gain constant is taken as 0 dB.
     """
-    _require_positive("distance", d)
-    _require_positive("frequency", f)
-    return 20.0 * math.log10(SPEED_OF_LIGHT / (f * d))
+    _require_each(_require_positive, "distance", d)
+    _require_each(_require_positive, "frequency", f)
+    ratio = SPEED_OF_LIGHT / (f * d)
+    return 20.0 * (np.log10(ratio) if isinstance(ratio, np.ndarray) else math.log10(ratio))
 
 
 @dataclass(frozen=True)
@@ -198,24 +211,19 @@ class RegionConfig:
     def eqs_sweep(self, grid: FrequencyGrid) -> SweepResult:
         return transfer(self._netlist, SOURCE_LABEL, INTER_PROBE, grid)
 
-    def mechanism_gains_db(self, f: float) -> tuple[float, float, float]:
-        return tuple(gain(self, f) for gain in _MECHANISM_GAINS)
+    def mechanism_gains_db(self, f):
+        """(quasistatic, EM body pair, device electrodes) gains in dB at f."""
+        return tuple(self._mechanism_db(mechanism, f) for mechanism in range(3))
 
-
-# (config, f) -> gain in dB: quasistatic circuit, EM body pair, device electrodes.
-_MECHANISM_GAINS = (
-    RegionConfig.eqs_gain_db,
-    lambda config, f: body_em_pair_gain(config.em, f),
-    lambda config, f: device_pair_gain(config.device, f),
-)
-
-
-def _mechanism_sweep_db(config: RegionConfig, mechanism: int, freqs) -> list[float]:
-    """A mechanism's gain in dB over freqs; the quasistatic one as one batched sweep."""
-    if mechanism == 0:
-        return config.eqs_sweep(FrequencyGrid(freqs)).gain_db().tolist()
-    gain = _MECHANISM_GAINS[mechanism]
-    return [gain(config, f) for f in freqs]
+    def _mechanism_db(self, mechanism: int, f):
+        """One mechanism's gain in dB; an ndarray f solves the circuit as one sweep."""
+        if mechanism == 1:
+            return body_em_pair_gain(self.em, f)
+        if mechanism == 2:
+            return device_pair_gain(self.device, f)
+        if isinstance(f, np.ndarray):
+            return self.eqs_sweep(FrequencyGrid(f)).gain_db()
+        return self.eqs_gain_db(f)
 
 
 def default_region_config(environment: Environment | str = Environment.OPEN_AIR) -> RegionConfig:
@@ -238,16 +246,13 @@ def total_response(eqs_sweep: SweepResult, em: EmBodyModel, device: DeviceModel,
     at every frequency and degenerates to the quasistatic sweep when both
     EM references are -inf.
     """
-    if tuple(grid) != eqs_sweep.freqs:
+    if grid.points != eqs_sweep.freqs:
         raise ValueError("grid does not match the quasistatic sweep")
-    mags = []
-    for f, g in zip(eqs_sweep.freqs, eqs_sweep.gain):
-        p = abs(g) ** 2
-        em_db = body_em_pair_gain(em, f)
-        dev_db = device_pair_gain(device, f)
-        p += 10.0 ** (em_db / 10.0) + 10.0 ** (dev_db / 10.0)
-        mags.append(complex(math.sqrt(p)))
-    return SweepResult(freqs=eqs_sweep.freqs, gain=tuple(mags),
+    f = np.asarray(eqs_sweep.freqs)
+    em_db, dev_db = body_em_pair_gain(em, f), device_pair_gain(device, f)
+    power = eqs_sweep.magnitude() ** 2
+    power += 10.0 ** (em_db / 10.0) + 10.0 ** (dev_db / 10.0)
+    return SweepResult(freqs=eqs_sweep.freqs, gain=tuple(np.sqrt(power).astype(complex).tolist()),
                        source_label=eqs_sweep.source_label, probe=eqs_sweep.probe,
                        warnings=eqs_sweep.warnings)
 
@@ -258,33 +263,27 @@ _MECHANISM = {
     RegionLabel.EM_RESONANT: 1,
     RegionLabel.DEVICE_COUPLING: 2,
 }
-
-
-def _label(config: RegionConfig, f: float, eqs_db: float) -> RegionLabel:
-    """Label of the mechanism contributing the largest gain at f.
-
-    The EM mechanism is reported as a small-monopole region below a
-    quarter of the body resonance (wavelength still large against the
-    body) and as the resonant region above it.
-    """
-    gains = (eqs_db, body_em_pair_gain(config.em, f), device_pair_gain(config.device, f))
-    winner = max(range(3), key=gains.__getitem__)
-    if winner == 0:
-        return RegionLabel.EQS
-    if winner == 2:
-        return RegionLabel.DEVICE_COUPLING
-    if f < config.em.f_res / 4.0:
-        return RegionLabel.EM_SMALL_MONOPOLE
-    return RegionLabel.EM_RESONANT
-
-
-def classify_region(f: float, config: RegionConfig) -> RegionLabel:
-    return _label(config, f, config.eqs_gain_db(f))
+_LABELS = tuple(RegionLabel)  # EQS, EM small monopole, EM resonant, device
 
 
 def classify_sweep(config: RegionConfig, eqs: SweepResult) -> list[RegionLabel]:
-    """Region labels over an already-solved quasistatic sweep; no circuit solves."""
-    return [_label(config, f, g) for f, g in zip(eqs.freqs, eqs.gain_db())]
+    """Region labels over an already-solved quasistatic sweep; no circuit solves.
+
+    Each frequency takes the mechanism with the largest gain, the first one
+    on a tie. The EM mechanism is reported as a small-monopole region below
+    a quarter of the body resonance (wavelength still large against the
+    body) and as the resonant region above it.
+    """
+    f = np.asarray(eqs.freqs)
+    winner = np.stack((eqs.gain_db(), body_em_pair_gain(config.em, f),
+                       device_pair_gain(config.device, f))).argmax(axis=0)
+    # into _LABELS: EQS 0, EM 1 (2 from a quarter of the body resonance up), device 3
+    index = winner + (winner == 2) + ((winner == 1) & (f >= config.em.f_res / 4.0))
+    return [_LABELS[i] for i in index.tolist()]
+
+
+def classify_region(f: float, config: RegionConfig) -> RegionLabel:
+    return classify_sweep(config, config.eqs_sweep(FrequencyGrid((f,))))[0]
 
 
 def classify_grid(config: RegionConfig, grid: FrequencyGrid) -> list[RegionLabel]:
@@ -311,22 +310,21 @@ def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
     if abs(mech_a - mech_b) != 1:
         raise CrossoverError(f"{region_a} and {region_b} are not adjacent mechanisms")
 
-    gain_a, gain_b = _MECHANISM_GAINS[mech_a], _MECHANISM_GAINS[mech_b]
+    def diff(f):
+        return config._mechanism_db(mech_b, f) - config._mechanism_db(mech_a, f)
 
-    def diff(f: float) -> float:
-        return gain_b(config, f) - gain_a(config, f)
-
-    scan = np.geomspace(f_lo, f_hi, 241).tolist()
-    values = [b - a for a, b in zip(_mechanism_sweep_db(config, mech_a, scan),
-                                    _mechanism_sweep_db(config, mech_b, scan))]
-    for i in range(len(scan) - 1):
-        if values[i] == 0.0:
-            return scan[i]
-        if values[i] < 0.0 < values[i + 1] or values[i] > 0.0 > values[i + 1]:
-            return _bisect_root(diff, scan[i], scan[i + 1])
-    raise CrossoverError(
-        f"{region_a} and {region_b} never exchange dominance in "
-        f"[{f_lo:g}, {f_hi:g}] Hz")
+    scan = np.geomspace(f_lo, f_hi, 241)
+    sign = np.sign(diff(scan))
+    # scan points where the difference is zero or flips sign before the next one
+    hits = np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))
+    if not hits.size:
+        raise CrossoverError(
+            f"{region_a} and {region_b} never exchange dominance in "
+            f"[{f_lo:g}, {f_hi:g}] Hz")
+    i = hits[0]
+    if sign[i] == 0.0:
+        return float(scan[i])
+    return _bisect_root(diff, float(scan[i]), float(scan[i + 1]))
 
 
 DETECTION_DISTANCE_CAP_M = 1e4
@@ -345,23 +343,24 @@ def max_detection_distance(config: RegionConfig, f: float, min_gain_db: float,
     saturating at the cap of 1e4 m in the resonant/device regions.
     """
     _require_positive("frequency", f)
-    _require_positive("d_ref", d_ref)
-    _require_finite("min_gain_db", min_gain_db)
     return _detection_distance(config, f, config.eqs_gain_db(f), min_gain_db, coupling, d_ref)
 
 
-def _detection_distance(config: RegionConfig, f: float, eqs_db: float, min_gain_db: float,
-                        coupling: CouplingCapModel, d_ref: float = 1.0) -> float:
-    """max_detection_distance given the quasistatic gain eqs_db already solved at f."""
-    d_eqs = coupling.distance_at(coupling.cap_at(d_ref) * 10.0 ** ((min_gain_db - eqs_db) / 20.0))
+def _detection_distance(config: RegionConfig, f, eqs_db, min_gain_db: float,
+                        coupling: CouplingCapModel, d_ref: float = 1.0):
+    """max_detection_distance at f, a float or an ndarray, given its solved quasistatic gain.
 
-    def radiative(gain_db: float) -> float:
-        if gain_db == -math.inf:
-            return 0.0
-        return d_ref * 10.0 ** ((gain_db - min_gain_db) / 20.0)
-
-    em_db, dev_db = body_em_pair_gain(config.em, f), device_pair_gain(config.device, f)
-    return min(max(d_eqs, radiative(em_db), radiative(dev_db)), DETECTION_DISTANCE_CAP_M)
+    An overflowing distance raises: FloatingPointError from an ndarray,
+    OverflowError from a float.
+    """
+    _require_positive("d_ref", d_ref)
+    _require_finite("min_gain_db", min_gain_db)
+    most, least = (np.maximum, np.minimum) if isinstance(f, np.ndarray) else (max, min)
+    radiative_db = most(body_em_pair_gain(config.em, f), device_pair_gain(config.device, f))
+    with np.errstate(over="raise"):
+        c_eqs = coupling.cap_at(d_ref) * 10.0 ** ((min_gain_db - eqs_db) / 20.0)
+        d_radiative = d_ref * 10.0 ** ((radiative_db - min_gain_db) / 20.0)
+    return least(most(coupling.distance_at(c_eqs), d_radiative), DETECTION_DISTANCE_CAP_M)
 
 
 def calibrate_em_reference(config: RegionConfig, crossover_hz: float) -> float:

@@ -320,8 +320,9 @@ class TestEnvironment:
         assert calibrate_anechoic_boost() == pytest.approx(ANECHOIC_RETURN_BOOST, abs=1e-4)
 
     def test_boost_calibration_solve_budget(self, solve_calls):
+        # one reference solve and the ITP evaluations: 19 measured (bisection took 57)
         assert calibrate_anechoic_boost() == pytest.approx(ANECHOIC_RETURN_BOOST, abs=1e-4)
-        assert len(solve_calls) <= 60
+        assert len(solve_calls) <= 21
 
     def test_environment_accepts_strings(self):
         p = BodyChannelParams(environment="anechoic")

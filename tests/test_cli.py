@@ -207,6 +207,25 @@ class TestScenarioValidation:
             assert record["error"] == "ConfigError"
             assert message in record["message"]
 
+    @pytest.mark.parametrize("line,message", [
+        ("coupling.anchors = 3", "'coupling.anchors' must be a list of [number, number] pairs"),
+        ('c_body = "abc"', "'c_body' must be a finite number"),
+        ("c_body = true", "'c_body' must be a finite number"),
+    ])
+    def test_mistyped_config_value_is_one_json_error_line(self, capsys, tmp_path, line, message):
+        config = tmp_path / "typed.cfg"
+        config.write_text(line + "\n")
+        for argv in (["attack", "--snr", "10", "--distance", "1", "--config", str(config)],
+                     ["sir", "--v-sig", "1", "--interferer", "1:1", "--config", str(config)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert "Traceback" not in err
+            assert err.endswith("\n") and err.count("\n") == 1
+            record = json.loads(err)
+            assert record["error"] == "ConfigError"
+            assert message in record["message"]
+
     @pytest.mark.parametrize("load", ["capacitive:nan", "resistive:inf"])
     def test_non_finite_load_override(self, capsys, load):
         code, out, err = run(capsys, "sweep", "--scenario", "inter_body.cfg", "--load", load)
@@ -234,6 +253,28 @@ class TestGridSpec:
         assert _parse_grid("1e5:1e6:10lin") == FrequencyGrid.linear(1e5, 1e6, 10)
         assert _parse_grid("1e5:1e6:10log") == FrequencyGrid.log(1e5, 1e6, 10)
         assert _parse_grid("1e5:1e6:10") == FrequencyGrid.log(1e5, 1e6, 10)
+
+
+class TestParserGrids:
+    @pytest.fixture
+    def grids_built(self, monkeypatch):
+        built = []
+        log = FrequencyGrid.log.__func__
+        monkeypatch.setattr(FrequencyGrid, "log",
+                            classmethod(lambda cls, *args: built.append(args) or log(cls, *args)))
+        return built
+
+    def test_unused_grid_defaults_are_not_built(self, capsys, grids_built):
+        assert run(capsys, "attack", "--snr", "10", "--distance", "1")[0] == 0
+        assert grids_built == []
+
+    def test_given_grid_replaces_the_default(self, capsys, grids_built):
+        assert run(capsys, "fcc", "--grid", "1e5:1e6:5")[0] == 0
+        assert grids_built == [(1e5, 1e6, 5)]
+
+    def test_absent_grid_takes_the_default(self, capsys, grids_built):
+        assert run(capsys, "fcc")[0] == 0
+        assert grids_built == [(1e5, 1e6, 25)]
 
 
 class TestUsageErrors:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from eqshbc.bodychannel import Environment
@@ -79,6 +81,30 @@ class TestResolution:
         p.write_text("c_c = 21e-12\nc_gtx = 1e-9\n")
         with pytest.raises(ConfigError, match="unknown config key 'c_gtx'"):
             load_config(str(p))
+
+    @pytest.mark.parametrize("line,expected", [
+        ("c_c = true", "'c_c' must be a finite number, got true"),
+        ('c_c = "21e-12"', "'c_c' must be a finite number"),
+        ("c_c = [21e-12]", "'c_c' must be a finite number"),
+        ("c_c = " + "9" * 400, "'c_c' must be a finite number"),
+        ("load.kind = 1", "'load.kind' must be a string"),
+        ("environment = null", "'environment' must be a string"),
+        ("coupling.anchors = 3", "'coupling.anchors' must be a list of [number, number] pairs"),
+        ("coupling.anchors = [[1.0, 21e-12], [5.0]]", "'coupling.anchors' must be a list"),
+        ("interferers = [[1.0, true]]", "'interferers' must be a list of [number, number] pairs"),
+        ('interferers = [["1", 1.0]]', "'interferers' must be a list"),
+    ])
+    def test_value_of_the_wrong_kind_rejected_by_key(self, tmp_path, line, expected):
+        p = tmp_path / "typed.cfg"
+        p.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=re.escape(expected)):
+            load_config(str(p))
+
+    def test_values_of_the_right_kind_accepted(self, tmp_path):
+        p = tmp_path / "typed.cfg"
+        p.write_text('c_c = 21\nload.kind = "resistive"\ninterferers = []\n'
+                     "coupling.anchors = [[1, 2e-11], [5.0, 6e-12]]\n")
+        assert load_config(str(p))["c_c"] == 21
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="not found"):
