@@ -24,8 +24,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import solver
 from .netlist import Element, Netlist, _require_each, _require_non_negative, _require_positive
-from .solver import FrequencyGrid, SweepResult, _gain_db, solve_ac, transfer
+from .solver import FrequencyGrid, SweepResult, _gain_db, _probe, transfer
 
 __all__ = [
     "ANECHOIC_RETURN_BOOST",
@@ -210,9 +211,15 @@ def build_inter_body(params: InterBodyParams) -> Netlist:
 
 
 def _probe_gain_db(netlist: Netlist, probe: tuple[int, int], f: float) -> float:
-    """Single-frequency gain in dB across probe for the unit source."""
-    sol = solve_ac(netlist, f)
-    return _gain_db(sol[probe[0]] - sol[probe[1]])
+    """Single-frequency gain in dB across probe for the unit source.
+
+    The one-point case of ``transfer(...).gain_db()``, bit for bit.
+    """
+    _require_positive("frequency", f)
+    # looked up on the module at call time, as transfer's own call is, so a wrapped
+    # solver core sees the single-point solves too
+    x, stamp, _ = solver._solve_grid(netlist, (f,))
+    return _gain_db(_probe(netlist, stamp, x, probe)).item()
 
 
 def intra_body_gain_db(params: BodyChannelParams, f: float) -> float:
@@ -346,7 +353,7 @@ def _bisect_root(fn, lo: float, hi: float) -> float:
     bound = _ITP_EPS * 2.0 ** math.ceil(math.log2(w0 / (2.0 * _ITP_EPS)))
     kappa = _ITP_KAPPA / w0
     while True:
-        mid = math.sqrt(lo * hi)
+        mid = math.sqrt(lo) * math.sqrt(hi)  # lo * hi may leave the float range
         if not lo < mid < hi:
             return mid
         w = math.log1p((hi - lo) / lo)

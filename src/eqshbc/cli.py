@@ -9,11 +9,10 @@ machine-readable JSON line on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import config as cfgmod
 from .bodychannel import DEFAULT_C_BODY
@@ -180,13 +179,14 @@ def _cmd_regions(args) -> None:
     record = {"segments": segments, "crossovers": crossovers}
     if args.sensitivity_db is not None:
         coupling = cfgmod.coupling_model_from_config(cfg)
-        distances = _detection_distance(region_config, np.asarray(points), eqs.gain_db(),
+        distances = _detection_distance(region_config, points, eqs.gain_db(),
                                         args.sensitivity_db, coupling)
         record["max_detection_distance_m"] = [{"freq_hz": f, "distance_m": d}
-                                              for f, d in zip(points, distances.tolist())]
+                                              for f, d in zip(args.grid, distances.tolist())]
     _emit_json(record, args.out)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eqshbc",

@@ -13,6 +13,7 @@ field scale, is the regression anchor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -93,19 +94,10 @@ def serialize_limit_table(rows: tuple[FccLimitRow, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_table() -> tuple[FccLimitRow, ...]:
+@functools.cache
+def limit_table() -> tuple[FccLimitRow, ...]:
     text = resources.files("eqshbc.data").joinpath(_TABLE_RESOURCE).read_text()
     return parse_limit_table(text)
-
-
-_TABLE: tuple[FccLimitRow, ...] | None = None
-
-
-def limit_table() -> tuple[FccLimitRow, ...]:
-    global _TABLE
-    if _TABLE is None:
-        _TABLE = _load_table()
-    return _TABLE
 
 
 def fcc_limit(f: float) -> tuple[float, float]:

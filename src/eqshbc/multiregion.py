@@ -246,15 +246,13 @@ def total_response(eqs_sweep: SweepResult, em: EmBodyModel, device: DeviceModel,
     at every frequency and degenerates to the quasistatic sweep when both
     EM references are -inf.
     """
-    if grid.points != eqs_sweep.freqs:
+    f = eqs_sweep.freqs
+    if not np.array_equal(grid.points, f):
         raise ValueError("grid does not match the quasistatic sweep")
-    f = np.asarray(eqs_sweep.freqs)
     em_db, dev_db = body_em_pair_gain(em, f), device_pair_gain(device, f)
-    power = eqs_sweep.magnitude() ** 2
-    power += 10.0 ** (em_db / 10.0) + 10.0 ** (dev_db / 10.0)
-    return SweepResult(freqs=eqs_sweep.freqs, gain=tuple(np.sqrt(power).astype(complex).tolist()),
-                       source_label=eqs_sweep.source_label, probe=eqs_sweep.probe,
-                       warnings=eqs_sweep.warnings)
+    power = np.abs(eqs_sweep.gain) ** 2 + (10.0 ** (em_db / 10.0) + 10.0 ** (dev_db / 10.0))
+    return SweepResult(freqs=f, gain=np.sqrt(power), source_label=eqs_sweep.source_label,
+                       probe=eqs_sweep.probe, warnings=eqs_sweep.warnings)
 
 
 _MECHANISM = {
@@ -274,7 +272,7 @@ def classify_sweep(config: RegionConfig, eqs: SweepResult) -> list[RegionLabel]:
     a quarter of the body resonance (wavelength still large against the
     body) and as the resonant region above it.
     """
-    f = np.asarray(eqs.freqs)
+    f = eqs.freqs
     winner = np.stack((eqs.gain_db(), body_em_pair_gain(config.em, f),
                        device_pair_gain(config.device, f))).argmax(axis=0)
     # into _LABELS: EQS 0, EM 1 (2 from a quarter of the body resonance up), device 3

@@ -34,18 +34,20 @@ frequency.
 
 A single-frequency solve is the one-point case of the same path, so a
 sweep and per-frequency solves give bit-identical results. Netlists and
-results are immutable.
+results are immutable: grid points and sweep gains are read-only float64
+and complex128 ndarrays, and a probe's gain in dB, over a sweep or at one
+frequency, is one numpy expression (``_probe`` then ``_gain_db``) over
+the solved rows.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .netlist import Element, Netlist, _require_positive
+from .netlist import Element, Netlist, _require_each, _require_positive
 
 __all__ = [
     "ACSolution",
@@ -263,66 +265,89 @@ def solve_ac(netlist: Netlist, f: float) -> ACSolution:
     return ACSolution(voltages, currents, warnings)
 
 
+def _frozen(obj, name: str, dtype) -> np.ndarray:
+    """Replace field ``name`` of a frozen ``obj`` by a read-only 1-D ``dtype`` copy of it."""
+    a = np.array(getattr(obj, name), dtype=dtype)
+    if a.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {a.shape}")
+    a.setflags(write=False)
+    object.__setattr__(obj, name, a)
+    return a
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Strictly increasing, positive frequency points in hertz."""
+    """Strictly increasing, positive frequency points in hertz.
 
-    points: tuple[float, ...]
+    ``points`` is a read-only float64 ndarray copied from the input.
+    Iteration yields Python floats; two grids are equal when their points are.
+    """
+
+    points: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(float(p) for p in self.points))
-        if not self.points:
+        points = _frozen(self, "points", float)
+        if not points.size:
             raise ValueError("empty frequency grid")
-        for p in self.points:
-            _require_positive("frequency", p)
-        if any(b <= a for a, b in zip(self.points, self.points[1:])):
+        _require_each(_require_positive, "frequency", points)
+        if not (np.diff(points) > 0.0).all():
             raise ValueError("frequencies must be strictly increasing")
+
+    def __eq__(self, other):
+        return isinstance(other, FrequencyGrid) and np.array_equal(self.points, other.points)
 
     def __len__(self) -> int:
         return len(self.points)
 
     def __iter__(self):
-        return iter(self.points)
+        return iter(self.points.tolist())
 
     @classmethod
     def log(cls, start: float = 1e5, stop: float = 1e9, n: int = 200) -> "FrequencyGrid":
         """Log-spaced grid; defaults cover 100 kHz - 1 GHz."""
-        return cls(tuple(np.geomspace(start, stop, n)))
+        return cls(np.geomspace(start, stop, n))
 
     @classmethod
     def linear(cls, start: float, stop: float, n: int) -> "FrequencyGrid":
-        return cls(tuple(np.linspace(start, stop, n)))
+        return cls(np.linspace(start, stop, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Per-frequency complex transfer gain (probe voltage / source voltage)."""
+    """Per-frequency complex transfer gain (probe voltage / source voltage).
 
-    freqs: tuple[float, ...]
-    gain: tuple[complex, ...]
+    ``freqs`` and ``gain`` are read-only float64 and complex128 ndarrays
+    copied from the input. Results compare by identity.
+    """
+
+    freqs: np.ndarray
+    gain: np.ndarray
     source_label: str
     probe: tuple[int, int]
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if len(self.freqs) != len(self.gain):
+        freqs, gain = _frozen(self, "freqs", float), _frozen(self, "gain", complex)
+        if len(freqs) != len(gain):
             raise ValueError("freqs and gain must have equal length")
-        if not all(math.isfinite(abs(g)) for g in self.gain):
+        if not np.isfinite(np.abs(gain)).all():
             raise ValueError("non-finite gain in sweep result")
 
     def gain_db(self) -> np.ndarray:
-        return np.array([_gain_db(g) for g in self.gain])
-
-    def phase_deg(self) -> np.ndarray:
-        return np.degrees([cmath.phase(g) for g in self.gain])
-
-    def magnitude(self) -> np.ndarray:
-        return np.abs(np.asarray(self.gain))
+        return _gain_db(self.gain)
 
 
-def _gain_db(gain: complex) -> float:
+def _gain_db(gain: np.ndarray) -> np.ndarray:
     """20*log10|gain|, -inf for a zero gain: the one dB conversion of solved gains."""
-    return 20.0 * math.log10(abs(gain)) if gain else -math.inf
+    with np.errstate(divide="ignore"):
+        return 20.0 * np.log10(np.abs(gain))
+
+
+def _probe(netlist: Netlist, stamp: _Stamp, x: np.ndarray, probe: tuple[int, int]) -> np.ndarray:
+    """V[probe+] - V[probe-] over the solved rows ``x`` of :func:`_solve_grid`."""
+    plus, minus = (np.zeros(len(x), dtype=complex) if node == netlist.ground
+                   else x[:, stamp.index[node]] for node in probe)
+    return plus - minus
 
 
 def transfer(netlist: Netlist, source_label: str, probe: tuple[int, int],
@@ -336,16 +361,8 @@ def transfer(netlist: Netlist, source_label: str, probe: tuple[int, int],
         if p not in nodes:
             raise ValueError(f"probe node {p} not present in netlist")
     x, stamp, warnings = _solve_grid(netlist, grid.points)
-
-    def voltages(node: int) -> list[complex]:
-        if node == netlist.ground:
-            return [0j] * len(grid)
-        return x[:, stamp.index[node]].tolist()
-
-    gains = tuple((p - m) / source.value for p, m in zip(voltages(probe[0]),
-                                                           voltages(probe[1])))
-    return SweepResult(freqs=grid.points, gain=gains, source_label=source_label,
-                       probe=probe, warnings=tuple(warnings))
+    return SweepResult(freqs=grid.points, gain=_probe(netlist, stamp, x, probe) / source.value,
+                       source_label=source_label, probe=probe, warnings=tuple(warnings))
 
 
 def sweep_csv(result: SweepResult, regions: list[str] | None = None) -> str:
@@ -359,9 +376,9 @@ def sweep_csv(result: SweepResult, regions: list[str] | None = None) -> str:
             raise ValueError("region column length mismatch")
         header += ",region"
     lines = [header]
-    db = result.gain_db()
-    ph = result.phase_deg()
-    for i, (f, g) in enumerate(zip(result.freqs, result.gain)):
+    db = result.gain_db().tolist()
+    ph = np.degrees(np.angle(result.gain)).tolist()
+    for i, (f, g) in enumerate(zip(result.freqs.tolist(), result.gain.tolist())):
         row = f"{f:.9g},{g.real:.9g},{g.imag:.9g},{db[i]:.9g},{ph[i]:.9g}"
         if regions is not None:
             row += f",{regions[i]}"

@@ -123,7 +123,7 @@ class TestSweepAnalyses:
                                + 10.0 ** (device_pair_gain(config_.device, f) / 10.0))
                      for f, g in zip(grid, eqs.gain)]
         assert all(g.imag == 0.0 for g in total.gain)
-        np.testing.assert_allclose(total.magnitude(), per_point, rtol=1e-12)
+        np.testing.assert_allclose(np.abs(total.gain), per_point, rtol=1e-12)
 
         coupling = config.coupling_model_from_config(cfg)
         distances = _detection_distance(config_, np.asarray(grid.points), eqs.gain_db(), floor,
@@ -137,7 +137,7 @@ def geometric_bisection(fn, lo: float, hi: float) -> float:
     negative_lo = fn(lo) < 0.0
     assert negative_lo != (fn(hi) < 0.0)
     while True:
-        mid = math.sqrt(lo * hi)
+        mid = math.sqrt(lo) * math.sqrt(hi)  # _bisect_root's midpoint, so the last float agrees
         if not lo < mid < hi:
             return mid
         if (fn(mid) < 0.0) == negative_lo:

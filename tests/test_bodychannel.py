@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqshbc import bodychannel, config, multiregion, risk
@@ -307,6 +307,10 @@ class TestBisectRoot:
         with pytest.raises(ValueError, match="no sign change"):
             _bisect_root(lambda x: x, 1.0, 2.0)
 
+    @pytest.mark.parametrize("root, lo, hi", [(1e-200, 1e-250, 1e-100), (1e250, 1e200, 1e300)])
+    def test_bracket_whose_product_leaves_the_float_range(self, root, lo, hi):
+        assert _bisect_root(lambda x: x - root, lo, hi) == pytest.approx(root, rel=1e-14, abs=0.0)
+
 
 class TestEnvironment:
     def test_anechoic_lifts_eqs_gain_10db(self):
@@ -339,6 +343,17 @@ class TestEnvironment:
         assert inter - intra == pytest.approx(-17.08, abs=1.0)
 
 
+class TestScalarGainIsTheSweepGain:
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(0.1, 10.0), st.sampled_from(["open_air", "anechoic"]),
+           st.floats(4.0, 6.0), st.integers(1, 300))
+    def test_intra_gain_db_bit_equal_to_sweep(self, scale, environment, log_start, n):
+        params = scale_return_path(BodyChannelParams(environment=environment), scale)
+        grid = FrequencyGrid.log(10 ** log_start, 1e9, n)
+        assert ([intra_body_gain_db(params, f) for f in grid]
+                == intra_body_sweep(params, grid).gain_db().tolist())
+
+
 class TestNetlistExport:
     def test_intra_round_trips_through_text_format(self):
         net = build_intra_body(BodyChannelParams())
@@ -346,7 +361,7 @@ class TestNetlistExport:
         grid = FrequencyGrid.log(1e5, 1e6, 5)
         a = transfer(net, "VTX", INTRA_PROBE, grid)
         b = transfer(again, "VTX", INTRA_PROBE, grid)
-        assert a.gain == b.gain
+        assert np.array_equal(a.gain, b.gain)
 
     def test_inter_round_trips_through_text_format(self):
         net = build_inter_body(InterBodyParams(base=BodyChannelParams(), c_c=21e-12))

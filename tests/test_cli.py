@@ -3,8 +3,9 @@ from importlib import resources
 
 import pytest
 
-from eqshbc.cli import _parse_grid, main
+from eqshbc.cli import _build_parser, _parse_grid, main
 from eqshbc.solver import FrequencyGrid
+from perfbench.golden import GOLDEN_DIR, cases
 
 
 def run(capsys, *argv):
@@ -292,3 +293,18 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["fcc", "--grid", "nonsense"])
         assert exc.value.code == 2
+
+
+class TestParserBuiltOnce:
+    def test_one_parser_serves_successive_commands(self, capsys):
+        golden = cases()
+        regions, sweep = golden["regions-open_air.json"], golden["sweep-open_air-capacitive.csv"]
+        assert run(capsys, *regions) == (0, (GOLDEN_DIR / "regions-open_air.json").read_text(), "")
+        with pytest.raises(SystemExit) as exc:
+            main(["regions", "--grid", "1e5:1e9"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *sweep) == (
+            0, (GOLDEN_DIR / "sweep-open_air-capacitive.csv").read_text(), "")
+        assert run(capsys, *regions) == (0, (GOLDEN_DIR / "regions-open_air.json").read_text(), "")
+        assert _build_parser() is _build_parser()

@@ -427,7 +427,7 @@ class TestConditionScreen:
         monkeypatch.setattr(np.linalg, "solve", nan_inverse)
         res = transfer(RC_POLE, "V1", (2, 0), grid)
         assert svd_points == [1]
-        assert res.gain == clean.gain and res.warnings == ()
+        assert np.array_equal(res.gain, clean.gain) and res.warnings == ()
 
 
 class TestStampOnce:
@@ -462,3 +462,76 @@ class TestNonFiniteInputs:
     def test_solve_ac_rejects_non_finite_frequency(self, f):
         with pytest.raises(ValueError, match="finite"):
             solve_ac(DIVIDER, f)
+
+
+@st.composite
+def increasing_arrays(draw):
+    """Strictly increasing positive float64 arrays of 1-400 points."""
+    values = draw(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=400, unique=True))
+    return np.array(sorted(values))
+
+
+class TestArrayTypes:
+    @settings(max_examples=50, deadline=None)
+    @given(increasing_arrays())
+    def test_grid_points_are_a_read_only_copy(self, x):
+        grid = FrequencyGrid(x)
+        assert grid.points.dtype == np.float64 and grid.points.shape == x.shape
+        with pytest.raises(ValueError):
+            grid.points[0] = 1.0
+        given_points = x.copy()
+        x[:] = -1.0
+        assert np.array_equal(grid.points, given_points)
+
+    @settings(max_examples=50, deadline=None)
+    @given(increasing_arrays())
+    def test_grid_iterates_python_floats_and_compares_by_value(self, x):
+        grid = FrequencyGrid(x)
+        points = list(grid)
+        assert all(type(p) is float for p in points) and points == grid.points.tolist()
+        assert len(grid) == len(x)
+        assert grid == FrequencyGrid(list(x)) == FrequencyGrid(tuple(points))
+        assert grid != FrequencyGrid(x * 1.5)
+        assert grid != FrequencyGrid([*points, points[-1] * 2.0])
+
+    @settings(max_examples=50, deadline=None)
+    @given(increasing_arrays())
+    def test_sweep_arrays_are_read_only_copies(self, x):
+        gain = x * (0.5 - 0.25j)
+        res = SweepResult(freqs=x, gain=gain, source_label="V1", probe=(1, 0))
+        assert res.freqs.dtype == np.float64 and res.gain.dtype == np.complex128
+        for array in (res.freqs, res.gain):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        given_freqs, given_gain = x.copy(), gain.copy()
+        x[:], gain[:] = -1.0, 0.0
+        assert np.array_equal(res.freqs, given_freqs) and np.array_equal(res.gain, given_gain)
+
+    @pytest.mark.parametrize("points", [1.0, np.float64(2.0), [[1.0, 2.0]], np.ones((2, 2)), [],
+                                        [1.0, math.nan], [0.0, 1.0], [-1.0, 1.0], [1.0, 1.0],
+                                        [1.0, 3.0, 2.0]])
+    def test_grid_rejects(self, points):
+        with pytest.raises(ValueError):
+            FrequencyGrid(points)
+
+    @pytest.mark.parametrize("freqs, gain", [
+        ([1.0, 2.0], [1j]),
+        ([1.0], [1.0, 2.0]),
+        ([1.0], [math.inf]),
+        ([1.0], [complex(math.nan, 0.0)]),
+        ([1.0], [complex(0.0, -math.inf)]),
+        ([1.0], [1.5e308 + 1.5e308j]),  # finite parts, infinite magnitude
+        ([[1.0]], [1.0]),
+    ])
+    def test_sweep_result_rejects(self, freqs, gain):
+        with pytest.raises(ValueError):
+            SweepResult(freqs=freqs, gain=gain, source_label="V1", probe=(1, 0))
+
+    def test_zero_gain_is_minus_inf_db_without_a_warning(self):
+        res = SweepResult(freqs=[1.0, 2.0], gain=[0j, -0.1], source_label="V1", probe=(1, 0))
+        assert res.gain_db().tolist() == [-math.inf, -20.0]
+
+    def test_sweeps_compare_by_identity(self):
+        grid = FrequencyGrid.log(1e3, 1e6, 5)
+        res = transfer(RC_POLE, "V1", (2, 0), grid)
+        assert res == res and res != transfer(RC_POLE, "V1", (2, 0), grid)
