@@ -24,9 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import solver
 from .netlist import Element, Netlist, _require_each, _require_non_negative, _require_positive
-from .solver import FrequencyGrid, SweepResult, _gain_db, _probe, transfer
+from .solver import FrequencyGrid, SweepResult, _gain_db, solve_ac, transfer
 
 __all__ = [
     "ANECHOIC_RETURN_BOOST",
@@ -215,11 +214,8 @@ def _probe_gain_db(netlist: Netlist, probe: tuple[int, int], f: float) -> float:
 
     The one-point case of ``transfer(...).gain_db()``, bit for bit.
     """
-    _require_positive("frequency", f)
-    # looked up on the module at call time, as transfer's own call is, so a wrapped
-    # solver core sees the single-point solves too
-    x, stamp, _ = solver._solve_grid(netlist, (f,))
-    return _gain_db(_probe(netlist, stamp, x, probe)).item()
+    sol = solve_ac(netlist, f)
+    return float(_gain_db(sol[probe[0]] - sol[probe[1]]))
 
 
 def intra_body_gain_db(params: BodyChannelParams, f: float) -> float:

@@ -36,8 +36,7 @@ A single-frequency solve is the one-point case of the same path, so a
 sweep and per-frequency solves give bit-identical results. Netlists and
 results are immutable: grid points and sweep gains are read-only float64
 and complex128 ndarrays, and a probe's gain in dB, over a sweep or at one
-frequency, is one numpy expression (``_probe`` then ``_gain_db``) over
-the solved rows.
+frequency, goes through the one numpy expression ``_gain_db``.
 """
 from __future__ import annotations
 
@@ -337,17 +336,10 @@ class SweepResult:
         return _gain_db(self.gain)
 
 
+@np.errstate(divide="ignore")
 def _gain_db(gain: np.ndarray) -> np.ndarray:
     """20*log10|gain|, -inf for a zero gain: the one dB conversion of solved gains."""
-    with np.errstate(divide="ignore"):
-        return 20.0 * np.log10(np.abs(gain))
-
-
-def _probe(netlist: Netlist, stamp: _Stamp, x: np.ndarray, probe: tuple[int, int]) -> np.ndarray:
-    """V[probe+] - V[probe-] over the solved rows ``x`` of :func:`_solve_grid`."""
-    plus, minus = (np.zeros(len(x), dtype=complex) if node == netlist.ground
-                   else x[:, stamp.index[node]] for node in probe)
-    return plus - minus
+    return 20.0 * np.log10(np.abs(gain))
 
 
 def transfer(netlist: Netlist, source_label: str, probe: tuple[int, int],
@@ -361,7 +353,9 @@ def transfer(netlist: Netlist, source_label: str, probe: tuple[int, int],
         if p not in nodes:
             raise ValueError(f"probe node {p} not present in netlist")
     x, stamp, warnings = _solve_grid(netlist, grid.points)
-    return SweepResult(freqs=grid.points, gain=_probe(netlist, stamp, x, probe) / source.value,
+    plus, minus = (np.zeros(len(x), dtype=complex) if node == netlist.ground
+                   else x[:, stamp.index[node]] for node in probe)
+    return SweepResult(freqs=grid.points, gain=(plus - minus) / source.value,
                        source_label=source_label, probe=probe, warnings=tuple(warnings))
 
 
