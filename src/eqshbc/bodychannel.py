@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .netlist import Element, Netlist, _require_each, _require_non_negative, _require_positive
-from .solver import FrequencyGrid, SweepResult, _gain_db, solve_ac, transfer
+from .solver import FrequencyGrid, SweepResult, _gain_db, _with_values, solve_ac, transfer
 
 __all__ = [
     "ANECHOIC_RETURN_BOOST",
@@ -132,9 +132,15 @@ class BodyChannelParams:
 
     def effective_return_caps(self) -> tuple[float, float]:
         """(c_g_tx, c_g_rx) after the chamber boost, if any."""
-        if self.environment is Environment.ANECHOIC:
-            return self.c_g_tx * self.anechoic_boost, self.c_g_rx * self.anechoic_boost
-        return self.c_g_tx, self.c_g_rx
+        return _return_caps(self, 1.0)
+
+
+def _return_caps(params: BodyChannelParams, scale: float) -> tuple[float, float]:
+    """effective_return_caps() of scale_return_path(params, scale), float for float."""
+    c_g_tx, c_g_rx = params.c_g_tx * scale, params.c_g_rx * scale
+    if params.environment is Environment.ANECHOIC:
+        return c_g_tx * params.anechoic_boost, c_g_rx * params.anechoic_boost
+    return c_g_tx, c_g_rx
 
 
 @dataclass(frozen=True)
@@ -374,6 +380,17 @@ def _bisect_root(fn, lo: float, hi: float) -> float:
             hi, y_hi = x, y
 
 
+def _scaled_return_path(netlist: Netlist, params: BodyChannelParams, scale: float) -> Netlist:
+    """The circuit ``netlist`` built from ``params``, with ``scale_return_path(params, scale)``.
+
+    Only the CGTX and CGRX values change, so the circuit is restamped
+    rather than rebuilt and validated again.
+    """
+    _require_positive("scale", scale)
+    c_g_tx, c_g_rx = _return_caps(params, scale)
+    return _with_values(netlist, {"CGTX": c_g_tx, "CGRX": c_g_rx})
+
+
 def calibrate_anechoic_boost(params: BodyChannelParams | None = None,
                              c_c: float = 21e-12, f: float = 500e3,
                              target_db: float = 10.0) -> float:
@@ -381,15 +398,16 @@ def calibrate_anechoic_boost(params: BodyChannelParams | None = None,
 
     Used to pin ANECHOIC_RETURN_BOOST; the rise is strictly increasing in
     the boost, so its target crossing is located by :func:`_bisect_root`
-    over boosts in [1, 50].
+    over boosts in [1, 50]. The open-air circuit is built once; each step
+    restamps its return capacitances.
     """
-    base = params or BodyChannelParams()
-    base = replace(base, environment=Environment.OPEN_AIR)
-    reference = inter_body_gain_db(InterBodyParams(base=base, c_c=c_c), f)
+    base = replace(params or BodyChannelParams(), environment=Environment.OPEN_AIR)
+    circuit = build_inter_body(InterBodyParams(base=base, c_c=c_c))
+    reference = _probe_gain_db(circuit, INTER_PROBE, f)
 
     def rise(boost: float) -> float:
-        boosted = scale_return_path(base, boost)
-        return inter_body_gain_db(InterBodyParams(base=boosted, c_c=c_c), f) - reference
+        boosted = _scaled_return_path(circuit, base, boost)
+        return _probe_gain_db(boosted, INTER_PROBE, f) - reference
 
     return _bisect_root(lambda boost: rise(boost) - target_db, 1.0, 50.0)
 
@@ -405,14 +423,16 @@ def calibrate_return_scale(target_loss_db: float, c_c: float | None = None,
     chamber, 80 dB inter-body in open air); it makes no physics claim
     about the return capacitances themselves. The gain rises with the
     scale; the target is located by :func:`_bisect_root` over [1e-3, 1e3].
+    The circuit is built once; each step restamps its return capacitances.
     """
     _require_positive("target_loss_db", target_loss_db)
     base = params or BodyChannelParams()
+    if c_c is None:
+        circuit, probe = build_intra_body(base), INTRA_PROBE
+    else:
+        circuit, probe = build_inter_body(InterBodyParams(base=base, c_c=c_c)), INTER_PROBE
 
     def gain(scale: float) -> float:
-        scaled = scale_return_path(base, scale)
-        if c_c is None:
-            return intra_body_gain_db(scaled, f)
-        return inter_body_gain_db(InterBodyParams(base=scaled, c_c=c_c), f)
+        return _probe_gain_db(_scaled_return_path(circuit, base, scale), probe, f)
 
     return _bisect_root(lambda scale: gain(scale) + target_loss_db, 1e-3, 1e3)

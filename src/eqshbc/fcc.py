@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from .netlist import _require_finite, _require_positive
 from .solver import FrequencyGrid
 
@@ -100,16 +102,32 @@ def limit_table() -> tuple[FccLimitRow, ...]:
     return parse_limit_table(text)
 
 
+@functools.cache
+def _f_high_edges() -> np.ndarray:
+    return np.array([row.f_high_hz for row in limit_table()])
+
+
+def _row_runs(points: np.ndarray) -> list[tuple[FccLimitRow, slice]]:
+    """The table rows that hold the ascending ``points``, each with its slice of them."""
+    table = limit_table()
+    if points[0] < table[0].f_low_hz:
+        raise ValueError(f"{points[0]:g} Hz is below the table floor of 9 kHz")
+    # The rows partition the band upward from the floor: a point's row is
+    # the first whose f_high exceeds it, and the rows of ascending points ascend.
+    row_of = np.searchsorted(_f_high_edges(), points, side="right")
+    starts = np.searchsorted(row_of, range(len(table) + 1)).tolist()
+    return [(row, slice(lo, hi)) for row, lo, hi in zip(table, starts, starts[1:]) if lo < hi]
+
+
+def _one_point(f: float) -> np.ndarray:
+    _require_finite("frequency", f)
+    return np.array([f], dtype=float)
+
+
 def fcc_limit(f: float) -> tuple[float, float]:
     """(limit in uV/m, measurement distance in m) for the row containing f."""
-    _require_finite("frequency", f)
-    table = limit_table()
-    if f < table[0].f_low_hz:
-        raise ValueError(f"{f:g} Hz is below the table floor of 9 kHz")
-    for row in table:  # the rows partition the band upward from the floor
-        if f < row.f_high_hz:
-            return row.limit_uv_per_m(f), row.distance_m
-    raise AssertionError("open-ended final row should contain any frequency")
+    ((row, _),) = _row_runs(_one_point(f))
+    return row.limit_uv_per_m(f), row.distance_m
 
 
 @dataclass(frozen=True)
@@ -137,23 +155,23 @@ def field_at(model: FieldDecayModel, d: float) -> float:
     return model.anchor_field * (model.anchor_distance / d) ** model.exponent
 
 
-def _compliance_row(model: FieldDecayModel, f: float) -> dict:
-    limit_uv, distance = fcc_limit(f)
-    field = field_at(model, distance)
-    margin = (limit_uv * 1e-6) / field
-    return {
-        "freq_hz": f,
-        "limit_uv_per_m": limit_uv,
-        "distance_m": distance,
-        "field_uv_per_m": field * 1e6,
-        "margin_factor": margin,
-        "compliant": bool(margin > 1.0),
-    }
+def _compliance_columns(model: FieldDecayModel,
+                        points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(limit uV/m, distance m, field uV/m, margin factor) at each of the ascending ``points``.
+
+    Each table row's limit and field are evaluated once, on its slice of the points.
+    """
+    limit, distance, field = np.empty(len(points)), np.empty(len(points)), np.empty(len(points))
+    for row, run in _row_runs(points):
+        limit[run] = row.limit_uv_per_m(points[run])
+        distance[run] = row.distance_m
+        field[run] = field_at(model, row.distance_m)
+    return limit, distance, field * 1e6, (limit * 1e-6) / field
 
 
 def margin_factor(model: FieldDecayModel, f: float) -> float:
     """Limit over modeled field at the row's measurement distance; > 1 is compliant."""
-    return _compliance_row(model, f)["margin_factor"]
+    return _compliance_columns(model, _one_point(f))[3].item()
 
 
 @dataclass(frozen=True)
@@ -165,7 +183,13 @@ class ComplianceReport:
 def is_unintentional_radiator(model: FieldDecayModel, freqs: FrequencyGrid) -> ComplianceReport:
     """Check the decay model against the limit at every grid frequency.
 
-    Each row is :func:`margin_factor`'s computation at one frequency.
+    Each row holds :func:`margin_factor`'s computation at one frequency, as
+    Python floats and a bool.
     """
-    rows = tuple(_compliance_row(model, f) for f in freqs)
-    return ComplianceReport(compliant=all(r["compliant"] for r in rows), rows=rows)
+    limit, distance, field_uv, margin = _compliance_columns(model, freqs.points)
+    compliant = margin > 1.0
+    columns = (freqs.points, limit, distance, field_uv, margin, compliant)
+    rows = tuple({"freq_hz": f, "limit_uv_per_m": lim, "distance_m": d, "field_uv_per_m": e,
+                  "margin_factor": m, "compliant": ok}
+                 for f, lim, d, e, m, ok in zip(*(column.tolist() for column in columns)))
+    return ComplianceReport(compliant=bool(compliant.all()), rows=rows)

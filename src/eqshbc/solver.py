@@ -8,7 +8,15 @@ inductances, so the system at angular frequency w is
     A(w) = g + jw*c + gamma/(jw),    A(w) x = z.
 
 The stamp is kept on the (immutable) netlist, so repeated solves of one
-circuit stamp it once.
+circuit stamp it once. A stamp is a topology and values: the topology,
+fixed by the element kinds and nodes, places four entries per element
+(and four per source incidence); ground takes a row and column of its
+own that are dropped, as are a source's own entries. The values part
+sums the element admittances into those places with one bincount, in
+element order. A netlist that differs from another only in element
+values (``_with_values``, as the calibrations' root-finding steps use)
+keeps its topology and reruns only the values part, so it gets the very
+matrices a fresh stamp of it would.
 
 A grid is solved in fixed-size frequency blocks: each block's matrices are
 built in one buffer of at most 128 KB (or one matrix, if larger), then pass
@@ -41,7 +49,8 @@ frequency, goes through the one numpy expression ``_gain_db``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -81,14 +90,26 @@ class ACSolution(dict):
     """Complex node-voltage map (node id -> phasor) for one frequency.
 
     Also exposes the source branch currents and any numerical warnings
-    raised during the solve.
+    raised during the solve. ``source_currents`` is a mapping or an
+    iterable of (label, current) pairs, as ``dict`` takes it.
     """
 
-    def __init__(self, voltages: dict[int, complex], source_currents: dict[str, complex],
+    def __init__(self, voltages: dict[int, complex],
+                 source_currents: Mapping[str, complex] | Iterable[tuple[str, complex]],
                  warnings: tuple[str, ...] = ()):
         super().__init__(voltages)
         self.source_currents = dict(source_currents)
         self.warnings = tuple(warnings)
+
+
+class _Topology(NamedTuple):
+    """The part of a stamp fixed by the netlist's kinds, nodes and labels: where each value goes."""
+
+    index: dict[int, int]  # non-ground node -> row
+    sources: tuple[int, ...]  # position in the elements of source k, whose row is len(index) + k
+    source_labels: tuple[str, ...]
+    at: np.ndarray  # bins of the entries, four per element and then four per source
+    has_inductor: bool
 
 
 class _Stamp(NamedTuple):
@@ -98,8 +119,16 @@ class _Stamp(NamedTuple):
     c: np.ndarray
     gamma: np.ndarray | None
     rhs: np.ndarray  # shape (1, unknowns, 1 + unknowns): [z | I] for every frequency
-    index: dict[int, int]  # non-ground node -> row
-    sources: tuple[Element, ...]  # source k -> row len(index) + k
+    topology: _Topology
+
+
+# Stacked matrix of each element kind. A source's own entries go to the
+# fourth, which is dropped: a source stamps only its incidence.
+_MATRIX = {"R": 0, "C": 1, "L": 2, "V": 3}
+# Signs of an admittance's entries (i, i), (j, j), (i, j), (j, i), and of a
+# source's incidence entries (i, r), (r, i), (j, r), (r, j) for its
+# branch-current row r.
+_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 def _stamp(netlist: Netlist) -> _Stamp:
@@ -114,49 +143,74 @@ def _stamp(netlist: Netlist) -> _Stamp:
 
 
 def _build_stamp(netlist: Netlist) -> _Stamp:
+    return _stamp_values(_topology(netlist), netlist.elements)
+
+
+def _topology(netlist: Netlist) -> _Topology:
     nodes = netlist.nodes()
     nodes.discard(netlist.ground)
     index = dict(zip(sorted(nodes), range(len(nodes))))
-    sources = netlist.sources()
+    elements = netlist.elements
+    sources = tuple(k for k, e in enumerate(elements) if e.kind == "V")
     n, size = len(index), len(index) + len(sources)
-    # Entries of g, c and gamma stacked row-major (matrix m, entry (i, j) at
-    # m*size*size + i*size + j), summed in element order by bincount.
+    # Ground is stamped like any node, in a last row and column that are
+    # dropped: (4, size + 1, size + 1) stacked matrices, row-major.
+    width = size + 1
+    row = {**index, netlist.ground: size}
+    base = {kind: m * width * width for kind, m in _MATRIX.items()}
     at: list[int] = []
-    values: list[float] = []
-    has_inductor = False
-    for element in netlist.elements:
-        kind, value, (a, b) = element.kind, element.value, element.nodes
-        if kind == "R":
-            base, y = 0, 1.0 / value
-        elif kind == "C":
-            base, y = size * size, value
-        elif kind == "L":
-            base, y, has_inductor = 2 * size * size, 1.0 / value, True
-        else:
-            continue
-        i, j = index.get(a, -1), index.get(b, -1)
-        if i >= 0:
-            at.append(base + i * size + i)
-            values.append(y)
-        if j >= 0:
-            at.append(base + j * size + j)
-            values.append(y)
-        if i >= 0 and j >= 0:
-            at += (base + i * size + j, base + j * size + i)
-            values += (-y, -y)
+    for element in elements:
+        a, b = element.nodes
+        i, j = row[a], row[b]
+        ii, jj = base[element.kind] + i * width, base[element.kind] + j * width
+        at += (ii + i, jj + j, ii + j, jj + i)
+    for r, k in enumerate(sources, start=n):
+        a, b = elements[k].nodes
+        i, j = row[a], row[b]
+        at += (i * width + r, r * width + i, j * width + r, r * width + j)
+    return _Topology(index, sources, tuple(elements[k].label for k in sources),
+                     np.fromiter(at, np.intp, len(at)), any(e.kind == "L" for e in elements))
+
+
+def _stamp_values(topology: _Topology, elements: tuple[Element, ...]) -> _Stamp:
+    """The stamp of ``elements`` laid out by ``topology``.
+
+    One bincount sums every entry in element order, so a netlist stamped
+    fresh and one restamped on another's topology get the same matrices.
+    """
+    sources = topology.sources
+    n, size = len(topology.index), len(topology.index) + len(sources)
+    y = [1.0 / e.value if e.kind in ("R", "L") else e.value for e in elements]
+    y += [1.0] * len(sources)  # the unit incidence of each branch current
+    weights = (np.fromiter(y, float, len(y))[:, None] * _SIGNS).ravel()
+    width = size + 1
+    m = np.bincount(topology.at, weights, 4 * width * width)
+    m = np.ascontiguousarray(m.reshape(4, width, width)[:3, :size, :size])
+    m.setflags(write=False)
+    g, c, gamma = m
     rhs = np.zeros((1, size, 1 + size), dtype=complex)
     rhs.reshape(-1)[1::size + 2] = 1.0  # the identity: entry (i, 1 + i) of each row i
-    for row, src in enumerate(sources, start=n):
-        for node, sign in ((src.nodes[0], 1.0), (src.nodes[1], -1.0)):
-            i = index.get(node, -1)
-            if i >= 0:
-                at += (i * size + row, row * size + i)
-                values += (sign, sign)
-        rhs[0, row, 0] = src.value
-    m = np.bincount(at, values, 3 * size * size).reshape(3, size, size)
-    m.setflags(write=False)
+    for row, k in enumerate(sources, start=n):
+        rhs[0, row, 0] = elements[k].value
     rhs.setflags(write=False)
-    return _Stamp(m[0], m[1], m[2] if has_inductor else None, rhs, index, sources)
+    return _Stamp(g, c, gamma if topology.has_inductor else None, rhs, topology)
+
+
+def _with_values(netlist: Netlist, values: dict[str, float]) -> Netlist:
+    """``netlist`` with the elements labelled in ``values`` set to those values.
+
+    Each new value passes Element's own check. Nodes and labels stay, so the
+    netlist's topology checks still hold and are not repeated, and the new
+    stamp reuses the netlist's stamp topology.
+    """
+    elements = tuple(replace(e, value=values[e.label]) if e.label in values else e
+                     for e in netlist.elements)
+    restamped = object.__new__(Netlist)
+    # Netlist is frozen: its fields are copied without a second validation,
+    # and the stamp rides along as _stamp keeps it.
+    restamped.__dict__.update(netlist.__dict__, elements=elements,
+                              _mna=_stamp_values(_stamp(netlist).topology, elements))
+    return restamped
 
 
 def _sum_sq(a: np.ndarray) -> np.ndarray:
@@ -208,7 +262,8 @@ def _solve_grid(netlist: Netlist, freqs) -> tuple[np.ndarray, _Stamp, list[str]]
     """
     stamp = _stamp(netlist)
     freqs = np.asarray(freqs, dtype=float)
-    size = len(stamp.index) + len(stamp.sources)
+    index = stamp.topology.index
+    size = len(index) + len(stamp.topology.sources)
     block = max(1, _BLOCK_ENTRIES // (size * size))
     x = np.empty((len(freqs), size), dtype=complex)
     buffer = np.empty((min(block, len(freqs)), size, size), dtype=complex)
@@ -224,18 +279,18 @@ def _solve_grid(netlist: Netlist, freqs) -> tuple[np.ndarray, _Stamp, list[str]]
         try:
             solution = np.linalg.solve(a, stamp.rhs)
         except np.linalg.LinAlgError:
-            _check_condition(a, f, list(range(len(f))), stamp.index, warnings)
+            _check_condition(a, f, list(range(len(f))), index, warnings)
             # An exact zero pivot the singular values missed: name its frequency.
             for k in range(len(f)):
                 try:
                     np.linalg.solve(a[k], stamp.rhs[0, :, :1])
                 except np.linalg.LinAlgError:
-                    raise _singular(a[k], f[k], stamp.index) from None
+                    raise _singular(a[k], f[k], index) from None
             raise
         # Upper bound on cond_2, squared; written so that a NaN bound is not cleared.
         bound_sq = (_sum_sq(a) * _sum_sq(solution[..., 1:])).tolist()
         suspect = [k for k, u in enumerate(bound_sq) if not u <= _CLEARED_BOUND_SQ]
-        _check_condition(a, f, suspect, stamp.index, warnings)
+        _check_condition(a, f, suspect, index, warnings)
         x[start:start + len(f)] = solution[..., 0]
     return x, stamp, warnings
 
@@ -258,15 +313,22 @@ def solve_ac(netlist: Netlist, f: float) -> ACSolution:
     _require_positive("frequency", f)
     x, stamp, warnings = _solve_grid(netlist, (f,))
     row = x[0].tolist()
-    voltages = {netlist.ground: 0j}
-    voltages.update(zip(stamp.index, row))  # index lists the nodes in row order
-    currents = dict(zip((src.label for src in stamp.sources), row[len(stamp.index):]))
-    return ACSolution(voltages, currents, warnings)
+    index = stamp.topology.index  # the nodes in row order; the source currents follow them
+    solution = ACSolution({netlist.ground: 0j},
+                          zip(stamp.topology.source_labels, row[len(index):]), warnings)
+    solution.update(zip(index, row))
+    return solution
 
 
 def _frozen(obj, name: str, dtype) -> np.ndarray:
-    """Replace field ``name`` of a frozen ``obj`` by a read-only 1-D ``dtype`` copy of it."""
-    a = np.array(getattr(obj, name), dtype=dtype)
+    """Replace field ``name`` of a frozen ``obj`` by a read-only 1-D ``dtype`` copy of it.
+
+    A complex input to a real ``dtype`` is rejected, not cut to its real part.
+    """
+    a = getattr(obj, name)
+    if dtype is float and np.iscomplexobj(a):
+        raise ValueError(f"{name} must be real, got complex values")
+    a = np.array(a, dtype=dtype)
     if a.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {a.shape}")
     a.setflags(write=False)
@@ -354,7 +416,7 @@ def transfer(netlist: Netlist, source_label: str, probe: tuple[int, int],
             raise ValueError(f"probe node {p} not present in netlist")
     x, stamp, warnings = _solve_grid(netlist, grid.points)
     plus, minus = (np.zeros(len(x), dtype=complex) if node == netlist.ground
-                   else x[:, stamp.index[node]] for node in probe)
+                   else x[:, stamp.topology.index[node]] for node in probe)
     return SweepResult(freqs=grid.points, gain=(plus - minus) / source.value,
                        source_label=source_label, probe=probe, warnings=tuple(warnings))
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqshbc import bodychannel, config, multiregion, risk
+from eqshbc import bodychannel, config, multiregion, risk, solver
 from eqshbc.bodychannel import (
     ANECHOIC_RETURN_BOOST,
     DEFAULT_COUPLING_MODEL,
@@ -341,6 +341,88 @@ class TestEnvironment:
         assert intra == pytest.approx(-60.0, abs=0.05)
         inter = inter_body_gain_db(InterBodyParams(base=scaled, c_c=21e-12), 500e3)
         assert inter - intra == pytest.approx(-17.08, abs=1.0)
+
+
+def rebuilt_return_scale(target_loss_db, c_c=None, params=BodyChannelParams(), f=500e3):
+    """calibrate_return_scale as a rebuild of the whole circuit at every step."""
+    def gain(scale):
+        scaled = scale_return_path(params, scale)
+        if c_c is None:
+            return intra_body_gain_db(scaled, f)
+        return inter_body_gain_db(InterBodyParams(base=scaled, c_c=c_c), f)
+
+    return _bisect_root(lambda scale: gain(scale) + target_loss_db, 1e-3, 1e3)
+
+
+def rebuilt_anechoic_boost(c_c=21e-12, f=500e3, target_db=10.0):
+    """calibrate_anechoic_boost as a rebuild of the whole circuit at every step."""
+    base = BodyChannelParams()
+    reference = inter_body_gain_db(InterBodyParams(base=base, c_c=c_c), f)
+
+    def rise(boost):
+        boosted = scale_return_path(base, boost)
+        return inter_body_gain_db(InterBodyParams(base=boosted, c_c=c_c), f) - reference
+
+    return _bisect_root(lambda boost: rise(boost) - target_db, 1.0, 50.0)
+
+
+CHAMBER = BodyChannelParams(environment=Environment.ANECHOIC)
+
+
+class TestCalibrationsRestampOneCircuit:
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(1e-3, 1e3), st.sampled_from(list(Environment)), st.booleans())
+    def test_restamped_circuit_is_the_rebuilt_one(self, scale, environment, inter):
+        params = BodyChannelParams(environment=environment)
+        if inter:
+            def build(p):
+                return build_inter_body(InterBodyParams(base=p, c_c=21e-12))
+        else:
+            build = build_intra_body
+        restamped = bodychannel._scaled_return_path(build(params), params, scale)
+        rebuilt = build(scale_return_path(params, scale))
+        assert restamped == rebuilt
+        got, fresh = solver._stamp(restamped), solver._build_stamp(rebuilt)
+        for name in ("g", "c", "rhs"):
+            assert np.array_equal(getattr(got, name), getattr(fresh, name))
+        assert got.gamma is None and fresh.gamma is None
+
+    def test_calibrations_return_the_rebuild_floats(self):
+        assert calibrate_anechoic_boost() == rebuilt_anechoic_boost()
+        assert (calibrate_anechoic_boost(c_c=8e-12, f=2e5, target_db=7.5)
+                == rebuilt_anechoic_boost(c_c=8e-12, f=2e5, target_db=7.5))
+        assert calibrate_return_scale(60.0, params=CHAMBER) == rebuilt_return_scale(60.0, params=CHAMBER)
+        assert calibrate_return_scale(80.0, c_c=21e-12) == rebuilt_return_scale(80.0, c_c=21e-12)
+
+    def test_one_circuit_is_stamped_per_calibration(self, monkeypatch):
+        built = []
+        real_build = solver._build_stamp
+        monkeypatch.setattr(solver, "_build_stamp", lambda net: built.append(net) or real_build(net))
+        calibrate_return_scale(80.0, c_c=21e-12)
+        assert len(built) == 1
+        calibrate_anechoic_boost()
+        assert len(built) == 2
+
+    def test_every_calibration_solve_goes_through_solve_ac(self, solve_calls, monkeypatch):
+        # The benchmark tracer counts calibration solves at bodychannel.solve_ac.
+        calls = []
+        real_solve_ac = bodychannel.solve_ac
+
+        def counting(netlist, f):
+            calls.append(f)
+            return real_solve_ac(netlist, f)
+
+        monkeypatch.setattr(bodychannel, "solve_ac", counting)
+        calibrate_anechoic_boost()
+        calibrate_return_scale(60.0, params=CHAMBER)
+        calibrate_return_scale(80.0, c_c=21e-12)
+        assert calls and len(calls) == len(solve_calls)
+
+    def test_bad_scale_rejected(self):
+        net = build_intra_body(BodyChannelParams())
+        for scale in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="scale"):
+                bodychannel._scaled_return_path(net, BodyChannelParams(), scale)
 
 
 class TestScalarGainIsTheSweepGain:

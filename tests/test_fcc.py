@@ -129,3 +129,35 @@ class TestCompliance:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             FrequencyGrid(points=())
+
+    def test_rows_are_the_per_point_computation(self):
+        # every row of the table, its edges and points just below them
+        edges = [r.f_low_hz for r in limit_table()]
+        points = sorted({*edges, *(math.nextafter(f, 0.0) for f in edges[1:]), 1e5, 5e9})
+        model = FieldDecayModel(anchor_field=0.03, exponent=3.1)
+        report = is_unintentional_radiator(model, FrequencyGrid(points))
+        assert len(report.rows) == len(points)
+        for f, row in zip(points, report.rows):
+            table_row = next(r for r in limit_table() if f < r.f_high_hz)  # a linear scan
+            limit, distance = table_row.limit_uv_per_m(f), table_row.distance_m
+            assert fcc_limit(f) == (limit, distance)
+            field = field_at(model, distance)
+            margin = (limit * 1e-6) / field
+            assert list(row.items()) == [
+                ("freq_hz", f), ("limit_uv_per_m", limit), ("distance_m", distance),
+                ("field_uv_per_m", field * 1e6), ("margin_factor", margin),
+                ("compliant", margin > 1.0)]
+            assert [type(v) for v in row.values()] == [float] * 5 + [bool]
+            assert margin_factor(model, f) == margin
+        assert report.compliant is all(r["compliant"] for r in report.rows)
+
+    def test_grid_below_floor_rejected_at_its_first_point(self):
+        with pytest.raises(ValueError, match="^5000 Hz is below the table floor of 9 kHz$"):
+            is_unintentional_radiator(DEFAULT_FIELD_MODEL, FrequencyGrid([5e3, 8e3, 1e5]))
+
+    @pytest.mark.parametrize("f", [8e3, math.nan])
+    def test_margin_factor_rejects_what_fcc_limit_does(self, f):
+        with pytest.raises(ValueError):
+            fcc_limit(f)
+        with pytest.raises(ValueError):
+            margin_factor(DEFAULT_FIELD_MODEL, f)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -451,6 +452,82 @@ class TestStampOnce:
         assert len(built) == 2 and built[1] is twin
 
 
+def loop_stamp(netlist):
+    """Textbook MNA stamp of g, c and gamma, summed entry by entry in element order."""
+    index = {node: i for i, node in enumerate(sorted(netlist.nodes() - {netlist.ground}))}
+    sources = netlist.sources()
+    size = len(index) + len(sources)
+    g, c, gamma = (np.zeros((size, size)) for _ in range(3))
+    for e in netlist.elements:
+        if e.kind == "V":
+            continue
+        m, y = {"R": (g, 1.0 / e.value), "C": (c, e.value), "L": (gamma, 1.0 / e.value)}[e.kind]
+        i, j = (index.get(node) for node in e.nodes)
+        if i is not None:
+            m[i, i] += y
+        if j is not None:
+            m[j, j] += y
+        if i is not None and j is not None:
+            m[i, j] -= y
+            m[j, i] -= y
+    for r, src in enumerate(sources, start=len(index)):
+        for node, sign in zip(src.nodes, (1.0, -1.0)):
+            if node in index:
+                g[index[node], r] += sign
+                g[r, index[node]] += sign
+    return g, c, gamma
+
+
+@st.composite
+def grounded_netlists(draw):
+    """Connected R/C/L/V netlists: a spanning tree from ground plus extra branches."""
+    n = draw(st.integers(2, 7))
+    pairs = [(k, draw(st.integers(0, k - 1))) for k in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                           .filter(lambda p: p[0] != p[1]), max_size=8))
+    elements = []
+    for k, (a, b) in enumerate(pairs):
+        kind = draw(st.sampled_from("RCLV"))
+        elements.append(Element(kind, draw(st.floats(1e-12, 1e6)), (a, b), f"{kind}{k}"))
+    return Netlist(tuple(elements))
+
+
+class TestStampIsTheTextbookLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(grounded_netlists())
+    def test_stamp_equals_the_loop_bit_for_bit(self, netlist):
+        stamp = solver._build_stamp(netlist)
+        g, c, gamma = loop_stamp(netlist)
+        assert np.array_equal(stamp.g, g) and np.array_equal(stamp.c, c)
+        if any(e.kind == "L" for e in netlist.elements):
+            assert np.array_equal(stamp.gamma, gamma)
+        else:
+            assert stamp.gamma is None
+
+
+class TestRestamp:
+    LADDER = parse_netlist("V1 1 0 2.5\nR1 1 2 1k\nC1 2 0 1n\nL1 2 3 1m\nR2 3 0 50\nC2 3 4 2p\n"
+                           "R3 4 0 1M\nV2 5 4 0\nC3 5 0 3p")
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.dictionaries(st.sampled_from(["V1", "R1", "C1", "L1", "R2", "C2", "R3", "C3"]),
+                           st.floats(1e-15, 1e6)))
+    def test_restamp_equals_a_fresh_stamp(self, values):
+        restamped = solver._with_values(self.LADDER, values)
+        rebuilt = Netlist(tuple(replace(e, value=values.get(e.label, e.value))
+                                for e in self.LADDER.elements))
+        assert restamped == rebuilt
+        got, fresh = solver._stamp(restamped), solver._build_stamp(rebuilt)
+        assert got.topology is solver._stamp(self.LADDER).topology
+        for name in ("g", "c", "gamma", "rhs"):
+            assert np.array_equal(getattr(got, name), getattr(fresh, name))
+
+    @pytest.mark.parametrize("value", [0.0, -1e-12, math.nan, math.inf])
+    def test_restamp_checks_each_value(self, value):
+        with pytest.raises(ValueError, match="C1"):
+            solver._with_values(self.LADDER, {"C1": value})
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("points", [(1.0, math.inf), (math.nan, 1.0), (1.0, math.nan, 3.0),
                                         (-math.inf, 1.0)])
@@ -526,6 +603,14 @@ class TestArrayTypes:
     def test_sweep_result_rejects(self, freqs, gain):
         with pytest.raises(ValueError):
             SweepResult(freqs=freqs, gain=gain, source_label="V1", probe=(1, 0))
+
+    @pytest.mark.parametrize("points", [np.array([1.0 + 1.0j, 2.0]),
+                                        np.array([1.0, 2.0], dtype=complex), [1.0, 2j]])
+    def test_complex_frequencies_rejected(self, points):
+        with pytest.raises(ValueError, match="points must be real"):
+            FrequencyGrid(points)
+        with pytest.raises(ValueError, match="freqs must be real"):
+            SweepResult(freqs=points, gain=[1.0, 2.0], source_label="V1", probe=(1, 0))
 
     def test_zero_gain_is_minus_inf_db_without_a_warning(self):
         res = SweepResult(freqs=[1.0, 2.0], gain=[0j, -0.1], source_label="V1", probe=(1, 0))
