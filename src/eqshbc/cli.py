@@ -37,6 +37,9 @@ from .solver import FrequencyGrid, sweep_csv, transfer
 
 __all__ = ["main"]
 
+# The band grid that solve, sweep and regions take when --grid is absent.
+_BAND_GRID = "1e5:1e9:200"
+
 
 def _parse_grid(spec: str) -> FrequencyGrid:
     try:
@@ -104,7 +107,7 @@ def _cmd_sweep(args) -> None:
         cfg["load.value"] = float(value)
     region_config = cfgmod.region_config_from_config(cfg, args.env)
     eqs = region_config.eqs_sweep(args.grid)
-    total = total_response(eqs, region_config.em, region_config.device, args.grid)
+    total = total_response(eqs, region_config.em, region_config.device)
     labels = [label.value for label in classify_sweep(region_config, eqs)]
     _emit(sweep_csv(total, regions=labels), args.out)
 
@@ -198,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--netlist", required=True)
     p.add_argument("--source", default="V1", help="voltage source label (default V1)")
     p.add_argument("--probe", type=_parse_probe, required=True, metavar="N+,N-")
-    p.add_argument("--grid", type=_parse_grid, default="1e5:1e9:200")
+    p.add_argument("--grid", type=_parse_grid, default=_BAND_GRID)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_solve)
 
@@ -207,14 +210,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="config path or bundled name (inter_body.cfg)")
     p.add_argument("--env", choices=["open_air", "anechoic"])
     p.add_argument("--load", help="override load, e.g. resistive:50 or capacitive:1e-12")
-    p.add_argument("--grid", type=_parse_grid, default="1e5:1e9:200")
+    p.add_argument("--grid", type=_parse_grid, default=_BAND_GRID)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("attack", help="snooper SNR and feasibility as JSON")
     p.add_argument("--snr", type=float, required=True, help="intended receiver SNR in dB")
     p.add_argument("--distance", type=float, required=True, help="attacker distance in m")
-    p.add_argument("--threshold", type=float, default=6.0)
+    p.add_argument("--threshold", type=float, default=AttackScenario.snr_threshold_db)
     p.add_argument("--config", help="optional config with coupling.* overrides")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_attack)
@@ -240,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regions", help="region map and crossover frequencies as JSON")
     p.add_argument("--scenario", default="inter_body.cfg")
     p.add_argument("--env", choices=["open_air", "anechoic"])
-    p.add_argument("--grid", type=_parse_grid, default="1e5:1e9:200")
+    p.add_argument("--grid", type=_parse_grid, default=_BAND_GRID)
     p.add_argument("--sensitivity-db", type=float,
                    help="also report max detection distance for this channel-gain floor")
     p.add_argument("--out")
@@ -253,9 +256,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, ArithmeticError, OSError) as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__,
-                                     "message": str(exc)}) + "\n")
+    except (ValueError, ArithmeticError, KeyError, OSError) as exc:
+        # str() of a KeyError is the repr of its argument; report the message itself
+        message = exc.args[0] if isinstance(exc, KeyError) else str(exc)
+        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": message}) + "\n")
         return 1
     return 0
 

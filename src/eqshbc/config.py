@@ -14,8 +14,7 @@ Coupling:     coupling.anchors (list of [meters, farads]), coupling.d0
 Multi-region: multiregion.em_height, multiregion.em_q,
               multiregion.em_ref_db, multiregion.device_length,
               multiregion.device_ref_db, multiregion.anechoic_em_attenuation_db
-Attack:       snr_intended_db, attacker_distance, snr_threshold_db
-Interference: v_sig_user, interferers (list of [volts, meters]), sir_min_db
+Interference: interferers (list of [volts, meters]), read by the sir command
 Field decay:  fcc.anchor_field, fcc.anchor_distance, fcc.exponent
 
 ``load.kind`` and ``environment`` take strings, ``coupling.anchors`` and
@@ -92,8 +91,7 @@ _KNOWN_KEYS = frozenset((
     *_BODY_KEYS, *_EM_KEYS, *_DEVICE_KEYS, *_FIELD_KEYS,
     "load.kind", "load.value", "environment", "c_c", "c_body2",
     "coupling.anchors", "coupling.d0", "multiregion.anechoic_em_attenuation_db",
-    "snr_intended_db", "attacker_distance", "snr_threshold_db",
-    "v_sig_user", "interferers", "sir_min_db",
+    "interferers",
 ))
 # Each known key takes one kind of value; the keys named here are the
 # non-numeric ones, every other key takes a finite real number.

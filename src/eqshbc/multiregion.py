@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -200,7 +200,7 @@ class RegionConfig:
     channel: InterBodyParams
     em: EmBodyModel
     device: DeviceModel
-    _netlist: Netlist = None  # type: ignore[assignment]
+    _netlist: Netlist = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_netlist", build_inter_body(self.channel))
@@ -238,21 +238,17 @@ def default_region_config(environment: Environment | str = Environment.OPEN_AIR)
     return config.region_config_from_config(cfg, environment)
 
 
-def total_response(eqs_sweep: SweepResult, em: EmBodyModel, device: DeviceModel,
-                   grid: FrequencyGrid) -> SweepResult:
+def total_response(eqs_sweep: SweepResult, em: EmBodyModel, device: DeviceModel) -> SweepResult:
     """Incoherent (power-sum) combination of the three mechanisms.
 
     The result is magnitude-only; it dominates every individual mechanism
     at every frequency and degenerates to the quasistatic sweep when both
-    EM references are -inf.
+    EM references are -inf. It is taken at the sweep's own frequencies.
     """
     f = eqs_sweep.freqs
-    if not np.array_equal(grid.points, f):
-        raise ValueError("grid does not match the quasistatic sweep")
     em_db, dev_db = body_em_pair_gain(em, f), device_pair_gain(device, f)
     power = np.abs(eqs_sweep.gain) ** 2 + (10.0 ** (em_db / 10.0) + 10.0 ** (dev_db / 10.0))
-    return SweepResult(freqs=f, gain=np.sqrt(power), source_label=eqs_sweep.source_label,
-                       probe=eqs_sweep.probe, warnings=eqs_sweep.warnings)
+    return SweepResult(freqs=f, gain=np.sqrt(power), warnings=eqs_sweep.warnings)
 
 
 _MECHANISM = {

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -139,8 +140,7 @@ class Netlist:
     """
 
     elements: tuple[Element, ...]
-    ground: int = 0
-    node_count: int = field(init=False, default=0)
+    ground: ClassVar[int] = 0
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
@@ -157,7 +157,6 @@ class Netlist:
         if floating:
             raise NetlistError(
                 f"floating nodes with no path to ground: {sorted(floating)}")
-        object.__setattr__(self, "node_count", len(nodes))
 
     def nodes(self) -> set[int]:
         out: set[int] = set()

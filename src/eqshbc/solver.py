@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -366,10 +366,15 @@ class FrequencyGrid:
     @classmethod
     def log(cls, start: float = 1e5, stop: float = 1e9, n: int = 200) -> "FrequencyGrid":
         """Log-spaced grid; defaults cover 100 kHz - 1 GHz."""
+        # checked before numpy, which warns on a NaN, infinite or negative end
+        _require_positive("start", start)
+        _require_positive("stop", stop)
         return cls(np.geomspace(start, stop, n))
 
     @classmethod
     def linear(cls, start: float, stop: float, n: int) -> "FrequencyGrid":
+        _require_positive("start", start)
+        _require_positive("stop", stop)
         return cls(np.linspace(start, stop, n))
 
 
@@ -383,9 +388,7 @@ class SweepResult:
 
     freqs: np.ndarray
     gain: np.ndarray
-    source_label: str
-    probe: tuple[int, int]
-    warnings: tuple[str, ...] = field(default_factory=tuple)
+    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         freqs, gain = _frozen(self, "freqs", float), _frozen(self, "gain", complex)
@@ -418,7 +421,7 @@ def transfer(netlist: Netlist, source_label: str, probe: tuple[int, int],
     plus, minus = (np.zeros(len(x), dtype=complex) if node == netlist.ground
                    else x[:, stamp.topology.index[node]] for node in probe)
     return SweepResult(freqs=grid.points, gain=(plus - minus) / source.value,
-                       source_label=source_label, probe=probe, warnings=tuple(warnings))
+                       warnings=tuple(warnings))
 
 
 def sweep_csv(result: SweepResult, regions: list[str] | None = None) -> str:

@@ -118,7 +118,7 @@ class TestSweepAnalyses:
     def test_total_response_and_detection_distances_match_per_point(self, drawn, grid, floor):
         config_, cfg = drawn
         eqs = config_.eqs_sweep(grid)
-        total = total_response(eqs, config_.em, config_.device, grid)
+        total = total_response(eqs, config_.em, config_.device)
         per_point = [math.sqrt(abs(g) ** 2 + 10.0 ** (body_em_pair_gain(config_.em, f) / 10.0)
                                + 10.0 ** (device_pair_gain(config_.device, f) / 10.0))
                      for f, g in zip(grid, eqs.gain)]

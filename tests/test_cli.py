@@ -1,11 +1,29 @@
+import contextlib
+import io
 import json
+import warnings
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqshbc.cli import _build_parser, _parse_grid, main
 from eqshbc.solver import FrequencyGrid
 from perfbench.golden import GOLDEN_DIR, cases
+
+RC_DIVIDER = str(resources.files("eqshbc.data").joinpath("rc_divider.cir"))
+INTER_BODY_TEXT = (resources.files("eqshbc.data") / "inter_body.cfg").read_text()
+# Keys that earlier versions accepted and then ignored; a config setting one is an error.
+REMOVED_KEYS = ("snr_intended_db", "attacker_distance", "snr_threshold_db",
+                "v_sig_user", "sir_min_db")
+
+
+def scenario_with(line: str) -> str:
+    """inter_body.cfg with ``line`` in place of the line setting the same key."""
+    key = line.split("=")[0].strip()
+    kept = [row for row in INTER_BODY_TEXT.splitlines() if not row.startswith(f"{key} =")]
+    return "\n".join(kept + [line]) + "\n"
 
 
 def run(capsys, *argv):
@@ -27,8 +45,7 @@ class TestSolve:
         assert len(lines) == 51
 
     def test_bundled_divider_netlist(self, capsys):
-        path = str(resources.files("eqshbc.data").joinpath("rc_divider.cir"))
-        code, out, _ = run(capsys, "solve", "--netlist", path, "--probe", "2,0",
+        code, out, _ = run(capsys, "solve", "--netlist", RC_DIVIDER, "--probe", "2,0",
                            "--grid", "1.59155e5:2e5:1")
         assert code == 0
         first_row = out.strip().splitlines()[1].split(",")
@@ -192,11 +209,8 @@ class TestScenarioValidation:
         ("c_gtx = 1e-9", "unknown config key 'c_gtx'"),
     ])
     def test_bad_scenario_is_one_json_error_line(self, capsys, tmp_path, line, message):
-        text = (resources.files("eqshbc.data") / "inter_body.cfg").read_text()
-        key = line.split(" = ")[0]
-        kept = [row for row in text.splitlines() if not row.startswith(f"{key} =")]
         scenario = tmp_path / "bad.cfg"
-        scenario.write_text("\n".join(kept + [line]) + "\n")
+        scenario.write_text(scenario_with(line))
         for argv in (["sweep", "--scenario", str(scenario)],
                      ["regions", "--scenario", str(scenario)]):
             code, out, err = run(capsys, *argv)
@@ -247,6 +261,134 @@ class TestScenarioValidation:
         record = json.loads(err)
         assert record["error"] == "NetlistError"
         assert "line 2" in record["message"] and "finite" in record["message"]
+
+
+class TestRemovedConfigKeys:
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_is_one_json_error_line(self, capsys, tmp_path, key):
+        scenario = tmp_path / "removed.cfg"
+        scenario.write_text(scenario_with(f"{key} = 20"))
+        for argv in (["attack", "--snr", "10", "--distance", "1", "--config", str(scenario)],
+                     ["sir", "--v-sig", "1", "--interferer", "1:1", "--config", str(scenario)],
+                     ["regions", "--scenario", str(scenario)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.count("\n") == 1
+            assert json.loads(err) == {"error": "ConfigError",
+                                       "message": f"{scenario}: unknown config key {key!r}"}
+
+
+class TestArgumentErrors:
+    def test_unknown_source_label_is_one_json_error_line(self, capsys):
+        code, out, err = run(capsys, "solve", "--netlist", RC_DIVIDER, "--source", "VX",
+                             "--probe", "2,0")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "KeyError",
+                                   "message": "no voltage source labelled 'VX'"}
+
+    @pytest.mark.parametrize("grid", ["20:-1:2log", "inf:1e9:5", "1e5:1e400:5log", "1e5:inf:5lin"])
+    def test_grid_with_a_bad_end_is_a_usage_error_without_a_warning(self, capsys, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                main(["regions", "--grid", grid])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Warning" not in err
+        assert f"got {grid!r}" in err
+
+
+# Argument values that no command may turn into a traceback or a numpy warning.
+ODD_TOKENS = ("nan", "inf", "-inf", "1e400", "-0", "0", "-1", "", "abc")
+
+
+def numbers(*usual: str):
+    """A usual value or an odd token, each about half the time."""
+    return st.one_of(st.sampled_from(usual), st.sampled_from(ODD_TOKENS))
+
+
+GRIDS = st.one_of(
+    st.builds("{}:{}:{}{}".format, numbers("1e5", "2e6", "20"), numbers("3e7", "1e9"),
+              st.sampled_from(("1", "2", "7", "30", "0", "-1", "abc")),
+              st.sampled_from(("", "log", "lin"))),
+    st.sampled_from(ODD_TOKENS))
+
+
+@pytest.fixture(scope="module")
+def config_files(tmp_path_factory):
+    """(usable, faulty) config arguments: the bundled names and files of each kind of fault."""
+    folder = tmp_path_factory.mktemp("configs")
+
+    def write(name: str, line: str) -> str:
+        path = folder / name
+        path.write_text(scenario_with(line))
+        return str(path)
+
+    faults = ["c_c 21e-12", "c_gtx = 1e-9", 'c_body = "abc"', "load.kind = 3", "c_body = NaN",
+              *(f"{key} = 20" for key in REMOVED_KEYS)]
+    usable = ["inter_body.cfg", "intra_body.cfg", write("interferers.cfg", "interferers = [[0.5, 2.0]]")]
+    faulty = [str(folder / "missing.cfg"),
+              *(write(f"fault{k}.cfg", line) for k, line in enumerate(faults))]
+    return usable, faulty
+
+
+def grammar(usable: list[str], faulty: list[str]) -> dict:
+    """Each subcommand's flags as (flag, values, fewest, most uses); --out is left out."""
+    config = st.one_of(st.sampled_from(usable), st.sampled_from(faulty))
+    env = st.sampled_from(("open_air", "anechoic", "abc"))
+    return {
+        "solve": [("--netlist", st.sampled_from((RC_DIVIDER, RC_DIVIDER, "/no/such/file.cir")), 1, 1),
+                  ("--source", st.sampled_from(("V1", "VX", "R1", "", "abc")), 0, 1),
+                  ("--probe", st.sampled_from(("2,0", "1,2", "9,0", "2,-1", "a,b", "", "2")), 1, 1),
+                  ("--grid", GRIDS, 0, 1)],
+        "sweep": [("--scenario", config, 1, 1), ("--env", env, 0, 1),
+                  ("--load", st.builds("{}:{}".format, st.sampled_from(
+                      ("resistive", "capacitive", "abc")), numbers("50", "1e-12")), 0, 1),
+                  ("--grid", GRIDS, 0, 1)],
+        "attack": [("--snr", numbers("10", "30"), 1, 1),
+                   ("--distance", numbers("1", "0.5", "7"), 1, 1),
+                   ("--threshold", numbers("6", "9"), 0, 1), ("--config", config, 0, 1)],
+        "sir": [("--v-sig", numbers("1", "0.2"), 1, 1),
+                ("--interferer", st.builds("{}:{}".format, numbers("1", "0.5"),
+                                           numbers("1", "3")), 0, 2),
+                ("--v-each", numbers("1"), 0, 1), ("--d-each", numbers("1", "2"), 0, 1),
+                ("--sir-min", numbers("6", "-3"), 0, 1), ("--config", config, 0, 1)],
+        "fcc": [("--freq", numbers("1e5", "2e7", "5e3"), 0, 1),
+                ("--grid", GRIDS, 0, 1), ("--config", config, 0, 1)],
+        "regions": [("--scenario", config, 0, 1), ("--env", env, 0, 1), ("--grid", GRIDS, 0, 1),
+                    ("--sensitivity-db", numbers("-95", "-60"), 0, 1)],
+    }
+
+
+def _reject_constant(literal: str):
+    raise ValueError(f"non-finite JSON number {literal}")
+
+
+class TestArgvFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_and_output_for_any_argv(self, config_files, data):
+        flags = grammar(*config_files)
+        command = data.draw(st.sampled_from(sorted(flags)))
+        argv = [command]
+        for flag, values, fewest, most in flags[command]:
+            for _ in range(data.draw(st.integers(fewest, most))):
+                argv += [flag, data.draw(values)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2
+                return
+        if code == 1:
+            record = json.loads(err.getvalue().splitlines()[-1])
+            assert set(record) == {"error", "message"}
+        else:
+            assert code == 0
+            text = out.getvalue()
+            if not text.startswith("freq_hz,"):
+                json.loads(text, parse_constant=_reject_constant)
 
 
 class TestGridSpec:

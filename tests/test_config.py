@@ -1,9 +1,12 @@
+import json
 import re
 
 import pytest
 
 from eqshbc.bodychannel import Environment
+from eqshbc.cli import main
 from eqshbc.config import (
+    _KNOWN_KEYS,
     ConfigError,
     body_params_from_config,
     coupling_model_from_config,
@@ -199,3 +202,36 @@ class TestBundledScenario:
         reference = default_region_config("anechoic")
         assert chamber.em.ref_db == pytest.approx(reference.em.ref_db, abs=1e-4)
         assert chamber.eqs_gain_db(5e5) == pytest.approx(-70.0, abs=0.05)
+
+
+def _perturbed(key: str, value):
+    """A different value of the same kind for ``key``."""
+    if key == "coupling.anchors":
+        return [[d, 1.5 * c] for d, c in value]  # scale the anchor capacitances
+    if key == "interferers":
+        return [[1.5 * v, d] for v, d in value]
+    if isinstance(value, str):
+        return {"capacitive": "resistive", "open_air": "anechoic"}[value]
+    return 1.5 * value
+
+
+class TestEveryKeyIsRead:
+    @pytest.mark.parametrize("key", sorted(_KNOWN_KEYS))
+    def test_changing_the_key_changes_what_is_read(self, capsys, tmp_path, key):
+        # inter_body.cfg sets every known key but interferers, which sir reads
+        base = {**load_config("inter_body.cfg"), "interferers": [[0.5, 2.0]]}
+        if key in ("anechoic_boost", "multiregion.anechoic_em_attenuation_db"):
+            base["environment"] = "anechoic"  # both act in the chamber only
+        assert key in base, f"{key!r} is a known key with no value here to perturb"
+        readings = []
+        for cfg in (base, {**base, key: _perturbed(key, base[key])}):
+            path = tmp_path / "scenario.cfg"
+            path.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in cfg.items()))
+            if key == "interferers":
+                assert main(["sir", "--v-sig", "1", "--config", str(path)]) == 0
+                readings.append(capsys.readouterr().out)
+            else:
+                cfg = load_config(str(path))
+                readings.append((region_config_from_config(cfg), coupling_model_from_config(cfg),
+                                 field_model_from_config(cfg)))
+        assert readings[0] != readings[1]

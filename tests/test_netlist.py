@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from eqshbc.netlist import (
     Element,
@@ -10,6 +11,7 @@ from eqshbc.netlist import (
     parse_netlist,
     parse_si_value,
 )
+from test_solver import grounded_netlists
 
 
 class TestSiValues:
@@ -44,7 +46,7 @@ class TestParse:
     def test_three_element_divider(self):
         net = parse_netlist("V1 1 0 1.0\nR1 1 2 1000\nC1 2 0 1e-9")
         assert len(net.elements) == 3
-        assert net.node_count == 3
+        assert len(net.nodes()) == 3
         assert net.ground == 0
         kinds = [e.kind for e in net.elements]
         assert kinds == ["V", "R", "C"]
@@ -117,7 +119,12 @@ class TestRoundTrip:
         net = parse_netlist("V1 1 0 1.0\nR1 1 2 4.7k\nC1 2 0 1n\nL1 2 3 10u\nR2 3 0 50")
         again = parse_netlist(format_netlist(net, header="round trip"))
         assert again.elements == net.elements
-        assert again.node_count == net.node_count
+        assert again.nodes() == net.nodes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(grounded_netlists())
+    def test_any_netlist_round_trips_to_an_equal_one(self, net):
+        assert parse_netlist(format_netlist(net)) == net
 
     def test_netlist_is_immutable(self):
         net = parse_netlist("V1 1 0 1.0\nR1 1 0 50")

@@ -232,7 +232,7 @@ class TestGridAndCsv:
 
     def test_sweep_result_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            SweepResult(freqs=(1.0, 2.0), gain=(1 + 0j,), source_label="V1", probe=(1, 0))
+            SweepResult(freqs=(1.0, 2.0), gain=(1 + 0j,))
 
     def test_csv_shape_and_determinism(self):
         grid = FrequencyGrid.log(1e4, 1e6, 5)
@@ -575,7 +575,7 @@ class TestArrayTypes:
     @given(increasing_arrays())
     def test_sweep_arrays_are_read_only_copies(self, x):
         gain = x * (0.5 - 0.25j)
-        res = SweepResult(freqs=x, gain=gain, source_label="V1", probe=(1, 0))
+        res = SweepResult(freqs=x, gain=gain)
         assert res.freqs.dtype == np.float64 and res.gain.dtype == np.complex128
         for array in (res.freqs, res.gain):
             with pytest.raises(ValueError):
@@ -602,7 +602,7 @@ class TestArrayTypes:
     ])
     def test_sweep_result_rejects(self, freqs, gain):
         with pytest.raises(ValueError):
-            SweepResult(freqs=freqs, gain=gain, source_label="V1", probe=(1, 0))
+            SweepResult(freqs=freqs, gain=gain)
 
     @pytest.mark.parametrize("points", [np.array([1.0 + 1.0j, 2.0]),
                                         np.array([1.0, 2.0], dtype=complex), [1.0, 2j]])
@@ -610,10 +610,10 @@ class TestArrayTypes:
         with pytest.raises(ValueError, match="points must be real"):
             FrequencyGrid(points)
         with pytest.raises(ValueError, match="freqs must be real"):
-            SweepResult(freqs=points, gain=[1.0, 2.0], source_label="V1", probe=(1, 0))
+            SweepResult(freqs=points, gain=[1.0, 2.0])
 
     def test_zero_gain_is_minus_inf_db_without_a_warning(self):
-        res = SweepResult(freqs=[1.0, 2.0], gain=[0j, -0.1], source_label="V1", probe=(1, 0))
+        res = SweepResult(freqs=[1.0, 2.0], gain=[0j, -0.1])
         assert res.gain_db().tolist() == [-math.inf, -20.0]
 
     def test_sweeps_compare_by_identity(self):
