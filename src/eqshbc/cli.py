@@ -2,8 +2,9 @@
 
 Output is deterministic: stable ordering, floats forced through 9
 significant digits, so repeated runs with identical inputs are
-byte-identical. Exit codes: 0 success, 1 model/solver error (with a
-machine-readable JSON line on stderr), 2 usage error.
+byte-identical. JSON is laid out as ``json.dumps(..., sort_keys=True,
+indent=2)`` lays it out. Exit codes: 0 success, 1 model/solver error (with
+a machine-readable JSON line on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import config as cfgmod
@@ -39,6 +42,8 @@ __all__ = ["main"]
 
 # The band grid that solve, sweep and regions take when --grid is absent.
 _BAND_GRID = "1e5:1e9:200"
+# Most points a --grid may ask for, checked before any array is allocated.
+_MAX_GRID_POINTS = 10**6
 
 
 def _parse_grid(spec: str) -> FrequencyGrid:
@@ -46,10 +51,13 @@ def _parse_grid(spec: str) -> FrequencyGrid:
         start, stop, count = spec.split(":")
         build = FrequencyGrid.linear if count.endswith("lin") else FrequencyGrid.log
         n = int(count[:-3]) if count[-3:] in ("lin", "log") else int(count)
-        return build(float(start), float(stop), n)
+        if n <= _MAX_GRID_POINTS:
+            return build(float(start), float(stop), n)
     except (ValueError, TypeError):
         raise argparse.ArgumentTypeError(
             f"grid must be 'start:stop:N[log|lin]', got {spec!r}") from None
+    raise argparse.ArgumentTypeError(
+        f"grid has {n} points; at most {_MAX_GRID_POINTS} are allowed")
 
 
 def _parse_probe(spec: str) -> tuple[int, int]:
@@ -68,14 +76,44 @@ def _parse_pair(spec: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"expected 'volts:meters', got {spec!r}") from None
 
 
-def _round9(obj):
+def _round9(x: float) -> float:
+    return float(f"{x:.9g}")
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) writes it,
+    after rounding each float with _round9; dict keys are str.
+
+    ``indent`` is a newline plus the indentation of the line obj starts
+    on. A NaN or infinity raises json's ValueError.
+    """
     if isinstance(obj, float):
-        return float(f"{obj:.9g}")
+        x = _round9(obj)
+        if not math.isfinite(x):
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
+        return float.__repr__(x)
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {k: _round9(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_json_str(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)]
+        ) + indent + "}"
+    if isinstance(obj, str):
+        return _json_str(obj)
     if isinstance(obj, (list, tuple)):
-        return [_round9(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + indent + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -86,7 +124,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(record: dict, out: str | None) -> None:
-    _emit(json.dumps(_round9(record), sort_keys=True, indent=2, allow_nan=False) + "\n", out)
+    _emit(_json_text(record) + "\n", out)
 
 
 def _load_scenario(args) -> dict:

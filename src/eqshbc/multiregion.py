@@ -159,14 +159,31 @@ def monopole_rad_resistance(length: float, f: float) -> float:
 
 
 def _resonant_shape_db(f, f_res: float, q: float):
-    """Peak-normalized resonant pair response in dB (0 dB at f_res); validates f."""
+    """Peak-normalized resonant pair response in dB (0 dB at f_res); validates f.
+
+    A response outside the float range, from an extreme but finite f, f_res
+    or q, raises ValueError instead of turning into inf or NaN.
+    """
     if isinstance(f, np.ndarray):
         _require_each(_require_positive, "frequency", f)
-        log10 = np.log10
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return _shape_db(np.log10, f / f_res, q)
+        except FloatingPointError:
+            pass
     else:
         _require_positive("frequency", f)
-        log10 = math.log10
-    u = f / f_res
+        try:
+            shape = _shape_db(math.log10, f / f_res, q)
+        except (ZeroDivisionError, ValueError):  # q * q == 0.0, or log10(0.0)
+            shape = math.nan
+        if math.isfinite(shape):
+            return shape
+    raise ValueError(f"resonant response with f_res = {f_res:g} Hz and q = {q:g} "
+                     "is out of the float range in this band")
+
+
+def _shape_db(log10, u, q):
     # squares as products, as numpy evaluates ** 2: both paths round alike up to the log
     u2, v = u * u, u / q
     return 20.0 * log10(u2 / ((1.0 - u2) * (1.0 - u2) + v * v) / (q * q))
@@ -247,7 +264,8 @@ def total_response(eqs_sweep: SweepResult, em: EmBodyModel, device: DeviceModel)
     """
     f = eqs_sweep.freqs
     em_db, dev_db = body_em_pair_gain(em, f), device_pair_gain(device, f)
-    power = np.abs(eqs_sweep.gain) ** 2 + (10.0 ** (em_db / 10.0) + 10.0 ** (dev_db / 10.0))
+    with np.errstate(over="raise"):  # an extreme reference gain raises FloatingPointError
+        power = np.abs(eqs_sweep.gain) ** 2 + (10.0 ** (em_db / 10.0) + 10.0 ** (dev_db / 10.0))
     return SweepResult(freqs=f, gain=np.sqrt(power), warnings=eqs_sweep.warnings)
 
 
@@ -284,14 +302,27 @@ def classify_grid(config: RegionConfig, grid: FrequencyGrid) -> list[RegionLabel
     return classify_sweep(config, config.eqs_sweep(grid))
 
 
+# The crossover scan: 241 log-spaced points over [f_lo, f_hi], evaluated 80
+# intervals (a third of the band) at a time. On the default band the pinned
+# 1 MHz and 10 MHz handoffs sit at intervals 60 and 120, inside the first
+# and second chunks rather than on a chunk edge.
+_SCAN_POINTS = 241
+_SCAN_CHUNK = 80
+
+
 def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
                         region_b: RegionLabel,
                         f_lo: float = 1e5, f_hi: float = 1e9) -> float:
     """Smallest frequency where dominance flips between two mechanisms.
 
     The regions must map to adjacent mechanisms (quasistatic/EM-body or
-    EM-body/device); only those two are evaluated. Located by scanning for
-    the first sign change of the gain difference, then :func:`_bisect_root`.
+    EM-body/device); only those two are evaluated. Located by scanning 241
+    log-spaced points for the first sign change of the gain difference,
+    then :func:`_bisect_root`. Where the quasistatic mechanism takes part,
+    the scan runs upward in chunks of 81 points that share their end points
+    and stops at the first chunk holding a zero or a sign change, so the
+    circuit is not solved above the crossover; the bracket, and so the
+    root, is that of the whole scan.
     """
     _require_positive("f_lo", f_lo)
     _require_positive("f_hi", f_hi)
@@ -307,18 +338,23 @@ def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
     def diff(f):
         return config._mechanism_db(mech_b, f) - config._mechanism_db(mech_a, f)
 
-    scan = np.geomspace(f_lo, f_hi, 241)
-    sign = np.sign(diff(scan))
-    # scan points where the difference is zero or flips sign before the next one
-    hits = np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))
-    if not hits.size:
-        raise CrossoverError(
-            f"{region_a} and {region_b} never exchange dominance in "
-            f"[{f_lo:g}, {f_hi:g}] Hz")
-    i = hits[0]
-    if sign[i] == 0.0:
-        return float(scan[i])
-    return _bisect_root(diff, float(scan[i]), float(scan[i + 1]))
+    scan = np.geomspace(f_lo, f_hi, _SCAN_POINTS)
+    # Only the quasistatic gain costs circuit solves; the EM pair is scanned in one chunk.
+    step = _SCAN_CHUNK if 0 in (mech_a, mech_b) else _SCAN_POINTS - 1
+    # ascending chunks sharing their end points, so every neighbouring pair is in a chunk
+    for start in range(0, _SCAN_POINTS - 1, step):
+        chunk = scan[start:start + step + 1]
+        sign = np.sign(diff(chunk))
+        # chunk points where the difference is zero or flips sign before the next one
+        hits = np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))
+        if hits.size:
+            i = hits[0]
+            if sign[i] == 0.0:
+                return float(chunk[i])
+            return _bisect_root(diff, float(chunk[i]), float(chunk[i + 1]))
+    raise CrossoverError(
+        f"{region_a} and {region_b} never exchange dominance in "
+        f"[{f_lo:g}, {f_hi:g}] Hz")
 
 
 DETECTION_DISTANCE_CAP_M = 1e4

@@ -12,6 +12,7 @@ from eqshbc import config, multiregion
 from eqshbc.bodychannel import DEFAULT_COUPLING_MODEL, _bisect_root
 from eqshbc.multiregion import (
     DEVICE_Q,
+    CrossoverError,
     RegionLabel,
     _detection_distance,
     _resonant_shape_db,
@@ -156,7 +157,54 @@ def counted(fn):
     return wrapped, calls
 
 
+def full_scan_crossover(config_, region_a, region_b, f_lo, f_hi):
+    """crossover_frequency as one sweep over all 241 scan points finds it."""
+    mech_a, mech_b = multiregion._MECHANISM[region_a], multiregion._MECHANISM[region_b]
+
+    def diff(f):
+        return config_._mechanism_db(mech_b, f) - config_._mechanism_db(mech_a, f)
+
+    scan = np.geomspace(f_lo, f_hi, 241)
+    sign = np.sign(diff(scan))
+    hits = np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))
+    if not hits.size:
+        raise CrossoverError(
+            f"{region_a} and {region_b} never exchange dominance in [{f_lo:g}, {f_hi:g}] Hz")
+    i = hits[0]
+    if sign[i] == 0.0:
+        return float(scan[i])
+    return _bisect_root(diff, float(scan[i]), float(scan[i + 1]))
+
+
 class TestCrossoverRoot:
+    @settings(max_examples=40, deadline=None)
+    @given(region_configs(), st.floats(5.0, 8.5), st.floats(0.05, 4.0))
+    def test_chunked_scan_matches_the_full_scan(self, drawn, log_lo, decades):
+        # bands from a twentieth of a decade to four decades: some hold no crossover
+        config_, _ = drawn
+        f_lo = 10 ** log_lo
+        f_hi = f_lo * 10 ** decades
+        for a, b in ((RegionLabel.EQS, RegionLabel.EM_SMALL_MONOPOLE),
+                     (RegionLabel.EM_RESONANT, RegionLabel.DEVICE_COUPLING)):
+            try:
+                want = full_scan_crossover(config_, a, b, f_lo, f_hi)
+            except CrossoverError as exc:
+                with pytest.raises(CrossoverError) as got:
+                    crossover_frequency(config_, a, b, f_lo, f_hi)
+                assert str(got.value) == str(exc)
+            else:
+                assert crossover_frequency(config_, a, b, f_lo, f_hi) == want
+
+    @pytest.mark.parametrize("position", [0.5, 79.5, 80.5, 159.5, 160.5, 239.5])
+    def test_crossover_at_a_chunk_edge(self, position):
+        # a four-decade band placing the ~1 MHz open-air crossover between two scan points
+        config_ = default_region_config()
+        f_lo = 1e6 / 10 ** (position / 60.0)
+        want = full_scan_crossover(config_, RegionLabel.EQS, RegionLabel.EM_SMALL_MONOPOLE,
+                                   f_lo, f_lo * 1e4)
+        assert crossover_frequency(config_, RegionLabel.EQS, RegionLabel.EM_SMALL_MONOPOLE,
+                                   f_lo, f_lo * 1e4) == want
+
     @settings(max_examples=25, deadline=None)
     @given(region_configs())
     def test_itp_matches_bisection_in_fewer_evaluations(self, drawn):

@@ -1,14 +1,17 @@
 import contextlib
 import io
 import json
+import math
 import warnings
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqshbc.cli import _build_parser, _parse_grid, main
+from eqshbc import cli
+from eqshbc.cli import _MAX_GRID_POINTS, _build_parser, _json_text, _parse_grid, main
 from eqshbc.solver import FrequencyGrid
 from perfbench.golden import GOLDEN_DIR, cases
 
@@ -263,6 +266,45 @@ class TestScenarioValidation:
         assert "line 2" in record["message"] and "finite" in record["message"]
 
 
+class TestExtremeMultiregionValues:
+    """Finite but extreme EM and device parameters put a resonant response
+    outside the float range; that is a model error, not a numpy warning."""
+
+    @pytest.mark.parametrize("line", [
+        "multiregion.em_q = 1e-300",
+        "multiregion.em_q = 1e300",
+        "multiregion.em_height = 1e-300",
+        "multiregion.em_height = 1e300",
+        "multiregion.device_length = 1e-300",
+        "multiregion.device_length = 1e300",
+    ])
+    def test_resonance_out_of_float_range_is_one_json_error_line(self, capsys, tmp_path, line):
+        scenario = tmp_path / "extreme.cfg"
+        scenario.write_text(scenario_with(line))
+        for argv in (["sweep", "--scenario", str(scenario)],
+                     ["regions", "--scenario", str(scenario)],
+                     ["regions", "--scenario", str(scenario), "--sensitivity-db", "-90"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.count("\n") == 1
+            record = json.loads(err)
+            assert record["error"] == "ValueError"
+            assert "out of the float range" in record["message"]
+
+    @pytest.mark.parametrize("key", ["multiregion.em_ref_db", "multiregion.device_ref_db"])
+    def test_overflowing_reference_gain_in_sweep(self, capsys, tmp_path, key):
+        scenario = tmp_path / "extreme.cfg"
+        scenario.write_text(scenario_with(f"{key} = 1e300"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "sweep", "--scenario", str(scenario))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "FloatingPointError",
+                                   "message": "overflow encountered in power"}
+
+
 class TestRemovedConfigKeys:
     @pytest.mark.parametrize("key", REMOVED_KEYS)
     def test_removed_key_is_one_json_error_line(self, capsys, tmp_path, key):
@@ -285,6 +327,20 @@ class TestArgumentErrors:
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "KeyError",
                                    "message": "no voltage source labelled 'VX'"}
+
+    @pytest.mark.parametrize("count", ["100000000000", "1000001lin", "99999999999999999999log"])
+    def test_grid_over_the_point_cap_is_a_usage_error_before_spacing(self, capsys,
+                                                                      monkeypatch, count):
+        # no count this large can be allocated; the cap is checked before numpy is asked
+        for name in ("geomspace", "linspace"):
+            monkeypatch.setattr(np, name, lambda *args, name=name: pytest.fail(f"np.{name} called"))
+        with pytest.raises(SystemExit) as exc:
+            main(["regions", "--grid", f"1e5:1e9:{count}"])
+        assert exc.value.code == 2
+        assert f"at most {_MAX_GRID_POINTS} are allowed" in capsys.readouterr().err
+
+    def test_grid_at_the_point_cap_is_built(self):
+        assert len(_parse_grid(f"1e5:1e9:{_MAX_GRID_POINTS}lin")) == _MAX_GRID_POINTS
 
     @pytest.mark.parametrize("grid", ["20:-1:2log", "inf:1e9:5", "1e5:1e400:5log", "1e5:inf:5lin"])
     def test_grid_with_a_bad_end_is_a_usage_error_without_a_warning(self, capsys, grid):
@@ -450,3 +506,50 @@ class TestParserBuiltOnce:
             0, (GOLDEN_DIR / "sweep-open_air-capacitive.csv").read_text(), "")
         assert run(capsys, *regions) == (0, (GOLDEN_DIR / "regions-open_air.json").read_text(), "")
         assert _build_parser() is _build_parser()
+
+
+def reference_round9(obj):
+    """Every float of a nested record rounded to 9 significant digits."""
+    if isinstance(obj, float):
+        return float(f"{obj:.9g}")
+    if isinstance(obj, dict):
+        return {k: reference_round9(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_round9(v) for v in obj]
+    return obj
+
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                               1e16, 1.2345678951e16, 9.999999995e22, 1.7976931348623157e308,
+                               math.nan, math.inf, -math.inf])
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+                              st.characters()), max_size=8)
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), EDGE_FLOATS,
+                         st.floats(min_value=1e16), st.floats(-1e-300, 1e-300), JSON_TEXT)
+JSON_RECORDS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(JSON_TEXT, children, max_size=4)),
+    max_leaves=25)
+
+
+class TestJsonEmitter:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_RECORDS)
+    def test_bytes_are_json_dumps_of_the_rounded_record(self, record):
+        try:
+            want = json.dumps(reference_round9(record), sort_keys=True, indent=2,
+                              allow_nan=False)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _json_text(record)
+            assert str(got.value) == str(exc)
+        else:
+            assert _json_text(record) == want
+
+    def test_non_finite_value_in_a_record_exits_1_with_one_json_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "fcc_limit", lambda f: (math.inf, 3.0))
+        assert run(capsys, "fcc", "--freq", "1e6") == (1, "", json.dumps({
+            "error": "ValueError",
+            "message": "Out of range float values are not JSON compliant: inf"}) + "\n")

@@ -308,13 +308,15 @@ class TestSolveOnce:
 
     @pytest.mark.parametrize("environment, measured", [("open_air", 10), ("anechoic", 11)])
     def test_eqs_to_em_crossover_solves(self, solve_calls, environment, measured):
-        # the 241-point scan as one sweep, then single-point root-search steps
-        # (plain bisection took 50)
+        # the scan in 81-point sweeps up to the one holding the crossover (1 MHz
+        # open air in the first, 10 MHz in the chamber in the second), then
+        # single-point root-search steps (plain bisection took 50)
+        chunks = {"open_air": 1, "anechoic": 2}[environment]
         crossover_frequency(default_region_config(environment), RegionLabel.EQS,
                             RegionLabel.EM_SMALL_MONOPOLE)
         batches = Counter(call for call, _ in solve_calls)
-        assert sorted(batches.values())[-1] == 241
-        assert len(solve_calls) - 241 <= measured + 2
+        assert [size for size in batches.values() if size > 1] == [81] * chunks
+        assert len(solve_calls) - 81 * chunks <= measured + 2
 
     def test_em_to_device_crossover_solves_nothing(self, solve_calls):
         f = crossover_frequency(default_region_config(), RegionLabel.EM_RESONANT,
@@ -323,17 +325,17 @@ class TestSolveOnce:
         assert solve_calls == []
 
     def test_cli_regions_solves_grid_and_scan_once(self, solve_calls, tmp_path):
-        # grid (n) + the EQS->EM crossover scan (241) + its root search (10 measured);
-        # the detection distances reuse the grid sweep instead of re-solving it
+        # grid (n) + the EQS->EM crossover scan's first chunk (81) + its root
+        # search (12 measured); the detection distances reuse the grid sweep
         n = 120
         out = tmp_path / "regions.json"
         assert main(["regions", "--grid", f"1e5:1e9:{n}", "--sensitivity-db", "-90",
                      "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())["max_detection_distance_m"]) == n
-        assert len(solve_calls) <= n + 241 + 12
+        assert len(solve_calls) <= n + 81 + 12
         batches = sorted(size for size in Counter(call for call, _ in solve_calls).values()
                          if size > 1)
-        assert batches == [n, 241]
+        assert batches == [81, n]
 
     @pytest.mark.parametrize("environment", ["open_air", "anechoic"])
     def test_scalar_and_sweep_gains_agree_bit_for_bit(self, environment):
