@@ -5,7 +5,8 @@ Submodules
 netlist      netlist data model and text format
 solver       complex MNA AC solver, frequency grids, transfer sweeps
 bodychannel  intra-/inter-body circuit builders and the C_C(d) coupling model
-multiregion  stitched 100 kHz - 1 GHz response, region labels, crossovers
+multiregion  stitched 100 kHz - 1 GHz response, region labels, crossovers,
+             detection distances
 risk         snooper SNR / safe-level analysis and co-channel SIR
 fcc          unintentional-radiator limits and field-decay margins
 config       shared key-value config files
@@ -32,12 +33,9 @@ from .multiregion import (
     RegionConfig,
     RegionLabel,
     body_em_pair_gain,
-    classify_region,
     crossover_frequency,
     default_region_config,
     device_pair_gain,
-    friis_gain,
-    monopole_rad_resistance,
     total_response,
 )
 from .netlist import Element, Netlist, NetlistError, format_netlist, parse_netlist

@@ -130,13 +130,13 @@ class BodyChannelParams:
         for name in ("c_g_tx", "c_g_rx", "c_body", "r_b", "r_s", "anechoic_boost"):
             _require_positive(name, getattr(self, name))
 
-    def effective_return_caps(self) -> tuple[float, float]:
-        """(c_g_tx, c_g_rx) after the chamber boost, if any."""
-        return _return_caps(self, 1.0)
-
 
 def _return_caps(params: BodyChannelParams, scale: float) -> tuple[float, float]:
-    """effective_return_caps() of scale_return_path(params, scale), float for float."""
+    """Stamped (c_g_tx, c_g_rx): both scaled by ``scale``, then the chamber boost, if any.
+
+    Float for float the return capacitances of a circuit built from
+    ``scale_return_path(params, scale)``; the circuit builders pass 1.0.
+    """
     c_g_tx, c_g_rx = params.c_g_tx * scale, params.c_g_rx * scale
     if params.environment is Environment.ANECHOIC:
         return c_g_tx * params.anechoic_boost, c_g_rx * params.anechoic_boost
@@ -175,7 +175,7 @@ def build_intra_body(params: BodyChannelParams) -> Netlist:
     3 body, 4 receiver electrode, 5 receiver floating ground. Probe the
     transfer across the load with INTRA_PROBE.
     """
-    c_g_tx, c_g_rx = params.effective_return_caps()
+    c_g_tx, c_g_rx = _return_caps(params, 1.0)
     elements = (
         Element("V", 1.0, (1, 2), SOURCE_LABEL),
         Element("R", params.r_s, (1, 3), "RS"),
@@ -197,7 +197,7 @@ def build_inter_body(params: InterBodyParams) -> Netlist:
     (c_c == c_body2) are simply omitted.
     """
     base = params.base
-    c_g_tx, c_g_rx = base.effective_return_caps()
+    c_g_tx, c_g_rx = _return_caps(base, 1.0)
     c_gnd2 = params.c_body2 - params.c_c
     c_gnd1 = base.c_body - params._branch_series_cap()
     elements = [

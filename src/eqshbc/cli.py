@@ -174,8 +174,7 @@ def _cmd_sir(args) -> None:
         scenario = InterferenceScenario(v_sig_user=args.v_sig,
                                         interferers=tuple(interferers),
                                         coupling=coupling, c_body=c_body)
-        value = sir_db(scenario)
-        record["sir_db"] = value if value != float("inf") else "inf"
+        record["sir_db"] = sir_db(scenario)
     if args.v_each is not None and args.d_each is not None and args.sir_min is not None:
         record["max_cochannel_users"] = max_cochannel_users(
             args.v_sig, args.v_each, args.d_each, args.sir_min, coupling, c_body)

@@ -39,6 +39,7 @@ from importlib import resources
 from pathlib import Path
 
 from .bodychannel import (
+    DEFAULT_COUPLING_ANCHORS,
     DEFAULT_COUPLING_D0,
     DEFAULT_COUPLING_MODEL,
     BodyChannelParams,
@@ -212,9 +213,11 @@ def inter_params_from_config(cfg: dict, environment: str | None = None) -> Inter
 
 
 def coupling_model_from_config(cfg: dict) -> CouplingCapModel:
-    if "coupling.anchors" not in cfg:
-        return DEFAULT_COUPLING_MODEL
-    return fit_coupling_model(cfg["coupling.anchors"], cfg.get("coupling.d0", DEFAULT_COUPLING_D0))
+    """C_C(d) fitted to the config's anchors and d0, each defaulted on its own."""
+    if "coupling.anchors" not in cfg and "coupling.d0" not in cfg:
+        return DEFAULT_COUPLING_MODEL  # the same fit, made once at import
+    return fit_coupling_model(cfg.get("coupling.anchors", DEFAULT_COUPLING_ANCHORS),
+                              cfg.get("coupling.d0", DEFAULT_COUPLING_D0))
 
 
 def region_config_from_config(cfg: dict, environment: str | None = None) -> RegionConfig:

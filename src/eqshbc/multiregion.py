@@ -61,15 +61,11 @@ __all__ = [
     "RegionLabel",
     "SPEED_OF_LIGHT",
     "body_em_pair_gain",
-    "classify_region",
-    "classify_grid",
     "classify_sweep",
     "crossover_frequency",
     "default_region_config",
     "device_pair_gain",
-    "friis_gain",
     "max_detection_distance",
-    "monopole_rad_resistance",
     "total_response",
 ]
 
@@ -142,22 +138,6 @@ class DeviceModel:
         return SPEED_OF_LIGHT / (4.0 * self.electrode_length)
 
 
-def monopole_rad_resistance(length: float, f: float) -> float:
-    """Radiation resistance 80*pi^2*(l/lambda)^2 of an electrically short monopole.
-
-    Valid for l/lambda <= 0.25; beyond that the resonant pair response
-    applies and the input is rejected.
-    """
-    _require_positive("length", length)
-    _require_positive("frequency", f)
-    ratio = length * f / SPEED_OF_LIGHT
-    if ratio > 0.25:
-        raise ValueError(
-            f"l/lambda = {ratio:.3g} exceeds the short-antenna validity bound 0.25; "
-            "use the resonant pair-gain model above quarter-wave")
-    return 80.0 * math.pi ** 2 * ratio ** 2
-
-
 def _resonant_shape_db(f, f_res: float, q: float):
     """Peak-normalized resonant pair response in dB (0 dB at f_res); validates f.
 
@@ -197,17 +177,6 @@ def body_em_pair_gain(model: EmBodyModel, f):
 def device_pair_gain(model: DeviceModel, f):
     """Pair gain in dB of the two device electrodes; peaks at c/(4*l_e)."""
     return model.ref_db + _resonant_shape_db(f, model.f_res, DEVICE_Q)
-
-
-def friis_gain(d, f):
-    """Free-space path gain 20*log10(lambda/d), zero-referenced at d = lambda.
-
-    Relative-comparison form: the antenna-gain constant is taken as 0 dB.
-    """
-    _require_each(_require_positive, "distance", d)
-    _require_each(_require_positive, "frequency", f)
-    ratio = SPEED_OF_LIGHT / (f * d)
-    return 20.0 * (np.log10(ratio) if isinstance(ratio, np.ndarray) else math.log10(ratio))
 
 
 @dataclass(frozen=True)
@@ -294,14 +263,6 @@ def classify_sweep(config: RegionConfig, eqs: SweepResult) -> list[RegionLabel]:
     return [_LABELS[i] for i in index.tolist()]
 
 
-def classify_region(f: float, config: RegionConfig) -> RegionLabel:
-    return classify_sweep(config, config.eqs_sweep(FrequencyGrid((f,))))[0]
-
-
-def classify_grid(config: RegionConfig, grid: FrequencyGrid) -> list[RegionLabel]:
-    return classify_sweep(config, config.eqs_sweep(grid))
-
-
 # The crossover scan: 241 log-spaced points over [f_lo, f_hi], evaluated 80
 # intervals (a third of the band) at a time. On the default band the pinned
 # 1 MHz and 10 MHz handoffs sit at intervals 60 and 120, inside the first
@@ -361,35 +322,33 @@ DETECTION_DISTANCE_CAP_M = 1e4
 
 
 def max_detection_distance(config: RegionConfig, f: float, min_gain_db: float,
-                           coupling: CouplingCapModel = DEFAULT_COUPLING_MODEL,
-                           d_ref: float = 1.0) -> float:
+                           coupling: CouplingCapModel = DEFAULT_COUPLING_MODEL) -> float:
     """Largest separation at which the coupled signal stays above min_gain_db.
 
-    Distance scaling per mechanism: the quasistatic gain follows the
-    coupling-capacitance model relative to the configured separation
-    ``d_ref``; the radiative mechanisms fall 20 dB/decade of distance.
+    Distance scaling per mechanism, from the gains at a separation of 1 m:
+    the quasistatic gain follows the coupling-capacitance model; the
+    radiative mechanisms fall 20 dB/decade of distance.
     Qualitative trend only (no quantitative anchor exists): low and flat
     in the quasistatic region, rising steeply once the bodies radiate,
     saturating at the cap of 1e4 m in the resonant/device regions.
     """
     _require_positive("frequency", f)
-    return _detection_distance(config, f, config.eqs_gain_db(f), min_gain_db, coupling, d_ref)
+    return _detection_distance(config, f, config.eqs_gain_db(f), min_gain_db, coupling)
 
 
 def _detection_distance(config: RegionConfig, f, eqs_db, min_gain_db: float,
-                        coupling: CouplingCapModel, d_ref: float = 1.0):
+                        coupling: CouplingCapModel):
     """max_detection_distance at f, a float or an ndarray, given its solved quasistatic gain.
 
     An overflowing distance raises: FloatingPointError from an ndarray,
     OverflowError from a float.
     """
-    _require_positive("d_ref", d_ref)
     _require_finite("min_gain_db", min_gain_db)
     most, least = (np.maximum, np.minimum) if isinstance(f, np.ndarray) else (max, min)
     radiative_db = most(body_em_pair_gain(config.em, f), device_pair_gain(config.device, f))
     with np.errstate(over="raise"):
-        c_eqs = coupling.cap_at(d_ref) * 10.0 ** ((min_gain_db - eqs_db) / 20.0)
-        d_radiative = d_ref * 10.0 ** ((radiative_db - min_gain_db) / 20.0)
+        c_eqs = coupling.cap_at(1.0) * 10.0 ** ((min_gain_db - eqs_db) / 20.0)
+        d_radiative = 10.0 ** ((radiative_db - min_gain_db) / 20.0)
     return least(most(coupling.distance_at(c_eqs), d_radiative), DETECTION_DISTANCE_CAP_M)
 
 

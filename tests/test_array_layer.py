@@ -17,12 +17,10 @@ from eqshbc.multiregion import (
     _detection_distance,
     _resonant_shape_db,
     body_em_pair_gain,
-    classify_region,
     classify_sweep,
     crossover_frequency,
     default_region_config,
     device_pair_gain,
-    friis_gain,
     max_detection_distance,
     total_response,
 )
@@ -70,8 +68,8 @@ def reference_label(config_: multiregion.RegionConfig, f: float) -> RegionLabel:
 
 class TestArrayGains:
     @settings(max_examples=40, deadline=None)
-    @given(region_configs(), log_grids(), st.floats(0.1, 100.0))
-    def test_array_gains_match_scalar_gains(self, drawn, grid, d):
+    @given(region_configs(), log_grids())
+    def test_array_gains_match_scalar_gains(self, drawn, grid):
         config_, _ = drawn
         f = np.asarray(grid.points)
         for model, q, gain in ((config_.em, config_.em.q, body_em_pair_gain),
@@ -83,14 +81,12 @@ class TestArrayGains:
             scalar = np.array([gain(model, x) for x in grid])
             bound = 4 * np.spacing(np.maximum(abs(model.ref_db), np.abs(shape)))
             assert np.all(np.abs(gain(model, f) - scalar) <= bound)
-        np.testing.assert_array_max_ulp(friis_gain(d, f), [friis_gain(d, x) for x in grid], 4)
 
     def test_scalar_in_float_out(self):
         config_ = default_region_config()
         for f in (1e6, np.float64(1e6), 1_000_000):
             assert type(body_em_pair_gain(config_.em, f)) is float
             assert type(device_pair_gain(config_.device, f)) is float
-            assert type(friis_gain(1.0, f)) is float
             assert type(max_detection_distance(config_, f, -95.0)) is float
         assert type(DEFAULT_COUPLING_MODEL.distance_at(1e-11)) is float
 
@@ -111,7 +107,6 @@ class TestSweepAnalyses:
     def test_classify_sweep_matches_per_point_labels(self, drawn, grid):
         config_, _ = drawn
         labels = classify_sweep(config_, config_.eqs_sweep(grid))
-        assert labels == [classify_region(f, config_) for f in grid]
         assert labels == [reference_label(config_, f) for f in grid]
 
     @settings(max_examples=25, deadline=None)

@@ -136,6 +136,13 @@ class TestSir:
         assert code == 1
         assert "interferer" in json.loads(err)["message"]
 
+    def test_overflowing_sir_exits_1(self, capsys):
+        # a 1e300 V link over a 1e-300 V interferer overflows the SIR to inf
+        assert run(capsys, "sir", "--v-sig", "1e300", "--interferer", "1e-300:1") == (
+            1, "", json.dumps({"error": "ValueError",
+                               "message": "Out of range float values are not JSON compliant: inf"})
+            + "\n")
+
 
 class TestFcc:
     def test_limit_lookup(self, capsys):

@@ -235,3 +235,13 @@ class TestEveryKeyIsRead:
                 readings.append((region_config_from_config(cfg), coupling_model_from_config(cfg),
                                  field_model_from_config(cfg)))
         assert readings[0] != readings[1]
+
+    def test_coupling_d0_without_anchors_is_read(self, capsys, tmp_path):
+        # d0 alone refits the default anchors with it
+        path = tmp_path / "d0.cfg"
+        path.write_text("coupling.d0 = 0.5\n")
+        readings = []
+        for config in ([], ["--config", str(path)]):
+            assert main(["attack", "--snr", "10", "--distance", "1", *config]) == 0
+            readings.append(json.loads(capsys.readouterr().out)["min_safe_distance_m"])
+        assert readings[0] != readings[1]

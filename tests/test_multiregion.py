@@ -9,9 +9,9 @@ from eqshbc.bodychannel import Environment
 from eqshbc.cli import main
 from eqshbc.multiregion import (
     ANECHOIC_EM_ATTENUATION_DB,
+    DETECTION_DISTANCE_CAP_M,
     DEVICE_REF_OPEN_AIR_DB,
     EM_REF_OPEN_AIR_DB,
-    SPEED_OF_LIGHT,
     CrossoverError,
     DeviceModel,
     EmBodyModel,
@@ -19,42 +19,14 @@ from eqshbc.multiregion import (
     body_em_pair_gain,
     calibrate_device_reference,
     calibrate_em_reference,
-    classify_grid,
-    classify_region,
     classify_sweep,
     crossover_frequency,
     default_region_config,
     device_pair_gain,
-    friis_gain,
     max_detection_distance,
-    monopole_rad_resistance,
     total_response,
 )
 from eqshbc.solver import FrequencyGrid
-
-
-class TestMonopoleRadResistance:
-    def test_tenth_wavelength(self):
-        # 80 * pi^2 * 0.01
-        f = 0.1 * SPEED_OF_LIGHT / 1.0
-        assert monopole_rad_resistance(1.0, f) == pytest.approx(7.8957, abs=1e-3)
-
-    def test_body_at_1mhz(self):
-        expected = 80.0 * math.pi ** 2 * (1.8 * 1e6 / SPEED_OF_LIGHT) ** 2
-        assert expected == pytest.approx(0.0284, abs=2e-4)
-        assert monopole_rad_resistance(1.8, 1e6) == pytest.approx(expected, rel=1e-12)
-
-    def test_vanishes_with_length(self):
-        assert monopole_rad_resistance(1e-6, 1e3) == pytest.approx(0.0, abs=1e-20)
-
-    def test_validity_bound(self):
-        # quarter-wave edge is accepted, beyond is rejected
-        f_quarter = SPEED_OF_LIGHT / (4.0 * 1.8)
-        monopole_rad_resistance(1.8, f_quarter)
-        with pytest.raises(ValueError, match="validity"):
-            monopole_rad_resistance(1.8, 1.01 * f_quarter)
-        with pytest.raises(ValueError):
-            monopole_rad_resistance(-1.0, 1e6)
 
 
 class TestBodyEmModel:
@@ -102,24 +74,6 @@ class TestDeviceModel:
     def test_low_frequency_far_below_half_ghz(self):
         model = DeviceModel()
         assert device_pair_gain(model, 500e6) - device_pair_gain(model, 1e6) > 40.0
-
-
-class TestFriis:
-    def test_doubling_distance_costs_6db(self):
-        assert friis_gain(2.0, 1e6) - friis_gain(1.0, 1e6) == pytest.approx(-6.0206, abs=1e-3)
-
-    def test_doubling_frequency_costs_6db(self):
-        assert friis_gain(1.0, 2e6) - friis_gain(1.0, 1e6) == pytest.approx(-6.0206, abs=1e-3)
-
-    def test_zero_at_one_wavelength(self):
-        f = 1e6
-        assert friis_gain(SPEED_OF_LIGHT / f, f) == pytest.approx(0.0, abs=1e-12)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            friis_gain(0.0, 1e6)
-        with pytest.raises(ValueError):
-            friis_gain(1.0, -1e6)
 
 
 GRID = FrequencyGrid.log(1e5, 1e9, 101)
@@ -170,21 +124,22 @@ class TestTotalResponse:
 class TestClassification:
     def test_canonical_labels(self):
         config = default_region_config()
-        assert classify_region(500e3, config) is RegionLabel.EQS
-        assert classify_region(5e6, config) is RegionLabel.EM_SMALL_MONOPOLE
-        assert classify_region(50e6, config) is RegionLabel.EM_RESONANT
-        assert classify_region(500e6, config) is RegionLabel.DEVICE_COUPLING
+        labels = classify_sweep(config, config.eqs_sweep(FrequencyGrid((500e3, 5e6, 50e6, 500e6))))
+        assert labels == [RegionLabel.EQS, RegionLabel.EM_SMALL_MONOPOLE,
+                          RegionLabel.EM_RESONANT, RegionLabel.DEVICE_COUPLING]
 
     def test_at_most_three_transitions(self):
         for env in (Environment.OPEN_AIR, Environment.ANECHOIC):
-            labels = classify_grid(default_region_config(env), FrequencyGrid.log(1e5, 1e9, 400))
+            config = default_region_config(env)
+            labels = classify_sweep(config, config.eqs_sweep(FrequencyGrid.log(1e5, 1e9, 400)))
             transitions = sum(1 for a, b in zip(labels, labels[1:]) if a != b)
             assert transitions <= 3
 
     def test_labels_come_in_frequency_order(self):
         order = [RegionLabel.EQS, RegionLabel.EM_SMALL_MONOPOLE,
                  RegionLabel.EM_RESONANT, RegionLabel.DEVICE_COUPLING]
-        labels = classify_grid(default_region_config(), FrequencyGrid.log(1e5, 1e9, 400))
+        config = default_region_config()
+        labels = classify_sweep(config, config.eqs_sweep(FrequencyGrid.log(1e5, 1e9, 400)))
         indices = [order.index(l) for l in labels]
         assert indices == sorted(indices)
 
@@ -255,7 +210,6 @@ class TestMaxDetectionDistance:
         assert all(b > a for a, b in zip(ds, ds[1:]))
 
     def test_saturates_at_cap_in_resonant_and_device_regions(self):
-        from eqshbc.multiregion import DETECTION_DISTANCE_CAP_M
         config = default_region_config()
         assert max_detection_distance(config, 40e6, -95.0) == DETECTION_DISTANCE_CAP_M
         assert max_detection_distance(config, 500e6, -95.0) == DETECTION_DISTANCE_CAP_M
@@ -264,6 +218,13 @@ class TestMaxDetectionDistance:
         config = default_region_config()
         ds = [max_detection_distance(config, 500e3, s) for s in (-80.0, -90.0, -95.0)]
         assert all(b > a for a, b in zip(ds, ds[1:]))
+
+    def test_radiative_distance_falls_20db_per_decade(self):
+        # at 5 MHz the EM mechanism dominates and the distance is below the cap
+        config = default_region_config()
+        near, far = (max_detection_distance(config, 5e6, s) for s in (-60.0, -80.0))
+        assert near < far < DETECTION_DISTANCE_CAP_M
+        assert far / near == pytest.approx(10.0, rel=1e-12)
 
     def test_deaf_receiver_detects_essentially_nowhere(self):
         # quasistatic path gives exactly 0; the far-field 1/d extrapolation
@@ -293,13 +254,13 @@ class TestCalibrationRegression:
 
 
 class TestSolveOnce:
-    def test_classify_sweep_matches_classify_region(self, solve_calls):
+    def test_classify_sweep_solves_each_point_once(self, solve_calls):
         config = default_region_config()
         grid = FrequencyGrid.log(1e5, 1e9, 60)
         labels = classify_sweep(config, config.eqs_sweep(grid))
         assert len(solve_calls) == len(grid)
-        assert labels == [classify_region(f, config) for f in grid]
-        assert labels == classify_grid(config, grid)
+        assert labels == [classify_sweep(config, config.eqs_sweep(FrequencyGrid((f,))))[0]
+                          for f in grid]
 
     def test_cli_sweep_solves_each_point_once(self, solve_calls, tmp_path):
         assert main(["sweep", "--scenario", "inter_body.cfg", "--grid", "1e5:1e9:80",

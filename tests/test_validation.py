@@ -22,9 +22,7 @@ from eqshbc.multiregion import (
     crossover_frequency,
     default_region_config,
     device_pair_gain,
-    friis_gain,
     max_detection_distance,
-    monopole_rad_resistance,
 )
 
 NAN, INF = math.nan, math.inf
@@ -52,10 +50,6 @@ CASES = {
     "extra_loss_db.c_c": lambda v: extra_loss_db(v, 150e-12),
     "extra_loss_db.c_body": lambda v: extra_loss_db(21e-12, v),
     "scale_return_path": lambda v: scale_return_path(BodyChannelParams(), v),
-    "friis_gain.d": lambda v: friis_gain(v, 1e8),
-    "friis_gain.f": lambda v: friis_gain(1.0, v),
-    "monopole_rad_resistance.length": lambda v: monopole_rad_resistance(v, 1e6),
-    "monopole_rad_resistance.f": lambda v: monopole_rad_resistance(0.05, v),
     "body_em_pair_gain": lambda v: body_em_pair_gain(EmBodyModel(), v),
     "device_pair_gain": lambda v: device_pair_gain(DeviceModel(), v),
     "field_at": lambda v: field_at(DEFAULT_FIELD_MODEL, v),
@@ -67,8 +61,6 @@ CASES = {
         default_region_config(), v, -95.0),
     "max_detection_distance.min_gain_db": lambda v: max_detection_distance(
         default_region_config(), 5e5, v),
-    "max_detection_distance.d_ref": lambda v: max_detection_distance(
-        default_region_config(), 5e5, -95.0, d_ref=v),
 }
 
 
