@@ -5,6 +5,10 @@ significant digits, so repeated runs with identical inputs are
 byte-identical. JSON is laid out as ``json.dumps(..., sort_keys=True,
 indent=2)`` lays it out. Exit codes: 0 success, 1 model/solver error (with
 a machine-readable JSON line on stderr), 2 usage error.
+
+The closed-form commands, attack and sir, load no numpy: the circuit
+commands import the solver and the multi-region layer inside their
+functions, as ``_parse_grid`` does for the grids.
 """
 
 from __future__ import annotations
@@ -16,18 +20,11 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import config as cfgmod
-from .bodychannel import DEFAULT_C_BODY
+from .coupling import DEFAULT_C_BODY
 from .fcc import fcc_limit, is_unintentional_radiator
-from .multiregion import (
-    CrossoverError,
-    RegionLabel,
-    _detection_distance,
-    classify_sweep,
-    crossover_frequency,
-    total_response,
-)
 from .netlist import parse_netlist
 from .risk import (
     AttackScenario,
@@ -36,7 +33,9 @@ from .risk import (
     max_cochannel_users,
     sir_db,
 )
-from .solver import FrequencyGrid, sweep_csv, transfer
+
+if TYPE_CHECKING:
+    from .solver import FrequencyGrid
 
 __all__ = ["main"]
 
@@ -47,6 +46,8 @@ _MAX_GRID_POINTS = 10**6
 
 
 def _parse_grid(spec: str) -> FrequencyGrid:
+    from .solver import FrequencyGrid
+
     try:
         start, stop, count = spec.split(":")
         build = FrequencyGrid.linear if count.endswith("lin") else FrequencyGrid.log
@@ -132,12 +133,16 @@ def _load_scenario(args) -> dict:
 
 
 def _cmd_solve(args) -> None:
+    from .solver import sweep_csv, transfer
+
     netlist = parse_netlist(Path(args.netlist).read_text())
     result = transfer(netlist, args.source, args.probe, args.grid)
     _emit(sweep_csv(result), args.out)
 
 
 def _cmd_sweep(args) -> None:
+    from . import multiregion, solver
+
     cfg = cfgmod.load_config(args.scenario)
     if args.load:
         kind, _, value = args.load.partition(":")
@@ -145,9 +150,9 @@ def _cmd_sweep(args) -> None:
         cfg["load.value"] = float(value)
     region_config = cfgmod.region_config_from_config(cfg, args.env)
     eqs = region_config.eqs_sweep(args.grid)
-    total = total_response(eqs, region_config.em, region_config.device)
-    labels = [label.value for label in classify_sweep(region_config, eqs)]
-    _emit(sweep_csv(total, regions=labels), args.out)
+    total = multiregion.total_response(eqs, region_config.em, region_config.device)
+    labels = [label.value for label in multiregion.classify_sweep(region_config, eqs)]
+    _emit(solver.sweep_csv(total, regions=labels), args.out)
 
 
 def _cmd_attack(args) -> None:
@@ -200,6 +205,9 @@ def _cmd_fcc(args) -> None:
 
 
 def _cmd_regions(args) -> None:
+    from .multiregion import (CrossoverError, RegionLabel, _detection_distance, classify_sweep,
+                              crossover_frequency)
+
     cfg = cfgmod.load_config(args.scenario)
     region_config = cfgmod.region_config_from_config(cfg, args.env)
     eqs = region_config.eqs_sweep(args.grid)

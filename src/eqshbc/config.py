@@ -26,6 +26,9 @@ Bare scenario names given to the CLI resolve against the directory in
 intra_body.cfg). The bundled ``inter_body.cfg`` is the one definition of
 the pinned default scenario: ``multiregion.default_region_config`` reads it
 straight from the package data.
+
+Reading a config needs no numpy; the three builders of circuit parameters
+import ``bodychannel`` and ``multiregion`` inside their functions.
 """
 
 from __future__ import annotations
@@ -37,25 +40,20 @@ import sys
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .bodychannel import (
+from .coupling import (
     DEFAULT_COUPLING_ANCHORS,
     DEFAULT_COUPLING_D0,
     DEFAULT_COUPLING_MODEL,
-    BodyChannelParams,
     CouplingCapModel,
-    Environment,
-    InterBodyParams,
-    LoadSpec,
     fit_coupling_model,
 )
 from .fcc import DEFAULT_FIELD_MODEL, FieldDecayModel
-from .multiregion import (
-    ANECHOIC_EM_ATTENUATION_DB,
-    DeviceModel,
-    EmBodyModel,
-    RegionConfig,
-)
+
+if TYPE_CHECKING:
+    from .bodychannel import BodyChannelParams, InterBodyParams
+    from .multiregion import RegionConfig
 
 __all__ = [
     "CONFIG_DIR_ENV",
@@ -196,6 +194,8 @@ def _read_config(path: Path) -> dict:
 
 
 def body_params_from_config(cfg: dict, environment: str | None = None) -> BodyChannelParams:
+    from .bodychannel import BodyChannelParams, LoadSpec
+
     defaults = BodyChannelParams()
     changes = _present(cfg, _BODY_KEYS)
     if "load.kind" in cfg or "load.value" in cfg:
@@ -206,6 +206,8 @@ def body_params_from_config(cfg: dict, environment: str | None = None) -> BodyCh
 
 
 def inter_params_from_config(cfg: dict, environment: str | None = None) -> InterBodyParams:
+    from .bodychannel import InterBodyParams
+
     if "c_c" not in cfg:
         raise ConfigError("inter-body scenario needs key 'c_c'")
     return InterBodyParams(base=body_params_from_config(cfg, environment),
@@ -221,14 +223,17 @@ def coupling_model_from_config(cfg: dict) -> CouplingCapModel:
 
 
 def region_config_from_config(cfg: dict, environment: str | None = None) -> RegionConfig:
+    from . import bodychannel, multiregion
+
     channel = inter_params_from_config(cfg, environment)
-    em = EmBodyModel(**_present(cfg, _EM_KEYS))
-    device = DeviceModel(**_present(cfg, _DEVICE_KEYS))
-    if channel.base.environment is Environment.ANECHOIC:
-        attn = cfg.get("multiregion.anechoic_em_attenuation_db", ANECHOIC_EM_ATTENUATION_DB)
+    em = multiregion.EmBodyModel(**_present(cfg, _EM_KEYS))
+    device = multiregion.DeviceModel(**_present(cfg, _DEVICE_KEYS))
+    if channel.base.environment is bodychannel.Environment.ANECHOIC:
+        attn = cfg.get("multiregion.anechoic_em_attenuation_db",
+                       multiregion.ANECHOIC_EM_ATTENUATION_DB)
         em = replace(em, ref_db=em.ref_db - attn)
         device = replace(device, ref_db=device.ref_db - attn)
-    return RegionConfig(channel=channel, em=em, device=device)
+    return multiregion.RegionConfig(channel=channel, em=em, device=device)
 
 
 def field_model_from_config(cfg: dict) -> FieldDecayModel:

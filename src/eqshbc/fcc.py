@@ -17,11 +17,14 @@ import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .netlist import _require_finite, _require_positive
-from .solver import FrequencyGrid
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .solver import FrequencyGrid
 
 __all__ = [
     "DEFAULT_FIELD_MODEL",
@@ -102,9 +105,20 @@ def limit_table() -> tuple[FccLimitRow, ...]:
     return parse_limit_table(text)
 
 
+def _array(values) -> np.ndarray:
+    """A new float64 ndarray of ``values``.
+
+    This module's one numpy call, imported on first use, so that the limit
+    table and the field model load without numpy.
+    """
+    import numpy as np
+
+    return np.array(values, dtype=float)
+
+
 @functools.cache
 def _f_high_edges() -> np.ndarray:
-    return np.array([row.f_high_hz for row in limit_table()])
+    return _array([row.f_high_hz for row in limit_table()])
 
 
 def _row_runs(points: np.ndarray) -> list[tuple[FccLimitRow, slice]]:
@@ -114,14 +128,14 @@ def _row_runs(points: np.ndarray) -> list[tuple[FccLimitRow, slice]]:
         raise ValueError(f"{points[0]:g} Hz is below the table floor of 9 kHz")
     # The rows partition the band upward from the floor: a point's row is
     # the first whose f_high exceeds it, and the rows of ascending points ascend.
-    row_of = np.searchsorted(_f_high_edges(), points, side="right")
-    starts = np.searchsorted(row_of, range(len(table) + 1)).tolist()
+    row_of = _f_high_edges().searchsorted(points, side="right")
+    starts = row_of.searchsorted(range(len(table) + 1)).tolist()
     return [(row, slice(lo, hi)) for row, lo, hi in zip(table, starts, starts[1:]) if lo < hi]
 
 
 def _one_point(f: float) -> np.ndarray:
     _require_finite("frequency", f)
-    return np.array([f], dtype=float)
+    return _array([f])
 
 
 def fcc_limit(f: float) -> tuple[float, float]:
@@ -161,7 +175,7 @@ def _compliance_columns(model: FieldDecayModel,
 
     Each table row's limit and field are evaluated once, on its slice of the points.
     """
-    limit, distance, field = np.empty(len(points)), np.empty(len(points)), np.empty(len(points))
+    limit, distance, field = _array((points, points, points))  # each filled in below
     for row, run in _row_runs(points):
         limit[run] = row.limit_uv_per_m(points[run])
         distance[run] = row.distance_m

@@ -38,19 +38,19 @@ from functools import cached_property
 
 import numpy as np
 
+from . import config as cfgmod
 from .bodychannel import (
-    DEFAULT_COUPLING_MODEL,
     INTER_PROBE,
     SOURCE_LABEL,
-    CouplingCapModel,
     Environment,
     InterBodyParams,
     _bisect_root,
     _probe_gain_db,
     build_inter_body,
 )
-from .netlist import Netlist, _require_each, _require_finite, _require_positive
-from .solver import FrequencyGrid, SweepResult, transfer
+from .coupling import DEFAULT_COUPLING_MODEL, CouplingCapModel
+from .netlist import Netlist, _require_finite, _require_non_negative, _require_positive
+from .solver import FrequencyGrid, SweepResult, _require_each, transfer
 
 __all__ = [
     "DEVICE_Q",
@@ -218,10 +218,8 @@ def default_region_config(environment: Environment | str = Environment.OPEN_AIR)
     Two subjects 1 m apart with a capacitive load; ``environment`` replaces
     the file's own.
     """
-    from . import config  # config builds on this module, so import it late
-
-    cfg = config._read_config(config._bundled_path("inter_body.cfg"))
-    return config.region_config_from_config(cfg, environment)
+    cfg = cfgmod._read_config(cfgmod._bundled_path("inter_body.cfg"))
+    return cfgmod.region_config_from_config(cfg, environment)
 
 
 def total_response(eqs_sweep: SweepResult, em: EmBodyModel, device: DeviceModel) -> SweepResult:
@@ -344,12 +342,20 @@ def _detection_distance(config: RegionConfig, f, eqs_db, min_gain_db: float,
     OverflowError from a float.
     """
     _require_finite("min_gain_db", min_gain_db)
-    most, least = (np.maximum, np.minimum) if isinstance(f, np.ndarray) else (max, min)
+    array = isinstance(f, np.ndarray)
+    most, least = (np.maximum, np.minimum) if array else (max, min)
     radiative_db = most(body_em_pair_gain(config.em, f), device_pair_gain(config.device, f))
     with np.errstate(over="raise"):
         c_eqs = coupling.cap_at(1.0) * 10.0 ** ((min_gain_db - eqs_db) / 20.0)
         d_radiative = 10.0 ** ((radiative_db - min_gain_db) / 20.0)
-    return least(most(coupling.distance_at(c_eqs), d_radiative), DETECTION_DISTANCE_CAP_M)
+    if array:  # coupling.distance_at, elementwise by the same expression
+        _require_each(_require_non_negative, "capacitance", c_eqs)
+        d = np.divide(coupling.a, c_eqs - coupling.b, out=np.full(c_eqs.shape, math.inf),
+                      where=c_eqs > coupling.b)
+        d_eqs = np.where(c_eqs < coupling.cap_at(0.0), d - coupling.d0, 0.0)
+    else:
+        d_eqs = coupling.distance_at(c_eqs)
+    return least(most(d_eqs, d_radiative), DETECTION_DISTANCE_CAP_M)
 
 
 def calibrate_em_reference(config: RegionConfig, crossover_hz: float) -> float:

@@ -18,8 +18,6 @@ import re
 from dataclasses import dataclass
 from typing import ClassVar
 
-import numpy as np
-
 __all__ = [
     "Element",
     "Netlist",
@@ -60,19 +58,6 @@ def _require_non_negative(name: str, value: float) -> None:
     """value must be finite and >= 0."""
     if not 0.0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-
-def _require_each(check, name: str, value) -> None:
-    """check(name, value) for a scalar; an ndarray is checked through its extremes.
-
-    Each check above accepts one interval, so an array passes when its
-    minimum and maximum do; a NaN anywhere reaches both.
-    """
-    if not isinstance(value, np.ndarray):
-        check(name, value)
-    elif value.size:
-        check(name, value.min())
-        check(name, value.max())
 
 
 class NetlistError(ValueError):

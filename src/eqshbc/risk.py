@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bodychannel import (
+from .coupling import (
     DEFAULT_C_BODY,
     DEFAULT_COUPLING_MODEL,
     CouplingCapModel,
@@ -98,14 +98,21 @@ def min_safe_distance(snr_intended_db: float, threshold_db: float,
 
     Closed form: the distance where C_C(d) = c_body * 10^((threshold -
     snr_intended)/20). Returns 0.0 when snooping already fails at contact
-    range. Raises :class:`UnboundedResult` when the snooper stays above
-    threshold out to the 100 m cap (possible when the coupling model's far
-    tail is non-zero).
+    range, as it does when that capacitance is past the float range.
+    Raises :class:`UnboundedResult` when the snooper stays above threshold
+    out to the 100 m cap (possible when the coupling model's far tail is
+    non-zero).
     """
     _require_finite("snr_intended_db", snr_intended_db)
     _require_finite("threshold_db", threshold_db)
     _require_positive("c_body", c_body)
-    d = coupling.distance_at(c_body * 10.0 ** ((threshold_db - snr_intended_db) / 20.0))
+    try:
+        c = c_body * 10.0 ** ((threshold_db - snr_intended_db) / 20.0)
+    except OverflowError:
+        c = math.inf
+    if c == math.inf:  # more than any coupling gives: snooping fails at contact range
+        return 0.0
+    d = coupling.distance_at(c)
     if d >= DISTANCE_CAP_M:
         raise UnboundedResult(
             f"snooper SNR stays at or above {threshold_db:g} dB out to "
@@ -143,7 +150,8 @@ def max_cochannel_users(v_sig_user: float, v_sig_each: float, d_each: float,
     """Largest N identical interferers at d_each with SIR still >= sir_min_db.
 
     Capped at MAX_COCHANNEL_USERS when the coupling tail makes any number
-    tolerable.
+    tolerable, or the bound is past the float range; 0 when the SIR floor's
+    factor 10^(sir_min/20) is.
     """
     _require_positive("v_sig_user", v_sig_user)
     _require_positive("v_sig_each", v_sig_each)
@@ -151,12 +159,16 @@ def max_cochannel_users(v_sig_user: float, v_sig_each: float, d_each: float,
     _require_positive("c_body", c_body)
     _require_finite("sir_min_db", sir_min_db)
     ratio = coupling_coefficient(coupling, d_each, c_body)
-    if ratio == 0.0:
-        return MAX_COCHANNEL_USERS
+    try:
+        floor = 10.0 ** (sir_min_db / 20.0)
+    except OverflowError:
+        return 0
     # sir(N) >= sir_min  <=>  N <= v_user / (v_each * ratio * 10^(sir_min/20))
-    bound = v_sig_user / (v_sig_each * ratio * 10.0 ** (sir_min_db / 20.0))
-    n = math.floor(bound * (1.0 + 1e-12))
-    return max(0, min(n, MAX_COCHANNEL_USERS))
+    per_user = v_sig_each * ratio * floor
+    bound = v_sig_user / per_user if per_user else math.inf
+    if bound >= MAX_COCHANNEL_USERS:
+        return MAX_COCHANNEL_USERS
+    return max(0, math.floor(bound * (1.0 + 1e-12)))
 
 
 def attack_report(scenario: AttackScenario) -> dict:

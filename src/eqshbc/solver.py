@@ -40,6 +40,12 @@ condition number from their singular values, as ``np.linalg.cond`` gives
 it. The warnings and errors are therefore those of the SVD check at every
 frequency.
 
+Before any of that, a grid is checked against the float range once: the
+stamp keeps the largest |entry| of g, c and gamma, and the grid's ends
+give the largest w*c and gamma/w. An entry past the range raises
+ValueError naming an element on it, where the solve would otherwise
+overflow into a wrong singular-system error (and LAPACK print to stderr).
+
 A single-frequency solve is the one-point case of the same path, so a
 sweep and per-frequency solves give bit-identical results. Netlists and
 results are immutable: grid points and sweep gains are read-only float64
@@ -50,12 +56,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .netlist import Element, Netlist, _require_each, _require_positive
+from .netlist import Element, Netlist, _require_positive
 
 __all__ = [
     "ACSolution",
@@ -74,6 +80,19 @@ _CLEARED_BOUND_SQ = (COND_WARN_THRESHOLD / 100.0) ** 2
 # Complex entries per frequency block (128 KB): the stacked system matrices
 # of one block stay cache-sized however long the grid is.
 _BLOCK_ENTRIES = 1 << 13
+
+
+def _require_each(check, name: str, value) -> None:
+    """check(name, value) for a scalar; an ndarray is checked through its extremes.
+
+    Each of netlist's ``_require_*`` checks accepts one interval, so an
+    array passes when its minimum and maximum do; a NaN anywhere reaches both.
+    """
+    if not isinstance(value, np.ndarray):
+        check(name, value)
+    elif value.size:
+        check(name, value.min())
+        check(name, value.max())
 
 
 class SingularCircuitError(ArithmeticError):
@@ -120,6 +139,7 @@ class _Stamp(NamedTuple):
     gamma: np.ndarray | None
     rhs: np.ndarray  # shape (1, unknowns, 1 + unknowns): [z | I] for every frequency
     topology: _Topology
+    peaks: tuple[float, float, float]  # largest |entry| of g, c and gamma (0.0 without one)
 
 
 # Stacked matrix of each element kind. A source's own entries go to the
@@ -188,12 +208,13 @@ def _stamp_values(topology: _Topology, elements: tuple[Element, ...]) -> _Stamp:
     m = np.ascontiguousarray(m.reshape(4, width, width)[:3, :size, :size])
     m.setflags(write=False)
     g, c, gamma = m
+    peaks = tuple(np.abs(m).max(axis=(1, 2)).tolist())
     rhs = np.zeros((1, size, 1 + size), dtype=complex)
     rhs.reshape(-1)[1::size + 2] = 1.0  # the identity: entry (i, 1 + i) of each row i
     for row, k in enumerate(sources, start=n):
         rhs[0, row, 0] = elements[k].value
     rhs.setflags(write=False)
-    return _Stamp(g, c, gamma if topology.has_inductor else None, rhs, topology)
+    return _Stamp(g, c, gamma if topology.has_inductor else None, rhs, topology, peaks)
 
 
 def _with_values(netlist: Netlist, values: dict[str, float]) -> Netlist:
@@ -203,7 +224,7 @@ def _with_values(netlist: Netlist, values: dict[str, float]) -> Netlist:
     netlist's topology checks still hold and are not repeated, and the new
     stamp reuses the netlist's stamp topology.
     """
-    elements = tuple(replace(e, value=values[e.label]) if e.label in values else e
+    elements = tuple(Element(e.kind, values[e.label], e.nodes, e.label) if e.label in values else e
                      for e in netlist.elements)
     restamped = object.__new__(Netlist)
     # Netlist is frozen: its fields are copied without a second validation,
@@ -254,14 +275,43 @@ def _check_condition(a: np.ndarray, f: np.ndarray, points: list[int],
             warnings.append(f"ill-conditioned MNA system at f={f[k]:g} Hz (cond~{cond:.3g})")
 
 
+def _out_of_range(netlist: Netlist, stamp: _Stamp, reach: tuple[float, float, float],
+                  f_lo: float, f_hi: float) -> ValueError:
+    """The error for a grid [f_lo, f_hi] on which ``reach``, the largest |entry| of g, w*c
+    and gamma/w, leaves the float range.
+
+    It names the element of largest admittance among those stamped on the
+    largest entry of the first matrix out of range.
+    """
+    matrix = next(k for k, peak in enumerate(reach) if not peak < math.inf)
+    f = f_hi if matrix == 1 else f_lo
+    size = len(stamp.g)
+    i, j = divmod(int(np.abs((stamp.g, stamp.c, stamp.gamma)[matrix]).argmax()), size)
+    width = size + 1
+    at = stamp.topology.at[:4 * len(netlist.elements)].reshape(-1, 4)
+    on_entry = np.flatnonzero((at == matrix * width * width + i * width + j).any(axis=1))
+    element = max((netlist.elements[k] for k in on_entry.tolist()),
+                  key=lambda e: e.value if e.kind == "C" else 1.0 / e.value)
+    return ValueError(f"element {element.label} ({element.kind} = {element.value:g}) "
+                      f"puts the MNA system out of the float range at f={f:g} Hz")
+
+
 def _solve_grid(netlist: Netlist, freqs) -> tuple[np.ndarray, _Stamp, list[str]]:
-    """Solve the MNA system at every frequency in ``freqs`` (hertz, > 0).
+    """Solve the MNA system at every frequency in ``freqs`` (hertz, > 0, ascending).
 
     Returns the ``(len(freqs), unknowns)`` solutions, the stamp that gives
     their row layout, and the ill-conditioning warnings in grid order.
+    Raises ValueError, before any solve, when an entry of g, w*c or
+    gamma/w leaves the float range on the grid.
     """
     stamp = _stamp(netlist)
     freqs = np.asarray(freqs, dtype=float)
+    f_lo, f_hi = float(freqs[0]), float(freqs[-1])
+    g_peak, c_peak, gamma_peak = stamp.peaks
+    # w*c is largest at the top of the grid, gamma/w at the bottom
+    reach = (g_peak, c_peak * (2.0 * math.pi * f_hi), gamma_peak / (2.0 * math.pi * f_lo))
+    if not max(reach) < math.inf:
+        raise _out_of_range(netlist, stamp, reach, f_lo, f_hi)
     index = stamp.topology.index
     size = len(index) + len(stamp.topology.sources)
     block = max(1, _BLOCK_ENTRIES // (size * size))

@@ -26,14 +26,20 @@ def test_module_all_resolves(name):
 
 
 def test_package_exports_public_names():
-    tree = ast.parse(Path(eqshbc.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(f"eqshbc.{node.module}")
-        for alias in node.names:
-            assert hasattr(eqshbc, alias.asname or alias.name)
-            assert alias.name in module.__all__, f"{node.module}.{alias.name} is not public"
+    # The package exports lazily, from a name -> submodule table.
+    assert eqshbc._EXPORTS
+    for name, module_name in eqshbc._EXPORTS.items():
+        module = importlib.import_module(f"eqshbc.{module_name}")
+        assert getattr(eqshbc, name) is getattr(module, name)
+        assert name in module.__all__, f"{module_name}.{name} is not public"
+    assert set(eqshbc._EXPORTS) <= set(dir(eqshbc))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        eqshbc.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from eqshbc import no_such_name  # noqa: F401
+    # an unknown name is an AttributeError, so "from eqshbc import <submodule>" imports it
+    for name in MODULES:
+        assert getattr(__import__("eqshbc", fromlist=[name]), name).__name__ == f"eqshbc.{name}"
 
 
 def test_benchmark_names_resolve():
@@ -45,7 +51,9 @@ def test_benchmark_names_resolve():
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id in modules}
     assert {("multiregion", "max_detection_distance"), ("multiregion", "DETECTION_DISTANCE_CAP_M"),
-            ("bodychannel", "intra_body_gain_db"), ("bodychannel", "inter_body_gain_db")} <= used
+            ("bodychannel", "intra_body_gain_db"), ("bodychannel", "inter_body_gain_db"),
+            ("bodychannel", "DEFAULT_COUPLING_ANCHORS"),
+            ("bodychannel", "DEFAULT_COUPLING_D0")} <= used
     missing = [f"{mod}.{attr}" for mod, attr in sorted(used)
                if not hasattr(importlib.import_module(f"eqshbc.{mod}"), attr)]
     assert missing == []

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqshbc import config, multiregion
-from eqshbc.bodychannel import DEFAULT_COUPLING_MODEL, _bisect_root
+from eqshbc.bodychannel import _bisect_root
+from eqshbc.coupling import DEFAULT_COUPLING_MODEL
 from eqshbc.multiregion import (
     DEVICE_Q,
     CrossoverError,
@@ -97,8 +98,12 @@ class TestArrayGains:
             g[17] = bad
             with pytest.raises(ValueError, match="frequency must be finite and > 0"):
                 body_em_pair_gain(default_region_config().em, g)
-        with pytest.raises(ValueError, match="capacitance must be finite and >= 0"):
-            DEFAULT_COUPLING_MODEL.distance_at(np.array([1e-11, -1e-12]))
+        # a zero quasistatic gain (-inf dB) asks for an infinite capacitance
+        for f, eqs_db in ((np.array([1e5, 1e6]), np.array([-80.0, -math.inf])),
+                          (1e6, -math.inf)):
+            with pytest.raises(ValueError, match="capacitance must be finite and >= 0"):
+                _detection_distance(default_region_config(), f, eqs_db, -95.0,
+                                    DEFAULT_COUPLING_MODEL)
 
 
 class TestSweepAnalyses:

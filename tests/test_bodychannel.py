@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqshbc import bodychannel, config, multiregion, risk, solver
+from eqshbc import bodychannel, config, coupling, multiregion, risk, solver
 from eqshbc.bodychannel import (
     ANECHOIC_RETURN_BOOST,
-    DEFAULT_COUPLING_MODEL,
     INTER_PROBE,
     INTRA_PROBE,
     BodyChannelParams,
-    CouplingCapModel,
     Environment,
     InterBodyParams,
     LoadSpec,
@@ -23,14 +21,18 @@ from eqshbc.bodychannel import (
     build_intra_body,
     calibrate_anechoic_boost,
     calibrate_return_scale,
-    coupling_coefficient,
-    default_coupling_model,
     extra_loss_db,
-    fit_coupling_model,
     inter_body_gain_db,
     intra_body_gain_db,
     intra_body_sweep,
     scale_return_path,
+)
+from eqshbc.coupling import (
+    DEFAULT_COUPLING_MODEL,
+    CouplingCapModel,
+    coupling_coefficient,
+    default_coupling_model,
+    fit_coupling_model,
 )
 from eqshbc.netlist import format_netlist, parse_netlist
 from eqshbc.solver import FrequencyGrid, solve_ac, transfer
@@ -228,7 +230,7 @@ class TestCouplingModel:
 
     def test_default_model_is_fitted_once(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(bodychannel, "fit_coupling_model", lambda *a: calls.append(a))
+        monkeypatch.setattr(coupling, "fit_coupling_model", lambda *a: calls.append(a))
         monkeypatch.setattr(config, "fit_coupling_model", lambda *a: calls.append(a))
         assert default_coupling_model() is DEFAULT_COUPLING_MODEL
         assert config.coupling_model_from_config({}) is DEFAULT_COUPLING_MODEL

@@ -2,8 +2,12 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,9 @@ from eqshbc.cli import _MAX_GRID_POINTS, _build_parser, _json_text, _parse_grid,
 from eqshbc.solver import FrequencyGrid
 from perfbench.golden import GOLDEN_DIR, cases
 
+# A child process's environment: this checkout's sources first on the path.
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))}
 RC_DIVIDER = str(resources.files("eqshbc.data").joinpath("rc_divider.cir"))
 INTER_BODY_TEXT = (resources.files("eqshbc.data") / "inter_body.cfg").read_text()
 # Keys that earlier versions accepted and then ignored; a config setting one is an error.
@@ -118,6 +125,15 @@ class TestAttack:
         _, second, _ = run(capsys, "attack", "--snr", "10", "--distance", "1.0")
         assert first == second
 
+    def test_threshold_past_the_float_range_is_safe_at_contact(self, capsys):
+        # 10^(1e4/20) overflows: no coupling reaches the threshold's capacitance
+        code, out, err = run(capsys, "attack", "--snr", "0", "--distance", "1",
+                             "--threshold", "10000")
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert record["feasible"] is False
+        assert record["min_safe_distance_m"] == 0.0
+
 
 class TestSir:
     def test_interferer_list(self, capsys):
@@ -130,6 +146,17 @@ class TestSir:
                            "--d-each", "1.0", "--sir-min", "6.0")
         assert code == 0
         assert json.loads(out)["max_cochannel_users"] == 3
+
+    @pytest.mark.parametrize("v_sig, v_each, sir_min, users", [
+        ("1e300", "1e-300", "0", 10 ** 6),  # the bound overflows to inf: the cap
+        ("1", "1", "-1e4", 10 ** 6),  # the SIR floor's factor underflows to 0: the cap
+        ("1", "1", "1e4", 0),  # the SIR floor's factor overflows: no user
+    ])
+    def test_capacity_past_the_float_range(self, capsys, v_sig, v_each, sir_min, users):
+        code, out, err = run(capsys, "sir", "--v-sig", v_sig, "--v-each", v_each,
+                             "--d-each", "1", f"--sir-min={sir_min}")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["max_cochannel_users"] == users
 
     def test_no_mode_is_error(self, capsys):
         code, _, err = run(capsys, "sir", "--v-sig", "1.0")
@@ -273,6 +300,27 @@ class TestScenarioValidation:
         assert "line 2" in record["message"] and "finite" in record["message"]
 
 
+class TestOverflowingCircuitValues:
+    @pytest.mark.parametrize("command", ["sweep", "regions"])
+    @pytest.mark.parametrize("key, label", [("c_g_tx", "CGTX"), ("c_g_rx", "CGRX"),
+                                            ("c_body", "CBODY1"), ("c_body2", "CBODY2"),
+                                            ("load.value", "CL")])
+    def test_one_json_error_line_before_any_solve(self, tmp_path, command, key, label):
+        # w*C leaves the float range at 1 GHz; in a fresh process, so that a
+        # LAPACK message written straight to the stderr stream would be seen
+        path = tmp_path / "big.cfg"
+        path.write_text(scenario_with(f"{key} = 1e300"))
+        result = subprocess.run([sys.executable, "-m", "eqshbc.cli", command,
+                                 "--scenario", str(path)], capture_output=True, text=True,
+                                env=SRC_ENV)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.count("\n") == 1
+        record = json.loads(result.stderr)
+        assert record["error"] == "ValueError"
+        assert record["message"] == (f"element {label} (C = 1e+300) puts the MNA system out of "
+                                     "the float range at f=1e+09 Hz")
+
+
 class TestExtremeMultiregionValues:
     """Finite but extreme EM and device parameters put a resonant response
     outside the float range; that is a model error, not a numpy warning."""
@@ -362,7 +410,8 @@ class TestArgumentErrors:
 
 
 # Argument values that no command may turn into a traceback or a numpy warning.
-ODD_TOKENS = ("nan", "inf", "-inf", "1e400", "-0", "0", "-1", "", "abc")
+ODD_TOKENS = ("nan", "inf", "-inf", "1e400", "1e300", "1e4", "-1e4", "-0", "0", "-1", "",
+              "abc")
 
 
 def numbers(*usual: str):
@@ -388,7 +437,9 @@ def config_files(tmp_path_factory):
         return str(path)
 
     faults = ["c_c 21e-12", "c_gtx = 1e-9", 'c_body = "abc"', "load.kind = 3", "c_body = NaN",
-              *(f"{key} = 20" for key in REMOVED_KEYS)]
+              *(f"{key} = 20" for key in REMOVED_KEYS),
+              # extreme but finite circuit values
+              "c_body = 1e300", "c_g_tx = 1e300", "load.value = 1e-300", "r_b = 1e-300"]
     usable = ["inter_body.cfg", "intra_body.cfg", write("interferers.cfg", "interferers = [[0.5, 2.0]]")]
     faulty = [str(folder / "missing.cfg"),
               *(write(f"fault{k}.cfg", line) for k, line in enumerate(faults))]
@@ -436,7 +487,10 @@ class TestArgvFuzz:
         argv = [command]
         for flag, values, fewest, most in flags[command]:
             for _ in range(data.draw(st.integers(fewest, most))):
-                argv += [flag, data.draw(values)]
+                value = data.draw(values)
+                # "--flag=value" lets a value such as -1e4 through, which argparse
+                # would otherwise take for an option
+                argv += [f"{flag}={value}"] if data.draw(st.booleans()) else [flag, value]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:

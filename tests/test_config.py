@@ -17,7 +17,8 @@ from eqshbc.config import (
     region_config_from_config,
     resolve_config_path,
 )
-from eqshbc.bodychannel import DEFAULT_COUPLING_ANCHORS, DEFAULT_COUPLING_D0, BodyChannelParams
+from eqshbc.bodychannel import BodyChannelParams
+from eqshbc.coupling import DEFAULT_COUPLING_ANCHORS, DEFAULT_COUPLING_D0
 from eqshbc.fcc import DEFAULT_FIELD_MODEL
 from eqshbc.multiregion import (
     ANECHOIC_EM_ATTENUATION_DB,

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from eqshbc.bodychannel import CouplingCapModel, default_coupling_model, extra_loss_db
+from eqshbc.bodychannel import extra_loss_db
+from eqshbc.coupling import CouplingCapModel, default_coupling_model
 from eqshbc.risk import (
     MAX_COCHANNEL_USERS,
     AttackScenario,
@@ -78,6 +79,14 @@ class TestSafeDistance:
 
     def test_nothing_to_snoop_gives_zero(self):
         assert min_safe_distance(-100.0, 6.0) == 0.0
+
+    @pytest.mark.parametrize("snr, threshold, c_body", [
+        (0.0, 1e4, 150e-12),    # 10^(1e4/20) raises OverflowError
+        (0.0, 200.0, 1e300),    # 10^10 is finite; times c_body it is not
+        (-1e308, 1e308, 150e-12),  # the threshold margin itself overflows
+    ])
+    def test_capacitance_past_the_float_range_gives_zero(self, snr, threshold, c_body):
+        assert min_safe_distance(snr, threshold, c_body=c_body) == 0.0
 
     def test_monotone_in_intended_snr(self):
         ds = [min_safe_distance(snr, 6.0) for snr in (8.0, 12.0, 20.0, 30.0, 40.0)]
@@ -215,6 +224,21 @@ class TestMaxCochannelUsers:
     def test_vanishing_coupling_hits_documented_cap(self):
         model = CouplingCapModel(a=1e-18, d0=0.2, b=0.0)
         assert max_cochannel_users(1.0, 1.0, 50.0, 6.0, coupling=model) == MAX_COCHANNEL_USERS
+
+    @pytest.mark.parametrize("args", [
+        (1e300, 1e-300, 1.0, 0.0),  # the bound overflows to inf
+        (1.0, 1.0, 1.0, -1e4),      # 10^(sir_min/20) underflows to 0
+        (1.0, 1e-300, 1.0, -1000.0),  # the per-user term underflows to 0
+    ])
+    def test_bound_past_the_float_range_hits_documented_cap(self, args):
+        assert max_cochannel_users(*args) == MAX_COCHANNEL_USERS
+
+    @pytest.mark.parametrize("args", [
+        (1.0, 1.0, 1.0, 1e4),        # 10^(sir_min/20) raises OverflowError
+        (1e-300, 1e300, 1.0, 200.0),  # the per-user term overflows to inf
+    ])
+    def test_floor_past_the_float_range_gives_zero(self, args):
+        assert max_cochannel_users(*args) == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

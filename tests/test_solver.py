@@ -503,6 +503,7 @@ class TestStampIsTheTextbookLoop:
             assert np.array_equal(stamp.gamma, gamma)
         else:
             assert stamp.gamma is None
+        assert stamp.peaks == tuple(np.abs(m).max() for m in (g, c, gamma))
 
 
 class TestRestamp:
@@ -526,6 +527,44 @@ class TestRestamp:
     def test_restamp_checks_each_value(self, value):
         with pytest.raises(ValueError, match="C1"):
             solver._with_values(self.LADDER, {"C1": value})
+
+
+class TestOutOfFloatRange:
+    """An entry of g, w*c or gamma/w past the float range is a ValueError naming an
+    element, raised before any np.linalg call and without a numpy warning."""
+
+    @pytest.fixture(autouse=True)
+    def no_linalg(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg reached")
+
+        for name in ("solve", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+
+    @pytest.mark.parametrize("text, label, f", [
+        # w*c past the range at the top of the grid only
+        ("V1 1 0 1\nR1 1 2 1k\nC1 2 0 1e300\nC2 2 0 1n", "C1 (C = 1e+300)", "1e+09"),
+        # two finite capacitances whose stamped sum is not; the larger is named
+        ("V1 1 0 1\nR1 1 2 1k\nC1 2 0 1e308\nC2 2 0 1.5e308", "C2 (C = 1.5e+308)", "1e+09"),
+        # 1/R itself past the range
+        ("V1 1 0 1\nR1 1 2 1e-320\nR2 2 0 1k", "R1 (R = 9.99989e-321)", "0.001"),
+        # gamma/w past the range at the bottom of the grid only
+        ("V1 1 0 1\nR1 1 2 1k\nL1 2 0 1e-307", "L1 (L = 1e-307)", "0.001"),
+    ])
+    def test_transfer_names_the_element(self, text, label, f):
+        grid = FrequencyGrid.log(1e-3, 1e9, 5)
+        with pytest.raises(ValueError) as info:
+            transfer(parse_netlist(text), "V1", (2, 0), grid)
+        assert str(info.value) == (f"element {label} puts the MNA system out of the float "
+                                   f"range at f={float(f):g} Hz")
+
+    def test_solve_ac_checks_its_frequency(self):
+        net = parse_netlist("V1 1 0 1\nR1 1 2 1k\nC1 2 0 1e300")
+        with pytest.raises(ValueError, match="element C1"):
+            solve_ac(net, 1e9)
+        # 2*pi*1e5 Hz * 1e300 F is finite: the check passes and the solve is reached
+        with pytest.raises(AssertionError, match="np.linalg reached"):
+            solve_ac(net, 1e5)
 
 
 class TestNonFiniteInputs:

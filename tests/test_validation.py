@@ -4,14 +4,12 @@ import math
 
 import pytest
 
-from eqshbc.bodychannel import (
+from eqshbc.bodychannel import BodyChannelParams, extra_loss_db, scale_return_path
+from eqshbc.coupling import (
     DEFAULT_COUPLING_MODEL,
-    BodyChannelParams,
     CouplingCapModel,
     coupling_coefficient,
-    extra_loss_db,
     fit_coupling_model,
-    scale_return_path,
 )
 from eqshbc.fcc import DEFAULT_FIELD_MODEL, FccLimitRow, FieldDecayModel, field_at
 from eqshbc.multiregion import (
