@@ -3,12 +3,14 @@
 Output is deterministic: stable ordering, floats forced through 9
 significant digits, so repeated runs with identical inputs are
 byte-identical. JSON is laid out as ``json.dumps(..., sort_keys=True,
-indent=2)`` lays it out. Exit codes: 0 success, 1 model/solver error (with
-a machine-readable JSON line on stderr), 2 usage error.
+indent=2)`` lays it out, each float as the repr of its 9-digit rounding,
+written from the ``.9g`` text without parsing it again (see
+``_float_text``). Exit codes: 0 success, 1 model/solver error (with a
+machine-readable JSON line on stderr), 2 usage error.
 
-The closed-form commands, attack and sir, load no numpy: the circuit
-commands import the solver and the multi-region layer inside their
-functions, as ``_parse_grid`` does for the grids.
+The closed-form commands, attack, sir and fcc --freq, load no numpy: the
+circuit commands import the solver and the multi-region layer inside
+their functions, as ``_parse_grid`` does for the grids.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
@@ -41,8 +42,12 @@ __all__ = ["main"]
 
 # The band grid that solve, sweep and regions take when --grid is absent.
 _BAND_GRID = "1e5:1e9:200"
+# The grid of an fcc report without --grid; parsed only for the report, not for --freq.
+_FCC_GRID = "1e5:1e6:25"
 # Most points a --grid may ask for, checked before any array is allocated.
 _MAX_GRID_POINTS = 10**6
+# The smallest normal double; below it a float has fewer than 9 digits of precision.
+_FLOAT_MIN = sys.float_info.min
 
 
 def _parse_grid(spec: str) -> FrequencyGrid:
@@ -77,22 +82,64 @@ def _parse_pair(spec: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"expected 'volts:meters', got {spec!r}") from None
 
 
-def _round9(x: float) -> float:
-    return float(f"{x:.9g}")
+def _round9(x: float) -> str:
+    """x rounded to 9 significant digits, as its ``.9g`` text."""
+    return f"{x:.9g}"
+
+
+def _float_text(x: float) -> str:
+    """repr of x rounded to 9 significant digits, laid out from the ``_round9`` text.
+
+    For a normal double the rounded value's repr has exactly the digits of
+    that text, since two decimals of at most 9 digits lie more than an ulp
+    apart; only the layout differs, and repr is positional from 1e-4 up to
+    1e16. A subnormal value has fewer digits of precision, so it takes the
+    round trip through float.
+    """
+    text = _round9(x)
+    if "e" in text:
+        mantissa, _, exponent = text.partition("e")
+        e = int(exponent)
+        if 9 <= e <= 15:
+            digits = mantissa.replace(".", "")
+            return digits.ljust(e + 1 + (x < 0.0), "0") + ".0"
+        if -_FLOAT_MIN < x < _FLOAT_MIN:
+            return float.__repr__(float(text))
+        return text
+    if "." in text:
+        return text
+    if "n" in text:  # inf, -inf or nan
+        raise ValueError("Out of range float values are not JSON compliant: " + text)
+    return text + ".0"
+
+
+def _json_items(items, indent: str) -> str:
+    """The items of a non-empty list as JSON, each on a line starting with indent.
+
+    Dicts with the same keys share one row layout, built once per list and
+    filled in by one % over all rows.
+    """
+    first = items[0]
+    keys = first.keys() if isinstance(first, dict) else None
+    if keys and all([isinstance(item, dict) and item.keys() == keys for item in items]):
+        keys = sorted(keys)
+        inner = indent + "  "
+        row = "{" + inner + ("," + inner).join(
+            [_json_str(k).replace("%", "%%") + ": %s" for k in keys]) + indent + "}"
+        texts = [_json_text(item[k], inner) for item in items for k in keys]
+        return ("," + indent).join([row] * len(items)) % tuple(texts)
+    return ("," + indent).join([_json_text(item, indent) for item in items])
 
 
 def _json_text(obj, indent: str = "\n") -> str:
     """obj as json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) writes it,
-    after rounding each float with _round9; dict keys are str.
+    after rounding each float to 9 significant digits; dict keys are str.
 
     ``indent`` is a newline plus the indentation of the line obj starts
     on. A NaN or infinity raises json's ValueError.
     """
     if isinstance(obj, float):
-        x = _round9(obj)
-        if not math.isfinite(x):
-            raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
-        return float.__repr__(x)
+        return _float_text(obj)
     inner = indent + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -105,7 +152,7 @@ def _json_text(obj, indent: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + indent + "]"
+        return "[" + inner + _json_items(obj, inner) + indent + "]"
     if obj is None:
         return "null"
     if obj is True:
@@ -196,7 +243,8 @@ def _cmd_fcc(args) -> None:
                     "distance_m": distance}, args.out)
         return
     model = cfgmod.field_model_from_config(cfg)
-    report = is_unintentional_radiator(model, args.grid)
+    grid = _parse_grid(_FCC_GRID) if args.grid is None else args.grid
+    report = is_unintentional_radiator(model, grid)
     _emit_json({"compliant": report.compliant,
                 "model": {"anchor_field_v_per_m": model.anchor_field,
                           "anchor_distance_m": model.anchor_distance,
@@ -280,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fcc", help="radiator limit lookup or compliance report as JSON")
     p.add_argument("--freq", type=float, help="single-frequency limit lookup")
-    p.add_argument("--grid", type=_parse_grid, default="1e5:1e6:25")
+    p.add_argument("--grid", type=_parse_grid, help=f"report grid (default {_FCC_GRID})")
     p.add_argument("--config", help="optional config with fcc.* model keys")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fcc)

@@ -13,6 +13,7 @@ field scale, is the regression anchor.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -117,30 +118,34 @@ def _array(values) -> np.ndarray:
 
 
 @functools.cache
-def _f_high_edges() -> np.ndarray:
-    return _array([row.f_high_hz for row in limit_table()])
+def _f_high_edges() -> tuple[float, ...]:
+    return tuple(row.f_high_hz for row in limit_table())
+
+
+def _check_floor(f: float) -> None:
+    if f < limit_table()[0].f_low_hz:
+        raise ValueError(f"{f:g} Hz is below the table floor of 9 kHz")
 
 
 def _row_runs(points: np.ndarray) -> list[tuple[FccLimitRow, slice]]:
     """The table rows that hold the ascending ``points``, each with its slice of them."""
     table = limit_table()
-    if points[0] < table[0].f_low_hz:
-        raise ValueError(f"{points[0]:g} Hz is below the table floor of 9 kHz")
+    _check_floor(points[0])
     # The rows partition the band upward from the floor: a point's row is
     # the first whose f_high exceeds it, and the rows of ascending points ascend.
-    row_of = _f_high_edges().searchsorted(points, side="right")
+    row_of = _array(_f_high_edges()).searchsorted(points, side="right")
     starts = row_of.searchsorted(range(len(table) + 1)).tolist()
     return [(row, slice(lo, hi)) for row, lo, hi in zip(table, starts, starts[1:]) if lo < hi]
 
 
-def _one_point(f: float) -> np.ndarray:
-    _require_finite("frequency", f)
-    return _array([f])
-
-
 def fcc_limit(f: float) -> tuple[float, float]:
-    """(limit in uV/m, measurement distance in m) for the row containing f."""
-    ((row, _),) = _row_runs(_one_point(f))
+    """(limit in uV/m, measurement distance in m) for the row containing f.
+
+    The one-point form of ``_row_runs``' lookup, without numpy.
+    """
+    _require_finite("frequency", f)
+    _check_floor(f)
+    row = limit_table()[bisect.bisect_right(_f_high_edges(), f)]
     return row.limit_uv_per_m(f), row.distance_m
 
 
@@ -185,7 +190,8 @@ def _compliance_columns(model: FieldDecayModel,
 
 def margin_factor(model: FieldDecayModel, f: float) -> float:
     """Limit over modeled field at the row's measurement distance; > 1 is compliant."""
-    return _compliance_columns(model, _one_point(f))[3].item()
+    _require_finite("frequency", f)
+    return _compliance_columns(model, _array([f]))[3].item()
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -329,9 +330,10 @@ def _solve_grid(netlist: Netlist, freqs) -> tuple[np.ndarray, _Stamp, list[str]]
         try:
             solution = np.linalg.solve(a, stamp.rhs)
         except np.linalg.LinAlgError:
-            _check_condition(a, f, list(range(len(f))), index, warnings)
-            # An exact zero pivot the singular values missed: name its frequency.
+            # Name the first singular frequency as a one-point solve finds it: by
+            # its singular values, or by an exact zero pivot that they missed.
             for k in range(len(f)):
+                _check_condition(a, f, [k], index, warnings)
                 try:
                     np.linalg.solve(a[k], stamp.rhs[0, :, :1])
                 except np.linalg.LinAlgError:
@@ -480,16 +482,15 @@ def sweep_csv(result: SweepResult, regions: list[str] | None = None) -> str:
     Floats use 9 significant digits so repeated runs are byte-identical.
     """
     header = "freq_hz,gain_re,gain_im,gain_db,phase_deg"
+    row = "\n%.9g,%.9g,%.9g,%.9g,%.9g"
+    columns = [result.freqs.tolist(), result.gain.real.tolist(), result.gain.imag.tolist(),
+               result.gain_db().tolist(), np.degrees(np.angle(result.gain)).tolist()]
     if regions is not None:
         if len(regions) != len(result.freqs):
             raise ValueError("region column length mismatch")
         header += ",region"
-    lines = [header]
-    db = result.gain_db().tolist()
-    ph = np.degrees(np.angle(result.gain)).tolist()
-    for i, (f, g) in enumerate(zip(result.freqs.tolist(), result.gain.tolist())):
-        row = f"{f:.9g},{g.real:.9g},{g.imag:.9g},{db[i]:.9g},{ph[i]:.9g}"
-        if regions is not None:
-            row += f",{regions[i]}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+        row += ",%s"
+        columns.append(regions)
+    # one % over the values in row order formats every row
+    body = row * len(result.freqs) % tuple(chain.from_iterable(zip(*columns)))
+    return header + body + "\n"

@@ -528,6 +528,11 @@ class TestParserGrids:
         assert run(capsys, "attack", "--snr", "10", "--distance", "1")[0] == 0
         assert grids_built == []
 
+    def test_single_frequency_fcc_builds_no_grid(self, capsys, grids_built):
+        assert run(capsys, "fcc", "--freq", "5e5") == (
+            0, (GOLDEN_DIR / "fcc-freq.json").read_text(), "")
+        assert grids_built == []
+
     def test_given_grid_replaces_the_default(self, capsys, grids_built):
         assert run(capsys, "fcc", "--grid", "1e5:1e6:5")[0] == 0
         assert grids_built == [(1e5, 1e6, 5)]
@@ -580,18 +585,36 @@ def reference_round9(obj):
     return obj
 
 
-EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
-                               1e16, 1.2345678951e16, 9.999999995e22, 1.7976931348623157e308,
-                               math.nan, math.inf, -math.inf])
-JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+EDGE_VALUES = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+               1e16, 1.2345678951e16, 9.999999995e22, 1.7976931348623157e308,
+               math.nan, math.inf, -math.inf,
+               # where the layout of the 9-digit text changes
+               999999999.5, -1e9, 123456789012.0, 1e15, 9.9999999951e15, 9.99999999951e-05, 1e-4]
+EDGE_FLOATS = st.sampled_from(EDGE_VALUES)
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f%\u00e9\u2028\U0001f600'),
                               st.characters()), max_size=8)
 JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), EDGE_FLOATS,
                          st.floats(min_value=1e16), st.floats(-1e-300, 1e-300), JSON_TEXT)
+
+
+def same_keyed_rows(values):
+    """Lists of dicts that share one drawn set of keys, as the emitter's row layout takes."""
+    def rows(keys):
+        # each row in its own key order: the layout goes by the sorted keys
+        row = st.fixed_dictionaries(dict.fromkeys(keys, values)).flatmap(
+            lambda d: st.permutations(list(d.items())).map(dict))
+        return st.lists(row, min_size=1, max_size=4)
+
+    return st.lists(st.one_of(JSON_TEXT, st.sampled_from(("%s", "%%", "freq_hz"))),
+                    min_size=1, max_size=3, unique=True).flatmap(rows)
+
+
 JSON_RECORDS = st.recursive(
     JSON_SCALARS,
     lambda children: st.one_of(st.lists(children, max_size=4),
                                st.lists(children, max_size=4).map(tuple),
-                               st.dictionaries(JSON_TEXT, children, max_size=4)),
+                               st.dictionaries(JSON_TEXT, children, max_size=4),
+                               same_keyed_rows(children)),
     max_leaves=25)
 
 
@@ -599,6 +622,19 @@ class TestJsonEmitter:
     @settings(max_examples=300, deadline=None)
     @given(JSON_RECORDS)
     def test_bytes_are_json_dumps_of_the_rounded_record(self, record):
+        try:
+            want = json.dumps(reference_round9(record), sort_keys=True, indent=2,
+                              allow_nan=False)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _json_text(record)
+            assert str(got.value) == str(exc)
+        else:
+            assert _json_text(record) == want
+
+    @pytest.mark.parametrize("x", EDGE_VALUES)
+    def test_each_edge_float(self, x):
+        record = [x, {"x": x}]
         try:
             want = json.dumps(reference_round9(record), sort_keys=True, indent=2,
                               allow_nan=False)

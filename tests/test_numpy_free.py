@@ -1,5 +1,5 @@
 """The closed-form path runs without numpy: the CLI import, the benchmark's
-set-up code, and the attack and sir commands load no circuit layer."""
+set-up code, and the attack, sir and fcc --freq commands load no circuit layer."""
 
 import ast
 import json
@@ -47,7 +47,8 @@ def benchmark_setup_code() -> str:
 def test_setup_attack_and_sir_without_numpy():
     setup = benchmark_setup_code()
     assert "config.load_config('inter_body.cfg')" in setup
-    golden = {name: argv for name, argv in cases().items() if name in ("attack.json", "sir.json")}
+    golden = {name: argv for name, argv in cases().items()
+              if name in ("attack.json", "sir.json", "fcc-freq.json")}
     given = {"setup": [setup, setup.replace("inter_body.cfg", "intra_body.cfg")],
              "argv": golden}
     result = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(given),

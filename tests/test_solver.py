@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circuit_oracle import brute_force_voltages, random_rc_network
@@ -250,6 +250,43 @@ class TestGridAndCsv:
         assert text.splitlines()[0].endswith(",region")
         with pytest.raises(ValueError):
             sweep_csv(res, regions=["EQS"])
+
+
+def reference_sweep_csv(result, regions=None):
+    """sweep_csv written row by row with f-strings, as an independent oracle."""
+    header = "freq_hz,gain_re,gain_im,gain_db,phase_deg" + ("" if regions is None else ",region")
+    lines = [header]
+    db = result.gain_db().tolist()
+    ph = np.degrees(np.angle(result.gain)).tolist()
+    for i, (f, g) in enumerate(zip(result.freqs.tolist(), result.gain.tolist())):
+        row = f"{f:.9g},{g.real:.9g},{g.imag:.9g},{db[i]:.9g},{ph[i]:.9g}"
+        if regions is not None:
+            row += f",{regions[i]}"
+        lines.append(row)
+    return "\n".join(lines) + "\n"
+
+
+# Gain parts: signed zeros, subnormal, tiny and huge values; a zero gain reads -inf dB.
+GAIN_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 1e-300, -1e300, 1e300]),
+                       st.floats(-1e300, 1e300))
+
+
+@st.composite
+def sweeps(draw):
+    freqs = draw(st.lists(st.floats(1e-3, 1e12), max_size=12))
+    gain = [complex(draw(GAIN_PARTS), draw(GAIN_PARTS)) for _ in freqs]
+    labels = st.text(st.sampled_from("EQSM_%s,\u00e9"), max_size=6)
+    regions = draw(st.one_of(st.none(),
+                             st.lists(labels, min_size=len(freqs), max_size=len(freqs))))
+    return SweepResult(freqs=freqs, gain=gain), regions
+
+
+class TestSweepCsvOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(sweeps())
+    def test_bytes_equal_the_row_by_row_rendering(self, sweep):
+        result, regions = sweep
+        assert sweep_csv(result, regions) == reference_sweep_csv(result, regions)
 
 
 def ladder(sections, r, c, l=None):
@@ -504,6 +541,40 @@ class TestStampIsTheTextbookLoop:
         else:
             assert stamp.gamma is None
         assert stamp.peaks == tuple(np.abs(m).max() for m in (g, c, gamma))
+
+
+class TestSweepIsItsPointSolves:
+    @settings(max_examples=150, deadline=None)
+    @given(grounded_netlists(),
+           st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=12, unique=True).map(sorted),
+           st.data())
+    def test_transfer_equals_solve_ac_bit_for_bit(self, netlist, points, data):
+        assume(netlist.sources())
+        source = data.draw(st.sampled_from(netlist.sources()))
+        nodes = sorted(netlist.nodes())
+        probe = (data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(nodes)))
+        try:
+            res = transfer(netlist, source.label, probe, FrequencyGrid(points))
+        except SingularCircuitError as exc:
+            with pytest.raises(SingularCircuitError) as per_point:
+                for f in points:
+                    solve_ac(netlist, f)
+            assert str(per_point.value) == str(exc)
+            return
+        solutions = [solve_ac(netlist, f) for f in points]
+        # the same division as transfer's, so only the solved voltages are compared
+        want = np.array([sol[probe[0]] - sol[probe[1]] for sol in solutions]) / source.value
+        assert res.gain.tobytes() == want.tobytes()
+        assert res.warnings == tuple(w for sol in solutions for w in sol.warnings)
+
+    def test_names_the_first_singular_frequency(self):
+        # Two sources in parallel: at 1 Hz the LU meets an exact zero pivot while the
+        # smallest singular value is rounding noise; at 2 Hz that value is exactly 0.
+        net = parse_netlist("R0 1 0 1\nR1 0 1 1\nR2 0 1 1\nR3 0 1 114\nC4 0 1 3\n"
+                            "L5 0 1 1\nV6 0 1 1\nV7 0 1 1")
+        for points in ([1.0], [1.0, 2.0]):
+            with pytest.raises(SingularCircuitError, match="^singular MNA system at f=1 Hz$"):
+                transfer(net, "V6", (1, 0), FrequencyGrid(points))
 
 
 class TestRestamp:

@@ -3,8 +3,9 @@
     python3 tools/cli_walltime.py [-n N] [CHECKOUT]
 
 spawns ``python3 -m eqshbc.cli`` N times (default 21) for each of the
-attack, sir, fcc --freq, sweep and regions invocations of the golden
-outputs in ``perfbench/golden.py``, with the sources of CHECKOUT (default:
+attack, sir, fcc --freq, fcc (the grid report), sweep, regions and
+regions --sensitivity-db invocations of the golden outputs in
+``perfbench/golden.py``, with the sources of CHECKOUT (default:
 this checkout) on the path and stdout discarded. The commands take turns,
 one run of each per round, so a drift in machine speed reaches them
 alike. It prints each command's median in milliseconds.
@@ -21,7 +22,9 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parents[1]
 # command -> the golden case whose argv it runs
 COMMANDS = {"attack": "attack.json", "sir": "sir.json", "fcc --freq": "fcc-freq.json",
-            "sweep": "sweep-open_air-capacitive.csv", "regions": "regions-open_air.json"}
+            "fcc": "fcc-grid.json", "sweep": "sweep-open_air-capacitive.csv",
+            "regions": "regions-open_air.json",
+            "regions -s": "regions-open_air-sensitivity.json"}
 
 
 def main(argv: list[str]) -> int:
