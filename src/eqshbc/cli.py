@@ -94,9 +94,11 @@ def _float_text(x: float) -> str:
     that text, since two decimals of at most 9 digits lie more than an ulp
     apart; only the layout differs, and repr is positional from 1e-4 up to
     1e16. A subnormal value has fewer digits of precision, so it takes the
-    round trip through float.
+    round trip through float. The f-string keeps ``_round9``'s text as it
+    is, and would write a float there as its repr, so a ``_round9`` that
+    does not round makes this repr(x).
     """
-    text = _round9(x)
+    text = f"{_round9(x)}"
     if "e" in text:
         mantissa, _, exponent = text.partition("e")
         e = int(exponent)
@@ -113,6 +115,12 @@ def _float_text(x: float) -> str:
     return text + ".0"
 
 
+def _json_object(members: list[str], indent: str) -> str:
+    """The ``"key": value`` members as a JSON object that starts on a line at indent."""
+    inner = indent + "  "
+    return "{" + inner + ("," + inner).join(members) + indent + "}"
+
+
 def _json_items(items, indent: str) -> str:
     """The items of a non-empty list as JSON, each on a line starting with indent.
 
@@ -124,8 +132,7 @@ def _json_items(items, indent: str) -> str:
     if keys and all([isinstance(item, dict) and item.keys() == keys for item in items]):
         keys = sorted(keys)
         inner = indent + "  "
-        row = "{" + inner + ("," + inner).join(
-            [_json_str(k).replace("%", "%%") + ": %s" for k in keys]) + indent + "}"
+        row = _json_object([_json_str(k).replace("%", "%%") + ": %s" for k in keys], indent)
         texts = [_json_text(item[k], inner) for item in items for k in keys]
         return ("," + indent).join([row] * len(items)) % tuple(texts)
     return ("," + indent).join([_json_text(item, indent) for item in items])
@@ -144,9 +151,8 @@ def _json_text(obj, indent: str = "\n") -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        return "{" + inner + ("," + inner).join(
-            [_json_str(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)]
-        ) + indent + "}"
+        return _json_object(
+            [_json_str(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)], indent)
     if isinstance(obj, str):
         return _json_str(obj)
     if isinstance(obj, (list, tuple)):

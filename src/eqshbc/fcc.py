@@ -122,30 +122,25 @@ def _f_high_edges() -> tuple[float, ...]:
     return tuple(row.f_high_hz for row in limit_table())
 
 
-def _check_floor(f: float) -> None:
-    if f < limit_table()[0].f_low_hz:
-        raise ValueError(f"{f:g} Hz is below the table floor of 9 kHz")
+def _row_runs(points) -> list[tuple[FccLimitRow, slice]]:
+    """The table rows that hold the ascending ``points``, each with its slice of them.
 
-
-def _row_runs(points: np.ndarray) -> list[tuple[FccLimitRow, slice]]:
-    """The table rows that hold the ascending ``points``, each with its slice of them."""
+    ``points`` is a list or an ndarray; the lookup itself needs no numpy.
+    """
     table = limit_table()
-    _check_floor(points[0])
+    if points[0] < table[0].f_low_hz:
+        raise ValueError(f"{points[0]:g} Hz is below the table floor of 9 kHz")
     # The rows partition the band upward from the floor: a point's row is
-    # the first whose f_high exceeds it, and the rows of ascending points ascend.
-    row_of = _array(_f_high_edges()).searchsorted(points, side="right")
-    starts = row_of.searchsorted(range(len(table) + 1)).tolist()
-    return [(row, slice(lo, hi)) for row, lo, hi in zip(table, starts, starts[1:]) if lo < hi]
+    # the first whose f_high exceeds it, so a row's run ends at the first
+    # point not below its f_high, and the next row's run starts there.
+    ends = [bisect.bisect_left(points, edge) for edge in _f_high_edges()]
+    return [(row, slice(lo, hi)) for row, lo, hi in zip(table, [0, *ends], ends) if lo < hi]
 
 
 def fcc_limit(f: float) -> tuple[float, float]:
-    """(limit in uV/m, measurement distance in m) for the row containing f.
-
-    The one-point form of ``_row_runs``' lookup, without numpy.
-    """
+    """(limit in uV/m, measurement distance in m) for the row containing f."""
     _require_finite("frequency", f)
-    _check_floor(f)
-    row = limit_table()[bisect.bisect_right(_f_high_edges(), f)]
+    ((row, _),) = _row_runs([f])
     return row.limit_uv_per_m(f), row.distance_m
 
 

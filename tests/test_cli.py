@@ -618,32 +618,35 @@ JSON_RECORDS = st.recursive(
     max_leaves=25)
 
 
+def assert_emitted_as_json_dumps(record, dumped):
+    """_json_text(record) is json.dumps(dumped, ...), or raises json's ValueError with its text."""
+    try:
+        want = json.dumps(dumped, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _json_text(record)
+        assert str(got.value) == str(exc)
+    else:
+        assert _json_text(record) == want
+
+
 class TestJsonEmitter:
     @settings(max_examples=300, deadline=None)
     @given(JSON_RECORDS)
     def test_bytes_are_json_dumps_of_the_rounded_record(self, record):
-        try:
-            want = json.dumps(reference_round9(record), sort_keys=True, indent=2,
-                              allow_nan=False)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                _json_text(record)
-            assert str(got.value) == str(exc)
-        else:
-            assert _json_text(record) == want
+        assert_emitted_as_json_dumps(record, reference_round9(record))
 
     @pytest.mark.parametrize("x", EDGE_VALUES)
     def test_each_edge_float(self, x):
         record = [x, {"x": x}]
-        try:
-            want = json.dumps(reference_round9(record), sort_keys=True, indent=2,
-                              allow_nan=False)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                _json_text(record)
-            assert str(got.value) == str(exc)
-        else:
-            assert _json_text(record) == want
+        assert_emitted_as_json_dumps(record, reference_round9(record))
+
+    @pytest.mark.parametrize("x", EDGE_VALUES + [0.1234567891234, math.pi * 1e12, -1 / 3])
+    def test_round9_that_does_not_round_writes_unrounded_bytes(self, monkeypatch, x):
+        # _round9 is the one rounding step: without it the record's own floats come out
+        monkeypatch.setattr(cli, "_round9", lambda obj: obj)
+        record = [x, {"x": x}]
+        assert_emitted_as_json_dumps(record, record)
 
     def test_non_finite_value_in_a_record_exits_1_with_one_json_line(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "fcc_limit", lambda f: (math.inf, 3.0))
