@@ -39,6 +39,7 @@ import os
 import sys
 from dataclasses import replace
 from importlib import resources
+from json.scanner import NUMBER_RE
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -130,7 +131,11 @@ def _value_kind_error(key: str, value) -> str | None:
 
 
 def parse_config(text: str) -> dict:
-    """Parse config text into a flat {dotted-key: value} dict."""
+    """Parse config text into a flat {dotted-key: value} dict.
+
+    A value that is a JSON number is read as json reads it, without a
+    json.loads call; every other value goes through json.loads.
+    """
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -144,15 +149,22 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: empty key")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        try:
-            out[key] = json.loads(value.strip())
-        except json.JSONDecodeError:
-            raise ConfigError(
-                f"line {lineno}: value for {key!r} is not a JSON fragment: "
-                f"{value.strip()!r}") from None
+        value = value.strip()
+        number = NUMBER_RE.fullmatch(value)
+        if number is not None and value.isascii():
+            # a number, built as json's scanner builds it (the pattern's \d also
+            # takes non-ASCII digits, which the scanner refuses)
+            integer, frac, exp = number.groups()
+            out[key] = float(value) if frac or exp else int(integer)
+        else:
+            try:
+                out[key] = json.loads(value)
+            except json.JSONDecodeError:
+                raise ConfigError(
+                    f"line {lineno}: value for {key!r} is not a JSON fragment: "
+                    f"{value!r}") from None
         if not _finite(out[key]):
-            raise ConfigError(f"line {lineno}: value for {key!r} is not finite: "
-                              f"{value.strip()!r}")
+            raise ConfigError(f"line {lineno}: value for {key!r} is not finite: {value!r}")
     return out
 
 

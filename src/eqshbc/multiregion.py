@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -294,23 +295,31 @@ def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
     if abs(mech_a - mech_b) != 1:
         raise CrossoverError(f"{region_a} and {region_b} are not adjacent mechanisms")
 
-    def diff(f):
-        return config._mechanism_db(mech_b, f) - config._mechanism_db(mech_a, f)
-
     scan = np.geomspace(f_lo, f_hi, _SCAN_POINTS)
     # Only the quasistatic gain costs circuit solves; the EM pair is scanned in one chunk.
     step = _SCAN_CHUNK if 0 in (mech_a, mech_b) else _SCAN_POINTS - 1
     # ascending chunks sharing their end points, so every neighbouring pair is in a chunk
     for start in range(0, _SCAN_POINTS - 1, step):
         chunk = scan[start:start + step + 1]
-        sign = np.sign(diff(chunk))
+        db = {mechanism: config._mechanism_db(mechanism, chunk) for mechanism in (mech_a, mech_b)}
+        sign = np.sign(db[mech_b] - db[mech_a])
         # chunk points where the difference is zero or flips sign before the next one
         hits = np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))
         if hits.size:
             i = hits[0]
             if sign[i] == 0.0:
                 return float(chunk[i])
-            return _bisect_root(diff, float(chunk[i]), float(chunk[i + 1]))
+            lo, hi = chunk[i:i + 2].tolist()
+            # The quasistatic gains at the bracket ends are the chunk's, as a sweep is
+            # its one-point solves bit for bit; every other gain goes through math.
+            solved = dict(zip((lo, hi), db[0][i:i + 2].tolist())) if 0 in db else {}
+
+            def diff(f: float) -> float:
+                a, b = (solved[f] if mechanism == 0 and f in solved
+                        else config._mechanism_db(mechanism, f) for mechanism in (mech_a, mech_b))
+                return b - a
+
+            return _bisect_root(diff, lo, hi)
     raise CrossoverError(
         f"{region_a} and {region_b} never exchange dominance in "
         f"[{f_lo:g}, {f_hi:g}] Hz")
@@ -342,10 +351,12 @@ def _detection_distance(config: RegionConfig, f, eqs_db, min_gain_db: float,
     OverflowError from a float.
     """
     _require_finite("min_gain_db", min_gain_db)
+    min_gain_db = float(min_gain_db)  # a numpy scalar would keep a float f in numpy
     array = isinstance(f, np.ndarray)
     most, least = (np.maximum, np.minimum) if array else (max, min)
     radiative_db = most(body_em_pair_gain(config.em, f), device_pair_gain(config.device, f))
-    with np.errstate(over="raise"):
+    # np.errstate does not reach Python floats, whose ** raises OverflowError by itself
+    with np.errstate(over="raise") if array else nullcontext():
         c_eqs = coupling.cap_at(1.0) * 10.0 ** ((min_gain_db - eqs_db) / 20.0)
         d_radiative = 10.0 ** ((radiative_db - min_gain_db) / 20.0)
     if array:  # coupling.distance_at, elementwise by the same expression

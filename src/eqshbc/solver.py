@@ -9,21 +9,25 @@ inductances, so the system at angular frequency w is
 
 The stamp is kept on the (immutable) netlist, so repeated solves of one
 circuit stamp it once. A stamp is a topology and values: the topology,
-fixed by the element kinds and nodes, places four entries per element
-(and four per source incidence); ground takes a row and column of its
-own that are dropped, as are a source's own entries. The values part
-sums the element admittances into those places with one bincount, in
-element order. A netlist that differs from another only in element
-values (``_with_values``, as the calibrations' root-finding steps use)
-keeps its topology and reruns only the values part, so it gets the very
-matrices a fresh stamp of it would.
+fixed by the element kinds and nodes, gives each of the four entries per
+element (and four per source incidence) its bin in the kept (3, size, size)
+layout of g, c and gamma; an entry on ground's row or column, or a
+source's own entry, goes to one extra bin past them that is dropped. The
+values part sums the element admittances into those bins with one
+bincount, in element order, straight into the kept layout. A netlist that
+differs from another only in element values (``_with_values``, as the
+calibrations' root-finding steps use) keeps its topology and reruns only
+the values part, so it gets the very matrices a fresh stamp of it would;
+when no source value changes it also shares the other's read-only ``rhs``.
 
 A grid is solved in fixed-size frequency blocks: each block's matrices are
 built in one buffer of at most 128 KB (or one matrix, if larger), then pass
 through one batched partial-pivoting LU solve against ``[z | I]``, which
-gives the solution ``x`` in column 0 and the inverse in the rest. Memory
-stays flat however long the grid is. Circuits here stay small (up to ~70
-unknowns), so no sparsity machinery.
+gives the solution ``x`` in column 0 and the inverse in the rest. A grid
+of one block (every one-point solve, and a sweep of up to 167 points of a
+7-unknown circuit) returns that column 0 as it is; longer grids copy it
+out block by block, so memory stays flat however long the grid is.
+Circuits here stay small (up to ~70 unknowns), so no sparsity machinery.
 
 A 2-norm condition number above 1e12 attaches a warning per offending
 frequency, in grid order, rather than failing; a singular system raises
@@ -128,7 +132,10 @@ class _Topology(NamedTuple):
     index: dict[int, int]  # non-ground node -> row
     sources: tuple[int, ...]  # position in the elements of source k, whose row is len(index) + k
     source_labels: tuple[str, ...]
-    at: np.ndarray  # bins of the entries, four per element and then four per source
+    # Bin of each entry, four per element and then four per source, in the row-major
+    # (3, size, size) stack of g, c and gamma for size unknowns; an entry that is
+    # dropped goes to bin 3 * size * size.
+    bins: np.ndarray
     has_inductor: bool
 
 
@@ -174,47 +181,49 @@ def _topology(netlist: Netlist) -> _Topology:
     elements = netlist.elements
     sources = tuple(k for k, e in enumerate(elements) if e.kind == "V")
     n, size = len(index), len(index) + len(sources)
-    # Ground is stamped like any node, in a last row and column that are
-    # dropped: (4, size + 1, size + 1) stacked matrices, row-major.
-    width = size + 1
-    row = {**index, netlist.ground: size}
-    base = {kind: m * width * width for kind, m in _MATRIX.items()}
+    # Entry (i, j) of matrix m goes to bin (m * size + i) * size + j. Ground's
+    # row and column, and the fourth matrix (a source's own entries), lie at or
+    # past bin 3 * size * size, where np.minimum gathers every dropped entry.
+    kept = 3 * size * size
+    place = {node: (i * size, i) for node, i in index.items()}
+    place[netlist.ground] = (kept, kept)
+    base = {kind: m * size * size for kind, m in _MATRIX.items()}
     at: list[int] = []
     for element in elements:
         a, b = element.nodes
-        i, j = row[a], row[b]
-        ii, jj = base[element.kind] + i * width, base[element.kind] + j * width
-        at += (ii + i, jj + j, ii + j, jj + i)
+        (ri, i), (rj, j), m = place[a], place[b], base[element.kind]
+        at += (m + ri + i, m + rj + j, m + ri + j, m + rj + i)
     for r, k in enumerate(sources, start=n):
         a, b = elements[k].nodes
-        i, j = row[a], row[b]
-        at += (i * width + r, r * width + i, j * width + r, r * width + j)
+        (ri, i), (rj, j) = place[a], place[b]
+        at += (ri + r, r * size + i, rj + r, r * size + j)
     return _Topology(index, sources, tuple(elements[k].label for k in sources),
-                     np.fromiter(at, np.intp, len(at)), any(e.kind == "L" for e in elements))
+                     np.minimum(np.fromiter(at, np.intp, len(at)), kept),
+                     any(e.kind == "L" for e in elements))
 
 
-def _stamp_values(topology: _Topology, elements: tuple[Element, ...]) -> _Stamp:
-    """The stamp of ``elements`` laid out by ``topology``.
+def _stamp_values(topology: _Topology, elements: tuple[Element, ...],
+                  rhs: np.ndarray | None = None) -> _Stamp:
+    """The stamp of ``elements`` laid out by ``topology``; ``rhs`` if given, else built.
 
     One bincount sums every entry in element order, so a netlist stamped
     fresh and one restamped on another's topology get the same matrices.
     """
-    sources = topology.sources
-    n, size = len(topology.index), len(topology.index) + len(sources)
+    size = len(topology.index) + len(topology.sources)
     y = [1.0 / e.value if e.kind in ("R", "L") else e.value for e in elements]
-    y += [1.0] * len(sources)  # the unit incidence of each branch current
+    y += [1.0] * len(topology.sources)  # the unit incidence of each branch current
     weights = (np.fromiter(y, float, len(y))[:, None] * _SIGNS).ravel()
-    width = size + 1
-    m = np.bincount(topology.at, weights, 4 * width * width)
-    m = np.ascontiguousarray(m.reshape(4, width, width)[:3, :size, :size])
+    kept = 3 * size * size
+    m = np.bincount(topology.bins, weights, kept + 1)[:kept].reshape(3, size, size)
     m.setflags(write=False)
     g, c, gamma = m
     peaks = tuple(np.abs(m).max(axis=(1, 2)).tolist())
-    rhs = np.zeros((1, size, 1 + size), dtype=complex)
-    rhs.reshape(-1)[1::size + 2] = 1.0  # the identity: entry (i, 1 + i) of each row i
-    for row, k in enumerate(sources, start=n):
-        rhs[0, row, 0] = elements[k].value
-    rhs.setflags(write=False)
+    if rhs is None:
+        rhs = np.zeros((1, size, 1 + size), dtype=complex)
+        rhs.reshape(-1)[1::size + 2] = 1.0  # the identity: entry (i, 1 + i) of each row i
+        for row, k in enumerate(topology.sources, start=len(topology.index)):
+            rhs[0, row, 0] = elements[k].value
+        rhs.setflags(write=False)
     return _Stamp(g, c, gamma if topology.has_inductor else None, rhs, topology, peaks)
 
 
@@ -223,15 +232,19 @@ def _with_values(netlist: Netlist, values: dict[str, float]) -> Netlist:
 
     Each new value passes Element's own check. Nodes and labels stay, so the
     netlist's topology checks still hold and are not repeated, and the new
-    stamp reuses the netlist's stamp topology.
+    stamp reuses the netlist's stamp topology, and its read-only ``rhs`` when
+    ``values`` names no source.
     """
     elements = tuple(Element(e.kind, values[e.label], e.nodes, e.label) if e.label in values else e
                      for e in netlist.elements)
+    stamp = _stamp(netlist)
+    topology = stamp.topology
+    rhs = None if any(label in values for label in topology.source_labels) else stamp.rhs
     restamped = object.__new__(Netlist)
     # Netlist is frozen: its fields are copied without a second validation,
     # and the stamp rides along as _stamp keeps it.
     restamped.__dict__.update(netlist.__dict__, elements=elements,
-                              _mna=_stamp_values(_stamp(netlist).topology, elements))
+                              _mna=_stamp_values(topology, elements, rhs))
     return restamped
 
 
@@ -259,13 +272,11 @@ def _singular(a: np.ndarray, f: float, index: dict[int, int]) -> SingularCircuit
 
 def _check_condition(a: np.ndarray, f: np.ndarray, points: list[int],
                      index: dict[int, int], warnings: list[str]) -> None:
-    """The exact SVD check of ``a[k]`` for each k in ``points`` (ascending).
+    """The exact SVD check of ``a[k]`` for each k in ``points`` (ascending, not empty).
 
     Appends the ill-conditioning warnings in order and raises for the first
     singular point.
     """
-    if not points:
-        return
     s = np.linalg.svd(a[points], compute_uv=False)
     for k, singular_values in zip(points, s.tolist()):
         s_max, s_min = singular_values[0], singular_values[-1]
@@ -287,10 +298,9 @@ def _out_of_range(netlist: Netlist, stamp: _Stamp, reach: tuple[float, float, fl
     matrix = next(k for k, peak in enumerate(reach) if not peak < math.inf)
     f = f_hi if matrix == 1 else f_lo
     size = len(stamp.g)
-    i, j = divmod(int(np.abs((stamp.g, stamp.c, stamp.gamma)[matrix]).argmax()), size)
-    width = size + 1
-    at = stamp.topology.at[:4 * len(netlist.elements)].reshape(-1, 4)
-    on_entry = np.flatnonzero((at == matrix * width * width + i * width + j).any(axis=1))
+    entry = int(np.abs((stamp.g, stamp.c, stamp.gamma)[matrix]).argmax())
+    bins = stamp.topology.bins[:4 * len(netlist.elements)].reshape(-1, 4)
+    on_entry = np.flatnonzero((bins == matrix * size * size + entry).any(axis=1))
     element = max((netlist.elements[k] for k in on_entry.tolist()),
                   key=lambda e: e.value if e.kind == "C" else 1.0 / e.value)
     return ValueError(f"element {element.label} ({element.kind} = {element.value:g}) "
@@ -300,8 +310,9 @@ def _out_of_range(netlist: Netlist, stamp: _Stamp, reach: tuple[float, float, fl
 def _solve_grid(netlist: Netlist, freqs) -> tuple[np.ndarray, _Stamp, list[str]]:
     """Solve the MNA system at every frequency in ``freqs`` (hertz, > 0, ascending).
 
-    Returns the ``(len(freqs), unknowns)`` solutions, the stamp that gives
-    their row layout, and the ill-conditioning warnings in grid order.
+    Returns the ``(len(freqs), unknowns)`` solutions (for a grid of one block,
+    a view of LAPACK's output), the stamp that gives their row layout, and the
+    ill-conditioning warnings in grid order.
     Raises ValueError, before any solve, when an entry of g, w*c or
     gamma/w leaves the float range on the grid.
     """
@@ -316,7 +327,7 @@ def _solve_grid(netlist: Netlist, freqs) -> tuple[np.ndarray, _Stamp, list[str]]
     index = stamp.topology.index
     size = len(index) + len(stamp.topology.sources)
     block = max(1, _BLOCK_ENTRIES // (size * size))
-    x = np.empty((len(freqs), size), dtype=complex)
+    x = np.empty((len(freqs), size), dtype=complex) if len(freqs) > block else None
     buffer = np.empty((min(block, len(freqs)), size, size), dtype=complex)
     warnings: list[str] = []
     for start in range(0, len(freqs), block):
@@ -342,7 +353,10 @@ def _solve_grid(netlist: Netlist, freqs) -> tuple[np.ndarray, _Stamp, list[str]]
         # Upper bound on cond_2, squared; written so that a NaN bound is not cleared.
         bound_sq = (_sum_sq(a) * _sum_sq(solution[..., 1:])).tolist()
         suspect = [k for k, u in enumerate(bound_sq) if not u <= _CLEARED_BOUND_SQ]
-        _check_condition(a, f, suspect, index, warnings)
+        if suspect:
+            _check_condition(a, f, suspect, index, warnings)
+        if x is None:
+            return solution[..., 0], stamp, warnings
         x[start:start + len(f)] = solution[..., 0]
     return x, stamp, warnings
 

@@ -1,7 +1,10 @@
 import json
+import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqshbc.bodychannel import Environment
 from eqshbc.cli import main
@@ -56,6 +59,40 @@ class TestParse:
     def test_non_finite_value_names_key(self, literal):
         with pytest.raises(ConfigError, match="line 2: value for 'c_g_tx' is not finite"):
             parse_config(f"c_c = 21e-12\nc_g_tx = {literal}")
+
+
+# json's number grammar at its edges, the literals json reads that are not
+# finite, and digits that Python's int() and float() take but json does not
+NUMBER_EDGES = ["0", "-0", "-0.0", "0.0", "01", "-01", "1.", ".5", "+1", "1_0", "1e400", "-1e400",
+                "1e-400", "1E+2", "1e", "1.e5", "NaN", "Infinity", "-Infinity", "nan", "inf",
+                "1\u0663", "0.\u0663", "1e\u0663", "\uff11", "0x10", "- 1", "2.5e-12", "", "1 2"]
+
+
+def read_by_json(value: str):
+    """A config value as one json.loads of it reads it: the value, or parse_config's error."""
+    try:
+        loaded = json.loads(value)
+    except json.JSONDecodeError:
+        return f"line 1: value for 'k' is not a JSON fragment: {value!r}"
+    if isinstance(loaded, float) and not math.isfinite(loaded):
+        return f"line 1: value for 'k' is not finite: {value!r}"
+    return loaded
+
+
+class TestNumbersAsJsonReadsThem:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.sampled_from(NUMBER_EDGES),
+                     st.from_regex(r"-?(?:0|[1-9]\d*)(\.\d+)?([eE][-+]?\d+)?", fullmatch=True),
+                     st.floats().map(repr), st.integers().map(str),
+                     st.text("0123456789+-.eE_ \u0663\uff11", max_size=12)))
+    def test_each_value_is_what_json_loads_reads(self, value):
+        want = read_by_json(value.strip())
+        try:
+            got = parse_config(f"k = {value}")["k"]
+        except ConfigError as exc:
+            got = str(exc)
+        # repr tells int from float and -0.0 from 0.0
+        assert (type(got), repr(got)) == (type(want), repr(want))
 
 
 class TestResolution:

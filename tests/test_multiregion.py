@@ -226,6 +226,12 @@ class TestMaxDetectionDistance:
         assert near < far < DETECTION_DISTANCE_CAP_M
         assert far / near == pytest.approx(10.0, rel=1e-12)
 
+    @pytest.mark.parametrize("floor", [-7000.0, 7000.0, np.float64(-7000.0), np.float64(7000.0)])
+    def test_overflowing_distance_at_one_frequency_raises_overflow_error(self, floor):
+        # a float frequency is the math path, a numpy floor included
+        with pytest.raises(OverflowError):
+            max_detection_distance(default_region_config(), 1e6, floor)
+
     def test_deaf_receiver_detects_essentially_nowhere(self):
         # quasistatic path gives exactly 0; the far-field 1/d extrapolation
         # leaves a sub-millimeter residue

@@ -581,18 +581,31 @@ class TestRestamp:
     LADDER = parse_netlist("V1 1 0 2.5\nR1 1 2 1k\nC1 2 0 1n\nL1 2 3 1m\nR2 3 0 50\nC2 3 4 2p\n"
                            "R3 4 0 1M\nV2 5 4 0\nC3 5 0 3p")
 
-    @settings(max_examples=50, deadline=None)
-    @given(st.dictionaries(st.sampled_from(["V1", "R1", "C1", "L1", "R2", "C2", "R3", "C3"]),
-                           st.floats(1e-15, 1e6)))
-    def test_restamp_equals_a_fresh_stamp(self, values):
-        restamped = solver._with_values(self.LADDER, values)
+    @settings(max_examples=100, deadline=None)
+    @given(grounded_netlists(), st.data())
+    def test_restamp_equals_a_fresh_stamp(self, netlist, data):
+        labels = data.draw(st.lists(st.sampled_from([e.label for e in netlist.elements]),
+                                    unique=True))
+        sources = {e.label for e in netlist.sources()}
+        values = {label: data.draw(st.floats(1e-15, 1e6) | st.sampled_from([0.0, -0.0])
+                                   if label in sources else st.floats(1e-15, 1e6))
+                  for label in labels}
+        restamped = solver._with_values(netlist, values)
         rebuilt = Netlist(tuple(replace(e, value=values.get(e.label, e.value))
-                                for e in self.LADDER.elements))
+                                for e in netlist.elements))
         assert restamped == rebuilt
-        got, fresh = solver._stamp(restamped), solver._build_stamp(rebuilt)
-        assert got.topology is solver._stamp(self.LADDER).topology
+        parent, got, fresh = (solver._stamp(netlist), solver._stamp(restamped),
+                              solver._build_stamp(rebuilt))
+        assert got.topology is parent.topology
         for name in ("g", "c", "gamma", "rhs"):
-            assert np.array_equal(getattr(got, name), getattr(fresh, name))
+            want = getattr(fresh, name)
+            if want is None:
+                assert getattr(got, name) is None
+            else:  # bit for bit, the sign of a zero included
+                assert getattr(got, name).tobytes() == want.tobytes()
+        assert got.peaks == fresh.peaks
+        assert (got.rhs is parent.rhs) == sources.isdisjoint(values)
+        assert not got.rhs.flags.writeable
 
     @pytest.mark.parametrize("value", [0.0, -1e-12, math.nan, math.inf])
     def test_restamp_checks_each_value(self, value):

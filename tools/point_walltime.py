@@ -1,0 +1,104 @@
+"""Median in-process times of the single-frequency steps, checkouts interleaved.
+
+    python3 tools/point_walltime.py [-n N] [CHECKOUT ...]
+
+runs N rounds (default 11). Each round spawns one process per CHECKOUT
+(default: this checkout), with that checkout's sources on the path, in the
+order given on the command line, so a drift in machine speed reaches every
+checkout alike. Each process takes each step below once untimed and then
+times it 7 times in a row, keeping the median, in microseconds:
+
+- one ``solve_ac`` of the default inter-body circuit at 500 kHz;
+- one restamp of its return capacitances (``solver._with_values``);
+- one ``calibrate_return_scale(80.0, c_c=21e-12)``;
+- one ``calibrate_anechoic_boost()``;
+- 45 ``max_detection_distance`` calls on the default scenario, 100 kHz - 1 GHz;
+- 40 ``load_config`` reads of the bundled ``inter_body.cfg``.
+
+It prints, for each step, the median over the rounds of each checkout.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parents[1]
+STEPS = ("solve_ac", "restamp", "calibrate_return_scale", "calibrate_anechoic_boost",
+         "45 max_detection_distance", "40 load_config")
+REPEATS = 7
+
+
+def _step_calls() -> dict:
+    """The timed steps as zero-argument callables, from the eqshbc on the path."""
+    from eqshbc import bodychannel, config, multiregion, solver
+
+    params = bodychannel.InterBodyParams(bodychannel.BodyChannelParams(), c_c=21e-12)
+    circuit = bodychannel.build_inter_body(params)
+    region = multiregion.default_region_config()
+    freqs = [10 ** (5.0 + 4.0 * k / 44) for k in range(45)]
+
+    def restamp():
+        solver._with_values(circuit, {"CGTX": 1.1e-12, "CGRX": 1.1e-12})
+
+    def detection():
+        for f in freqs:
+            multiregion.max_detection_distance(region, f, -90.0)
+
+    def configs():
+        for _ in range(40):
+            config.load_config("inter_body.cfg")
+
+    return dict(zip(STEPS, (
+        lambda: bodychannel.solve_ac(circuit, 500e3), restamp,
+        lambda: bodychannel.calibrate_return_scale(80.0, c_c=21e-12),
+        bodychannel.calibrate_anechoic_boost, detection, configs)))
+
+
+def _time_steps() -> dict[str, float]:
+    """Each step's median time over REPEATS calls after an untimed one, in microseconds."""
+    times = {}
+    for step, call in _step_calls().items():
+        call()
+        seconds = []
+        for _ in range(REPEATS):
+            t0 = perf_counter()
+            call()
+            seconds.append(perf_counter() - t0)
+        times[step] = statistics.median(seconds) * 1e6
+    return times
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--child"]:
+        print(json.dumps(_time_steps()))
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("-n", type=int, default=11, help="rounds, one process per checkout each")
+    parser.add_argument("checkouts", nargs="*", type=Path, default=[ROOT])
+    args = parser.parse_args(argv)
+    checkouts = [path.resolve() for path in args.checkouts]
+    times = {path: {step: [] for step in STEPS} for path in checkouts}
+    for _ in range(args.n):
+        for path in checkouts:
+            env = dict(os.environ, PYTHONPATH=str(path / "src"))
+            out = subprocess.run([sys.executable, __file__, "--child"], env=env, cwd=path,
+                                 check=True, capture_output=True, text=True).stdout
+            for step, us in json.loads(out).items():
+                times[path][step].append(us)
+    for k, path in enumerate(checkouts, start=1):
+        print(f"checkout {k}: {path}")
+    print(f"{'step':<26}" + "".join(f"  {f'checkout {k}':>12}"
+                                    for k in range(1, len(checkouts) + 1)))
+    for step in STEPS:
+        medians = (statistics.median(times[path][step]) for path in checkouts)
+        print(f"{step:<26}" + "".join(f"  {us:9.1f} us" for us in medians))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
