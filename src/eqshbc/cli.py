@@ -98,7 +98,11 @@ def _float_text(x: float) -> str:
     is, and would write a float there as its repr, so a ``_round9`` that
     does not round makes this repr(x).
     """
-    text = f"{_round9(x)}"
+    return _float_layout(x, f"{_round9(x)}")
+
+
+def _float_layout(x: float, text: str) -> str:
+    """The JSON text of x from its ``_round9`` text; see ``_float_text``."""
     if "e" in text:
         mantissa, _, exponent = text.partition("e")
         e = int(exponent)
@@ -125,7 +129,7 @@ def _json_items(items, indent: str) -> str:
     """The items of a non-empty list as JSON, each on a line starting with indent.
 
     Dicts with the same keys share one row layout, built once per list and
-    filled in by one % over all rows.
+    filled in by one % over all rows; their floats are laid out in place.
     """
     first = items[0]
     keys = first.keys() if isinstance(first, dict) else None
@@ -133,7 +137,8 @@ def _json_items(items, indent: str) -> str:
         keys = sorted(keys)
         inner = indent + "  "
         row = _json_object([_json_str(k).replace("%", "%%") + ": %s" for k in keys], indent)
-        texts = [_json_text(item[k], inner) for item in items for k in keys]
+        texts = [_float_layout(v, f"{_round9(v)}") if type(v) is float else _json_text(v, inner)
+                 for item in items for v in map(item.__getitem__, keys)]
         return ("," + indent).join([row] * len(items)) % tuple(texts)
     return ("," + indent).join([_json_text(item, indent) for item in items])
 
@@ -259,16 +264,17 @@ def _cmd_fcc(args) -> None:
 
 
 def _cmd_regions(args) -> None:
-    from .multiregion import (CrossoverError, RegionLabel, _detection_distance, classify_sweep,
-                              crossover_frequency)
+    from .multiregion import (_LABELS, CrossoverError, RegionLabel, _detection_distance,
+                              _mechanism_table, _region_index, crossover_frequency)
 
     cfg = cfgmod.load_config(args.scenario)
     region_config = cfgmod.region_config_from_config(cfg, args.env)
     eqs = region_config.eqs_sweep(args.grid)
-    labels = classify_sweep(region_config, eqs)
+    index = _region_index(region_config, eqs)
+    # a segment runs from the first point of its label to the first of the next label
+    edges = [0, *((index[1:] != index[:-1]).nonzero()[0] + 1).tolist(), len(index) - 1]
     points = args.grid.points
-    edges = [0, *(i for i in range(1, len(labels)) if labels[i] != labels[i - 1]), len(labels) - 1]
-    segments = [{"f_lo_hz": points[lo], "f_hi_hz": points[hi], "region": labels[lo].value}
+    segments = [{"f_lo_hz": points[lo], "f_hi_hz": points[hi], "region": _LABELS[index[lo]].value}
                 for lo, hi in zip(edges, edges[1:])]
     crossovers = {}
     for name, (a, b) in (("eqs_to_em_hz", (RegionLabel.EQS, RegionLabel.EM_SMALL_MONOPOLE)),
@@ -281,8 +287,8 @@ def _cmd_regions(args) -> None:
     record = {"segments": segments, "crossovers": crossovers}
     if args.sensitivity_db is not None:
         coupling = cfgmod.coupling_model_from_config(cfg)
-        distances = _detection_distance(region_config, points, eqs.gain_db(),
-                                        args.sensitivity_db, coupling)
+        table = _mechanism_table(eqs, region_config.em, region_config.device)
+        distances = _detection_distance(table, args.sensitivity_db, coupling)
         record["max_detection_distance_m"] = [{"freq_hz": f, "distance_m": d}
                                               for f, d in zip(args.grid, distances.tolist())]
     _emit_json(record, args.out)

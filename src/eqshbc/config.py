@@ -33,6 +33,7 @@ import ``bodychannel`` and ``multiregion`` inside their functions.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -151,18 +152,22 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         value = value.strip()
         number = NUMBER_RE.fullmatch(value)
-        if number is not None and value.isascii():
-            # a number, built as json's scanner builds it (the pattern's \d also
-            # takes non-ASCII digits, which the scanner refuses)
-            integer, frac, exp = number.groups()
-            out[key] = float(value) if frac or exp else int(integer)
-        else:
-            try:
+        try:
+            if number is not None and value.isascii():
+                # a number, built as json's scanner builds it (the pattern's \d also
+                # takes non-ASCII digits, which the scanner refuses)
+                integer, frac, exp = number.groups()
+                out[key] = float(value) if frac or exp else int(integer)
+            else:
                 out[key] = json.loads(value)
-            except json.JSONDecodeError:
-                raise ConfigError(
-                    f"line {lineno}: value for {key!r} is not a JSON fragment: "
-                    f"{value!r}") from None
+        except json.JSONDecodeError:
+            raise ConfigError(
+                f"line {lineno}: value for {key!r} is not a JSON fragment: {value!r}") from None
+        except ValueError:  # int's limit on the digits it converts
+            raise ConfigError(f"line {lineno}: value for {key!r} has an integer of more than "
+                              f"{sys.get_int_max_str_digits()} digits") from None
+        except RecursionError:
+            raise ConfigError(f"line {lineno}: value for {key!r} is nested too deeply") from None
         if not _finite(out[key]):
             raise ConfigError(f"line {lineno}: value for {key!r} is not finite: {value!r}")
     return out
@@ -184,7 +189,13 @@ def resolve_config_path(name: str) -> Path:
 
 
 def _bundled_path(name: str) -> Path:
-    return Path(str(resources.files("eqshbc.data").joinpath(name)))
+    return _bundled_dir() / name
+
+
+@functools.cache
+def _bundled_dir() -> Path:
+    """The directory of the bundled configs, found once per process."""
+    return Path(str(resources.files("eqshbc").joinpath("data")))
 
 
 def load_config(name: str) -> dict:

@@ -24,9 +24,13 @@ reads it.
 
 The mechanism gains take a float frequency (a float out, through ``math``)
 or an ndarray of them (an ndarray out, through numpy), validated once per
-call. Everything over a frequency grid (the stitched response, the region
-labels, the detection distances, the crossover scan) is array arithmetic
-over one solved quasistatic sweep.
+call. Everything over a frequency grid is array arithmetic over one solved
+quasistatic sweep and its mechanism table: the (3, n) gains in dB of the
+quasistatic, EM-body and device mechanisms, built on first use and kept on
+the sweep, so the stitched response, the region labels and the detection
+distances evaluate each closed-form gain once. A config likewise keeps the
+crossover scan of the last band asked for, its 241 points with their EM and
+device gains, which both crossovers of that band read.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import enum
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -199,18 +203,30 @@ class RegionConfig:
         return transfer(self._netlist, SOURCE_LABEL, INTER_PROBE, grid)
 
     def mechanism_gains_db(self, f):
-        """(quasistatic, EM body pair, device electrodes) gains in dB at f."""
-        return tuple(self._mechanism_db(mechanism, f) for mechanism in range(3))
+        """(quasistatic, EM body pair, device electrodes) gains in dB at f.
 
-    def _mechanism_db(self, mechanism: int, f):
-        """One mechanism's gain in dB; an ndarray f solves the circuit as one sweep."""
-        if mechanism == 1:
-            return body_em_pair_gain(self.em, f)
-        if mechanism == 2:
-            return device_pair_gain(self.device, f)
-        if isinstance(f, np.ndarray):
-            return self.eqs_sweep(FrequencyGrid(f)).gain_db()
-        return self.eqs_gain_db(f)
+        An ndarray f solves the circuit as one sweep.
+        """
+        eqs_db = (self.eqs_sweep(FrequencyGrid(f)).gain_db() if isinstance(f, np.ndarray)
+                  else self.eqs_gain_db(f))
+        return eqs_db, body_em_pair_gain(self.em, f), device_pair_gain(self.device, f)
+
+    def _crossover_scan(self, f_lo: float, f_hi: float) -> tuple[np.ndarray, np.ndarray]:
+        """The crossover scan of [f_lo, f_hi]: its 241 log-spaced points and their
+        (2, 241) EM body pair and device gains in dB.
+
+        Built on first use and kept on the config for the last band asked
+        for, as a netlist keeps its MNA stamp.
+        """
+        kept = getattr(self, "_scan", None)
+        if kept is None or kept[0] != (f_lo, f_hi):
+            scan = np.geomspace(f_lo, f_hi, _SCAN_POINTS)
+            db = np.stack((body_em_pair_gain(self.em, scan), device_pair_gain(self.device, scan)))
+            scan.flags.writeable = db.flags.writeable = False
+            kept = ((f_lo, f_hi), scan, db)
+            # the config is frozen; the scan is derived from its fields and never compared
+            object.__setattr__(self, "_scan", kept)
+        return kept[1], kept[2]
 
 
 def default_region_config(environment: Environment | str = Environment.OPEN_AIR) -> RegionConfig:
@@ -223,6 +239,24 @@ def default_region_config(environment: Environment | str = Environment.OPEN_AIR)
     return cfgmod.region_config_from_config(cfg, environment)
 
 
+def _mechanism_table(eqs: SweepResult, em: EmBodyModel, device: DeviceModel) -> np.ndarray:
+    """The sweep's (3, n) gains in dB: quasistatic, EM body pair, device electrodes.
+
+    Built on first use and kept on the sweep for the last pair of models
+    asked for, as a netlist keeps its MNA stamp, so each closed-form gain is
+    evaluated once per solved sweep.
+    """
+    kept = getattr(eqs, "_table", None)
+    if kept is None or kept[0] is not em or kept[1] is not device:
+        f = eqs.freqs
+        table = np.stack((eqs.gain_db(), body_em_pair_gain(em, f), device_pair_gain(device, f)))
+        table.flags.writeable = False
+        kept = (em, device, table)
+        # the sweep is frozen; the table is derived from it and the models it holds
+        object.__setattr__(eqs, "_table", kept)
+    return kept[2]
+
+
 def total_response(eqs_sweep: SweepResult, em: EmBodyModel, device: DeviceModel) -> SweepResult:
     """Incoherent (power-sum) combination of the three mechanisms.
 
@@ -230,20 +264,20 @@ def total_response(eqs_sweep: SweepResult, em: EmBodyModel, device: DeviceModel)
     at every frequency and degenerates to the quasistatic sweep when both
     EM references are -inf. It is taken at the sweep's own frequencies.
     """
-    f = eqs_sweep.freqs
-    em_db, dev_db = body_em_pair_gain(em, f), device_pair_gain(device, f)
+    _, em_db, dev_db = _mechanism_table(eqs_sweep, em, device)
     with np.errstate(over="raise"):  # an extreme reference gain raises FloatingPointError
         power = np.abs(eqs_sweep.gain) ** 2 + (10.0 ** (em_db / 10.0) + 10.0 ** (dev_db / 10.0))
-    return SweepResult(freqs=f, gain=np.sqrt(power), warnings=eqs_sweep.warnings)
+    return SweepResult(freqs=eqs_sweep.freqs, gain=np.sqrt(power), warnings=eqs_sweep.warnings)
 
 
-_MECHANISM = {
-    RegionLabel.EQS: 0,
-    RegionLabel.EM_SMALL_MONOPOLE: 1,
-    RegionLabel.EM_RESONANT: 1,
-    RegionLabel.DEVICE_COUPLING: 2,
-}
 _LABELS = tuple(RegionLabel)  # EQS, EM small monopole, EM resonant, device
+
+
+def _region_index(config: RegionConfig, eqs: SweepResult) -> np.ndarray:
+    """Each frequency's index into _LABELS, from the sweep's mechanism table."""
+    winner = _mechanism_table(eqs, config.em, config.device).argmax(axis=0)
+    # mechanism 0, 1, 2 to EQS 0, EM 1 (2 from a quarter of the body resonance up), device 3
+    return winner + (winner == 2) + ((winner == 1) & (eqs.freqs >= config.em.f_res / 4.0))
 
 
 def classify_sweep(config: RegionConfig, eqs: SweepResult) -> list[RegionLabel]:
@@ -254,12 +288,7 @@ def classify_sweep(config: RegionConfig, eqs: SweepResult) -> list[RegionLabel]:
     a quarter of the body resonance (wavelength still large against the
     body) and as the resonant region above it.
     """
-    f = eqs.freqs
-    winner = np.stack((eqs.gain_db(), body_em_pair_gain(config.em, f),
-                       device_pair_gain(config.device, f))).argmax(axis=0)
-    # into _LABELS: EQS 0, EM 1 (2 from a quarter of the body resonance up), device 3
-    index = winner + (winner == 2) + ((winner == 1) & (f >= config.em.f_res / 4.0))
-    return [_LABELS[i] for i in index.tolist()]
+    return [_LABELS[i] for i in _region_index(config, eqs).tolist()]
 
 
 # The crossover scan: 241 log-spaced points over [f_lo, f_hi], evaluated 80
@@ -288,21 +317,28 @@ def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
     _require_positive("f_hi", f_hi)
     if not f_lo < f_hi:
         raise ValueError(f"f_lo ({f_lo:g} Hz) must be below f_hi ({f_hi:g} Hz)")
-    mech_a, mech_b = _MECHANISM[RegionLabel(region_a)], _MECHANISM[RegionLabel(region_b)]
+    # mechanism table rows: EQS 0, either EM region 1, device 2
+    mech_a, mech_b = (_LABELS.index(RegionLabel(r)) for r in (region_a, region_b))
+    mech_a, mech_b = mech_a - (mech_a >= 2), mech_b - (mech_b >= 2)
     if mech_a == mech_b:
         raise CrossoverError(
             f"{region_a} and {region_b} share a mechanism; no gain crossover exists")
     if abs(mech_a - mech_b) != 1:
         raise CrossoverError(f"{region_a} and {region_b} are not adjacent mechanisms")
 
-    scan = np.geomspace(f_lo, f_hi, _SCAN_POINTS)
+    scan, (em_db, dev_db) = config._crossover_scan(f_lo, f_hi)
+    quasistatic = 0 in (mech_a, mech_b)
+    upper_db = em_db if quasistatic else dev_db
     # Only the quasistatic gain costs circuit solves; the EM pair is scanned in one chunk.
-    step = _SCAN_CHUNK if 0 in (mech_a, mech_b) else _SCAN_POINTS - 1
+    step = _SCAN_CHUNK if quasistatic else _SCAN_POINTS - 1
     # ascending chunks sharing their end points, so every neighbouring pair is in a chunk
     for start in range(0, _SCAN_POINTS - 1, step):
-        chunk = scan[start:start + step + 1]
-        db = {mechanism: config._mechanism_db(mechanism, chunk) for mechanism in (mech_a, mech_b)}
-        sign = np.sign(db[mech_b] - db[mech_a])
+        stop = start + step + 1
+        chunk = scan[start:stop]
+        lower_db = (config.eqs_sweep(FrequencyGrid(chunk)).gain_db() if quasistatic
+                    else em_db[start:stop])
+        # the upper mechanism's gain over the lower one's, whose sign changes are b - a's
+        sign = np.sign(upper_db[start:stop] - lower_db)
         # chunk points where the difference is zero or flips sign before the next one
         hits = np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))
         if hits.size:
@@ -310,16 +346,20 @@ def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
             if sign[i] == 0.0:
                 return float(chunk[i])
             lo, hi = chunk[i:i + 2].tolist()
-            # The quasistatic gains at the bracket ends are the chunk's, as a sweep is
-            # its one-point solves bit for bit; every other gain goes through math.
-            solved = dict(zip((lo, hi), db[0][i:i + 2].tolist())) if 0 in db else {}
+            if quasistatic:
+                # The quasistatic gains at the bracket ends are the chunk's, as a sweep is
+                # its one-point solves bit for bit; every other gain goes through math.
+                solved = dict(zip((lo, hi), lower_db[i:i + 2].tolist()))
 
-            def diff(f: float) -> float:
-                a, b = (solved[f] if mechanism == 0 and f in solved
-                        else config._mechanism_db(mechanism, f) for mechanism in (mech_a, mech_b))
-                return b - a
+                def lower(f: float) -> float:
+                    return solved[f] if f in solved else config.eqs_gain_db(f)
 
-            return _bisect_root(diff, lo, hi)
+                upper = partial(body_em_pair_gain, config.em)
+            else:
+                lower = partial(body_em_pair_gain, config.em)
+                upper = partial(device_pair_gain, config.device)
+            orientation = 1.0 if mech_a < mech_b else -1.0  # the root of gain b - gain a
+            return _bisect_root(lambda f: orientation * (upper(f) - lower(f)), lo, hi)
     raise CrossoverError(
         f"{region_a} and {region_b} never exchange dominance in "
         f"[{f_lo:g}, {f_hi:g}] Hz")
@@ -340,21 +380,23 @@ def max_detection_distance(config: RegionConfig, f: float, min_gain_db: float,
     saturating at the cap of 1e4 m in the resonant/device regions.
     """
     _require_positive("frequency", f)
-    return _detection_distance(config, f, config.eqs_gain_db(f), min_gain_db, coupling)
+    return _detection_distance(config.mechanism_gains_db(f), min_gain_db, coupling)
 
 
-def _detection_distance(config: RegionConfig, f, eqs_db, min_gain_db: float,
-                        coupling: CouplingCapModel):
-    """max_detection_distance at f, a float or an ndarray, given its solved quasistatic gain.
+def _detection_distance(gains_db, min_gain_db: float, coupling: CouplingCapModel):
+    """max_detection_distance from the gains in dB at a separation of 1 m.
 
-    An overflowing distance raises: FloatingPointError from an ndarray,
-    OverflowError from a float.
+    ``gains_db`` is the (quasistatic, EM body pair, device) triple of
+    floats from ``mechanism_gains_db``, or a sweep's (3, n) mechanism
+    table. An overflowing distance raises: FloatingPointError from an
+    ndarray, OverflowError from a float.
     """
     _require_finite("min_gain_db", min_gain_db)
-    min_gain_db = float(min_gain_db)  # a numpy scalar would keep a float f in numpy
-    array = isinstance(f, np.ndarray)
+    min_gain_db = float(min_gain_db)  # a numpy scalar would keep float gains in numpy
+    eqs_db, em_db, dev_db = gains_db
+    array = isinstance(eqs_db, np.ndarray)
     most, least = (np.maximum, np.minimum) if array else (max, min)
-    radiative_db = most(body_em_pair_gain(config.em, f), device_pair_gain(config.device, f))
+    radiative_db = most(em_db, dev_db)
     # np.errstate does not reach Python floats, whose ** raises OverflowError by itself
     with np.errstate(over="raise") if array else nullcontext():
         c_eqs = coupling.cap_at(1.0) * 10.0 ** ((min_gain_db - eqs_db) / 20.0)

@@ -16,6 +16,7 @@ from eqshbc.multiregion import (
     CrossoverError,
     RegionLabel,
     _detection_distance,
+    _mechanism_table,
     _resonant_shape_db,
     body_em_pair_gain,
     classify_sweep,
@@ -99,11 +100,12 @@ class TestArrayGains:
             with pytest.raises(ValueError, match="frequency must be finite and > 0"):
                 body_em_pair_gain(default_region_config().em, g)
         # a zero quasistatic gain (-inf dB) asks for an infinite capacitance
+        config_ = default_region_config()
         for f, eqs_db in ((np.array([1e5, 1e6]), np.array([-80.0, -math.inf])),
                           (1e6, -math.inf)):
+            gains = (eqs_db, body_em_pair_gain(config_.em, f), device_pair_gain(config_.device, f))
             with pytest.raises(ValueError, match="capacitance must be finite and >= 0"):
-                _detection_distance(default_region_config(), f, eqs_db, -95.0,
-                                    DEFAULT_COUPLING_MODEL)
+                _detection_distance(gains, -95.0, DEFAULT_COUPLING_MODEL)
 
 
 class TestSweepAnalyses:
@@ -127,7 +129,7 @@ class TestSweepAnalyses:
         np.testing.assert_allclose(np.abs(total.gain), per_point, rtol=1e-12)
 
         coupling = config.coupling_model_from_config(cfg)
-        distances = _detection_distance(config_, np.asarray(grid.points), eqs.gain_db(), floor,
+        distances = _detection_distance(_mechanism_table(eqs, config_.em, config_.device), floor,
                                         coupling)
         per_point = [max_detection_distance(config_, f, floor, coupling) for f in grid]
         np.testing.assert_allclose(distances, per_point, rtol=1e-12)
@@ -157,12 +159,21 @@ def counted(fn):
     return wrapped, calls
 
 
+def region_gain_db(config_, region, f):
+    """The gain in dB at f, a float or an ndarray, of the mechanism behind a region."""
+    if region == RegionLabel.EQS:
+        if isinstance(f, np.ndarray):
+            return config_.eqs_sweep(FrequencyGrid(f)).gain_db()
+        return config_.eqs_gain_db(f)
+    if region == RegionLabel.DEVICE_COUPLING:
+        return device_pair_gain(config_.device, f)
+    return body_em_pair_gain(config_.em, f)
+
+
 def full_scan_crossover(config_, region_a, region_b, f_lo, f_hi):
     """crossover_frequency as one sweep over all 241 scan points finds it."""
-    mech_a, mech_b = multiregion._MECHANISM[region_a], multiregion._MECHANISM[region_b]
-
     def diff(f):
-        return config_._mechanism_db(mech_b, f) - config_._mechanism_db(mech_a, f)
+        return region_gain_db(config_, region_b, f) - region_gain_db(config_, region_a, f)
 
     scan = np.geomspace(f_lo, f_hi, 241)
     sign = np.sign(diff(scan))

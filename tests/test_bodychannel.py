@@ -152,6 +152,32 @@ class TestInterBody:
                  for c in np.linspace(1e-12, 150e-12, 12)]
         assert all(b > a for a, b in zip(gains, gains[1:]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_gain_rises_strictly_with_coupling_capacitance(self, data):
+        # the parameter ranges of the flat-band ratio test above, with a
+        # 10-1000 ohm resistive load beside the capacitive one, in both
+        # environments; c_c1 < c_c2 are at least 1% apart
+        draw = data.draw
+        c_body = draw(st.floats(50e-12, 300e-12))
+        load = draw(st.one_of(st.floats(0.5e-12, 10e-12).map(LoadSpec.capacitive),
+                              st.floats(10.0, 1e3).map(LoadSpec.resistive)))
+        base = BodyChannelParams(
+            c_g_tx=draw(st.floats(0.1e-12, 5e-12)),
+            c_g_rx=draw(st.floats(0.1e-12, 5e-12)),
+            c_body=c_body,
+            r_b=draw(st.floats(100.0, 5e3)),
+            r_s=draw(st.floats(10.0, 200.0)),
+            load=load,
+            environment=draw(st.sampled_from(Environment)),
+        )
+        lower = draw(st.floats(1e-3, 1.0 / 1.01))
+        upper = draw(st.floats(1.01 * lower, 1.0))
+        f = draw(st.floats(1e5, 1e6))
+        gains = [inter_body_gain_db(InterBodyParams(base=base, c_c=c_body * x), f)
+                 for x in (lower, upper)]
+        assert gains[1] > gains[0]
+
     def test_load_ordering_at_100khz(self):
         # antenna-style coupler with a 50 ohm receiver < body coupling with a
         # 50 ohm receiver < body coupling with a capacitive receiver

@@ -61,6 +61,29 @@ class TestParse:
             parse_config(f"c_c = 21e-12\nc_g_tx = {literal}")
 
 
+    @pytest.mark.parametrize("value", ["9" * 5000, "[[1.0, " + "9" * 5000 + "]]"])
+    def test_integer_past_the_digit_limit_names_key(self, value):
+        # int() refuses integers of more than sys.get_int_max_str_digits() digits
+        with pytest.raises(ConfigError, match=r"line 2: value for 'c_g_tx' has an integer of "
+                                              r"more than \d+ digits"):
+            parse_config(f"c_c = 21e-12\nc_g_tx = {value}")
+
+    def test_deeply_nested_value_names_key(self):
+        with pytest.raises(ConfigError, match="line 1: value for 'interferers' is nested too deeply"):
+            parse_config("interferers = " + "[" * 100_000)
+
+    @pytest.mark.parametrize("value", ["9" * 5000, "[[1.0, " + "9" * 5000 + "]]", "[" * 100_000])
+    def test_unreadable_value_exits_1_with_one_json_line(self, capsys, tmp_path, value):
+        path = tmp_path / "scenario.cfg"
+        path.write_text(f"c_c = 21e-12\nc_g_tx = {value}\n")
+        assert main(["regions", "--scenario", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == "ConfigError"
+        assert json.loads(line)["message"].startswith("line 2: value for 'c_g_tx' ")
+
+
 # json's number grammar at its edges, the literals json reads that are not
 # finite, and digits that Python's int() and float() take but json does not
 NUMBER_EDGES = ["0", "-0", "-0.0", "0.0", "01", "-01", "1.", ".5", "+1", "1_0", "1e400", "-1e400",
@@ -106,6 +129,17 @@ class TestResolution:
         monkeypatch.setenv("EQSHBC_CONFIG_DIR", str(tmp_path))
         cfg = load_config("mine.cfg")
         assert cfg["c_c"] == 5e-12
+
+    def test_env_dir_set_after_a_bundled_read_wins(self, tmp_path, monkeypatch):
+        # the bundled directory is found once; the lookup order is kept on every read
+        monkeypatch.delenv("EQSHBC_CONFIG_DIR", raising=False)
+        assert load_config("inter_body.cfg")["c_body"] == 150e-12
+        (tmp_path / "inter_body.cfg").write_text("c_c = 5e-12\nc_body = 90e-12\n")
+        monkeypatch.setenv("EQSHBC_CONFIG_DIR", str(tmp_path))
+        assert resolve_config_path("inter_body.cfg") == tmp_path / "inter_body.cfg"
+        assert load_config("inter_body.cfg") == {"c_c": 5e-12, "c_body": 90e-12}
+        monkeypatch.delenv("EQSHBC_CONFIG_DIR")
+        assert load_config("inter_body.cfg")["c_body"] == 150e-12
 
     def test_bundled_names(self):
         for name in ("inter_body.cfg", "intra_body.cfg"):

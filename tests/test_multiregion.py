@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from eqshbc import multiregion
 from eqshbc.bodychannel import Environment
 from eqshbc.cli import main
 from eqshbc.multiregion import (
@@ -16,6 +17,7 @@ from eqshbc.multiregion import (
     DeviceModel,
     EmBodyModel,
     RegionLabel,
+    _mechanism_table,
     body_em_pair_gain,
     calibrate_device_reference,
     calibrate_em_reference,
@@ -303,6 +305,57 @@ class TestSolveOnce:
         batches = sorted(size for size in Counter(call for call, _ in solve_calls).values()
                          if size > 1)
         assert batches == [81, n]
+
+    @pytest.fixture
+    def shape_calls(self, monkeypatch):
+        """(points, f_res) of each ndarray evaluation of a closed-form mechanism."""
+        calls = []
+        original = multiregion._resonant_shape_db
+
+        def spy(f, f_res, q):
+            if isinstance(f, np.ndarray):
+                calls.append((f.size, f_res))
+            return original(f, f_res, q)
+
+        monkeypatch.setattr(multiregion, "_resonant_shape_db", spy)
+        return calls
+
+    @pytest.mark.parametrize("environment", ["open_air", "anechoic"])
+    def test_cli_regions_evaluates_each_mechanism_once_per_grid_and_scan(
+            self, shape_calls, environment, tmp_path):
+        # labels and detection distances read one table over the grid, and
+        # both crossovers one 241-point scan
+        n = 120
+        assert main(["regions", "--env", environment, "--grid", f"1e5:1e9:{n}",
+                     "--sensitivity-db", "-90", "--out", str(tmp_path / "regions.json")]) == 0
+        em, device = EmBodyModel().f_res, DeviceModel().f_res
+        assert Counter(shape_calls) == {(n, em): 1, (n, device): 1, (241, em): 1, (241, device): 1}
+
+    def test_cli_sweep_evaluates_each_mechanism_once(self, shape_calls, tmp_path):
+        # the stitched response and the labels read one table
+        assert main(["sweep", "--scenario", "inter_body.cfg", "--grid", "1e5:1e9:80",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert Counter(shape_calls) == {(80, EmBodyModel().f_res): 1, (80, DeviceModel().f_res): 1}
+
+    def test_table_is_kept_per_pair_of_models(self):
+        config = default_region_config()
+        eqs = config.eqs_sweep(FrequencyGrid.log(1e5, 1e9, 50))
+        table = _mechanism_table(eqs, config.em, config.device)
+        assert _mechanism_table(eqs, config.em, config.device) is table
+        assert not table.flags.writeable
+        muted = EmBodyModel(ref_db=-math.inf)
+        assert _mechanism_table(eqs, muted, config.device)[1].tolist() == [-math.inf] * 50
+        assert np.array_equal(_mechanism_table(eqs, config.em, config.device), table)
+
+    def test_crossover_scan_follows_the_band(self):
+        # the scan kept for one band is not read for another
+        config, fresh = default_region_config(), default_region_config()
+        a, b = RegionLabel.EQS, RegionLabel.EM_SMALL_MONOPOLE
+        wide = crossover_frequency(config, a, b)
+        narrow = crossover_frequency(config, a, b, 3e5, 3e6)
+        assert narrow == crossover_frequency(fresh, a, b, 3e5, 3e6)
+        assert crossover_frequency(config, a, b) == wide == crossover_frequency(
+            default_region_config(), a, b)
 
     @pytest.mark.parametrize("environment", ["open_air", "anechoic"])
     def test_scalar_and_sweep_gains_agree_bit_for_bit(self, environment):
