@@ -14,6 +14,7 @@ m = milli) as well as plain/scientific notation.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from typing import ClassVar
@@ -43,19 +44,34 @@ SI_SUFFIXES = {
 _VALUE_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)([A-Za-z]*)$")
 
 
+def _require_real(name: str, value) -> None:
+    """value must be one real number: a Python or numpy scalar, not an ndarray or a complex.
+
+    Each check below calls it for any value but a float, its common case.
+    """
+    if not isinstance(value, (float, int)) and not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+
+
 def _require_finite(name: str, value: float) -> None:
+    if type(value) is not float:
+        _require_real(name, value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _require_positive(name: str, value: float) -> None:
     """value must be finite and > 0; NaN and inf fail as 0 does."""
+    if type(value) is not float:
+        _require_real(name, value)
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def _require_non_negative(name: str, value: float) -> None:
     """value must be finite and >= 0."""
+    if type(value) is not float:
+        _require_real(name, value)
     if not 0.0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
 

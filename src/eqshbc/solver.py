@@ -22,27 +22,67 @@ when no source value changes it also shares the other's read-only ``rhs``.
 
 A grid is solved in fixed-size frequency blocks: each block's matrices are
 built in one buffer of at most 128 KB (or one matrix, if larger), then pass
-through one batched partial-pivoting LU solve against ``[z | I]``, which
-gives the solution ``x`` in column 0 and the inverse in the rest. A grid
-of one block (every one-point solve, and a sweep of up to 167 points of a
-7-unknown circuit) returns that column 0 as it is; longer grids copy it
+through one batched partial-pivoting LU solve against z. A grid of one
+block (every one-point solve, and a sweep of up to 167 points of a
+7-unknown circuit) returns LAPACK's solution as it is; longer grids copy it
 out block by block, so memory stays flat however long the grid is.
 Circuits here stay small (up to ~70 unknowns), so no sparsity machinery.
 
 A 2-norm condition number above 1e12 attaches a warning per offending
 frequency, in grid order, rather than failing; a singular system raises
-:class:`SingularCircuitError` for the first singular frequency. The
-inverse screens for both: ``U = |A|_F * |inv(A)|_F`` bounds cond_2 from
-above, and a frequency with ``U <= 1e10`` is cleared. The factor 100 below
-the threshold covers the rounding of the computed inverse: a backward-stable
-LU with residual ``|A X - I| <= n u rho |A| |X|`` (unit roundoff u, element
-growth rho) gives ``|X| >= |inv(A)| / (1 + cond * n u rho)``, so every
-frequency with cond_2 > 1e12 still reads U > 1e10 for growth up to about
-1e4 at 66 unknowns. The frequencies not cleared (NaN or inf included), and
-a whole block whose LU hits an exact zero pivot, get the exact check: the
-condition number from their singular values, as ``np.linalg.cond`` gives
-it. The warnings and errors are therefore those of the SVD check at every
-frequency.
+:class:`SingularCircuitError` for the first singular frequency. A
+certificate computed from the stamp clears most frequencies of both; the
+frequencies it does not clear, and a whole block whose LU hits an exact
+zero pivot, get the exact check: the condition number from their singular
+values, as ``np.linalg.cond`` gives it. The warnings and errors are
+therefore those of the SVD check at every frequency.
+
+The certificate rests on passivity. Element requires R, C and L > 0, so the
+node blocks G, C and Gamma of g, c and gamma are symmetric positive
+semidefinite, and with the source incidence B = g[:n, n:] (n x m)
+
+    A(w) = [[Y, B], [B^T, 0]],    Y(w) = G + j (w C - Gamma / w).
+
+Let beta = sigma_m(B) and N an orthonormal basis of ker B^T, both from one
+eigendecomposition of B B^T; beta is 0 when m > n or B is rank-deficient
+(a source loop), and then nothing is cleared. For a unit x in the range of
+N, |x* Y x| >= hypot(x* G x, w x* C x), and >= x* G x with inductors, whose
+imaginary part w x* C x - x* Gamma x / w can cancel. So sigma_min(N^T Y N)
+>= alpha = hypot(lam_G, w lam_C), with lam_G and lam_C the smallest
+eigenvalues of N^T G N and N^T C N, and lam_C taken as 0 with inductors.
+Write the solution of A [x; y] = [f; g] as x = x_p + N v, with x_p the
+least-norm solution of B^T x = g. With ny >= |Y(w)|_F this gives
+|x| <= a |f| + b |g| and |y| <= c |f| + d |g|, for a = 1 / alpha,
+b = c = (1 + ny / alpha) / beta and d = ny b / beta, so
+
+    cond_2(A) <= |A|_F * |[[a, b], [c, d]]|_F,    |A|_F^2 = ny^2 + 2 |B|_F^2,
+
+a closed form in w. Its per-stamp scalars are lam_G, lam_C, |G|_F, |C|_F,
+|Gamma|_F, beta, |B|_F and kappa, where |w C - Gamma / w|_F^2 =
+(w |C|_F - |Gamma|_F / w)^2 + kappa^2 and kappa^2 = 2 (|C|_F |Gamma|_F -
+<C, Gamma>). A frequency whose bound is below 1e10 is cleared. The bound
+is evaluated with no division by alpha, and a NaN or an overflow in it is
+not below 1e10, so such a frequency goes to the SVD; so does every
+frequency when the sources fix every node voltage (N is empty). The
+scalars are computed on a stamp's first solve, after the float-range check
+below, and kept on the stamp; a one-point block evaluates the bound in
+Python floats, a longer one on its ndarray of w.
+
+Rounding: each lam is lowered by 1e3 * size^2 * u * max|entry| (u the unit
+roundoff), which covers the computed N and eigenvalues; kappa^2 is raised
+by 1e-6 |C|_F |Gamma|_F, so that ny stays above |Y(w)|_F where w C and
+Gamma / w cancel, and the rounding of the assembled w*c - gamma/w stays
+below 1% of sigma_min at a cleared frequency; the factor 100 between 1e10
+and 1e12 covers the rest.
+
+A restamp of capacitances and sources alone in an RC circuit (the
+calibrations' ``_with_values`` on CGTX and CGRX) keeps G and N. Each
+capacitor enters C as c_k u_k u_k^T, so with r_lo and r_hi the smallest
+and largest ratio of a new capacitance to its old one, 1 among them,
+C >= r_lo C_old in the Loewner order and |C|_F <= r_hi |C_old|_F entry by
+entry: the restamp takes lam_C and |C|_F from its parent's in a few float
+operations. Only a block that this fails to clear has the stamp compute
+its own certificate, and then screens again.
 
 Before any of that, a grid is checked against the float range once: the
 stamp keeps the largest |entry| of g, c and gamma, and the grid's ends
@@ -79,9 +119,16 @@ __all__ = [
 ]
 
 COND_WARN_THRESHOLD = 1e12
-# Squared bound |A|_F^2 * |inv(A)|_F^2 at or below which a frequency is
-# cleared without its singular values: (COND_WARN_THRESHOLD / 100) ** 2.
-_CLEARED_BOUND_SQ = (COND_WARN_THRESHOLD / 100.0) ** 2
+# A frequency whose certified bound on cond_2 is below this is cleared
+# without its singular values.
+_CLEARED_BOUND = COND_WARN_THRESHOLD / 100.0
+_EPS = float(np.finfo(float).eps)
+# Rounding margin per squared unknown, as a share of the largest |entry|:
+# 1e3 times the unit roundoff.
+_MARGIN = 1e3 * _EPS / 2.0
+# Floor of kappa**2 as a share of |C|_F |Gamma|_F; it keeps |Y(w)|_F from
+# reading low where w*C and Gamma/w cancel.
+_RESONANCE = 1e-6
 # Complex entries per frequency block (128 KB): the stacked system matrices
 # of one block stay cache-sized however long the grid is.
 _BLOCK_ENTRIES = 1 << 13
@@ -139,15 +186,39 @@ class _Topology(NamedTuple):
     has_inductor: bool
 
 
-class _Stamp(NamedTuple):
-    """Real MNA matrices of a netlist; ``gamma`` is None without inductors."""
+class _Certificate(NamedTuple):
+    """The per-stamp scalars of the condition bound (see the module docstring)."""
 
+    lam_g: float  # lower bounds on lambda_min(N^T G N) and lambda_min(N^T C N);
+    lam_c: float  # lam_c is 0.0 with inductors, whose alpha is lam_g alone
+    c_norm: float  # |C|_F, or an upper bound on it
+    gamma_norm: float  # |Gamma|_F
+    g_kappa: float  # hypot(|G|_F, kappa), the part of |Y(w)|_F that w does not move
+    b_norm: float  # sqrt(2) * |B|_F, the source incidence's part of |A(w)|_F
+    inv_beta: float  # 1 / beta: 0.0 without sources, inf when beta = 0
+    kernel: np.ndarray | None  # N, an orthonormal basis of ker B^T; None when beta = 0
+    derived: bool  # lam_c and c_norm scaled from a parent stamp's
+
+
+@dataclass(eq=False, slots=True)
+class _Stamp:
+    """Real MNA matrices of a netlist; ``gamma`` is None without inductors.
+
+    ``certificate`` is filled by :func:`_certificate` on the first solve. An
+    RC restamp that changed only capacitances and sources keeps in
+    ``parent``, until then, the stamp it came from and the smallest and the
+    largest ratio of a capacitance to its old value, with 1 among them.
+    """
+
+    matrices: np.ndarray  # the read-only (3, unknowns, unknowns) stack of g, c and gamma
     g: np.ndarray
     c: np.ndarray
     gamma: np.ndarray | None
-    rhs: np.ndarray  # shape (1, unknowns, 1 + unknowns): [z | I] for every frequency
+    rhs: np.ndarray  # z, shape (1, unknowns, 1)
     topology: _Topology
     peaks: tuple[float, float, float]  # largest |entry| of g, c and gamma (0.0 without one)
+    parent: tuple[_Stamp, float, float] | None = None
+    certificate: _Certificate | None = None
 
 
 # Stacked matrix of each element kind. A source's own entries go to the
@@ -203,7 +274,8 @@ def _topology(netlist: Netlist) -> _Topology:
 
 
 def _stamp_values(topology: _Topology, elements: tuple[Element, ...],
-                  rhs: np.ndarray | None = None) -> _Stamp:
+                  rhs: np.ndarray | None = None,
+                  parent: tuple[_Stamp, float, float] | None = None) -> _Stamp:
     """The stamp of ``elements`` laid out by ``topology``; ``rhs`` if given, else built.
 
     One bincount sums every entry in element order, so a netlist stamped
@@ -219,12 +291,11 @@ def _stamp_values(topology: _Topology, elements: tuple[Element, ...],
     g, c, gamma = m
     peaks = tuple(np.abs(m).max(axis=(1, 2)).tolist())
     if rhs is None:
-        rhs = np.zeros((1, size, 1 + size), dtype=complex)
-        rhs.reshape(-1)[1::size + 2] = 1.0  # the identity: entry (i, 1 + i) of each row i
+        rhs = np.zeros((1, size, 1), dtype=complex)
         for row, k in enumerate(topology.sources, start=len(topology.index)):
             rhs[0, row, 0] = elements[k].value
         rhs.setflags(write=False)
-    return _Stamp(g, c, gamma if topology.has_inductor else None, rhs, topology, peaks)
+    return _Stamp(m, g, c, gamma if topology.has_inductor else None, rhs, topology, peaks, parent)
 
 
 def _with_values(netlist: Netlist, values: dict[str, float]) -> Netlist:
@@ -233,25 +304,117 @@ def _with_values(netlist: Netlist, values: dict[str, float]) -> Netlist:
     Each new value passes Element's own check. Nodes and labels stay, so the
     netlist's topology checks still hold and are not repeated, and the new
     stamp reuses the netlist's stamp topology, and its read-only ``rhs`` when
-    ``values`` names no source.
+    ``values`` names no source. When ``values`` names only capacitors and
+    sources of a circuit without inductors, the new stamp's certificate
+    derives from the netlist's.
     """
     elements = tuple(Element(e.kind, values[e.label], e.nodes, e.label) if e.label in values else e
                      for e in netlist.elements)
     stamp = _stamp(netlist)
     topology = stamp.topology
     rhs = None if any(label in values for label in topology.source_labels) else stamp.rhs
+    changed = [(e, new) for e, new in zip(netlist.elements, elements) if new is not e]
+    parent = None
+    if not topology.has_inductor and all(e.kind in "CV" for e, _ in changed):
+        ratios = [1.0] + [new.value / e.value for e, new in changed if e.kind == "C"]
+        parent = (stamp, min(ratios), max(ratios))
     restamped = object.__new__(Netlist)
     # Netlist is frozen: its fields are copied without a second validation,
     # and the stamp rides along as _stamp keeps it.
     restamped.__dict__.update(netlist.__dict__, elements=elements,
-                              _mna=_stamp_values(topology, elements, rhs))
+                              _mna=_stamp_values(topology, elements, rhs, parent))
     return restamped
 
 
-def _sum_sq(a: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of each matrix in a (k, rows, cols) complex stack."""
-    v = a.view(float)  # real and imaginary parts side by side
-    return np.einsum("kij,kij->k", v, v)
+def _source_kernel(incidence: np.ndarray) -> tuple[np.ndarray | None, float, float]:
+    """(N, 1 / beta, sqrt(2) * |B|_F) of the source incidence B (n x m).
+
+    One eigendecomposition of the integer matrix B B^T gives both: its n - m
+    smallest eigenvalues belong to ker B^T, and the next one is beta**2. beta
+    is taken as 0, and N as None, when m > n or when beta**2 is rounding
+    noise: B is rank-deficient, a source loop.
+    """
+    n, m = incidence.shape
+    b_norm = math.sqrt(2.0 * np.count_nonzero(incidence))
+    if not m:
+        return np.eye(n), 0.0, b_norm
+    if m > n:
+        return None, math.inf, b_norm
+    squares, vectors = np.linalg.eigh(incidence @ incidence.T)
+    beta_sq = float(squares[n - m])
+    if not beta_sq > float(squares[-1]) * n * _EPS:
+        return None, math.inf, b_norm
+    return vectors[:, :n - m], 1.0 / math.sqrt(beta_sq), b_norm
+
+
+def _certificate(stamp: _Stamp) -> _Certificate:
+    """The stamp's certificate, computed on first use and kept on the stamp.
+
+    A restamp with a parent derives it from the parent's in a few float
+    operations.
+    """
+    if stamp.certificate is None:
+        if stamp.parent is None:
+            stamp.certificate = _fresh_certificate(stamp)
+        else:
+            (parent, low, high), stamp.parent = stamp.parent, None
+            base = _certificate(parent)
+            # low * C_old <= C <= high * C_old, entry by entry and in the Loewner order
+            tol = _MARGIN * len(stamp.g) ** 2
+            stamp.certificate = base._replace(
+                lam_c=max(low * base.lam_c - tol * stamp.peaks[1], 0.0),
+                c_norm=high * base.c_norm, derived=True)
+    return stamp.certificate
+
+
+def _fresh_certificate(stamp: _Stamp) -> _Certificate:
+    """The certificate from the stamp's own matrices."""
+    n = len(stamp.topology.index)
+    tol = _MARGIN * len(stamp.g) ** 2
+    kernel, inv_beta, b_norm = _source_kernel(stamp.matrices[0, :n, n:])
+    blocks = stamp.matrices[:, :n, :n]  # G, C and Gamma (zero without inductors)
+    peaks = np.abs(blocks).max(axis=(1, 2), initial=0.0)
+    units = blocks / np.where(peaks > 0.0, peaks, 1.0)[:, None, None]  # no overflow below
+    g_fro, c_fro, gamma_fro = np.sqrt((units * units).sum(axis=(1, 2))).tolist()
+    g_peak, c_peak, gamma_peak = peaks.tolist()
+    # kappa**2 = 2 (|C| |Gamma| - <C, Gamma>), raised by _RESONANCE |C| |Gamma|
+    kappa = (math.sqrt(c_peak) * math.sqrt(gamma_peak)
+             * math.sqrt(max(2.0 * (c_fro * gamma_fro - float(np.vdot(units[1], units[2]))), 0.0)
+                         + _RESONANCE * c_fro * gamma_fro))
+    lam_g = lam_c = 0.0
+    if kernel is not None and kernel.shape[1]:
+        lows = np.linalg.eigvalsh(kernel.T @ units[:2] @ kernel)[:, 0].tolist()
+        # each less its rounding margin, and at least 0; a NaN stays NaN
+        lam_g, lam_c = (max(low - tol, 0.0) * peak for low, peak in zip(lows, (g_peak, c_peak)))
+    return _Certificate(lam_g, 0.0 if stamp.gamma is not None else lam_c, c_peak * c_fro,
+                        gamma_peak * gamma_fro, math.hypot(g_peak * g_fro, kappa), b_norm,
+                        inv_beta, kernel, False)
+
+
+def _bound_terms(cert: _Certificate, w, hypot):
+    """(num, alpha) with cond_2(A(w)) <= num / alpha at angular frequency w.
+
+    ``w`` is a float with ``math.hypot`` or an ndarray with ``np.hypot``. The
+    terms hold no division by alpha, so a zero alpha reads as not cleared.
+    """
+    alpha = hypot(cert.lam_g, w * cert.lam_c)
+    ny = hypot(cert.g_kappa, w * cert.c_norm - cert.gamma_norm / w)  # >= |Y(w)|_F
+    t, inv_beta = alpha + ny, cert.inv_beta
+    h = hypot(hypot(1.0, math.sqrt(2.0) * inv_beta * t), inv_beta * inv_beta * ny * t)
+    return hypot(ny, cert.b_norm) * h, alpha
+
+
+def _uncleared(cert: _Certificate, omega: np.ndarray) -> list[int]:
+    """The indices of the points of ``omega`` whose bound is not below _CLEARED_BOUND.
+
+    A NaN bound is not below it either.
+    """
+    if len(omega) == 1:  # in floats, a few times faster than on a one-point ndarray
+        num, alpha = _bound_terms(cert, float(omega[0]), math.hypot)
+        return [] if num < _CLEARED_BOUND * alpha else [0]
+    with np.errstate(all="ignore"):  # an overflow or a NaN is simply not cleared
+        num, alpha = _bound_terms(cert, omega, np.hypot)
+        return np.flatnonzero(~(num < _CLEARED_BOUND * alpha)).tolist()
 
 
 def _singular_nodes(a: np.ndarray, index: dict[int, int]) -> tuple[int, ...]:
@@ -324,6 +487,7 @@ def _solve_grid(netlist: Netlist, freqs) -> tuple[np.ndarray, _Stamp, list[str]]
     reach = (g_peak, c_peak * (2.0 * math.pi * f_hi), gamma_peak / (2.0 * math.pi * f_lo))
     if not max(reach) < math.inf:
         raise _out_of_range(netlist, stamp, reach, f_lo, f_hi)
+    certificate = _certificate(stamp)
     index = stamp.topology.index
     size = len(index) + len(stamp.topology.sources)
     block = max(1, _BLOCK_ENTRIES // (size * size))
@@ -333,11 +497,12 @@ def _solve_grid(netlist: Netlist, freqs) -> tuple[np.ndarray, _Stamp, list[str]]
     for start in range(0, len(freqs), block):
         f = freqs[start:start + block]
         a = buffer[:len(f)]
-        omega = (2.0 * math.pi * f)[:, None, None]
+        omega = 2.0 * math.pi * f
+        w = omega[:, None, None]
         a.real = stamp.g
-        np.multiply(omega, stamp.c, out=a.imag)
+        np.multiply(w, stamp.c, out=a.imag)
         if stamp.gamma is not None:
-            a.imag -= stamp.gamma / omega
+            a.imag -= stamp.gamma / w
         try:
             solution = np.linalg.solve(a, stamp.rhs)
         except np.linalg.LinAlgError:
@@ -346,13 +511,14 @@ def _solve_grid(netlist: Netlist, freqs) -> tuple[np.ndarray, _Stamp, list[str]]
             for k in range(len(f)):
                 _check_condition(a, f, [k], index, warnings)
                 try:
-                    np.linalg.solve(a[k], stamp.rhs[0, :, :1])
+                    np.linalg.solve(a[k], stamp.rhs[0])
                 except np.linalg.LinAlgError:
                     raise _singular(a[k], f[k], index) from None
             raise
-        # Upper bound on cond_2, squared; written so that a NaN bound is not cleared.
-        bound_sq = (_sum_sq(a) * _sum_sq(solution[..., 1:])).tolist()
-        suspect = [k for k, u in enumerate(bound_sq) if not u <= _CLEARED_BOUND_SQ]
+        suspect = _uncleared(certificate, omega)
+        if suspect and certificate.derived:
+            certificate = stamp.certificate = _fresh_certificate(stamp)
+            suspect = _uncleared(certificate, omega)
         if suspect:
             _check_condition(a, f, suspect, index, warnings)
         if x is None:

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circuit_oracle import brute_force_voltages, random_rc_network
-from eqshbc.bodychannel import INTER_PROBE, SOURCE_LABEL
+from eqshbc.bodychannel import INTER_PROBE, SOURCE_LABEL, calibrate_return_scale
 from eqshbc.multiregion import default_region_config
 from eqshbc import solver
 from eqshbc.netlist import Element, Netlist, parse_netlist
@@ -422,7 +422,7 @@ def divider_mna(r1, r2, c, f):
 
 
 class TestConditionScreen:
-    """The LU inverse clears well-conditioned frequencies; the rest get the exact SVD check."""
+    """The certificate clears well-conditioned frequencies; the rest get the exact SVD check."""
 
     def test_large_ladder_needs_no_svd(self, svd_points):
         net = netlist_from_tuples(ladder(64, 1e3, 1e-9))
@@ -435,7 +435,8 @@ class TestConditionScreen:
         # it between 1e8 and 1e14, with the series R1 far below R2.
         grid = FrequencyGrid.log(1e2, 1e8, 7)
         conds, swept = [], 0
-        for r1 in np.geomspace(3e-8, 3e-14, 31).tolist():
+        # and R1 = 1 kOhm, a divider the certificate clears at every frequency
+        for r1 in np.geomspace(3e-8, 3e-14, 31).tolist() + [1e3]:
             net = parse_netlist(f"V1 1 0 1.0\nR1 1 2 {r1!r}\nR2 2 0 1000\nC1 2 0 1e-9")
             before = sum(svd_points)
             res = transfer(net, "V1", (2, 0), grid)
@@ -455,17 +456,20 @@ class TestConditionScreen:
         grid = FrequencyGrid.log(1e3, 1e6, 20)
         clean = transfer(RC_POLE, "V1", (2, 0), grid)
         assert svd_points == []
-        real_solve = np.linalg.solve
+        real_eigvalsh = np.linalg.eigvalsh
 
-        def nan_inverse(a, b):
-            out = real_solve(a, b)
-            out[7, 0, 1] = math.nan  # one entry of point 7's inverse
-            return out
+        def nan_eigvalsh(a):
+            return real_eigvalsh(a) * math.nan  # a NaN certificate for a fresh stamp
 
-        monkeypatch.setattr(np.linalg, "solve", nan_inverse)
-        res = transfer(RC_POLE, "V1", (2, 0), grid)
-        assert svd_points == [1]
+        monkeypatch.setattr(np.linalg, "eigvalsh", nan_eigvalsh)
+        twin = parse_netlist("V1 1 0 1.0\nR1 1 2 1k\nC1 2 0 1n")
+        res = transfer(twin, "V1", (2, 0), grid)
+        assert svd_points == [len(grid)]
         assert np.array_equal(res.gain, clean.gain) and res.warnings == ()
+        # the one-point bound, taken in floats, sends its NaN to the SVD too
+        point = solve_ac(parse_netlist("V1 1 0 1.0\nR1 1 2 1k\nC1 2 0 1n"), grid.points[7])
+        assert svd_points == [len(grid), 1]
+        assert point[2] == solve_ac(RC_POLE, grid.points[7])[2] and point.warnings == ()
 
 
 class TestStampOnce:
@@ -516,15 +520,15 @@ def loop_stamp(netlist):
 
 
 @st.composite
-def grounded_netlists(draw):
-    """Connected R/C/L/V netlists: a spanning tree from ground plus extra branches."""
+def grounded_netlists(draw, kinds="RCLV"):
+    """Connected netlists of the given kinds: a spanning tree from ground plus extra branches."""
     n = draw(st.integers(2, 7))
     pairs = [(k, draw(st.integers(0, k - 1))) for k in range(1, n)]
     pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
                            .filter(lambda p: p[0] != p[1]), max_size=8))
     elements = []
     for k, (a, b) in enumerate(pairs):
-        kind = draw(st.sampled_from("RCLV"))
+        kind = draw(st.sampled_from(kinds))
         elements.append(Element(kind, draw(st.floats(1e-12, 1e6)), (a, b), f"{kind}{k}"))
     return Netlist(tuple(elements))
 
@@ -541,6 +545,128 @@ class TestStampIsTheTextbookLoop:
         else:
             assert stamp.gamma is None
         assert stamp.peaks == tuple(np.abs(m).max() for m in (g, c, gamma))
+
+
+def assembled(stamp, f):
+    """A(w) for each frequency in f, built as the solver builds it."""
+    w = (2.0 * math.pi * np.asarray(f, dtype=float))[:, None, None]
+    a = np.empty((len(f), *stamp.g.shape), dtype=complex)
+    a.real = stamp.g
+    np.multiply(w, stamp.c, out=a.imag)
+    if stamp.gamma is not None:
+        a.imag -= stamp.gamma / w
+    return a
+
+
+def cond_bound(cert, f):
+    """The certificate's bound on cond_2 at each frequency in f."""
+    with np.errstate(all="ignore"):
+        num, alpha = solver._bound_terms(cert, 2.0 * math.pi * np.asarray(f, dtype=float),
+                                         np.hypot)
+        return num / alpha
+
+
+def margin(m):
+    """The certificate's rounding margin for the matrix m of a size-unknown stamp."""
+    return solver._MARGIN * len(m) ** 2 * np.abs(m).max(initial=0.0)
+
+
+class TestCertificate:
+    """The bound on cond_2 computed from the stamp before any LU solve."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grounded_netlists(),
+           st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=12, unique=True).map(sorted))
+    def test_bound_is_at_least_cond_and_warnings_are_the_svds(self, netlist, points):
+        stamp = solver._build_stamp(netlist)
+        cert = solver._certificate(stamp)
+        a = assembled(stamp, points)
+        with np.errstate(all="ignore"):
+            conds = np.linalg.cond(a)
+        for bound, cond in zip(cond_bound(cert, points).tolist(), conds.tolist()):
+            # at least cond, up to the rounding of the SVD's smallest singular value
+            assert not bound * (1.0 + len(a[0]) * solver._EPS * cond) < cond
+            assert not (bound < solver._CLEARED_BOUND and cond > 1e12)
+        # a source loop or more sources than nodes (beta = 0) clears nothing
+        if cert.kernel is None:
+            assert solver._uncleared(cert, 2.0 * math.pi * np.array(points)) == list(
+                range(len(points)))
+        if not netlist.sources():
+            return
+        try:
+            res = transfer(netlist, netlist.sources()[0].label, (1, 0), FrequencyGrid(points))
+        except SingularCircuitError:
+            return
+        assert res.warnings == tuple(
+            f"ill-conditioned MNA system at f={f:g} Hz (cond~{k:.3g})"
+            for f, k in zip(points, conds.tolist()) if k > 1e12)
+
+    @pytest.mark.parametrize("text", [
+        "V1 1 0 1\nV2 1 0 1\nV3 1 0 1\nR1 1 0 1",  # three sources on one node: m > n
+        "V1 1 0 1\nV2 1 0 1\nV3 1 0 1\nR1 1 2 1\nR2 2 3 1\nR3 3 0 1",  # rank 1 of 3
+    ])
+    def test_parallel_sources_have_no_beta_and_clear_nothing(self, text):
+        stamp = solver._build_stamp(parse_netlist(text))
+        cert = solver._certificate(stamp)
+        assert cert.kernel is None and cert.inv_beta == math.inf
+        omega = 2.0 * math.pi * np.geomspace(1e3, 1e6, 5)
+        assert solver._uncleared(cert, omega) == [0, 1, 2, 3, 4]
+        assert solver._uncleared(cert, omega[:1]) == [0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(grounded_netlists())
+    def test_node_blocks_are_psd_on_the_kernel(self, netlist):
+        stamp = solver._build_stamp(netlist)
+        kernel = solver._certificate(stamp).kernel
+        assume(kernel is not None and kernel.shape[1])
+        n = len(stamp.topology.index)
+        assert np.allclose(kernel.T @ kernel, np.eye(kernel.shape[1]), atol=1e-12)
+        assert np.abs(stamp.g[:n, n:].T @ kernel).max(initial=0.0) < 1e-12
+        for m in (stamp.g, stamp.c, stamp.gamma):
+            if m is not None:
+                block = m[:n, :n]
+                low = np.linalg.eigvalsh(kernel.T @ block @ kernel)[0]
+                assert low >= -margin(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(grounded_netlists("RCV"), st.data())
+    def test_restamp_certificate_bounds_the_exact_one(self, netlist, data):
+        caps = [e.label for e in netlist.elements if e.kind == "C"]
+        assume(caps)
+        labels = data.draw(st.lists(st.sampled_from(caps), min_size=1, unique=True))
+        values = {label: data.draw(st.floats(1e-15, 1e6)) for label in labels}
+        restamped = solver._stamp(solver._with_values(netlist, values))
+        derived = solver._certificate(restamped)
+        exact = solver._fresh_certificate(restamped)
+        assert derived.lam_c <= exact.lam_c + margin(restamped.c)
+        assert derived.c_norm >= exact.c_norm * (1.0 - 1e-12)
+        assert (derived.lam_g, derived.g_kappa) == (exact.lam_g, exact.g_kappa)
+        assert derived.kernel is solver._certificate(solver._stamp(netlist)).kernel
+
+    def test_calibration_steps_take_no_eigensolve(self, monkeypatch, svd_points):
+        calls = []
+        real_eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or real_eigvalsh(a))
+        calibrate_return_scale(80.0, c_c=21e-12)
+        assert len(calls) == 1  # lam_G and lam_C of the circuit every step restamps
+        assert svd_points == []
+
+    def test_a_restamp_that_fails_to_clear_solves_its_own_lam_c(self, monkeypatch, svd_points):
+        # node 3 has no conductance: alpha = w * lam_C
+        text = "V1 1 0 1\nR1 1 2 1k\nC1 2 3 1n\nC2 3 0 1n\nC3 3 0 {}"
+        net = parse_netlist(text.format("1n"))
+        solve_ac(net, 1e3)
+        calls = []
+        real_eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or real_eigvalsh(a))
+        kept = solver._with_values(net, {"C3": 0.5e-9})
+        assert solve_ac(kept, 1e3) and calls == []  # lam_C scaled from the parent
+        # C3 down by 1e6 scales lam_C down by 1e6, though C2 keeps it near its old value
+        dropped = solver._with_values(net, {"C3": 1e-15})
+        assert solve_ac(dropped, 1e3) == solve_ac(parse_netlist(text.format("1e-15")), 1e3)
+        # its own lam_C, then lam_G and lam_C of the rebuilt circuit in one call
+        assert len(calls) == 1 + 1 and not solver._stamp(dropped).certificate.derived
+        assert svd_points == []
 
 
 class TestSweepIsItsPointSolves:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from eqshbc.bodychannel import BodyChannelParams, extra_loss_db, scale_return_path
@@ -22,6 +23,8 @@ from eqshbc.multiregion import (
     device_pair_gain,
     max_detection_distance,
 )
+from eqshbc.netlist import Element, parse_netlist
+from eqshbc.solver import solve_ac
 
 NAN, INF = math.nan, math.inf
 
@@ -90,3 +93,17 @@ def test_crossover_bounds_must_be_ordered(f_lo, f_hi):
     with pytest.raises(ValueError, match="must be below f_hi"):
         crossover_frequency(default_region_config(), RegionLabel.EM_RESONANT,
                             RegionLabel.DEVICE_COUPLING, f_lo=f_lo, f_hi=f_hi)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: max_detection_distance(default_region_config(), v, -95.0),
+    lambda v: Element("R", v, (1, 2), "R1"),
+    lambda v: solve_ac(parse_netlist("V1 1 0 1\nR1 1 2 1k\nC1 2 0 1n"), v),
+], ids=["max_detection_distance", "Element", "solve_ac"])
+def test_scalar_entry_points_take_one_real_number(call):
+    # A one-element ndarray's truth value is its element's, so a range check alone passes it.
+    for value in (np.array([1e5]), np.array(1e5), 1e5 + 0j):
+        with pytest.raises(TypeError, match=r"must be a real number, got (ndarray|complex)$"):
+            call(value)
+    # numpy scalars pass, as FrequencyGrid's extremes reach the checks
+    assert call(np.float64(1e5)) == call(1e5)

@@ -13,13 +13,16 @@ times it 7 times in a row, keeping the median, in microseconds:
 - one ``calibrate_return_scale(80.0, c_c=21e-12)``;
 - one ``calibrate_anechoic_boost()``;
 - 45 ``max_detection_distance`` calls on the default scenario, 100 kHz - 1 GHz;
-- 40 ``load_config`` reads of the bundled ``inter_body.cfg``.
+- 40 ``load_config`` reads of the bundled ``inter_body.cfg``;
+- ``ladder_sweep``: a fresh parse and a 100-point ``transfer`` of a
+  64-section RC ladder and of a 64-section RLC ladder.
 
 It prints, for each step, the median over the rounds of each checkout.
 """
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -29,13 +32,27 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
 STEPS = ("solve_ac", "restamp", "calibrate_return_scale", "calibrate_anechoic_boost",
-         "45 max_detection_distance", "40 load_config")
+         "45 max_detection_distance", "40 load_config", "ladder_sweep")
 REPEATS = 7
+
+
+def _ladder_text(sections: int, inductors: bool) -> str:
+    """Series 1 kOhm (with 1 H across it if ``inductors``) and 1 nF to ground per section.
+
+    At 64 sections the inductors take over below 159 Hz, within a decade of
+    the RC diffusion corner at 39 Hz.
+    """
+    lines = ["V1 1 0 1"]
+    for k in range(1, sections + 1):
+        lines += [f"R{k} {k} {k + 1} 1k", f"C{k} {k + 1} 0 1n"]
+        if inductors:
+            lines.append(f"L{k} {k} {k + 1} 1")
+    return "\n".join(lines)
 
 
 def _step_calls() -> dict:
     """The timed steps as zero-argument callables, from the eqshbc on the path."""
-    from eqshbc import bodychannel, config, multiregion, solver
+    from eqshbc import bodychannel, config, multiregion, netlist, solver
 
     params = bodychannel.InterBodyParams(bodychannel.BodyChannelParams(), c_c=21e-12)
     circuit = bodychannel.build_inter_body(params)
@@ -53,10 +70,18 @@ def _step_calls() -> dict:
         for _ in range(40):
             config.load_config("inter_body.cfg")
 
+    ladders = [_ladder_text(64, inductors) for inductors in (False, True)]
+    corner = 1.0 / (2.0 * math.pi * 1e3 * 1e-9 * 64 ** 2)  # the RC diffusion corner
+    grid = solver.FrequencyGrid.log(corner / 100.0, corner * 100.0, 100)
+
+    def ladder_sweep():
+        for text in ladders:
+            solver.transfer(netlist.parse_netlist(text), "V1", (65, 0), grid)
+
     return dict(zip(STEPS, (
         lambda: bodychannel.solve_ac(circuit, 500e3), restamp,
         lambda: bodychannel.calibrate_return_scale(80.0, c_c=21e-12),
-        bodychannel.calibrate_anechoic_boost, detection, configs)))
+        bodychannel.calibrate_anechoic_boost, detection, configs, ladder_sweep)))
 
 
 def _time_steps() -> dict[str, float]:
