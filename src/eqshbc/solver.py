@@ -75,14 +75,36 @@ Gamma / w cancel, and the rounding of the assembled w*c - gamma/w stays
 below 1% of sigma_min at a cleared frequency; the factor 100 between 1e10
 and 1e12 covers the rest.
 
+The anchored term. Without inductors, lam_G is 0 when a part of the
+circuit has no conductive path to ground, and lam_C is 0 when a node has
+no capacitor; with both at 0, alpha is 0 and nothing is cleared (so with
+a resistive receiver load). One eigenvalue taken at the anchor frequency
+w_0 = |G|_F / |C|_F, the stamp's own RC corner, clears such a stamp:
+lam_0 = lambda_min(N^T (G + w_0 C) N). For a unit x in the range of N, as
+x* G x >= 0 and x* C x >= 0,
+
+    |x* Y x| = hypot(x* G x, w x* C x) >= x* (G + w C) x / sqrt(2),
+    G + w C >= G + w_0 C                    for w >= w_0,
+    G + w C >= (w / w_0) (G + w_0 C)        for w <= w_0, since G >= 0,
+
+so alpha = max(hypot(lam_G, w lam_C), min(1, w / w_0) lam_0 / sqrt(2)),
+still a closed form in w. With inductors the anchored term is 0, as lam_C
+is. lam_0 costs one more eigenvalue problem, so it is computed only for a
+block that the certificate without it fails to clear: one eigvalsh of
+N^T (G + w_0 C) N divided by the largest |entry| of G, lowered by the same
+rounding margin; it is then kept on the certificate and the block is
+screened again.
+
 A restamp of capacitances and sources alone in an RC circuit (the
 calibrations' ``_with_values`` on CGTX and CGRX) keeps G and N. Each
 capacitor enters C as c_k u_k u_k^T, so with r_lo and r_hi the smallest
 and largest ratio of a new capacitance to its old one, 1 among them,
 C >= r_lo C_old in the Loewner order and |C|_F <= r_hi |C_old|_F entry by
-entry: the restamp takes lam_C and |C|_F from its parent's in a few float
-operations. Only a block that this fails to clear has the stamp compute
-its own certificate, and then screens again.
+entry. As r_lo <= 1 and G >= 0, also G + w_0 C >= r_lo (G + w_0 C_old) at
+the parent's w_0: the restamp takes lam_C, |C|_F and lam_0 (with w_0) from
+its parent's in a few float operations. Only a block that this fails to
+clear has the stamp compute its own certificate, then its own lam_0, each
+followed by a second screen.
 
 Before any of that, a grid is checked against the float range once: the
 stamp keeps the largest |entry| of g, c and gamma, and the grid's ends
@@ -197,7 +219,11 @@ class _Certificate(NamedTuple):
     b_norm: float  # sqrt(2) * |B|_F, the source incidence's part of |A(w)|_F
     inv_beta: float  # 1 / beta: 0.0 without sources, inf when beta = 0
     kernel: np.ndarray | None  # N, an orthonormal basis of ker B^T; None when beta = 0
-    derived: bool  # lam_c and c_norm scaled from a parent stamp's
+    derived: bool  # lam_c, c_norm and lam_0 scaled from a parent stamp's
+    # The anchored term's lower bound on lambda_min(N^T (G + w_0 C) N): None until
+    # _anchored computes it, 0.0 where it does not apply
+    lam_0: float | None = None
+    w_0: float = 0.0  # the anchor frequency |G|_F / |C|_F
 
 
 @dataclass(eq=False, slots=True)
@@ -361,9 +387,12 @@ def _certificate(stamp: _Stamp) -> _Certificate:
             base = _certificate(parent)
             # low * C_old <= C <= high * C_old, entry by entry and in the Loewner order
             tol = _MARGIN * len(stamp.g) ** 2
+            # and G + w_0 C >= low (G + w_0 C_old), as low <= 1
+            lam_0 = base.lam_0 if base.lam_0 is None else max(
+                low * base.lam_0 - tol * (stamp.peaks[0] + base.w_0 * stamp.peaks[1]), 0.0)
             stamp.certificate = base._replace(
                 lam_c=max(low * base.lam_c - tol * stamp.peaks[1], 0.0),
-                c_norm=high * base.c_norm, derived=True)
+                c_norm=high * base.c_norm, derived=True, lam_0=lam_0)
     return stamp.certificate
 
 
@@ -372,11 +401,7 @@ def _fresh_certificate(stamp: _Stamp) -> _Certificate:
     n = len(stamp.topology.index)
     tol = _MARGIN * len(stamp.g) ** 2
     kernel, inv_beta, b_norm = _source_kernel(stamp.matrices[0, :n, n:])
-    blocks = stamp.matrices[:, :n, :n]  # G, C and Gamma (zero without inductors)
-    peaks = np.abs(blocks).max(axis=(1, 2), initial=0.0)
-    units = blocks / np.where(peaks > 0.0, peaks, 1.0)[:, None, None]  # no overflow below
-    g_fro, c_fro, gamma_fro = np.sqrt((units * units).sum(axis=(1, 2))).tolist()
-    g_peak, c_peak, gamma_peak = peaks.tolist()
+    units, (g_peak, c_peak, gamma_peak), (g_fro, c_fro, gamma_fro) = _unit_blocks(stamp)
     # kappa**2 = 2 (|C| |Gamma| - <C, Gamma>), raised by _RESONANCE |C| |Gamma|
     kappa = (math.sqrt(c_peak) * math.sqrt(gamma_peak)
              * math.sqrt(max(2.0 * (c_fro * gamma_fro - float(np.vdot(units[1], units[2]))), 0.0)
@@ -391,6 +416,37 @@ def _fresh_certificate(stamp: _Stamp) -> _Certificate:
                         inv_beta, kernel, False)
 
 
+def _unit_blocks(stamp: _Stamp) -> tuple[np.ndarray, list[float], list[float]]:
+    """The node blocks G, C and Gamma (zero without inductors), each divided by its
+    largest |entry| so that nothing computed from them overflows; those largest
+    entries; and the Frobenius norms of the divided blocks.
+    """
+    n = len(stamp.topology.index)
+    blocks = stamp.matrices[:, :n, :n]
+    peaks = np.abs(blocks).max(axis=(1, 2), initial=0.0)
+    units = blocks / np.where(peaks > 0.0, peaks, 1.0)[:, None, None]
+    return units, peaks.tolist(), np.sqrt((units * units).sum(axis=(1, 2))).tolist()
+
+
+def _anchored(stamp: _Stamp, cert: _Certificate) -> _Certificate:
+    """``cert`` with the anchored term of the stamp's own G and C (see the module docstring).
+
+    lam_0 is 0.0 with inductors, without a kernel, or when G or C is zero or
+    w_0 leaves the float range.
+    """
+    units, (g_peak, c_peak, _), (g_fro, c_fro, _) = _unit_blocks(stamp)
+    kernel = cert.kernel
+    w_0 = g_peak * g_fro / (c_peak * c_fro) if c_peak else 0.0
+    if stamp.gamma is not None or kernel is None or not kernel.size or not 0.0 < w_0 < math.inf:
+        return cert._replace(lam_0=0.0)
+    ratio = g_fro / c_fro  # G + w_0 C = g_peak (units[0] + ratio units[1])
+    low = float(np.linalg.eigvalsh(kernel.T @ (units[0] + ratio * units[1]) @ kernel)[0])
+    # less its rounding margin (1 + ratio bounds the largest |entry|), and at least 0;
+    # a NaN stays NaN
+    lam_0 = max(low - _MARGIN * len(stamp.g) ** 2 * (1.0 + ratio), 0.0) * g_peak
+    return cert._replace(lam_0=lam_0, w_0=w_0)
+
+
 def _bound_terms(cert: _Certificate, w, hypot):
     """(num, alpha) with cond_2(A(w)) <= num / alpha at angular frequency w.
 
@@ -398,6 +454,9 @@ def _bound_terms(cert: _Certificate, w, hypot):
     terms hold no division by alpha, so a zero alpha reads as not cleared.
     """
     alpha = hypot(cert.lam_g, w * cert.lam_c)
+    if cert.lam_0:  # the anchored term, once computed; a NaN lam_0 makes alpha NaN
+        maximum, minimum = (max, min) if hypot is math.hypot else (np.maximum, np.minimum)
+        alpha = maximum(minimum(1.0, w / cert.w_0) * (cert.lam_0 / math.sqrt(2.0)), alpha)
     ny = hypot(cert.g_kappa, w * cert.c_norm - cert.gamma_norm / w)  # >= |Y(w)|_F
     t, inv_beta = alpha + ny, cert.inv_beta
     h = hypot(hypot(1.0, math.sqrt(2.0) * inv_beta * t), inv_beta * inv_beta * ny * t)
@@ -516,8 +575,10 @@ def _solve_grid(netlist: Netlist, freqs) -> tuple[np.ndarray, _Stamp, list[str]]
                     raise _singular(a[k], f[k], index) from None
             raise
         suspect = _uncleared(certificate, omega)
-        if suspect and certificate.derived:
-            certificate = stamp.certificate = _fresh_certificate(stamp)
+        # a scaled certificate gives way to the stamp's own, then that gains its anchor
+        while suspect and (certificate.derived or certificate.lam_0 is None):
+            certificate = stamp.certificate = (_fresh_certificate(stamp) if certificate.derived
+                                               else _anchored(stamp, certificate))
             suspect = _uncleared(certificate, omega)
         if suspect:
             _check_condition(a, f, suspect, index, warnings)

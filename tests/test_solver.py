@@ -8,7 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circuit_oracle import brute_force_voltages, random_rc_network
-from eqshbc.bodychannel import INTER_PROBE, SOURCE_LABEL, calibrate_return_scale
+from eqshbc.bodychannel import (
+    INTER_PROBE,
+    SOURCE_LABEL,
+    BodyChannelParams,
+    InterBodyParams,
+    LoadSpec,
+    build_inter_body,
+    calibrate_return_scale,
+)
 from eqshbc.multiregion import default_region_config
 from eqshbc import solver
 from eqshbc.netlist import Element, Netlist, parse_netlist
@@ -471,6 +479,32 @@ class TestConditionScreen:
         assert svd_points == [len(grid), 1]
         assert point[2] == solve_ac(RC_POLE, grid.points[7])[2] and point.warnings == ()
 
+    def test_resistive_inter_body_load_needs_no_svd(self, svd_points):
+        # Node 5 lies between RB and the 50 ohm load, with no capacitor, and G has no
+        # path to ground from the receiver's side: lam_G = lam_C = 0, and the anchor clears.
+        params = InterBodyParams(BodyChannelParams(load=LoadSpec.resistive(50.0)), c_c=21e-12)
+        net = build_inter_body(params)
+        grid = FrequencyGrid.log(1e5, 1e9, 300)
+        res = transfer(net, SOURCE_LABEL, INTER_PROBE, grid)
+        assert svd_points == []
+        stamp = solver._stamp(net)
+        cert = stamp.certificate
+        assert cert.lam_g == cert.lam_c == 0.0 < cert.lam_0
+        conds = np.linalg.cond(assembled(stamp, grid.points)).tolist()
+        assert res.warnings == tuple(
+            f"ill-conditioned MNA system at f={f:g} Hz (cond~{k:.3g})"
+            for f, k in zip(grid, conds) if k > 1e12)
+        assert all(bound >= cond for bound, cond in zip(cond_bound(cert, grid.points), conds))
+
+    def test_nan_lam_0_clears_nothing(self):
+        stamp = solver._build_stamp(parse_netlist("V1 1 0 1.0\nR1 1 2 1k\nC1 2 0 1n"))
+        cert = solver._certificate(stamp)
+        omega = 2.0 * math.pi * np.geomspace(1e3, 1e6, 5)
+        assert solver._uncleared(cert, omega) == []
+        nan = solver._anchored(stamp, cert)._replace(lam_0=math.nan)
+        assert solver._uncleared(nan, omega) == [0, 1, 2, 3, 4]
+        assert solver._uncleared(nan, omega[:1]) == [0]
+
 
 class TestStampOnce:
     def test_repeated_solves_of_one_netlist_stamp_once(self, monkeypatch):
@@ -547,6 +581,53 @@ class TestStampIsTheTextbookLoop:
         assert stamp.peaks == tuple(np.abs(m).max() for m in (g, c, gamma))
 
 
+def solved(netlist, f):
+    """solve_ac at f, and the rounding bound 1e3 * u * cond_2 * max|x| on any of its unknowns."""
+    sol = solve_ac(netlist, f)
+    cond = np.linalg.cond(assembled(solver._stamp(netlist), [f]))[0]
+    unknowns = [*sol.values(), *sol.source_currents.values()]
+    return sol, 1e3 * solver._EPS * cond * max(map(abs, unknowns))
+
+
+class TestCircuitProperties:
+    """Passivity and reciprocity of random RC and RLC graphs, up to the solve's rounding."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(grounded_netlists("RCL"), st.floats(1e-3, 1e9), st.data())
+    def test_a_source_delivers_non_negative_real_power(self, core, f, data):
+        node = data.draw(st.sampled_from(sorted(core.nodes() - {0})))
+        net = Netlist(core.elements + (Element("V", 1.0, (node, 0), "VS"),))
+        try:
+            sol, rounding = solved(net, f)
+        except SingularCircuitError:
+            assume(False)
+        # The MNA branch current flows from the + node through the source, so the
+        # source drives -i into the circuit and delivers Re(V conj(-i)) = -Re(i) for V = 1.
+        assert -sol.source_currents["VS"].real >= -rounding
+
+    @settings(max_examples=200, deadline=None)
+    @given(grounded_netlists("RCL"), st.floats(1e-3, 1e9), st.data())
+    def test_reciprocity_with_matched_terminations(self, core, f, data):
+        nodes = sorted(core.nodes() - {0})
+        assume(len(nodes) >= 2)
+        a, b = data.draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
+        port = max(nodes) + 1
+
+        def gain(drive, probe):
+            # the source behind 50 ohm at one node, 50 ohm to ground at the other
+            net = Netlist(core.elements + (Element("V", 1.0, (port, 0), "VS"),
+                                           Element("R", 50.0, (port, drive), "RS"),
+                                           Element("R", 50.0, (probe, 0), "RT")))
+            sol, rounding = solved(net, f)
+            return sol[probe], rounding
+
+        try:
+            (forward, err_f), (reverse, err_r) = gain(a, b), gain(b, a)
+        except SingularCircuitError:
+            assume(False)
+        assert abs(forward - reverse) <= err_f + err_r
+
+
 def assembled(stamp, f):
     """A(w) for each frequency in f, built as the solver builds it."""
     w = (2.0 * math.pi * np.asarray(f, dtype=float))[:, None, None]
@@ -571,6 +652,23 @@ def margin(m):
     return solver._MARGIN * len(m) ** 2 * np.abs(m).max(initial=0.0)
 
 
+def assert_bound_holds(cert, points, conds, size):
+    """The bound is at least each cond, up to the SVD's rounding, and clears none above 1e12."""
+    for bound, cond in zip(cond_bound(cert, points).tolist(), conds.tolist()):
+        assert not bound * (1.0 + size * solver._EPS * cond) < cond
+        assert not (bound < solver._CLEARED_BOUND and cond > 1e12)
+
+
+def anchor_matrix(stamp, w_0):
+    """N^T (G + w_0 C) N for the kernel N of the stamp's certificate."""
+    n = len(stamp.topology.index)
+    kernel = solver._certificate(stamp).kernel
+    return kernel.T @ (stamp.g[:n, :n] + w_0 * stamp.c[:n, :n]) @ kernel
+
+
+FREQUENCY_LISTS = st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=12, unique=True).map(sorted)
+
+
 class TestCertificate:
     """The bound on cond_2 computed from the stamp before any LU solve."""
 
@@ -587,6 +685,11 @@ class TestCertificate:
             # at least cond, up to the rounding of the SVD's smallest singular value
             assert not bound * (1.0 + len(a[0]) * solver._EPS * cond) < cond
             assert not (bound < solver._CLEARED_BOUND and cond > 1e12)
+        # and once its anchor is computed, which is 0 with inductors
+        anchored = solver._anchored(stamp, cert)
+        assert_bound_holds(anchored, points, conds, len(a[0]))
+        if stamp.gamma is not None:
+            assert anchored.lam_0 == 0.0
         # a source loop or more sources than nodes (beta = 0) clears nothing
         if cert.kernel is None:
             assert solver._uncleared(cert, 2.0 * math.pi * np.array(points)) == list(
@@ -600,6 +703,42 @@ class TestCertificate:
         assert res.warnings == tuple(
             f"ill-conditioned MNA system at f={f:g} Hz (cond~{k:.3g})"
             for f, k in zip(points, conds.tolist()) if k > 1e12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grounded_netlists("RCV"), FREQUENCY_LISTS)
+    def test_anchored_bound_on_rc_netlists(self, netlist, points):
+        # A node with resistors alone and one with capacitors alone give lam_G = lam_C = 0.
+        stamp = solver._build_stamp(netlist)
+        cert = solver._certificate(stamp)
+        anchored = solver._anchored(stamp, cert)
+        a = assembled(stamp, points)
+        with np.errstate(all="ignore"):
+            conds = np.linalg.cond(a)
+        assert_bound_holds(anchored, points, conds, len(a[0]))
+        # the anchor only adds: it clears every point that the certificate clears
+        omega = 2.0 * math.pi * np.array(points)
+        assert set(solver._uncleared(anchored, omega)) <= set(solver._uncleared(cert, omega))
+        if anchored.lam_0:  # lowered by its margin below the eigenvalue of the unscaled matrix
+            exact = np.linalg.eigvalsh(anchor_matrix(stamp, anchored.w_0))[0]
+            assert anchored.lam_0 <= exact
+        if not netlist.sources():
+            return
+        try:
+            res = transfer(netlist, netlist.sources()[0].label, (1, 0), FrequencyGrid(points))
+        except SingularCircuitError:
+            return
+        assert res.warnings == tuple(
+            f"ill-conditioned MNA system at f={f:g} Hz (cond~{k:.3g})"
+            for f, k in zip(points, conds.tolist()) if k > 1e12)
+
+    def test_the_anchored_term_is_exact_at_the_corner_of_one_rc_node(self):
+        # A(w) = g + j w c alone has cond_2 = 1, and at w_0 = g / c both terms of
+        # alpha equal |A| = sqrt(2) g: the anchor claims no more than the truth.
+        stamp = solver._build_stamp(parse_netlist("R1 1 0 1k\nC1 1 0 1n"))
+        cert = solver._anchored(stamp, solver._certificate(stamp))
+        assert cert.w_0 == pytest.approx(1e6, rel=1e-15)
+        bound = cond_bound(cert, [cert.w_0 / (2.0 * math.pi)])[0]
+        assert 1.0 <= bound < 1.0 + 1e-9
 
     @pytest.mark.parametrize("text", [
         "V1 1 0 1\nV2 1 0 1\nV3 1 0 1\nR1 1 0 1",  # three sources on one node: m > n
@@ -635,6 +774,8 @@ class TestCertificate:
         assume(caps)
         labels = data.draw(st.lists(st.sampled_from(caps), min_size=1, unique=True))
         values = {label: data.draw(st.floats(1e-15, 1e6)) for label in labels}
+        parent = solver._stamp(netlist)
+        parent.certificate = solver._anchored(parent, solver._certificate(parent))
         restamped = solver._stamp(solver._with_values(netlist, values))
         derived = solver._certificate(restamped)
         exact = solver._fresh_certificate(restamped)
@@ -642,6 +783,12 @@ class TestCertificate:
         assert derived.c_norm >= exact.c_norm * (1.0 - 1e-12)
         assert (derived.lam_g, derived.g_kappa) == (exact.lam_g, exact.g_kappa)
         assert derived.kernel is solver._certificate(solver._stamp(netlist)).kernel
+        # lam_0 at the parent's w_0, against the restamp's own eigenvalue there
+        assert derived.w_0 == parent.certificate.w_0
+        if parent.certificate.lam_0:
+            anchor = restamped.g + derived.w_0 * restamped.c
+            exact_lam_0 = np.linalg.eigvalsh(anchor_matrix(restamped, derived.w_0))[0]
+            assert derived.lam_0 <= exact_lam_0 + margin(anchor)
 
     def test_calibration_steps_take_no_eigensolve(self, monkeypatch, svd_points):
         calls = []

@@ -15,7 +15,9 @@ times it 7 times in a row, keeping the median, in microseconds:
 - 45 ``max_detection_distance`` calls on the default scenario, 100 kHz - 1 GHz;
 - 40 ``load_config`` reads of the bundled ``inter_body.cfg``;
 - ``ladder_sweep``: a fresh parse and a 100-point ``transfer`` of a
-  64-section RC ladder and of a 64-section RLC ladder.
+  64-section RC ladder and of a 64-section RLC ladder;
+- ``resistive_sweep``: a fresh build and a 300-point ``transfer``, 100 kHz -
+  1 GHz, of the default inter-body circuit with a 50 ohm load.
 
 It prints, for each step, the median over the rounds of each checkout.
 """
@@ -32,7 +34,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
 STEPS = ("solve_ac", "restamp", "calibrate_return_scale", "calibrate_anechoic_boost",
-         "45 max_detection_distance", "40 load_config", "ladder_sweep")
+         "45 max_detection_distance", "40 load_config", "ladder_sweep", "resistive_sweep")
 REPEATS = 7
 
 
@@ -78,10 +80,19 @@ def _step_calls() -> dict:
         for text in ladders:
             solver.transfer(netlist.parse_netlist(text), "V1", (65, 0), grid)
 
+    resistive = bodychannel.InterBodyParams(
+        bodychannel.BodyChannelParams(load=bodychannel.LoadSpec.resistive(50.0)), c_c=21e-12)
+    band = solver.FrequencyGrid.log(1e5, 1e9, 300)
+
+    def resistive_sweep():
+        solver.transfer(bodychannel.build_inter_body(resistive), bodychannel.SOURCE_LABEL,
+                        bodychannel.INTER_PROBE, band)
+
     return dict(zip(STEPS, (
         lambda: bodychannel.solve_ac(circuit, 500e3), restamp,
         lambda: bodychannel.calibrate_return_scale(80.0, c_c=21e-12),
-        bodychannel.calibrate_anechoic_boost, detection, configs, ladder_sweep)))
+        bodychannel.calibrate_anechoic_boost, detection, configs, ladder_sweep,
+        resistive_sweep)))
 
 
 def _time_steps() -> dict[str, float]:
