@@ -90,19 +90,20 @@ x* G x >= 0 and x* C x >= 0,
 so alpha = max(hypot(lam_G, w lam_C), min(1, w / w_0) lam_0 / sqrt(2)),
 still a closed form in w. With inductors the anchored term is 0, as lam_C
 is. lam_0 costs one more eigenvalue problem, so it is computed only for a
-block that the certificate without it fails to clear: one eigvalsh of
-N^T (G + w_0 C) N divided by the largest |entry| of G, lowered by the same
-rounding margin; it is then kept on the certificate and the block is
-screened again.
+block that the stamp's own certificate fails to clear: one eigvalsh of
+N^T (G + w_0 C) N divided by |G|_F, lowered by the same rounding margin
+(twice it, as each of G / |G|_F and C / |C|_F is at most 1 in every
+entry); it is then kept on the certificate and the block is screened
+again. |G|_F and |C|_F are already on the certificate, as kappa is 0
+without inductors.
 
 A restamp of capacitances and sources alone in an RC circuit (the
 calibrations' ``_with_values`` on CGTX and CGRX) keeps G and N. Each
 capacitor enters C as c_k u_k u_k^T, so with r_lo and r_hi the smallest
 and largest ratio of a new capacitance to its old one, 1 among them,
 C >= r_lo C_old in the Loewner order and |C|_F <= r_hi |C_old|_F entry by
-entry. As r_lo <= 1 and G >= 0, also G + w_0 C >= r_lo (G + w_0 C_old) at
-the parent's w_0: the restamp takes lam_C, |C|_F and lam_0 (with w_0) from
-its parent's in a few float operations. Only a block that this fails to
+entry: the restamp takes lam_C and |C|_F from its parent's in a few float
+operations, but not the parent's lam_0. Only a block that this fails to
 clear has the stamp compute its own certificate, then its own lam_0, each
 followed by a second screen.
 
@@ -219,7 +220,7 @@ class _Certificate(NamedTuple):
     b_norm: float  # sqrt(2) * |B|_F, the source incidence's part of |A(w)|_F
     inv_beta: float  # 1 / beta: 0.0 without sources, inf when beta = 0
     kernel: np.ndarray | None  # N, an orthonormal basis of ker B^T; None when beta = 0
-    derived: bool  # lam_c, c_norm and lam_0 scaled from a parent stamp's
+    derived: bool  # lam_c and c_norm scaled from a parent stamp's
     # The anchored term's lower bound on lambda_min(N^T (G + w_0 C) N): None until
     # _anchored computes it, 0.0 where it does not apply
     lam_0: float | None = None
@@ -387,12 +388,10 @@ def _certificate(stamp: _Stamp) -> _Certificate:
             base = _certificate(parent)
             # low * C_old <= C <= high * C_old, entry by entry and in the Loewner order
             tol = _MARGIN * len(stamp.g) ** 2
-            # and G + w_0 C >= low (G + w_0 C_old), as low <= 1
-            lam_0 = base.lam_0 if base.lam_0 is None else max(
-                low * base.lam_0 - tol * (stamp.peaks[0] + base.w_0 * stamp.peaks[1]), 0.0)
+            # never the parent's anchored term: it was computed for the parent's C
             stamp.certificate = base._replace(
                 lam_c=max(low * base.lam_c - tol * stamp.peaks[1], 0.0),
-                c_norm=high * base.c_norm, derived=True, lam_0=lam_0)
+                c_norm=high * base.c_norm, derived=True, lam_0=None)
     return stamp.certificate
 
 
@@ -401,7 +400,11 @@ def _fresh_certificate(stamp: _Stamp) -> _Certificate:
     n = len(stamp.topology.index)
     tol = _MARGIN * len(stamp.g) ** 2
     kernel, inv_beta, b_norm = _source_kernel(stamp.matrices[0, :n, n:])
-    units, (g_peak, c_peak, gamma_peak), (g_fro, c_fro, gamma_fro) = _unit_blocks(stamp)
+    blocks = stamp.matrices[:, :n, :n]  # G, C and Gamma (zero without inductors)
+    peaks = np.abs(blocks).max(axis=(1, 2), initial=0.0)
+    units = blocks / np.where(peaks > 0.0, peaks, 1.0)[:, None, None]  # no overflow below
+    g_fro, c_fro, gamma_fro = np.sqrt((units * units).sum(axis=(1, 2))).tolist()
+    g_peak, c_peak, gamma_peak = peaks.tolist()
     # kappa**2 = 2 (|C| |Gamma| - <C, Gamma>), raised by _RESONANCE |C| |Gamma|
     kappa = (math.sqrt(c_peak) * math.sqrt(gamma_peak)
              * math.sqrt(max(2.0 * (c_fro * gamma_fro - float(np.vdot(units[1], units[2]))), 0.0)
@@ -416,34 +419,22 @@ def _fresh_certificate(stamp: _Stamp) -> _Certificate:
                         inv_beta, kernel, False)
 
 
-def _unit_blocks(stamp: _Stamp) -> tuple[np.ndarray, list[float], list[float]]:
-    """The node blocks G, C and Gamma (zero without inductors), each divided by its
-    largest |entry| so that nothing computed from them overflows; those largest
-    entries; and the Frobenius norms of the divided blocks.
-    """
-    n = len(stamp.topology.index)
-    blocks = stamp.matrices[:, :n, :n]
-    peaks = np.abs(blocks).max(axis=(1, 2), initial=0.0)
-    units = blocks / np.where(peaks > 0.0, peaks, 1.0)[:, None, None]
-    return units, peaks.tolist(), np.sqrt((units * units).sum(axis=(1, 2))).tolist()
-
-
 def _anchored(stamp: _Stamp, cert: _Certificate) -> _Certificate:
-    """``cert`` with the anchored term of the stamp's own G and C (see the module docstring).
+    """``cert``, the stamp's own, with the anchored term (see the module docstring).
 
     lam_0 is 0.0 with inductors, without a kernel, or when G or C is zero or
     w_0 leaves the float range.
     """
-    units, (g_peak, c_peak, _), (g_fro, c_fro, _) = _unit_blocks(stamp)
     kernel = cert.kernel
-    w_0 = g_peak * g_fro / (c_peak * c_fro) if c_peak else 0.0
+    w_0 = cert.g_kappa / cert.c_norm if cert.c_norm else 0.0  # kappa = 0 without Gamma
     if stamp.gamma is not None or kernel is None or not kernel.size or not 0.0 < w_0 < math.inf:
         return cert._replace(lam_0=0.0)
-    ratio = g_fro / c_fro  # G + w_0 C = g_peak (units[0] + ratio units[1])
-    low = float(np.linalg.eigvalsh(kernel.T @ (units[0] + ratio * units[1]) @ kernel)[0])
-    # less its rounding margin (1 + ratio bounds the largest |entry|), and at least 0;
-    # a NaN stays NaN
-    lam_0 = max(low - _MARGIN * len(stamp.g) ** 2 * (1.0 + ratio), 0.0) * g_peak
+    n = len(stamp.topology.index)
+    # (G + w_0 C) / |G|_F = G / |G|_F + C / |C|_F, each term at most 1 in every entry
+    unit = stamp.matrices[0, :n, :n] / cert.g_kappa + stamp.matrices[1, :n, :n] / cert.c_norm
+    low = float(np.linalg.eigvalsh(kernel.T @ unit @ kernel)[0])
+    # less its rounding margin, and at least 0; a NaN stays NaN
+    lam_0 = max(low - 2.0 * _MARGIN * len(stamp.g) ** 2, 0.0) * cert.g_kappa
     return cert._replace(lam_0=lam_0, w_0=w_0)
 
 
@@ -454,9 +445,12 @@ def _bound_terms(cert: _Certificate, w, hypot):
     terms hold no division by alpha, so a zero alpha reads as not cleared.
     """
     alpha = hypot(cert.lam_g, w * cert.lam_c)
-    if cert.lam_0:  # the anchored term, once computed; a NaN lam_0 makes alpha NaN
-        maximum, minimum = (max, min) if hypot is math.hypot else (np.maximum, np.minimum)
-        alpha = maximum(minimum(1.0, w / cert.w_0) * (cert.lam_0 / math.sqrt(2.0)), alpha)
+    if cert.lam_0:  # the anchored term, once computed; a NaN in either term makes alpha NaN
+        if hypot is math.hypot:  # max keeps its first argument when the second is NaN
+            anchor = min(1.0, w / cert.w_0) * (cert.lam_0 / math.sqrt(2.0))
+            alpha = max(anchor, alpha) if alpha == alpha else alpha
+        else:
+            alpha = np.maximum(np.minimum(1.0, w / cert.w_0) * (cert.lam_0 / math.sqrt(2.0)), alpha)
     ny = hypot(cert.g_kappa, w * cert.c_norm - cert.gamma_norm / w)  # >= |Y(w)|_F
     t, inv_beta = alpha + ny, cert.inv_beta
     h = hypot(hypot(1.0, math.sqrt(2.0) * inv_beta * t), inv_beta * inv_beta * ny * t)

@@ -501,9 +501,16 @@ class TestConditionScreen:
         cert = solver._certificate(stamp)
         omega = 2.0 * math.pi * np.geomspace(1e3, 1e6, 5)
         assert solver._uncleared(cert, omega) == []
-        nan = solver._anchored(stamp, cert)._replace(lam_0=math.nan)
+        anchored = solver._anchored(stamp, cert)
+        nan = anchored._replace(lam_0=math.nan)
         assert solver._uncleared(nan, omega) == [0, 1, 2, 3, 4]
         assert solver._uncleared(nan, omega[:1]) == [0]
+        # the anchor alone clears every point, but not beside a NaN in the other term
+        alone = anchored._replace(lam_g=0.0, lam_c=0.0)
+        assert solver._uncleared(alone, omega) == [] and solver._uncleared(alone, omega[:1]) == []
+        nan_g = anchored._replace(lam_g=math.nan)
+        assert solver._uncleared(nan_g, omega) == [0, 1, 2, 3, 4]
+        assert solver._uncleared(nan_g, omega[:1]) == [0]
 
 
 class TestStampOnce:
@@ -783,12 +790,7 @@ class TestCertificate:
         assert derived.c_norm >= exact.c_norm * (1.0 - 1e-12)
         assert (derived.lam_g, derived.g_kappa) == (exact.lam_g, exact.g_kappa)
         assert derived.kernel is solver._certificate(solver._stamp(netlist)).kernel
-        # lam_0 at the parent's w_0, against the restamp's own eigenvalue there
-        assert derived.w_0 == parent.certificate.w_0
-        if parent.certificate.lam_0:
-            anchor = restamped.g + derived.w_0 * restamped.c
-            exact_lam_0 = np.linalg.eigvalsh(anchor_matrix(restamped, derived.w_0))[0]
-            assert derived.lam_0 <= exact_lam_0 + margin(anchor)
+        assert derived.lam_0 is None  # never the parent's anchored term
 
     def test_calibration_steps_take_no_eigensolve(self, monkeypatch, svd_points):
         calls = []
