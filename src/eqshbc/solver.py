@@ -77,25 +77,25 @@ and 1e12 covers the rest.
 
 The anchored term. Without inductors, lam_G is 0 when a part of the
 circuit has no conductive path to ground, and lam_C is 0 when a node has
-no capacitor; with both at 0, alpha is 0 and nothing is cleared (so with
-a resistive receiver load). One eigenvalue taken at the anchor frequency
-w_0 = |G|_F / |C|_F, the stamp's own RC corner, clears such a stamp:
-lam_0 = lambda_min(N^T (G + w_0 C) N). For a unit x in the range of N, as
-x* G x >= 0 and x* C x >= 0,
+no capacitor; with both at 0, alpha is 0 at every w and nothing is
+cleared (so with a resistive receiver load). One eigenvalue taken at the
+anchor frequency w_0 = |G|_F / |C|_F, the stamp's own RC corner, clears
+such a stamp: lam_0 = lambda_min(N^T (G + w_0 C) N). For a unit x in the
+range of N, as x* G x >= 0 and x* C x >= 0,
 
     |x* Y x| = hypot(x* G x, w x* C x) >= x* (G + w C) x / sqrt(2),
     G + w C >= G + w_0 C                    for w >= w_0,
     G + w C >= (w / w_0) (G + w_0 C)        for w <= w_0, since G >= 0,
 
 so alpha = max(hypot(lam_G, w lam_C), min(1, w / w_0) lam_0 / sqrt(2)),
-still a closed form in w. With inductors the anchored term is 0, as lam_C
-is. lam_0 costs one more eigenvalue problem, so it is computed only for a
-block that the stamp's own certificate fails to clear: one eigvalsh of
-N^T (G + w_0 C) N divided by |G|_F, lowered by the same rounding margin
-(twice it, as each of G / |G|_F and C / |C|_F is at most 1 in every
-entry); it is then kept on the certificate and the block is screened
-again. |G|_F and |C|_F are already on the certificate, as kappa is 0
-without inductors.
+still a closed form in w. lam_0 is computed only where alpha is 0 at
+every w, that is for a stamp without inductors whose lam_G and lam_C are
+both 0, and in the same call as they are: one eigvalsh of
+N^T (G + w_0 C) N divided by |G|_F, lowered by twice the rounding margin
+(each of G / |G|_F and C / |C|_F is at most 1 in every entry). Everywhere
+else lam_0 is 0: with inductors the anchored term is 0, as lam_C is, and
+where alpha > 0 one more eigenvalue problem per stamp costs more than the
+points it could clear.
 
 A restamp of capacitances and sources alone in an RC circuit (the
 calibrations' ``_with_values`` on CGTX and CGRX) keeps G and N. Each
@@ -103,9 +103,13 @@ capacitor enters C as c_k u_k u_k^T, so with r_lo and r_hi the smallest
 and largest ratio of a new capacitance to its old one, 1 among them,
 C >= r_lo C_old in the Loewner order and |C|_F <= r_hi |C_old|_F entry by
 entry: the restamp takes lam_C and |C|_F from its parent's in a few float
-operations, but not the parent's lam_0. Only a block that this fails to
-clear has the stamp compute its own certificate, then its own lam_0, each
-followed by a second screen.
+operations, on its first solve. It does not take the parent's lam_0,
+which belongs to the parent's C, so its lam_0 is 0.
+
+Each stamp's certificate is computed once and never upgraded: there is no
+second screen. A frequency that it does not clear, a restamp's included,
+goes straight to the SVD check; a restamp is solved at few points, where
+a certificate of its own costs more than the SVD it would save.
 
 Before any of that, a grid is checked against the float range once: the
 stamp keeps the largest |entry| of g, c and gamma, and the grid's ends
@@ -219,22 +223,21 @@ class _Certificate(NamedTuple):
     g_kappa: float  # hypot(|G|_F, kappa), the part of |Y(w)|_F that w does not move
     b_norm: float  # sqrt(2) * |B|_F, the source incidence's part of |A(w)|_F
     inv_beta: float  # 1 / beta: 0.0 without sources, inf when beta = 0
-    kernel: np.ndarray | None  # N, an orthonormal basis of ker B^T; None when beta = 0
-    derived: bool  # lam_c and c_norm scaled from a parent stamp's
-    # The anchored term's lower bound on lambda_min(N^T (G + w_0 C) N): None until
-    # _anchored computes it, 0.0 where it does not apply
-    lam_0: float | None = None
-    w_0: float = 0.0  # the anchor frequency |G|_F / |C|_F
+    # The anchored term's lower bound on lambda_min(N^T (G + w_0 C) N) and the anchor
+    # frequency w_0 = |G|_F / |C|_F; lam_0 is 0.0 wherever the term does not apply
+    lam_0: float = 0.0
+    w_0: float = 0.0
 
 
 @dataclass(eq=False, slots=True)
 class _Stamp:
     """Real MNA matrices of a netlist; ``gamma`` is None without inductors.
 
-    ``certificate`` is filled by :func:`_certificate` on the first solve. An
-    RC restamp that changed only capacitances and sources keeps in
-    ``parent``, until then, the stamp it came from and the smallest and the
-    largest ratio of a capacitance to its old value, with 1 among them.
+    ``certificate`` is filled by :func:`_certificate` on the first solve and
+    never replaced. An RC restamp that changed only capacitances and sources
+    keeps in ``parent``, until then, the stamp it came from and the smallest
+    and the largest ratio of a capacitance to its old value, with 1 among
+    them.
     """
 
     matrices: np.ndarray  # the read-only (3, unknowns, unknowns) stack of g, c and gamma
@@ -391,12 +394,17 @@ def _certificate(stamp: _Stamp) -> _Certificate:
             # never the parent's anchored term: it was computed for the parent's C
             stamp.certificate = base._replace(
                 lam_c=max(low * base.lam_c - tol * stamp.peaks[1], 0.0),
-                c_norm=high * base.c_norm, derived=True, lam_0=None)
+                c_norm=high * base.c_norm, lam_0=0.0)
     return stamp.certificate
 
 
 def _fresh_certificate(stamp: _Stamp) -> _Certificate:
-    """The certificate from the stamp's own matrices."""
+    """The certificate from the stamp's own matrices.
+
+    It has the anchored term when alpha is 0 at every frequency: an RC stamp
+    with lam_g = lam_c = 0, a kernel, and G, C nonzero with w_0 in the float
+    range.
+    """
     n = len(stamp.topology.index)
     tol = _MARGIN * len(stamp.g) ** 2
     kernel, inv_beta, b_norm = _source_kernel(stamp.matrices[0, :n, n:])
@@ -405,37 +413,25 @@ def _fresh_certificate(stamp: _Stamp) -> _Certificate:
     units = blocks / np.where(peaks > 0.0, peaks, 1.0)[:, None, None]  # no overflow below
     g_fro, c_fro, gamma_fro = np.sqrt((units * units).sum(axis=(1, 2))).tolist()
     g_peak, c_peak, gamma_peak = peaks.tolist()
+    g_norm, c_norm = g_peak * g_fro, c_peak * c_fro
     # kappa**2 = 2 (|C| |Gamma| - <C, Gamma>), raised by _RESONANCE |C| |Gamma|
     kappa = (math.sqrt(c_peak) * math.sqrt(gamma_peak)
              * math.sqrt(max(2.0 * (c_fro * gamma_fro - float(np.vdot(units[1], units[2]))), 0.0)
                          + _RESONANCE * c_fro * gamma_fro))
-    lam_g = lam_c = 0.0
+    lam_g = lam_c = lam_0 = w_0 = 0.0
     if kernel is not None and kernel.shape[1]:
         lows = np.linalg.eigvalsh(kernel.T @ units[:2] @ kernel)[:, 0].tolist()
         # each less its rounding margin, and at least 0; a NaN stays NaN
         lam_g, lam_c = (max(low - tol, 0.0) * peak for low, peak in zip(lows, (g_peak, c_peak)))
-    return _Certificate(lam_g, 0.0 if stamp.gamma is not None else lam_c, c_peak * c_fro,
-                        gamma_peak * gamma_fro, math.hypot(g_peak * g_fro, kappa), b_norm,
-                        inv_beta, kernel, False)
-
-
-def _anchored(stamp: _Stamp, cert: _Certificate) -> _Certificate:
-    """``cert``, the stamp's own, with the anchored term (see the module docstring).
-
-    lam_0 is 0.0 with inductors, without a kernel, or when G or C is zero or
-    w_0 leaves the float range.
-    """
-    kernel = cert.kernel
-    w_0 = cert.g_kappa / cert.c_norm if cert.c_norm else 0.0  # kappa = 0 without Gamma
-    if stamp.gamma is not None or kernel is None or not kernel.size or not 0.0 < w_0 < math.inf:
-        return cert._replace(lam_0=0.0)
-    n = len(stamp.topology.index)
-    # (G + w_0 C) / |G|_F = G / |G|_F + C / |C|_F, each term at most 1 in every entry
-    unit = stamp.matrices[0, :n, :n] / cert.g_kappa + stamp.matrices[1, :n, :n] / cert.c_norm
-    low = float(np.linalg.eigvalsh(kernel.T @ unit @ kernel)[0])
-    # less its rounding margin, and at least 0; a NaN stays NaN
-    lam_0 = max(low - 2.0 * _MARGIN * len(stamp.g) ** 2, 0.0) * cert.g_kappa
-    return cert._replace(lam_0=lam_0, w_0=w_0)
+        w_0 = g_norm / c_norm if c_norm else 0.0
+        if stamp.gamma is None and lam_g == lam_c == 0.0 and 0.0 < w_0 < math.inf:
+            # (G + w_0 C) / |G|_F = G / |G|_F + C / |C|_F, each term at most 1 in every entry
+            unit = blocks[0] / g_norm + blocks[1] / c_norm
+            low = float(np.linalg.eigvalsh(kernel.T @ unit @ kernel)[0])
+            lam_0 = max(low - 2.0 * tol, 0.0) * g_norm
+    return _Certificate(lam_g, 0.0 if stamp.gamma is not None else lam_c, c_norm,
+                        gamma_peak * gamma_fro, math.hypot(g_norm, kappa), b_norm, inv_beta,
+                        lam_0, w_0)
 
 
 def _bound_terms(cert: _Certificate, w, hypot):
@@ -445,7 +441,7 @@ def _bound_terms(cert: _Certificate, w, hypot):
     terms hold no division by alpha, so a zero alpha reads as not cleared.
     """
     alpha = hypot(cert.lam_g, w * cert.lam_c)
-    if cert.lam_0:  # the anchored term, once computed; a NaN in either term makes alpha NaN
+    if cert.lam_0:  # the anchored term, where it applies; a NaN in either term makes alpha NaN
         if hypot is math.hypot:  # max keeps its first argument when the second is NaN
             anchor = min(1.0, w / cert.w_0) * (cert.lam_0 / math.sqrt(2.0))
             alpha = max(anchor, alpha) if alpha == alpha else alpha
@@ -569,11 +565,6 @@ def _solve_grid(netlist: Netlist, freqs) -> tuple[np.ndarray, _Stamp, list[str]]
                     raise _singular(a[k], f[k], index) from None
             raise
         suspect = _uncleared(certificate, omega)
-        # a scaled certificate gives way to the stamp's own, then that gains its anchor
-        while suspect and (certificate.derived or certificate.lam_0 is None):
-            certificate = stamp.certificate = (_fresh_certificate(stamp) if certificate.derived
-                                               else _anchored(stamp, certificate))
-            suspect = _uncleared(certificate, omega)
         if suspect:
             _check_condition(a, f, suspect, index, warnings)
         if x is None:

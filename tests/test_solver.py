@@ -423,6 +423,20 @@ def svd_points(monkeypatch):
     return points
 
 
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Calls of np.linalg.eigvalsh, one entry per call however many matrices it takes."""
+    calls = []
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
 def divider_mna(r1, r2, c, f):
     jwc = 2j * math.pi * f * c
     return np.array([[1.0 / r1, -1.0 / r1, 1.0], [-1.0 / r1, 1.0 / r1 + 1.0 / r2 + jwc, 0.0],
@@ -501,7 +515,7 @@ class TestConditionScreen:
         cert = solver._certificate(stamp)
         omega = 2.0 * math.pi * np.geomspace(1e3, 1e6, 5)
         assert solver._uncleared(cert, omega) == []
-        anchored = solver._anchored(stamp, cert)
+        anchored = with_anchor(stamp)
         nan = anchored._replace(lam_0=math.nan)
         assert solver._uncleared(nan, omega) == [0, 1, 2, 3, 4]
         assert solver._uncleared(nan, omega[:1]) == [0]
@@ -634,6 +648,36 @@ class TestCircuitProperties:
             assume(False)
         assert abs(forward - reverse) <= err_f + err_r
 
+    @settings(max_examples=200, deadline=None)
+    @given(grounded_netlists("RCL"), st.floats(1e-3, 1e9), st.data())
+    def test_kcl_holds_at_every_node(self, core, f, data):
+        node = data.draw(st.sampled_from(sorted(core.nodes() - {0})))
+        net = Netlist(core.elements + (Element("V", 1.0, (node, 0), "VS"),))
+        try:
+            sol, rounding = solved(net, f)
+        except SingularCircuitError:
+            assume(False)
+        jw = 2j * math.pi * f
+        # A node's residual, the sum of the currents leaving it through its elements and
+        # sources, is its row of A x - z = A (x - x_exact). So it is within rounding times
+        # that row's 1-norm: each element's |admittance| twice, as it multiplies both of
+        # the element's voltages, and 1 per source incidence.
+        residual = dict.fromkeys(net.nodes(), 0j)
+        row_norm = dict.fromkeys(net.nodes(), 0.0)
+        for e in net.elements:
+            a, b = e.nodes
+            if e.kind == "V":
+                current, y = sol.source_currents[e.label], 1.0
+            else:
+                y = {"R": 1.0 / e.value, "C": jw * e.value, "L": 1.0 / (jw * e.value)}[e.kind]
+                current = (sol[a] - sol[b]) * y
+            residual[a] += current
+            residual[b] -= current
+            for n in (a, b):
+                row_norm[n] += abs(y) if e.kind == "V" else 2.0 * abs(y)
+        for n in core.nodes() - {0}:
+            assert abs(residual[n]) <= rounding * row_norm[n], f"KCL violated at node {n}"
+
 
 def assembled(stamp, f):
     """A(w) for each frequency in f, built as the solver builds it."""
@@ -666,11 +710,33 @@ def assert_bound_holds(cert, points, conds, size):
         assert not (bound < solver._CLEARED_BOUND and cond > 1e12)
 
 
-def anchor_matrix(stamp, w_0):
-    """N^T (G + w_0 C) N for the kernel N of the stamp's certificate."""
+def kernel(stamp):
+    """N, the orthonormal basis of ker B^T that the certificate uses; None when beta = 0."""
     n = len(stamp.topology.index)
-    kernel = solver._certificate(stamp).kernel
-    return kernel.T @ (stamp.g[:n, :n] + w_0 * stamp.c[:n, :n]) @ kernel
+    return solver._source_kernel(stamp.g[:n, n:])[0]
+
+
+def anchor_matrix(stamp, w_0):
+    """N^T (G + w_0 C) N."""
+    n = len(stamp.topology.index)
+    basis = kernel(stamp)
+    return basis.T @ (stamp.g[:n, :n] + w_0 * stamp.c[:n, :n]) @ basis
+
+
+def with_anchor(stamp):
+    """The stamp's certificate with an anchored term built here, whatever its alpha:
+    lam_0 = lambda_min(N^T (G + w_0 C) N) at w_0 = |G|_F / |C|_F, less the solver's margin.
+
+    Unchanged with inductors, without a kernel, or without a w_0 in the float range.
+    """
+    cert = solver._certificate(stamp)
+    basis = kernel(stamp)
+    w_0 = cert.g_kappa / cert.c_norm if cert.c_norm else 0.0  # kappa = 0 without inductors
+    if stamp.gamma is not None or basis is None or not basis.shape[1] or not 0.0 < w_0 < math.inf:
+        return cert
+    low = float(np.linalg.eigvalsh(anchor_matrix(stamp, w_0))[0])
+    tol = 2.0 * solver._MARGIN * len(stamp.g) ** 2 * cert.g_kappa
+    return cert._replace(lam_0=max(low - tol, 0.0), w_0=w_0)
 
 
 FREQUENCY_LISTS = st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=12, unique=True).map(sorted)
@@ -692,13 +758,12 @@ class TestCertificate:
             # at least cond, up to the rounding of the SVD's smallest singular value
             assert not bound * (1.0 + len(a[0]) * solver._EPS * cond) < cond
             assert not (bound < solver._CLEARED_BOUND and cond > 1e12)
-        # and once its anchor is computed, which is 0 with inductors
-        anchored = solver._anchored(stamp, cert)
-        assert_bound_holds(anchored, points, conds, len(a[0]))
+        # and with an anchored term, which the solver never computes with inductors
+        assert_bound_holds(with_anchor(stamp), points, conds, len(a[0]))
         if stamp.gamma is not None:
-            assert anchored.lam_0 == 0.0
+            assert cert.lam_0 == 0.0
         # a source loop or more sources than nodes (beta = 0) clears nothing
-        if cert.kernel is None:
+        if cert.inv_beta == math.inf:
             assert solver._uncleared(cert, 2.0 * math.pi * np.array(points)) == list(
                 range(len(points)))
         if not netlist.sources():
@@ -717,17 +782,21 @@ class TestCertificate:
         # A node with resistors alone and one with capacitors alone give lam_G = lam_C = 0.
         stamp = solver._build_stamp(netlist)
         cert = solver._certificate(stamp)
-        anchored = solver._anchored(stamp, cert)
+        anchored = with_anchor(stamp)
         a = assembled(stamp, points)
         with np.errstate(all="ignore"):
             conds = np.linalg.cond(a)
+        assert_bound_holds(cert, points, conds, len(a[0]))
         assert_bound_holds(anchored, points, conds, len(a[0]))
-        # the anchor only adds: it clears every point that the certificate clears
+        # the anchor only adds: it clears every point that the certificate clears without it
         omega = 2.0 * math.pi * np.array(points)
-        assert set(solver._uncleared(anchored, omega)) <= set(solver._uncleared(cert, omega))
-        if anchored.lam_0:  # lowered by its margin below the eigenvalue of the unscaled matrix
-            exact = np.linalg.eigvalsh(anchor_matrix(stamp, anchored.w_0))[0]
-            assert anchored.lam_0 <= exact
+        plain = anchored._replace(lam_0=0.0)
+        assert set(solver._uncleared(anchored, omega)) <= set(solver._uncleared(plain, omega))
+        if cert.lam_g or cert.lam_c:  # the solver anchors only where alpha is 0 at every w
+            assert cert.lam_0 == 0.0
+        elif cert.lam_0:  # lowered by its margin below the eigenvalue of the unscaled matrix
+            exact = np.linalg.eigvalsh(anchor_matrix(stamp, cert.w_0))[0]
+            assert cert.lam_0 <= exact
         if not netlist.sources():
             return
         try:
@@ -742,7 +811,7 @@ class TestCertificate:
         # A(w) = g + j w c alone has cond_2 = 1, and at w_0 = g / c both terms of
         # alpha equal |A| = sqrt(2) g: the anchor claims no more than the truth.
         stamp = solver._build_stamp(parse_netlist("R1 1 0 1k\nC1 1 0 1n"))
-        cert = solver._anchored(stamp, solver._certificate(stamp))
+        cert = with_anchor(stamp)  # lambda_min(G + w_0 C), as the solver anchors only alpha = 0
         assert cert.w_0 == pytest.approx(1e6, rel=1e-15)
         bound = cond_bound(cert, [cert.w_0 / (2.0 * math.pi)])[0]
         assert 1.0 <= bound < 1.0 + 1e-9
@@ -754,7 +823,7 @@ class TestCertificate:
     def test_parallel_sources_have_no_beta_and_clear_nothing(self, text):
         stamp = solver._build_stamp(parse_netlist(text))
         cert = solver._certificate(stamp)
-        assert cert.kernel is None and cert.inv_beta == math.inf
+        assert kernel(stamp) is None and cert.inv_beta == math.inf
         omega = 2.0 * math.pi * np.geomspace(1e3, 1e6, 5)
         assert solver._uncleared(cert, omega) == [0, 1, 2, 3, 4]
         assert solver._uncleared(cert, omega[:1]) == [0]
@@ -763,15 +832,15 @@ class TestCertificate:
     @given(grounded_netlists())
     def test_node_blocks_are_psd_on_the_kernel(self, netlist):
         stamp = solver._build_stamp(netlist)
-        kernel = solver._certificate(stamp).kernel
-        assume(kernel is not None and kernel.shape[1])
+        basis = kernel(stamp)
+        assume(basis is not None and basis.shape[1])
         n = len(stamp.topology.index)
-        assert np.allclose(kernel.T @ kernel, np.eye(kernel.shape[1]), atol=1e-12)
-        assert np.abs(stamp.g[:n, n:].T @ kernel).max(initial=0.0) < 1e-12
+        assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+        assert np.abs(stamp.g[:n, n:].T @ basis).max(initial=0.0) < 1e-12
         for m in (stamp.g, stamp.c, stamp.gamma):
             if m is not None:
                 block = m[:n, :n]
-                low = np.linalg.eigvalsh(kernel.T @ block @ kernel)[0]
+                low = np.linalg.eigvalsh(basis.T @ block @ basis)[0]
                 assert low >= -margin(m)
 
     @settings(max_examples=200, deadline=None)
@@ -782,40 +851,58 @@ class TestCertificate:
         labels = data.draw(st.lists(st.sampled_from(caps), min_size=1, unique=True))
         values = {label: data.draw(st.floats(1e-15, 1e6)) for label in labels}
         parent = solver._stamp(netlist)
-        parent.certificate = solver._anchored(parent, solver._certificate(parent))
+        parent.certificate = with_anchor(parent)
         restamped = solver._stamp(solver._with_values(netlist, values))
         derived = solver._certificate(restamped)
         exact = solver._fresh_certificate(restamped)
         assert derived.lam_c <= exact.lam_c + margin(restamped.c)
         assert derived.c_norm >= exact.c_norm * (1.0 - 1e-12)
         assert (derived.lam_g, derived.g_kappa) == (exact.lam_g, exact.g_kappa)
-        assert derived.kernel is solver._certificate(solver._stamp(netlist)).kernel
-        assert derived.lam_0 is None  # never the parent's anchored term
+        assert derived.lam_0 == 0.0  # never the parent's anchored term
 
-    def test_calibration_steps_take_no_eigensolve(self, monkeypatch, svd_points):
-        calls = []
-        real_eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or real_eigvalsh(a))
+    def test_calibration_steps_take_no_eigensolve(self, eigvalsh_calls, svd_points):
         calibrate_return_scale(80.0, c_c=21e-12)
-        assert len(calls) == 1  # lam_G and lam_C of the circuit every step restamps
+        assert len(eigvalsh_calls) == 1  # lam_G and lam_C of the circuit every step restamps
         assert svd_points == []
 
-    def test_a_restamp_that_fails_to_clear_solves_its_own_lam_c(self, monkeypatch, svd_points):
+    @pytest.mark.parametrize("load, calls", [
+        (LoadSpec.capacitive(), 1),  # lam_G and lam_C in one batched call
+        # lam_G = lam_C = 0, so alpha is 0 at every w: lam_0 too, in one more call
+        (LoadSpec.resistive(50.0), 2),
+    ])
+    def test_a_fresh_inter_body_stamp_takes_one_certificate(self, load, calls, eigvalsh_calls):
+        net = build_inter_body(InterBodyParams(BodyChannelParams(load=load), c_c=21e-12))
+        grid = FrequencyGrid.log(1e5, 1e9, 50)
+        transfer(net, SOURCE_LABEL, INTER_PROBE, grid)
+        assert len(eigvalsh_calls) == calls
+        transfer(net, SOURCE_LABEL, INTER_PROBE, grid)
+        assert len(eigvalsh_calls) == calls  # kept on the stamp
+
+    def test_an_rlc_stamp_takes_no_anchored_term(self, eigvalsh_calls):
+        # with inductors alpha is lam_G alone, and lam_0 is never computed
+        net = netlist_from_tuples(ladder(8, 1e3, 1e-9, 1e-3))
+        transfer(net, "V1", (9, 0), FrequencyGrid.log(1e3, 1e7, 50))
+        assert len(eigvalsh_calls) == 1 and solver._stamp(net).certificate.lam_0 == 0.0
+
+    def test_a_restamp_that_fails_to_clear_goes_to_the_svd(self, eigvalsh_calls, svd_points):
         # node 3 has no conductance: alpha = w * lam_C
         text = "V1 1 0 1\nR1 1 2 1k\nC1 2 3 1n\nC2 3 0 1n\nC3 3 0 {}"
         net = parse_netlist(text.format("1n"))
         solve_ac(net, 1e3)
-        calls = []
-        real_eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or real_eigvalsh(a))
+        assert len(eigvalsh_calls) == 1 and svd_points == []
         kept = solver._with_values(net, {"C3": 0.5e-9})
-        assert solve_ac(kept, 1e3) and calls == []  # lam_C scaled from the parent
-        # C3 down by 1e6 scales lam_C down by 1e6, though C2 keeps it near its old value
-        dropped = solver._with_values(net, {"C3": 1e-15})
-        assert solve_ac(dropped, 1e3) == solve_ac(parse_netlist(text.format("1e-15")), 1e3)
-        # its own lam_C, then lam_G and lam_C of the rebuilt circuit in one call
-        assert len(calls) == 1 + 1 and not solver._stamp(dropped).certificate.derived
+        assert solve_ac(kept, 1e3) and len(eigvalsh_calls) == 1  # lam_C scaled from the parent
         assert svd_points == []
+        # C3 down by 1e6 scales lam_C down by 1e6, though C2 keeps it near its old value:
+        # the scaled certificate fails to clear, and the point goes to the SVD as it is
+        dropped = solve_ac(solver._with_values(net, {"C3": 1e-15}), 1e3)
+        assert len(eigvalsh_calls) == 1 and svd_points == [1]
+        fresh = solve_ac(parse_netlist(text.format("1e-15")), 1e3)
+        assert len(eigvalsh_calls) == 2 and svd_points == [1]  # its own lam_C clears it
+        assert list(dropped) == list(fresh)
+        bits = [np.array([*sol.values(), *sol.source_currents.values()]).tobytes()
+                for sol in (dropped, fresh)]
+        assert bits[0] == bits[1] and dropped.warnings == fresh.warnings
 
 
 class TestSweepIsItsPointSolves:
@@ -897,7 +984,7 @@ class TestOutOfFloatRange:
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg reached")
 
-        for name in ("solve", "svd"):
+        for name in ("solve", "svd", "eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, refuse)
 
     @pytest.mark.parametrize("text, label, f", [
@@ -916,6 +1003,17 @@ class TestOutOfFloatRange:
             transfer(parse_netlist(text), "V1", (2, 0), grid)
         assert str(info.value) == (f"element {label} puts the MNA system out of the float "
                                    f"range at f={float(f):g} Hz")
+
+    def test_a_restamp_names_the_element(self):
+        # the restamp's certificate comes from its parent's, and neither is made before the check
+        net = parse_netlist("V1 1 0 1\nR1 1 2 1e-320\nR2 2 0 1k\nC1 2 0 1n")
+        restamped = solver._with_values(net, {"C1": 2e-9})
+        with pytest.raises(ValueError, match=r"^element R1 \(R = 9.99989e-321\) puts"):
+            transfer(restamped, "V1", (2, 0), FrequencyGrid.log(1e-3, 1e9, 5))
+
+    def test_a_calibration_names_the_element(self):
+        with pytest.raises(ValueError, match=r"^element RS \(R = 9.99989e-321\) puts"):
+            calibrate_return_scale(60.0, params=BodyChannelParams(r_s=1e-320))
 
     def test_solve_ac_checks_its_frequency(self):
         net = parse_netlist("V1 1 0 1\nR1 1 2 1k\nC1 2 0 1e300")
