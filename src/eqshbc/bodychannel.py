@@ -31,7 +31,8 @@ from .coupling import (
     default_coupling_model,
 )
 from .netlist import Element, Netlist, _require_positive
-from .solver import FrequencyGrid, SweepResult, _gain_db, _with_values, solve_ac, transfer
+from . import solver
+from .solver import FrequencyGrid, SweepResult, _gain_db, solve_ac, transfer
 
 __all__ = [
     "ANECHOIC_RETURN_BOOST",
@@ -120,16 +121,15 @@ class BodyChannelParams:
             _require_positive(name, getattr(self, name))
 
 
-def _return_caps(params: BodyChannelParams, scale: float) -> tuple[float, float]:
-    """Stamped (c_g_tx, c_g_rx): both scaled by ``scale``, then the chamber boost, if any.
+def _return_caps(params: BodyChannelParams, scale: float) -> dict[str, float]:
+    """Stamped CGTX and CGRX: both scaled by ``scale``, then the chamber boost, if any.
 
     Float for float the return capacitances of a circuit built from
-    ``scale_return_path(params, scale)``; the circuit builders pass 1.0.
+    ``scale_return_path(params, scale)`` (in open air the boost is 1.0,
+    which changes no float); the circuit builders pass 1.0.
     """
-    c_g_tx, c_g_rx = params.c_g_tx * scale, params.c_g_rx * scale
-    if params.environment is Environment.ANECHOIC:
-        return c_g_tx * params.anechoic_boost, c_g_rx * params.anechoic_boost
-    return c_g_tx, c_g_rx
+    boost = params.anechoic_boost if params.environment is Environment.ANECHOIC else 1.0
+    return {"CGTX": params.c_g_tx * scale * boost, "CGRX": params.c_g_rx * scale * boost}
 
 
 @dataclass(frozen=True)
@@ -164,15 +164,15 @@ def build_intra_body(params: BodyChannelParams) -> Netlist:
     3 body, 4 receiver electrode, 5 receiver floating ground. Probe the
     transfer across the load with INTRA_PROBE.
     """
-    c_g_tx, c_g_rx = _return_caps(params, 1.0)
+    caps = _return_caps(params, 1.0)
     elements = (
         Element("V", 1.0, (1, 2), SOURCE_LABEL),
         Element("R", params.r_s, (1, 3), "RS"),
-        Element("C", c_g_tx, (2, 0), "CGTX"),
+        Element("C", caps["CGTX"], (2, 0), "CGTX"),
         Element("C", params.c_body, (3, 0), "CBODY"),
         Element("R", params.r_b, (3, 4), "RB"),
         params.load.element(4, 5),
-        Element("C", c_g_rx, (5, 0), "CGRX"),
+        Element("C", caps["CGRX"], (5, 0), "CGRX"),
     )
     return Netlist(elements=elements)
 
@@ -186,18 +186,18 @@ def build_inter_body(params: InterBodyParams) -> Netlist:
     (c_c == c_body2) are simply omitted.
     """
     base = params.base
-    c_g_tx, c_g_rx = _return_caps(base, 1.0)
+    caps = _return_caps(base, 1.0)
     c_gnd2 = params.c_body2 - params.c_c
     c_gnd1 = base.c_body - params._branch_series_cap()
     elements = [
         Element("V", 1.0, (1, 2), SOURCE_LABEL),
         Element("R", base.r_s, (1, 3), "RS"),
-        Element("C", c_g_tx, (2, 0), "CGTX"),
+        Element("C", caps["CGTX"], (2, 0), "CGTX"),
         Element("C", c_gnd1, (3, 0), "CBODY1"),
         Element("C", params.c_c, (3, 4), "CC"),
         Element("R", base.r_b, (4, 5), "RB"),
         base.load.element(5, 6),
-        Element("C", c_g_rx, (6, 0), "CGRX"),
+        Element("C", caps["CGRX"], (6, 0), "CGRX"),
     ]
     if c_gnd2 > 0:
         elements.append(Element("C", c_gnd2, (4, 0), "CBODY2"))
@@ -292,15 +292,26 @@ def _bisect_root(fn, lo: float, hi: float) -> float:
             hi, y_hi = x, y
 
 
-def _scaled_return_path(netlist: Netlist, params: BodyChannelParams, scale: float) -> Netlist:
-    """The circuit ``netlist`` built from ``params``, with ``scale_return_path(params, scale)``.
+def _return_path_gain(circuit: Netlist, params: BodyChannelParams, probe: tuple[int, int],
+                      f: float):
+    """gain(scale): the dB gain across ``probe`` (no ground node) at ``f`` of ``circuit``,
+    built from ``params``, with ``scale_return_path(params, scale)``.
 
-    Only the CGTX and CGRX values change, so the circuit is restamped
-    rather than rebuilt and validated again.
+    Bit for bit ``_probe_gain_db`` of the rebuilt circuit. ``circuit`` is
+    stamped once; each call restamps only CGTX and CGRX and solves that
+    stamp through ``solver._solve_grid``, so it builds no Element, Netlist
+    or ACSolution, and raises the errors the rebuilt circuit's solve would.
     """
-    _require_positive("scale", scale)
-    c_g_tx, c_g_rx = _return_caps(params, scale)
-    return _with_values(netlist, {"CGTX": c_g_tx, "CGRX": c_g_rx})
+    _require_positive("frequency", f)
+    stamp = solver._stamp(circuit)
+    plus, minus = (stamp.topology.index[node] for node in probe)
+
+    def gain(scale: float) -> float:
+        _require_positive("scale", scale)
+        x, _ = solver._solve_grid(solver._restamp(stamp, _return_caps(params, scale)), (f,))
+        return float(_gain_db(x[0, plus] - x[0, minus]))
+
+    return gain
 
 
 def calibrate_anechoic_boost(params: BodyChannelParams | None = None,
@@ -310,18 +321,14 @@ def calibrate_anechoic_boost(params: BodyChannelParams | None = None,
 
     Used to pin ANECHOIC_RETURN_BOOST; the rise is strictly increasing in
     the boost, so its target crossing is located by :func:`_bisect_root`
-    over boosts in [1, 50]. The open-air circuit is built once; each step
-    restamps its return capacitances.
+    over boosts in [1, 50]. The open-air circuit is built and stamped once;
+    each step restamps its return capacitances.
     """
     base = replace(params or BodyChannelParams(), environment=Environment.OPEN_AIR)
     circuit = build_inter_body(InterBodyParams(base=base, c_c=c_c))
     reference = _probe_gain_db(circuit, INTER_PROBE, f)
-
-    def rise(boost: float) -> float:
-        boosted = _scaled_return_path(circuit, base, boost)
-        return _probe_gain_db(boosted, INTER_PROBE, f) - reference
-
-    return _bisect_root(lambda boost: rise(boost) - target_db, 1.0, 50.0)
+    gain = _return_path_gain(circuit, base, INTER_PROBE, f)
+    return _bisect_root(lambda boost: gain(boost) - reference - target_db, 1.0, 50.0)
 
 
 def calibrate_return_scale(target_loss_db: float, c_c: float | None = None,
@@ -335,7 +342,8 @@ def calibrate_return_scale(target_loss_db: float, c_c: float | None = None,
     chamber, 80 dB inter-body in open air); it makes no physics claim
     about the return capacitances themselves. The gain rises with the
     scale; the target is located by :func:`_bisect_root` over [1e-3, 1e3].
-    The circuit is built once; each step restamps its return capacitances.
+    The circuit is built and stamped once; each step restamps its return
+    capacitances.
     """
     _require_positive("target_loss_db", target_loss_db)
     base = params or BodyChannelParams()
@@ -343,8 +351,5 @@ def calibrate_return_scale(target_loss_db: float, c_c: float | None = None,
         circuit, probe = build_intra_body(base), INTRA_PROBE
     else:
         circuit, probe = build_inter_body(InterBodyParams(base=base, c_c=c_c)), INTER_PROBE
-
-    def gain(scale: float) -> float:
-        return _probe_gain_db(_scaled_return_path(circuit, base, scale), probe, f)
-
+    gain = _return_path_gain(circuit, base, probe, f)
     return _bisect_root(lambda scale: gain(scale) + target_loss_db, 1e-3, 1e3)

@@ -9,16 +9,17 @@ inductances, so the system at angular frequency w is
 
 The stamp is kept on the (immutable) netlist, so repeated solves of one
 circuit stamp it once. A stamp is a topology and values: the topology,
-fixed by the element kinds and nodes, gives each of the four entries per
-element (and four per source incidence) its bin in the kept (3, size, size)
-layout of g, c and gamma; an entry on ground's row or column, or a
-source's own entry, goes to one extra bin past them that is dropped. The
-values part sums the element admittances into those bins with one
-bincount, in element order, straight into the kept layout. A netlist that
-differs from another only in element values (``_with_values``, as the
-calibrations' root-finding steps use) keeps its topology and reruns only
-the values part, so it gets the very matrices a fresh stamp of it would;
-when no source value changes it also shares the other's read-only ``rhs``.
+fixed by the element kinds, nodes and labels, gives each of the four
+entries per element (and four per source incidence) its bin in the kept
+(3, size, size) layout of g, c and gamma; an entry on ground's row or
+column, or a source's own entry, goes to one extra bin past them that is
+dropped. The values part sums the element admittances into those bins
+with one bincount, in element order, straight into the kept layout. The
+grid solver takes a stamp, not a netlist. A restamp (``_restamp``, one per
+root-finding step of the calibrations) sets some capacitances of a stamp
+and reruns only the values part on the kept topology, so it gets the very
+matrices a fresh stamp of the changed circuit would, and shares the
+stamp's read-only ``rhs``; no Element or Netlist is built for it.
 
 A grid is solved in fixed-size frequency blocks: each block's matrices are
 built in one buffer of at most 128 KB (or one matrix, if larger), then pass
@@ -65,8 +66,9 @@ is evaluated with no division by alpha, and a NaN or an overflow in it is
 not below 1e10, so such a frequency goes to the SVD; so does every
 frequency when the sources fix every node voltage (N is empty). The
 scalars are computed on a stamp's first solve, after the float-range check
-below, and kept on the stamp; a one-point block evaluates the bound in
-Python floats, a longer one on its ndarray of w.
+below (an RC restamp's are scaled when it is made; see below), and kept on
+the stamp; a one-point block evaluates the bound in Python floats, a
+longer one on its ndarray of w.
 
 Rounding: each lam is lowered by 1e3 * size^2 * u * max|entry| (u the unit
 roundoff), which covers the computed N and eigenvalues; kappa^2 is raised
@@ -97,16 +99,20 @@ else lam_0 is 0: with inductors the anchored term is 0, as lam_C is, and
 where alpha > 0 one more eigenvalue problem per stamp costs more than the
 points it could clear.
 
-A restamp of capacitances and sources alone in an RC circuit (the
-calibrations' ``_with_values`` on CGTX and CGRX) keeps G and N. Each
-capacitor enters C as c_k u_k u_k^T, so with r_lo and r_hi the smallest
-and largest ratio of a new capacitance to its old one, 1 among them,
-C >= r_lo C_old in the Loewner order and |C|_F <= r_hi |C_old|_F entry by
-entry: the restamp takes lam_C and |C|_F from its parent's in a few float
-operations, on its first solve. It does not take the parent's lam_0,
-which belongs to the parent's C, so its lam_0 is 0.
+A restamp of capacitances in an RC circuit (the calibrations' steps on
+CGTX and CGRX) keeps G and N. Each capacitor enters C as c_k u_k u_k^T,
+so with r_lo and r_hi the smallest and largest ratio of a new capacitance
+to its old one, 1 among them, C >= r_lo C_old in the Loewner order and
+|C|_F <= r_hi |C_old|_F entry by entry: the restamp scales its parent's
+lam_C and |C|_F in a few float operations, when it is made. Only the
+parent's certificate is computed then, if it has none, and only from
+finite matrices; so no np.linalg call sees the restamped system before the
+float-range check below. The restamp does not take the parent's lam_0,
+which belongs to the parent's C, so its lam_0 is 0. With inductors, or
+where either stamp has an entry past the float range, the restamp has no
+scaled certificate and gets its own on its first solve.
 
-Each stamp's certificate is computed once and never upgraded: there is no
+Each stamp's certificate is made once and never upgraded: there is no
 second screen. A frequency that it does not clear, a restamp's included,
 goes straight to the SVD check; a restamp is solved at few points, where
 a certificate of its own costs more than the SVD it would save.
@@ -133,7 +139,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .netlist import Element, Netlist, _require_positive
+from .netlist import Netlist, _require_positive
 
 __all__ = [
     "ACSolution",
@@ -205,12 +211,12 @@ class _Topology(NamedTuple):
 
     index: dict[int, int]  # non-ground node -> row
     sources: tuple[int, ...]  # position in the elements of source k, whose row is len(index) + k
-    source_labels: tuple[str, ...]
+    labels: tuple[str, ...]  # of the elements, in element order
+    kinds: str  # the kind letter of each element, in element order
     # Bin of each entry, four per element and then four per source, in the row-major
     # (3, size, size) stack of g, c and gamma for size unknowns; an entry that is
     # dropped goes to bin 3 * size * size.
     bins: np.ndarray
-    has_inductor: bool
 
 
 class _Certificate(NamedTuple):
@@ -231,13 +237,12 @@ class _Certificate(NamedTuple):
 
 @dataclass(eq=False, slots=True)
 class _Stamp:
-    """Real MNA matrices of a netlist; ``gamma`` is None without inductors.
+    """Real MNA matrices of a circuit; ``gamma`` is None without inductors.
 
-    ``certificate`` is filled by :func:`_certificate` on the first solve and
-    never replaced. An RC restamp that changed only capacitances and sources
-    keeps in ``parent``, until then, the stamp it came from and the smallest
-    and the largest ratio of a capacitance to its old value, with 1 among
-    them.
+    ``values`` is what :func:`_restamp` patches. An RC
+    restamp gets its ``certificate`` when it is made, scaled from its
+    parent's; any other stamp gets its own from :func:`_certificate` on its
+    first solve. Once set, it is never replaced.
     """
 
     matrices: np.ndarray  # the read-only (3, unknowns, unknowns) stack of g, c and gamma
@@ -247,7 +252,7 @@ class _Stamp:
     rhs: np.ndarray  # z, shape (1, unknowns, 1)
     topology: _Topology
     peaks: tuple[float, float, float]  # largest |entry| of g, c and gamma (0.0 without one)
-    parent: tuple[_Stamp, float, float] | None = None
+    values: tuple[float, ...]  # of the elements, in element order
     certificate: _Certificate | None = None
 
 
@@ -272,7 +277,11 @@ def _stamp(netlist: Netlist) -> _Stamp:
 
 
 def _build_stamp(netlist: Netlist) -> _Stamp:
-    return _stamp_values(_topology(netlist), netlist.elements)
+    topology, elements = _topology(netlist), netlist.elements
+    rhs = np.zeros((1, len(topology.index) + len(topology.sources), 1), dtype=complex)
+    rhs[0, len(topology.index):, 0] = [elements[k].value for k in topology.sources]
+    rhs.setflags(write=False)
+    return _stamp_values(topology, tuple(e.value for e in elements), rhs)
 
 
 def _topology(netlist: Netlist) -> _Topology:
@@ -298,21 +307,19 @@ def _topology(netlist: Netlist) -> _Topology:
         a, b = elements[k].nodes
         (ri, i), (rj, j) = place[a], place[b]
         at += (ri + r, r * size + i, rj + r, r * size + j)
-    return _Topology(index, sources, tuple(elements[k].label for k in sources),
-                     np.minimum(np.fromiter(at, np.intp, len(at)), kept),
-                     any(e.kind == "L" for e in elements))
+    return _Topology(index, sources, tuple(e.label for e in elements),
+                     "".join(e.kind for e in elements),
+                     np.minimum(np.fromiter(at, np.intp, len(at)), kept))
 
 
-def _stamp_values(topology: _Topology, elements: tuple[Element, ...],
-                  rhs: np.ndarray | None = None,
-                  parent: tuple[_Stamp, float, float] | None = None) -> _Stamp:
-    """The stamp of ``elements`` laid out by ``topology``; ``rhs`` if given, else built.
+def _stamp_values(topology: _Topology, values: tuple[float, ...], rhs: np.ndarray) -> _Stamp:
+    """The stamp of the element ``values`` laid out by ``topology``.
 
     One bincount sums every entry in element order, so a netlist stamped
-    fresh and one restamped on another's topology get the same matrices.
+    fresh and a stamp restamped on its topology get the same matrices.
     """
     size = len(topology.index) + len(topology.sources)
-    y = [1.0 / e.value if e.kind in ("R", "L") else e.value for e in elements]
+    y = [1.0 / v if kind in "RL" else v for kind, v in zip(topology.kinds, values)]
     y += [1.0] * len(topology.sources)  # the unit incidence of each branch current
     weights = (np.fromiter(y, float, len(y))[:, None] * _SIGNS).ravel()
     kept = 3 * size * size
@@ -320,39 +327,37 @@ def _stamp_values(topology: _Topology, elements: tuple[Element, ...],
     m.setflags(write=False)
     g, c, gamma = m
     peaks = tuple(np.abs(m).max(axis=(1, 2)).tolist())
-    if rhs is None:
-        rhs = np.zeros((1, size, 1), dtype=complex)
-        for row, k in enumerate(topology.sources, start=len(topology.index)):
-            rhs[0, row, 0] = elements[k].value
-        rhs.setflags(write=False)
-    return _Stamp(m, g, c, gamma if topology.has_inductor else None, rhs, topology, peaks, parent)
+    return _Stamp(m, g, c, gamma if "L" in topology.kinds else None, rhs, topology, peaks, values)
 
 
-def _with_values(netlist: Netlist, values: dict[str, float]) -> Netlist:
-    """``netlist`` with the elements labelled in ``values`` set to those values.
+def _restamp(stamp: _Stamp, caps: Mapping[str, float]) -> _Stamp:
+    """``stamp`` with the capacitors labelled in ``caps`` set to those values.
 
-    Each new value passes Element's own check. Nodes and labels stay, so the
-    netlist's topology checks still hold and are not repeated, and the new
-    stamp reuses the netlist's stamp topology, and its read-only ``rhs`` when
-    ``values`` names no source. When ``values`` names only capacitors and
-    sources of a circuit without inductors, the new stamp's certificate
-    derives from the netlist's.
+    Each value passes Element's own check, in the order of ``caps``. The
+    restamp keeps the stamp's topology and read-only ``rhs``, and gets the
+    matrices of a fresh stamp of the changed circuit. Without inductors, and
+    with both stamps in the float range, its certificate is the stamp's own,
+    scaled by the smallest and the largest ratio of a capacitance to its old
+    value, with 1 among them (see the module docstring).
     """
-    elements = tuple(Element(e.kind, values[e.label], e.nodes, e.label) if e.label in values else e
-                     for e in netlist.elements)
-    stamp = _stamp(netlist)
-    topology = stamp.topology
-    rhs = None if any(label in values for label in topology.source_labels) else stamp.rhs
-    changed = [(e, new) for e, new in zip(netlist.elements, elements) if new is not e]
-    parent = None
-    if not topology.has_inductor and all(e.kind in "CV" for e, _ in changed):
-        ratios = [1.0] + [new.value / e.value for e, new in changed if e.kind == "C"]
-        parent = (stamp, min(ratios), max(ratios))
-    restamped = object.__new__(Netlist)
-    # Netlist is frozen: its fields are copied without a second validation,
-    # and the stamp rides along as _stamp keeps it.
-    restamped.__dict__.update(netlist.__dict__, elements=elements,
-                              _mna=_stamp_values(topology, elements, rhs, parent))
+    topology, values = stamp.topology, list(stamp.values)
+    ratios = [1.0]
+    for label, value in caps.items():
+        k = topology.labels.index(label)
+        if topology.kinds[k] != "C":
+            raise ValueError(f"element {label} is not a capacitor")
+        _require_positive(label, value)
+        ratios.append(value / values[k])
+        values[k] = value
+    restamped = _stamp_values(topology, tuple(values), stamp.rhs)
+    if stamp.gamma is None and max(stamp.peaks + restamped.peaks) < math.inf:
+        base = _certificate(stamp)
+        # min(ratios) * C_old <= C <= max(ratios) * C_old, entry by entry and in the Loewner
+        # order; never the parent's anchored term: it was computed for the parent's C
+        tol = _MARGIN * len(stamp.g) ** 2
+        restamped.certificate = base._replace(
+            lam_c=max(min(ratios) * base.lam_c - tol * restamped.peaks[1], 0.0),
+            c_norm=max(ratios) * base.c_norm, lam_0=0.0)
     return restamped
 
 
@@ -378,23 +383,12 @@ def _source_kernel(incidence: np.ndarray) -> tuple[np.ndarray | None, float, flo
 
 
 def _certificate(stamp: _Stamp) -> _Certificate:
-    """The stamp's certificate, computed on first use and kept on the stamp.
+    """The stamp's certificate: the one it has, or its own, computed once and kept on it.
 
-    A restamp with a parent derives it from the parent's in a few float
-    operations.
+    An RC restamp has its scaled certificate from :func:`_restamp`.
     """
     if stamp.certificate is None:
-        if stamp.parent is None:
-            stamp.certificate = _fresh_certificate(stamp)
-        else:
-            (parent, low, high), stamp.parent = stamp.parent, None
-            base = _certificate(parent)
-            # low * C_old <= C <= high * C_old, entry by entry and in the Loewner order
-            tol = _MARGIN * len(stamp.g) ** 2
-            # never the parent's anchored term: it was computed for the parent's C
-            stamp.certificate = base._replace(
-                lam_c=max(low * base.lam_c - tol * stamp.peaks[1], 0.0),
-                c_norm=high * base.c_norm, lam_0=0.0)
+        stamp.certificate = _fresh_certificate(stamp)
     return stamp.certificate
 
 
@@ -499,7 +493,7 @@ def _check_condition(a: np.ndarray, f: np.ndarray, points: list[int],
             warnings.append(f"ill-conditioned MNA system at f={f[k]:g} Hz (cond~{cond:.3g})")
 
 
-def _out_of_range(netlist: Netlist, stamp: _Stamp, reach: tuple[float, float, float],
+def _out_of_range(stamp: _Stamp, reach: tuple[float, float, float],
                   f_lo: float, f_hi: float) -> ValueError:
     """The error for a grid [f_lo, f_hi] on which ``reach``, the largest |entry| of g, w*c
     and gamma/w, leaves the float range.
@@ -509,33 +503,31 @@ def _out_of_range(netlist: Netlist, stamp: _Stamp, reach: tuple[float, float, fl
     """
     matrix = next(k for k, peak in enumerate(reach) if not peak < math.inf)
     f = f_hi if matrix == 1 else f_lo
-    size = len(stamp.g)
-    entry = int(np.abs((stamp.g, stamp.c, stamp.gamma)[matrix]).argmax())
-    bins = stamp.topology.bins[:4 * len(netlist.elements)].reshape(-1, 4)
-    on_entry = np.flatnonzero((bins == matrix * size * size + entry).any(axis=1))
-    element = max((netlist.elements[k] for k in on_entry.tolist()),
-                  key=lambda e: e.value if e.kind == "C" else 1.0 / e.value)
-    return ValueError(f"element {element.label} ({element.kind} = {element.value:g}) "
+    entry = matrix * stamp.g.size + int(np.abs(stamp.matrices[matrix]).argmax())
+    values, kinds = stamp.values, stamp.topology.kinds
+    bins = stamp.topology.bins[:4 * len(values)].reshape(-1, 4)
+    on_entry = np.flatnonzero((bins == entry).any(axis=1))
+    k = max(on_entry.tolist(), key=lambda k: values[k] if kinds[k] == "C" else 1.0 / values[k])
+    return ValueError(f"element {stamp.topology.labels[k]} ({kinds[k]} = {values[k]:g}) "
                       f"puts the MNA system out of the float range at f={f:g} Hz")
 
 
-def _solve_grid(netlist: Netlist, freqs) -> tuple[np.ndarray, _Stamp, list[str]]:
-    """Solve the MNA system at every frequency in ``freqs`` (hertz, > 0, ascending).
+def _solve_grid(stamp: _Stamp, freqs) -> tuple[np.ndarray, list[str]]:
+    """Solve the stamp's MNA system at every frequency in ``freqs`` (hertz, > 0, ascending).
 
-    Returns the ``(len(freqs), unknowns)`` solutions (for a grid of one block,
-    a view of LAPACK's output), the stamp that gives their row layout, and the
-    ill-conditioning warnings in grid order.
-    Raises ValueError, before any solve, when an entry of g, w*c or
-    gamma/w leaves the float range on the grid.
+    Returns the ``(len(freqs), unknowns)`` solutions, in the row layout of
+    ``stamp.topology`` (for a grid of one block, a view of LAPACK's output),
+    and the ill-conditioning warnings in grid order.
+    Raises ValueError, before any np.linalg call on the stamp, when an entry
+    of g, w*c or gamma/w leaves the float range on the grid.
     """
-    stamp = _stamp(netlist)
     freqs = np.asarray(freqs, dtype=float)
     f_lo, f_hi = float(freqs[0]), float(freqs[-1])
     g_peak, c_peak, gamma_peak = stamp.peaks
     # w*c is largest at the top of the grid, gamma/w at the bottom
     reach = (g_peak, c_peak * (2.0 * math.pi * f_hi), gamma_peak / (2.0 * math.pi * f_lo))
     if not max(reach) < math.inf:
-        raise _out_of_range(netlist, stamp, reach, f_lo, f_hi)
+        raise _out_of_range(stamp, reach, f_lo, f_hi)
     certificate = _certificate(stamp)
     index = stamp.topology.index
     size = len(index) + len(stamp.topology.sources)
@@ -568,9 +560,9 @@ def _solve_grid(netlist: Netlist, freqs) -> tuple[np.ndarray, _Stamp, list[str]]
         if suspect:
             _check_condition(a, f, suspect, index, warnings)
         if x is None:
-            return solution[..., 0], stamp, warnings
+            return solution[..., 0], warnings
         x[start:start + len(f)] = solution[..., 0]
-    return x, stamp, warnings
+    return x, warnings
 
 
 def solve_ac(netlist: Netlist, f: float) -> ACSolution:
@@ -589,11 +581,12 @@ def solve_ac(netlist: Netlist, f: float) -> ACSolution:
         reported.
     """
     _require_positive("frequency", f)
-    x, stamp, warnings = _solve_grid(netlist, (f,))
-    row = x[0].tolist()
-    index = stamp.topology.index  # the nodes in row order; the source currents follow them
-    solution = ACSolution({netlist.ground: 0j},
-                          zip(stamp.topology.source_labels, row[len(index):]), warnings)
+    stamp = _stamp(netlist)
+    x, warnings = _solve_grid(stamp, (f,))
+    row, topology = x[0].tolist(), stamp.topology
+    index = topology.index  # the nodes in row order; the source currents follow them
+    labels = (topology.labels[k] for k in topology.sources)
+    solution = ACSolution({netlist.ground: 0j}, zip(labels, row[len(index):]), warnings)
     solution.update(zip(index, row))
     return solution
 
@@ -695,7 +688,8 @@ def transfer(netlist: Netlist, source_label: str, probe: tuple[int, int],
     for p in probe:
         if p not in nodes:
             raise ValueError(f"probe node {p} not present in netlist")
-    x, stamp, warnings = _solve_grid(netlist, grid.points)
+    stamp = _stamp(netlist)
+    x, warnings = _solve_grid(stamp, grid.points)
     plus, minus = (np.zeros(len(x), dtype=complex) if node == netlist.ground
                    else x[:, stamp.topology.index[node]] for node in probe)
     return SweepResult(freqs=grid.points, gain=(plus - minus) / source.value,

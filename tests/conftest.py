@@ -15,11 +15,11 @@ def solve_calls(monkeypatch):
     calls = 0
     original = solver._solve_grid
 
-    def counting(netlist, freqs):
+    def counting(stamp, freqs):
         nonlocal calls
         points.extend((calls, float(f)) for f in freqs)
         calls += 1
-        return original(netlist, freqs)
+        return original(stamp, freqs)
 
     monkeypatch.setattr(solver, "_solve_grid", counting)
     return points

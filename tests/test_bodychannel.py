@@ -35,7 +35,7 @@ from eqshbc.coupling import (
     fit_coupling_model,
 )
 from eqshbc.netlist import format_netlist, parse_netlist
-from eqshbc.solver import FrequencyGrid, solve_ac, transfer
+from eqshbc.solver import FrequencyGrid, SingularCircuitError, solve_ac, transfer
 
 EQS_BAND = FrequencyGrid.log(1e5, 1e6, 21)
 
@@ -397,23 +397,45 @@ def rebuilt_anechoic_boost(c_c=21e-12, f=500e3, target_db=10.0):
 CHAMBER = BodyChannelParams(environment=Environment.ANECHOIC)
 
 
+def circuit_of(inter, c_c=21e-12):
+    """(build, probe): the builder of the intra- or inter-body circuit from a parameter set."""
+    if inter:
+        return lambda p: build_inter_body(InterBodyParams(base=p, c_c=c_c)), INTER_PROBE
+    return build_intra_body, INTRA_PROBE
+
+
 class TestCalibrationsRestampOneCircuit:
     @settings(max_examples=40, deadline=None)
     @given(st.floats(1e-3, 1e3), st.sampled_from(list(Environment)), st.booleans())
     def test_restamped_circuit_is_the_rebuilt_one(self, scale, environment, inter):
         params = BodyChannelParams(environment=environment)
-        if inter:
-            def build(p):
-                return build_inter_body(InterBodyParams(base=p, c_c=21e-12))
-        else:
-            build = build_intra_body
-        restamped = bodychannel._scaled_return_path(build(params), params, scale)
+        build, probe = circuit_of(inter)
+        stamps = []
+        real_solve_grid = solver._solve_grid
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_solve_grid",
+                          lambda stamp, freqs: stamps.append(stamp) or real_solve_grid(stamp, freqs))
+            bodychannel._return_path_gain(build(params), params, probe, 500e3)(scale)
+        [got] = stamps  # the stamp that the step solves
         rebuilt = build(scale_return_path(params, scale))
-        assert restamped == rebuilt
-        got, fresh = solver._stamp(restamped), solver._build_stamp(rebuilt)
+        fresh = solver._build_stamp(rebuilt)
+        assert got.values == tuple(e.value for e in rebuilt.elements)
+        assert got.topology.labels == tuple(e.label for e in rebuilt.elements)
         for name in ("g", "c", "rhs"):
             assert np.array_equal(getattr(got, name), getattr(fresh, name))
         assert got.gamma is None and fresh.gamma is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-3, 1e3), st.sampled_from(list(Environment)), st.booleans(),
+           st.floats(1e-15, 150e-12), st.floats(1e3, 1e9),
+           st.sampled_from([LoadSpec.capacitive(), LoadSpec.resistive(50.0)]))
+    def test_a_step_is_the_rebuilt_circuits_gain_bit_for_bit(self, scale, environment, inter,
+                                                             c_c, f, load):
+        params = BodyChannelParams(environment=environment, load=load)
+        build, probe = circuit_of(inter, c_c)
+        step = bodychannel._return_path_gain(build(params), params, probe, f)
+        want = bodychannel._probe_gain_db(build(scale_return_path(params, scale)), probe, f)
+        assert step(scale).hex() == want.hex()
 
     def test_calibrations_return_the_rebuild_floats(self):
         assert calibrate_anechoic_boost() == rebuilt_anechoic_boost()
@@ -431,26 +453,82 @@ class TestCalibrationsRestampOneCircuit:
         calibrate_anechoic_boost()
         assert len(built) == 2
 
-    def test_every_calibration_solve_goes_through_solve_ac(self, solve_calls, monkeypatch):
-        # The benchmark tracer counts calibration solves at bodychannel.solve_ac.
-        calls = []
-        real_solve_ac = bodychannel.solve_ac
+    @pytest.mark.parametrize("calibrate, references", [
+        (calibrate_anechoic_boost, 1),  # the open-air reference gain
+        (lambda: calibrate_return_scale(60.0, params=CHAMBER), 0),
+        (lambda: calibrate_return_scale(80.0, c_c=21e-12), 0),
+    ])
+    def test_each_itp_evaluation_is_one_solve_grid_point(self, solve_calls, monkeypatch,
+                                                         calibrate, references):
+        steps = []
+        real_bisect_root = bodychannel._bisect_root
 
-        def counting(netlist, f):
-            calls.append(f)
-            return real_solve_ac(netlist, f)
+        def counting_root(fn, lo, hi):
+            def step(x):
+                before = len(solve_calls)
+                y = fn(x)
+                steps.append(solve_calls[before:])
+                return y
 
-        monkeypatch.setattr(bodychannel, "solve_ac", counting)
-        calibrate_anechoic_boost()
-        calibrate_return_scale(60.0, params=CHAMBER)
-        calibrate_return_scale(80.0, c_c=21e-12)
-        assert calls and len(calls) == len(solve_calls)
+            return real_bisect_root(step, lo, hi)
+
+        monkeypatch.setattr(bodychannel, "_bisect_root", counting_root)
+        calibrate()
+        assert steps and all(len(points) == 1 and points[0][1] == 500e3 for points in steps)
+        assert len(solve_calls) == references + len(steps)
 
     def test_bad_scale_rejected(self):
-        net = build_intra_body(BodyChannelParams())
+        gain = bodychannel._return_path_gain(build_intra_body(BodyChannelParams()),
+                                             BodyChannelParams(), INTRA_PROBE, 500e3)
         for scale in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="scale"):
-                bodychannel._scaled_return_path(net, BodyChannelParams(), scale)
+            with pytest.raises(ValueError, match="^scale must be finite and > 0"):
+                gain(scale)
+
+
+def refuse_linalg(monkeypatch, names):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg reached")
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
+class TestCalibrationErrors:
+    """A calibration step raises the errors that a rebuilt circuit's solve would."""
+
+    def test_a_return_capacitance_that_rounds_to_zero_is_named(self):
+        with pytest.raises(ValueError, match=r"^CGTX must be finite and > 0, got 0\.0$"):
+            calibrate_return_scale(60.0, params=BodyChannelParams(c_g_tx=5e-324, c_g_rx=5e-324))
+
+    def test_the_boost_names_the_element_out_of_range(self, monkeypatch):
+        refuse_linalg(monkeypatch, ("solve", "svd", "eigh", "eigvalsh"))
+        with pytest.raises(ValueError) as info:
+            calibrate_anechoic_boost(params=BodyChannelParams(c_g_tx=1e305, c_g_rx=1e305))
+        assert str(info.value) == ("element CGTX (C = 1e+305) puts the MNA system out of the "
+                                   "float range at f=500000 Hz")
+
+    def test_the_scale_names_the_restamped_value(self, monkeypatch):
+        # the first step, at scale 1e-3, is out of range; no system reaches LAPACK
+        refuse_linalg(monkeypatch, ("solve", "svd"))
+        with pytest.raises(ValueError) as info:
+            calibrate_return_scale(60.0, params=BodyChannelParams(c_g_tx=1e305, c_g_rx=1e305))
+        assert str(info.value) == ("element CGTX (C = 1e+302) puts the MNA system out of the "
+                                   "float range at f=500000 Hz")
+
+    @pytest.mark.parametrize("calibrate", [
+        lambda params: calibrate_return_scale(60.0, params=params),
+        lambda params: calibrate_return_scale(80.0, c_c=21e-12, params=params),
+        lambda params: calibrate_anechoic_boost(params=params),
+    ])
+    def test_huge_return_capacitances_are_singular(self, calibrate):
+        # the type only: the message names a node, where the cause is the values' spread
+        with pytest.raises(SingularCircuitError):
+            calibrate(BodyChannelParams(c_g_tx=1e200, c_g_rx=1e200))
+
+    @pytest.mark.parametrize("f", [0.0, math.nan, math.inf])
+    def test_the_frequency_is_checked(self, f):
+        with pytest.raises(ValueError, match="^frequency must be finite and > 0"):
+            calibrate_return_scale(60.0, f=f)
 
 
 class TestScalarGainIsTheSweepGain:

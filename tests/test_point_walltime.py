@@ -14,7 +14,7 @@ def test_one_round_of_this_checkout():
     assert legend == f"checkout 1: {ROOT}"
     assert header.split() == ["step", "checkout", "1"]
     rows = [line.rsplit(None, 2) for line in rows]
-    assert [row[0] for row in rows] == ["solve_ac", "restamp", "calibrate_return_scale",
+    assert [row[0] for row in rows] == ["solve_ac", "calibration_step", "calibrate_return_scale",
                                         "calibrate_anechoic_boost", "45 max_detection_distance",
                                         "40 load_config", "ladder_sweep", "resistive_sweep"]
     assert all(row[2] == "us" and float(row[1]) > 0.0 for row in rows)

@@ -852,8 +852,8 @@ class TestCertificate:
         values = {label: data.draw(st.floats(1e-15, 1e6)) for label in labels}
         parent = solver._stamp(netlist)
         parent.certificate = with_anchor(parent)
-        restamped = solver._stamp(solver._with_values(netlist, values))
-        derived = solver._certificate(restamped)
+        restamped = solver._restamp(parent, values)
+        derived = restamped.certificate  # made with the restamp, before any solve
         exact = solver._fresh_certificate(restamped)
         assert derived.lam_c <= exact.lam_c + margin(restamped.c)
         assert derived.c_norm >= exact.c_norm * (1.0 - 1e-12)
@@ -890,19 +890,17 @@ class TestCertificate:
         net = parse_netlist(text.format("1n"))
         solve_ac(net, 1e3)
         assert len(eigvalsh_calls) == 1 and svd_points == []
-        kept = solver._with_values(net, {"C3": 0.5e-9})
-        assert solve_ac(kept, 1e3) and len(eigvalsh_calls) == 1  # lam_C scaled from the parent
-        assert svd_points == []
+        stamp = solver._stamp(net)
+        kept = solver._restamp(stamp, {"C3": 0.5e-9})
+        assert len(solver._solve_grid(kept, (1e3,))[0]) == 1
+        assert len(eigvalsh_calls) == 1 and svd_points == []  # lam_C scaled from the parent
         # C3 down by 1e6 scales lam_C down by 1e6, though C2 keeps it near its old value:
         # the scaled certificate fails to clear, and the point goes to the SVD as it is
-        dropped = solve_ac(solver._with_values(net, {"C3": 1e-15}), 1e3)
+        dropped = solver._solve_grid(solver._restamp(stamp, {"C3": 1e-15}), (1e3,))
         assert len(eigvalsh_calls) == 1 and svd_points == [1]
-        fresh = solve_ac(parse_netlist(text.format("1e-15")), 1e3)
+        fresh = solver._solve_grid(solver._stamp(parse_netlist(text.format("1e-15"))), (1e3,))
         assert len(eigvalsh_calls) == 2 and svd_points == [1]  # its own lam_C clears it
-        assert list(dropped) == list(fresh)
-        bits = [np.array([*sol.values(), *sol.source_currents.values()]).tobytes()
-                for sol in (dropped, fresh)]
-        assert bits[0] == bits[1] and dropped.warnings == fresh.warnings
+        assert dropped[0].tobytes() == fresh[0].tobytes() and dropped[1] == fresh[1]
 
 
 class TestSweepIsItsPointSolves:
@@ -946,33 +944,51 @@ class TestRestamp:
     @settings(max_examples=100, deadline=None)
     @given(grounded_netlists(), st.data())
     def test_restamp_equals_a_fresh_stamp(self, netlist, data):
-        labels = data.draw(st.lists(st.sampled_from([e.label for e in netlist.elements]),
-                                    unique=True))
-        sources = {e.label for e in netlist.sources()}
-        values = {label: data.draw(st.floats(1e-15, 1e6) | st.sampled_from([0.0, -0.0])
-                                   if label in sources else st.floats(1e-15, 1e6))
-                  for label in labels}
-        restamped = solver._with_values(netlist, values)
-        rebuilt = Netlist(tuple(replace(e, value=values.get(e.label, e.value))
-                                for e in netlist.elements))
-        assert restamped == rebuilt
-        parent, got, fresh = (solver._stamp(netlist), solver._stamp(restamped),
-                              solver._build_stamp(rebuilt))
-        assert got.topology is parent.topology
+        caps = [e.label for e in netlist.elements if e.kind == "C"]
+        labels = data.draw(st.lists(st.sampled_from(caps), unique=True)) if caps else []
+        values = {label: data.draw(st.floats(1e-15, 1e6)) for label in labels}
+        parent = solver._stamp(netlist)
+        got = solver._restamp(parent, values)
+        fresh = solver._build_stamp(Netlist(tuple(replace(e, value=values.get(e.label, e.value))
+                                                  for e in netlist.elements)))
+        assert got.topology is parent.topology and got.rhs is parent.rhs
         for name in ("g", "c", "gamma", "rhs"):
             want = getattr(fresh, name)
             if want is None:
                 assert getattr(got, name) is None
             else:  # bit for bit, the sign of a zero included
                 assert getattr(got, name).tobytes() == want.tobytes()
-        assert got.peaks == fresh.peaks
-        assert (got.rhs is parent.rhs) == sources.isdisjoint(values)
-        assert not got.rhs.flags.writeable
+        assert (got.peaks, got.values) == (fresh.peaks, fresh.values)
+        assert not got.matrices.flags.writeable and not got.rhs.flags.writeable
+        # the parent is left as it was
+        assert parent.values == tuple(e.value for e in netlist.elements)
+        # an RC restamp has its certificate from its parent's; one with inductors gets its own
+        assert (got.certificate is None) == (parent.gamma is not None)
 
     @pytest.mark.parametrize("value", [0.0, -1e-12, math.nan, math.inf])
     def test_restamp_checks_each_value(self, value):
-        with pytest.raises(ValueError, match="C1"):
-            solver._with_values(self.LADDER, {"C1": value})
+        with pytest.raises(ValueError, match="^C1 must be finite and > 0"):
+            solver._restamp(solver._stamp(self.LADDER), {"C1": value})
+
+    def test_a_restamp_out_of_range_names_its_new_value(self, monkeypatch):
+        # The restamp makes its certificate from the parent's, which it computes from the
+        # parent's finite matrices; the restamped system reaches no np.linalg call.
+        net = parse_netlist("V1 1 0 1\nR1 1 2 1k\nC1 2 0 1n\nC2 2 0 1n")
+        restamped = solver._restamp(solver._stamp(net), {"C1": 1e300})
+        assert restamped.certificate is not None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg reached")
+
+        for name in ("solve", "svd", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        with pytest.raises(ValueError, match=r"^element C1 \(C = 1e\+300\) puts .* f=1e\+09 Hz$"):
+            solver._solve_grid(restamped, FrequencyGrid.log(1e-3, 1e9, 5).points)
+
+    @pytest.mark.parametrize("label", ["R1", "L1", "V1"])
+    def test_restamp_takes_capacitors_only(self, label):
+        with pytest.raises(ValueError, match=f"^element {label} is not a capacitor$"):
+            solver._restamp(solver._stamp(self.LADDER), {label: 1.0})
 
 
 class TestOutOfFloatRange:
@@ -1005,11 +1021,12 @@ class TestOutOfFloatRange:
                                    f"range at f={float(f):g} Hz")
 
     def test_a_restamp_names_the_element(self):
-        # the restamp's certificate comes from its parent's, and neither is made before the check
+        # a parent with an entry past the float range gives its restamp no certificate,
+        # so nothing reaches np.linalg before the check
         net = parse_netlist("V1 1 0 1\nR1 1 2 1e-320\nR2 2 0 1k\nC1 2 0 1n")
-        restamped = solver._with_values(net, {"C1": 2e-9})
+        restamped = solver._restamp(solver._stamp(net), {"C1": 2e-9})
         with pytest.raises(ValueError, match=r"^element R1 \(R = 9.99989e-321\) puts"):
-            transfer(restamped, "V1", (2, 0), FrequencyGrid.log(1e-3, 1e9, 5))
+            solver._solve_grid(restamped, FrequencyGrid.log(1e-3, 1e9, 5).points)
 
     def test_a_calibration_names_the_element(self):
         with pytest.raises(ValueError, match=r"^element RS \(R = 9.99989e-321\) puts"):
