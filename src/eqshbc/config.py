@@ -238,11 +238,18 @@ def inter_params_from_config(cfg: dict, environment: str | None = None) -> Inter
 
 
 def coupling_model_from_config(cfg: dict) -> CouplingCapModel:
-    """C_C(d) fitted to the config's anchors and d0, each defaulted on its own."""
+    """C_C(d) fitted to the config's anchors and d0, each defaulted on its own.
+
+    A fit that fails, a collapsed one say, raises ConfigError naming both keys.
+    """
     if "coupling.anchors" not in cfg and "coupling.d0" not in cfg:
         return DEFAULT_COUPLING_MODEL  # the same fit, made once at import
-    return fit_coupling_model(cfg.get("coupling.anchors", DEFAULT_COUPLING_ANCHORS),
-                              cfg.get("coupling.d0", DEFAULT_COUPLING_D0))
+    try:
+        return fit_coupling_model(cfg.get("coupling.anchors", DEFAULT_COUPLING_ANCHORS),
+                                  cfg.get("coupling.d0", DEFAULT_COUPLING_D0))
+    except ValueError as exc:
+        raise ConfigError(
+            f"'coupling.anchors' and 'coupling.d0' fit no coupling model: {exc}") from exc
 
 
 def region_config_from_config(cfg: dict, environment: str | None = None) -> RegionConfig:

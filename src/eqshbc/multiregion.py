@@ -24,13 +24,15 @@ reads it.
 
 The mechanism gains take a float frequency (a float out, through ``math``)
 or an ndarray of them (an ndarray out, through numpy), validated once per
-call. Everything over a frequency grid is array arithmetic over one solved
+call; ``RegionConfig.mechanism_gains_db`` takes a float. Everything over a frequency grid is array arithmetic over one solved
 quasistatic sweep and its mechanism table: the (3, n) gains in dB of the
 quasistatic, EM-body and device mechanisms, built on first use and kept on
 the sweep, so the stitched response, the region labels and the detection
 distances evaluate each closed-form gain once. A config likewise keeps the
 crossover scan of the last band asked for, its 241 points with their EM and
-device gains, which both crossovers of that band read.
+device gains, which both crossovers of that band read. A crossover is the
+root of the upper mechanism's gain over the lower one's, the same float
+whichever order its two labels come in.
 """
 
 from __future__ import annotations
@@ -202,14 +204,9 @@ class RegionConfig:
     def eqs_sweep(self, grid: FrequencyGrid) -> SweepResult:
         return transfer(self._netlist, SOURCE_LABEL, INTER_PROBE, grid)
 
-    def mechanism_gains_db(self, f):
-        """(quasistatic, EM body pair, device electrodes) gains in dB at f.
-
-        An ndarray f solves the circuit as one sweep.
-        """
-        eqs_db = (self.eqs_sweep(FrequencyGrid(f)).gain_db() if isinstance(f, np.ndarray)
-                  else self.eqs_gain_db(f))
-        return eqs_db, body_em_pair_gain(self.em, f), device_pair_gain(self.device, f)
+    def mechanism_gains_db(self, f: float) -> tuple[float, float, float]:
+        """(quasistatic, EM body pair, device electrodes) gains in dB at a float f."""
+        return self.eqs_gain_db(f), body_em_pair_gain(self.em, f), device_pair_gain(self.device, f)
 
     def _crossover_scan(self, f_lo: float, f_hi: float) -> tuple[np.ndarray, np.ndarray]:
         """The crossover scan of [f_lo, f_hi]: its 241 log-spaced points and their
@@ -271,6 +268,8 @@ def total_response(eqs_sweep: SweepResult, em: EmBodyModel, device: DeviceModel)
 
 
 _LABELS = tuple(RegionLabel)  # EQS, EM small monopole, EM resonant, device
+# each label's mechanism table row: EQS 0, either EM region 1, device 2
+_MECHANISM = (0, 1, 1, 2)
 
 
 def _region_index(config: RegionConfig, eqs: SweepResult) -> np.ndarray:
@@ -306,39 +305,38 @@ def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
 
     The regions must map to adjacent mechanisms (quasistatic/EM-body or
     EM-body/device); only those two are evaluated. Located by scanning 241
-    log-spaced points for the first sign change of the gain difference,
-    then :func:`_bisect_root`. Where the quasistatic mechanism takes part,
-    the scan runs upward in chunks of 81 points that share their end points
-    and stops at the first chunk holding a zero or a sign change, so the
-    circuit is not solved above the crossover; the bracket, and so the
-    root, is that of the whole scan.
+    log-spaced points for the first sign change of the upper mechanism's
+    gain over the lower one's, then :func:`_bisect_root`, so the crossover
+    is the same float whichever order the two labels come in. Where the
+    quasistatic mechanism takes part, the scan runs upward in chunks of 81
+    points that share their end points and stops at the first chunk holding
+    a zero or a sign change, so the circuit is not solved above the
+    crossover; the bracket, and so the root, is that of the whole scan.
     """
     _require_positive("f_lo", f_lo)
     _require_positive("f_hi", f_hi)
     if not f_lo < f_hi:
         raise ValueError(f"f_lo ({f_lo:g} Hz) must be below f_hi ({f_hi:g} Hz)")
-    # mechanism table rows: EQS 0, either EM region 1, device 2
-    mech_a, mech_b = (_LABELS.index(RegionLabel(r)) for r in (region_a, region_b))
-    mech_a, mech_b = mech_a - (mech_a >= 2), mech_b - (mech_b >= 2)
+    mech_a, mech_b = (_MECHANISM[_LABELS.index(RegionLabel(r))] for r in (region_a, region_b))
     if mech_a == mech_b:
         raise CrossoverError(
             f"{region_a} and {region_b} share a mechanism; no gain crossover exists")
     if abs(mech_a - mech_b) != 1:
         raise CrossoverError(f"{region_a} and {region_b} are not adjacent mechanisms")
 
-    scan, (em_db, dev_db) = config._crossover_scan(f_lo, f_hi)
-    quasistatic = 0 in (mech_a, mech_b)
-    upper_db = em_db if quasistatic else dev_db
+    lower, upper = sorted((mech_a, mech_b))
+    scan, radiative_db = config._crossover_scan(f_lo, f_hi)
+    gains = (config.eqs_gain_db, partial(body_em_pair_gain, config.em),
+             partial(device_pair_gain, config.device))
     # Only the quasistatic gain costs circuit solves; the EM pair is scanned in one chunk.
-    step = _SCAN_CHUNK if quasistatic else _SCAN_POINTS - 1
+    step = _SCAN_POINTS - 1 if lower else _SCAN_CHUNK
     # ascending chunks sharing their end points, so every neighbouring pair is in a chunk
     for start in range(0, _SCAN_POINTS - 1, step):
         stop = start + step + 1
         chunk = scan[start:stop]
-        lower_db = (config.eqs_sweep(FrequencyGrid(chunk)).gain_db() if quasistatic
-                    else em_db[start:stop])
-        # the upper mechanism's gain over the lower one's, whose sign changes are b - a's
-        sign = np.sign(upper_db[start:stop] - lower_db)
+        lower_db = (radiative_db[0, start:stop] if lower
+                    else config.eqs_sweep(FrequencyGrid(chunk)).gain_db())
+        sign = np.sign(radiative_db[upper - 1, start:stop] - lower_db)
         # chunk points where the difference is zero or flips sign before the next one
         hits = np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))
         if hits.size:
@@ -346,23 +344,14 @@ def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
             if sign[i] == 0.0:
                 return float(chunk[i])
             lo, hi = chunk[i:i + 2].tolist()
-            if quasistatic:
-                # The quasistatic gains at the bracket ends are the chunk's, as a sweep is
-                # its one-point solves bit for bit; every other gain goes through math.
-                solved = dict(zip((lo, hi), lower_db[i:i + 2].tolist()))
-
-                def lower(f: float) -> float:
-                    return solved[f] if f in solved else config.eqs_gain_db(f)
-
-                upper = partial(body_em_pair_gain, config.em)
-            else:
-                lower = partial(body_em_pair_gain, config.em)
-                upper = partial(device_pair_gain, config.device)
-            orientation = 1.0 if mech_a < mech_b else -1.0  # the root of gain b - gain a
-            return _bisect_root(lambda f: orientation * (upper(f) - lower(f)), lo, hi)
-    raise CrossoverError(
-        f"{region_a} and {region_b} never exchange dominance in "
-        f"[{f_lo:g}, {f_hi:g}] Hz")
+            # The quasistatic gains at the bracket ends are the chunk's, as a sweep is its
+            # one-point solves bit for bit; every other gain goes through math.
+            solved = {} if lower else dict(zip((lo, hi), lower_db[i:i + 2].tolist()))
+            return _bisect_root(
+                lambda f: gains[upper](f) - (solved[f] if f in solved else gains[lower](f)),
+                lo, hi)
+    raise CrossoverError(f"{region_a} and {region_b} never exchange dominance in "
+                         f"[{f_lo:g}, {f_hi:g}] Hz")
 
 
 DETECTION_DISTANCE_CAP_M = 1e4

@@ -20,7 +20,7 @@ from eqshbc.config import (
     region_config_from_config,
     resolve_config_path,
 )
-from eqshbc.bodychannel import BodyChannelParams
+from eqshbc.bodychannel import BodyChannelParams, calibrate_anechoic_boost, calibrate_return_scale
 from eqshbc.coupling import DEFAULT_COUPLING_ANCHORS, DEFAULT_COUPLING_D0
 from eqshbc.fcc import DEFAULT_FIELD_MODEL
 from eqshbc.multiregion import (
@@ -265,6 +265,16 @@ class TestBundledScenario:
         assert tuple(map(tuple, cfg["coupling.anchors"])) == DEFAULT_COUPLING_ANCHORS
         assert cfg["coupling.d0"] == DEFAULT_COUPLING_D0
 
+    def test_inter_body_cfg_pins_its_calibrated_numbers(self):
+        # the 7-digit return capacitances and chamber boost are the calibrations' results
+        cfg = load_config("inter_body.cfg")
+        c_g = 0.6e-12 * calibrate_return_scale(80.0, c_c=21e-12)
+        assert cfg["c_g_tx"] == pytest.approx(c_g, rel=1e-6)
+        assert cfg["c_g_rx"] == pytest.approx(c_g, rel=1e-6)
+        boost = calibrate_anechoic_boost(
+            params=BodyChannelParams(c_g_tx=cfg["c_g_tx"], c_g_rx=cfg["c_g_rx"]))
+        assert cfg["anechoic_boost"] == pytest.approx(boost, rel=1e-7)
+
     def test_intra_body_cfg_is_the_code_defaults(self):
         assert body_params_from_config(load_config("intra_body.cfg")) == BodyChannelParams()
 
@@ -285,6 +295,24 @@ def _perturbed(key: str, value):
     if isinstance(value, str):
         return {"capacitive": "resistive", "open_air": "anechoic"}[value]
     return 1.5 * value
+
+
+class TestCollapsedCouplingFit:
+    # d0 = 1e200 puts both default anchors at one u = 1/(d + d0): the fit has no line
+    @pytest.mark.parametrize("argv", [
+        ["attack", "--snr", "10", "--distance", "1", "--config"],
+        ["sir", "--v-sig", "1", "--interferer", "0.5:2", "--config"],
+        ["regions", "--sensitivity-db", "-95", "--scenario"],
+    ], ids=["attack", "sir", "regions"])
+    def test_cli_names_the_coupling_keys(self, capsys, tmp_path, argv):
+        path = tmp_path / "collapsed.cfg"
+        cfg = {**load_config("inter_body.cfg"), "coupling.d0": 1e200}
+        path.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in cfg.items()))
+        assert main([*argv, str(path)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "ConfigError", "message": (
+            "'coupling.anchors' and 'coupling.d0' fit no coupling model: "
+            "anchor distances must be distinct")}
 
 
 class TestEveryKeyIsRead:

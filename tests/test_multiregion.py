@@ -195,6 +195,30 @@ class TestCrossover:
             previous_gain, previous_f = gain, f
 
 
+class TestCrossoverPairs:
+    """All 16 ordered label pairs: a crossover is the same float in either label order."""
+
+    @pytest.mark.parametrize("environment", list(Environment))
+    @pytest.mark.parametrize("region_b", list(RegionLabel))
+    @pytest.mark.parametrize("region_a", list(RegionLabel))
+    def test_label_pair(self, environment, region_a, region_b):
+        config = default_region_config(environment)
+        mechanism = {RegionLabel.EQS: 0, RegionLabel.EM_SMALL_MONOPOLE: 1,
+                     RegionLabel.EM_RESONANT: 1, RegionLabel.DEVICE_COUPLING: 2}
+        pair = sorted((mechanism[region_a], mechanism[region_b]))
+        if pair[0] == pair[1]:
+            with pytest.raises(CrossoverError, match="share a mechanism"):
+                crossover_frequency(config, region_a, region_b)
+        elif pair == [0, 2]:
+            with pytest.raises(CrossoverError, match="not adjacent mechanisms"):
+                crossover_frequency(config, region_a, region_b)
+        else:
+            forward = ((RegionLabel.EQS, RegionLabel.EM_SMALL_MONOPOLE) if pair == [0, 1]
+                       else (RegionLabel.EM_RESONANT, RegionLabel.DEVICE_COUPLING))
+            want = crossover_frequency(config, *forward)
+            assert crossover_frequency(config, region_a, region_b).hex() == want.hex()
+
+
 class TestMaxDetectionDistance:
     # qualitative trend only: flat and short in the quasistatic region,
     # rising steeply through the EM region, saturating at the cap beyond
@@ -286,6 +310,16 @@ class TestSolveOnce:
         batches = Counter(call for call, _ in solve_calls)
         assert [size for size in batches.values() if size > 1] == [81] * chunks
         assert len(solve_calls) - 81 * chunks <= measured + 2
+
+    @pytest.mark.parametrize("environment", ["open_air", "anechoic"])
+    def test_eqs_to_em_root_search_solves_no_scan_point(self, solve_calls, environment):
+        # the bracket ends' quasistatic gains are read from the chunk's sweep
+        crossover_frequency(default_region_config(environment), RegionLabel.EQS,
+                            RegionLabel.EM_SMALL_MONOPOLE)
+        batches = Counter(call for call, _ in solve_calls)
+        scanned = {f for call, f in solve_calls if batches[call] > 1}
+        steps = [f for call, f in solve_calls if batches[call] == 1]
+        assert steps and scanned.isdisjoint(steps)
 
     def test_em_to_device_crossover_solves_nothing(self, solve_calls):
         f = crossover_frequency(default_region_config(), RegionLabel.EM_RESONANT,

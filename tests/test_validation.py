@@ -97,9 +97,10 @@ def test_crossover_bounds_must_be_ordered(f_lo, f_hi):
 
 @pytest.mark.parametrize("call", [
     lambda v: max_detection_distance(default_region_config(), v, -95.0),
+    lambda v: default_region_config().mechanism_gains_db(v),
     lambda v: Element("R", v, (1, 2), "R1"),
     lambda v: solve_ac(parse_netlist("V1 1 0 1\nR1 1 2 1k\nC1 2 0 1n"), v),
-], ids=["max_detection_distance", "Element", "solve_ac"])
+], ids=["max_detection_distance", "mechanism_gains_db", "Element", "solve_ac"])
 def test_scalar_entry_points_take_one_real_number(call):
     # A one-element ndarray's truth value is its element's, so a range check alone passes it.
     for value in (np.array([1e5]), np.array(1e5), 1e5 + 0j):
