@@ -82,6 +82,17 @@ def _parse_pair(spec: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"expected 'volts:meters', got {spec!r}") from None
 
 
+def _parse_load(spec: str) -> tuple[str, float]:
+    kind, _, value = spec.partition(":")
+    try:
+        if kind in ("resistive", "capacitive"):
+            return kind, float(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"load must be 'resistive:NUMBER' or 'capacitive:NUMBER', got {spec!r}")
+
+
 def _round9(x: float) -> str:
     """x rounded to 9 significant digits, as its ``.9g`` text."""
     return f"{x:.9g}"
@@ -203,9 +214,7 @@ def _cmd_sweep(args) -> None:
 
     cfg = cfgmod.load_config(args.scenario)
     if args.load:
-        kind, _, value = args.load.partition(":")
-        cfg["load.kind"] = kind
-        cfg["load.value"] = float(value)
+        cfg["load.kind"], cfg["load.value"] = args.load
     region_config = cfgmod.region_config_from_config(cfg, args.env)
     eqs = region_config.eqs_sweep(args.grid)
     total = multiregion.total_response(eqs, region_config.em, region_config.device)
@@ -226,6 +235,11 @@ def _cmd_attack(args) -> None:
 
 
 def _cmd_sir(args) -> None:
+    capacity = {"--v-each": args.v_each, "--d-each": args.d_each, "--sir-min": args.sir_min}
+    missing = [flag for flag, value in capacity.items() if value is None]
+    if 0 < len(missing) < 3:
+        raise ValueError(f"sir: capacity mode takes --v-each, --d-each and --sir-min together; "
+                         f"missing {' and '.join(missing)}")
     cfg = _load_scenario(args)
     coupling = cfgmod.coupling_model_from_config(cfg)
     c_body = cfg.get("c_body", DEFAULT_C_BODY)
@@ -238,7 +252,7 @@ def _cmd_sir(args) -> None:
                                         interferers=tuple(interferers),
                                         coupling=coupling, c_body=c_body)
         record["sir_db"] = sir_db(scenario)
-    if args.v_each is not None and args.d_each is not None and args.sir_min is not None:
+    if not missing:
         record["max_cochannel_users"] = max_cochannel_users(
             args.v_sig, args.v_each, args.d_each, args.sir_min, coupling, c_body)
     if "sir_db" not in record and "max_cochannel_users" not in record:
@@ -314,7 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True,
                    help="config path or bundled name (inter_body.cfg)")
     p.add_argument("--env", choices=["open_air", "anechoic"])
-    p.add_argument("--load", help="override load, e.g. resistive:50 or capacitive:1e-12")
+    p.add_argument("--load", type=_parse_load, metavar="KIND:VALUE",
+                   help="override load, e.g. resistive:50 or capacitive:1e-12")
     p.add_argument("--grid", type=_parse_grid, default=_BAND_GRID)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)
@@ -339,8 +354,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sir)
 
     p = sub.add_parser("fcc", help="radiator limit lookup or compliance report as JSON")
-    p.add_argument("--freq", type=float, help="single-frequency limit lookup")
-    p.add_argument("--grid", type=_parse_grid, help=f"report grid (default {_FCC_GRID})")
+    lookup = p.add_mutually_exclusive_group()
+    lookup.add_argument("--freq", type=float, help="single-frequency limit lookup")
+    lookup.add_argument("--grid", type=_parse_grid, help=f"report grid (default {_FCC_GRID})")
     p.add_argument("--config", help="optional config with fcc.* model keys")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fcc)

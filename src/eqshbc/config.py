@@ -33,7 +33,6 @@ import ``bodychannel`` and ``multiregion`` inside their functions.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -189,13 +188,7 @@ def resolve_config_path(name: str) -> Path:
 
 
 def _bundled_path(name: str) -> Path:
-    return _bundled_dir() / name
-
-
-@functools.cache
-def _bundled_dir() -> Path:
-    """The directory of the bundled configs, found once per process."""
-    return Path(str(resources.files("eqshbc").joinpath("data")))
+    return Path(str(resources.files("eqshbc") / "data" / name))
 
 
 def load_config(name: str) -> dict:

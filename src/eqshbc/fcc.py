@@ -117,11 +117,6 @@ def _array(values) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-@functools.cache
-def _f_high_edges() -> tuple[float, ...]:
-    return tuple(row.f_high_hz for row in limit_table())
-
-
 def _row_runs(points) -> list[tuple[FccLimitRow, slice]]:
     """The table rows that hold the ascending ``points``, each with its slice of them.
 
@@ -133,7 +128,7 @@ def _row_runs(points) -> list[tuple[FccLimitRow, slice]]:
     # The rows partition the band upward from the floor: a point's row is
     # the first whose f_high exceeds it, so a row's run ends at the first
     # point not below its f_high, and the next row's run starts there.
-    ends = [bisect.bisect_left(points, edge) for edge in _f_high_edges()]
+    ends = [bisect.bisect_left(points, row.f_high_hz) for row in table]
     return [(row, slice(lo, hi)) for row, lo, hi in zip(table, [0, *ends], ends) if lo < hi]
 
 

@@ -68,7 +68,9 @@ frequency when the sources fix every node voltage (N is empty). The
 scalars are computed on a stamp's first solve, after the float-range check
 below (an RC restamp's are scaled when it is made; see below), and kept on
 the stamp; a one-point block evaluates the bound in Python floats, a
-longer one on its ndarray of w.
+longer one on its ndarray of w. The anchored term below is one NumPy
+expression, evaluated on an ndarray of w however many points the block
+has: NumPy scalars would warn where Python floats overflow silently.
 
 Rounding: each lam is lowered by 1e3 * size^2 * u * max|entry| (u the unit
 roundoff), which covers the computed N and eigenvalues; kappa^2 is raised
@@ -431,16 +433,14 @@ def _fresh_certificate(stamp: _Stamp) -> _Certificate:
 def _bound_terms(cert: _Certificate, w, hypot):
     """(num, alpha) with cond_2(A(w)) <= num / alpha at angular frequency w.
 
-    ``w`` is a float with ``math.hypot`` or an ndarray with ``np.hypot``. The
-    terms hold no division by alpha, so a zero alpha reads as not cleared.
+    ``w`` is a float with ``math.hypot`` or an ndarray with ``np.hypot``; a
+    certificate with the anchored term takes an ndarray, since that term is
+    one NumPy expression. The terms hold no division by alpha, so a zero
+    alpha reads as not cleared, and np.maximum keeps a NaN of either term.
     """
     alpha = hypot(cert.lam_g, w * cert.lam_c)
-    if cert.lam_0:  # the anchored term, where it applies; a NaN in either term makes alpha NaN
-        if hypot is math.hypot:  # max keeps its first argument when the second is NaN
-            anchor = min(1.0, w / cert.w_0) * (cert.lam_0 / math.sqrt(2.0))
-            alpha = max(anchor, alpha) if alpha == alpha else alpha
-        else:
-            alpha = np.maximum(np.minimum(1.0, w / cert.w_0) * (cert.lam_0 / math.sqrt(2.0)), alpha)
+    if cert.lam_0:  # the anchored term, where it applies
+        alpha = np.maximum(np.minimum(1.0, w / cert.w_0) * (cert.lam_0 / math.sqrt(2.0)), alpha)
     ny = hypot(cert.g_kappa, w * cert.c_norm - cert.gamma_norm / w)  # >= |Y(w)|_F
     t, inv_beta = alpha + ny, cert.inv_beta
     h = hypot(hypot(1.0, math.sqrt(2.0) * inv_beta * t), inv_beta * inv_beta * ny * t)
@@ -450,9 +450,10 @@ def _bound_terms(cert: _Certificate, w, hypot):
 def _uncleared(cert: _Certificate, omega: np.ndarray) -> list[int]:
     """The indices of the points of ``omega`` whose bound is not below _CLEARED_BOUND.
 
-    A NaN bound is not below it either.
+    A NaN bound is not below it either. An anchored one-point block takes the
+    ndarray path, whose errstate keeps the NumPy anchored term from warning.
     """
-    if len(omega) == 1:  # in floats, a few times faster than on a one-point ndarray
+    if len(omega) == 1 and not cert.lam_0:  # in floats, a few times faster than on an ndarray
         num, alpha = _bound_terms(cert, float(omega[0]), math.hypot)
         return [] if num < _CLEARED_BOUND * alpha else [0]
     with np.errstate(all="ignore"):  # an overflow or a NaN is simply not cleared

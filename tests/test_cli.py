@@ -104,6 +104,17 @@ class TestSweep:
         gains = [float(r.split(",")[3]) for r in rows]
         assert all(b > a for a, b in zip(gains, gains[1:]))  # resistive load rises
 
+    @pytest.mark.parametrize("load", ["capacitive", "capacitive:", "capacitive:abc",
+                                      "resistive:1:2", ":50", "abc:50", "Resistive:50", "50"])
+    def test_malformed_load_is_a_usage_error_naming_the_form(self, capsys, load):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--scenario", "inter_body.cfg", "--load", load])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"argument --load: load must be 'resistive:NUMBER' or 'capacitive:NUMBER', "
+                f"got {load!r}") in captured.err
+
 
 class TestAttack:
     def test_json_record(self, capsys):
@@ -163,6 +174,21 @@ class TestSir:
         assert code == 1
         assert "interferer" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("interferer", [[], ["--interferer", "1:1"]])
+    @pytest.mark.parametrize("given", [("--v-each",), ("--d-each",), ("--sir-min",),
+                                       ("--v-each", "--d-each"), ("--v-each", "--sir-min"),
+                                       ("--d-each", "--sir-min")])
+    def test_partial_capacity_flags_name_the_missing_ones(self, capsys, interferer, given):
+        flags = ("--v-each", "--d-each", "--sir-min")
+        argv = ["sir", "--v-sig", "1", *interferer, *(x for flag in given for x in (flag, "1"))]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.endswith("\n") and err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "ValueError"
+        missing = record["message"].partition("missing ")[2]
+        assert missing == " and ".join(flag for flag in flags if flag not in given)
+
     def test_overflowing_sir_exits_1(self, capsys):
         # a 1e300 V link over a 1e-300 V interferer overflows the SIR to inf
         assert run(capsys, "sir", "--v-sig", "1e300", "--interferer", "1e-300:1") == (
@@ -190,6 +216,21 @@ class TestFcc:
         code, _, err = run(capsys, "fcc", "--freq", "1e3")
         assert code == 1
         assert "9 kHz" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("argv", [["--freq", "1e5", "--grid", "1e5:1e6:3"],
+                                      ["--grid", "1e5:1e6:3", "--freq", "1e5"],
+                                      ["--config", "inter_body.cfg", "--freq", "1e5",
+                                       "--grid", "1e5:1e6:3"]])
+    def test_freq_and_grid_together_are_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["fcc", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with argument" in captured.err
+
+    @pytest.mark.parametrize("lookup", [["--freq", "1e5"], ["--grid", "1e5:1e6:3"]])
+    def test_config_goes_with_either(self, capsys, lookup):
+        assert run(capsys, "fcc", "--config", "inter_body.cfg", *lookup)[0] == 0
 
 
 class TestRegions:

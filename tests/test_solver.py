@@ -510,6 +510,33 @@ class TestConditionScreen:
             for f, k in zip(grid, conds) if k > 1e12)
         assert all(bound >= cond for bound, cond in zip(cond_bound(cert, grid.points), conds))
 
+    def test_resistive_inter_body_point_solves_need_no_svd(self, monkeypatch):
+        # One-point blocks of the anchored stamp clear as the sweep's block does.
+        checked = []
+        real_check = solver._check_condition
+        monkeypatch.setattr(solver, "_check_condition",
+                            lambda a, f, points, *rest: checked.append(len(points))
+                            or real_check(a, f, points, *rest))
+        params = InterBodyParams(BodyChannelParams(load=LoadSpec.resistive(50.0)), c_c=21e-12)
+        net = build_inter_body(params)
+        grid = FrequencyGrid.log(1e5, 1e9, 45)
+        solutions = [solve_ac(net, f) for f in grid]
+        assert solver._stamp(net).certificate.lam_0 > 0.0
+        assert checked == [] and all(sol.warnings == () for sol in solutions)
+        res = transfer(net, SOURCE_LABEL, INTER_PROBE, grid)
+        (plus, minus), source = INTER_PROBE, net.source(SOURCE_LABEL)
+        want = np.array([sol[plus] - sol[minus] for sol in solutions]) / source.value
+        assert checked == [] and res.gain.tobytes() == want.tobytes()
+
+    def test_anchored_point_whose_bound_overflows_warns_nothing(self, svd_points):
+        # At 1e170 Hz the bound of the 50 ohm circuit overflows: the point goes to
+        # the SVD, and the overflow raises no RuntimeWarning (an error under pytest).
+        params = InterBodyParams(BodyChannelParams(load=LoadSpec.resistive(50.0)), c_c=21e-12)
+        net = build_inter_body(params)
+        for f in (1e170, 1e200):
+            assert len(solve_ac(net, f).warnings) == 1
+        assert svd_points == [1, 1]
+
     def test_nan_lam_0_clears_nothing(self):
         stamp = solver._build_stamp(parse_netlist("V1 1 0 1.0\nR1 1 2 1k\nC1 2 0 1n"))
         cert = solver._certificate(stamp)
