@@ -32,7 +32,7 @@ from .coupling import (
 )
 from .netlist import Element, Netlist, _require_positive
 from . import solver
-from .solver import FrequencyGrid, SweepResult, _gain_db, solve_ac, transfer
+from .solver import FrequencyGrid, SweepResult, _gain_db, transfer
 
 __all__ = [
     "ANECHOIC_RETURN_BOOST",
@@ -207,10 +207,16 @@ def build_inter_body(params: InterBodyParams) -> Netlist:
 def _probe_gain_db(netlist: Netlist, probe: tuple[int, int], f: float) -> float:
     """Single-frequency gain in dB across probe for the unit source.
 
-    The one-point case of ``transfer(...).gain_db()``, bit for bit.
+    The one-point case of ``transfer(...).gain_db()``, bit for bit: one
+    point of ``solver._solve_grid`` on the netlist's kept stamp, with ground
+    at 0j, so it builds no ACSolution; it raises the errors of ``solve_ac``.
     """
-    sol = solve_ac(netlist, f)
-    return float(_gain_db(sol[probe[0]] - sol[probe[1]]))
+    _require_positive("frequency", f)
+    stamp = solver._stamp(netlist)
+    x, _ = solver._solve_grid(stamp, (f,))
+    index = stamp.topology.index
+    plus, minus = (0j if node == netlist.ground else x[0, index[node]] for node in probe)
+    return float(_gain_db(plus - minus))
 
 
 def intra_body_gain_db(params: BodyChannelParams, f: float) -> float:
@@ -298,9 +304,11 @@ def _return_path_gain(circuit: Netlist, params: BodyChannelParams, probe: tuple[
     built from ``params``, with ``scale_return_path(params, scale)``.
 
     Bit for bit ``_probe_gain_db`` of the rebuilt circuit. ``circuit`` is
-    stamped once; each call restamps only CGTX and CGRX and solves that
-    stamp through ``solver._solve_grid``, so it builds no Element, Netlist
-    or ACSolution, and raises the errors the rebuilt circuit's solve would.
+    stamped once; each call restamps CGTX and CGRX on that stamp, which
+    recomputes only the entries of c that they reach, and solves it at the
+    one point through ``solver._solve_grid``, as ``_probe_gain_db`` does
+    the rebuilt circuit. So it builds no Element, Netlist or ACSolution, and
+    raises the errors that the rebuilt circuit's solve would.
     """
     _require_positive("frequency", f)
     stamp = solver._stamp(circuit)

@@ -262,8 +262,15 @@ def total_response(eqs_sweep: SweepResult, em: EmBodyModel, device: DeviceModel)
     EM references are -inf. It is taken at the sweep's own frequencies.
     """
     _, em_db, dev_db = _mechanism_table(eqs_sweep, em, device)
-    with np.errstate(over="raise"):  # an extreme reference gain raises FloatingPointError
-        power = np.abs(eqs_sweep.gain) ** 2 + (10.0 ** (em_db / 10.0) + 10.0 ** (dev_db / 10.0))
+    try:
+        with np.errstate(over="raise"):
+            power = np.abs(eqs_sweep.gain) ** 2 + (10.0 ** (em_db / 10.0) + 10.0 ** (dev_db / 10.0))
+    except FloatingPointError:  # an extreme reference gain: name its config key
+        refs = {"multiregion.em_ref_db": em_db, "multiregion.device_ref_db": dev_db}
+        with np.errstate(over="ignore"):  # the key whose own power overflows; both if neither does
+            named = [key for key, db in refs.items() if np.isinf(10.0 ** (db / 10.0)).any()] or refs
+        raise ValueError("summed mechanism power is out of the float range; lower "
+                         + " or ".join(named)) from None
     return SweepResult(freqs=eqs_sweep.freqs, gain=np.sqrt(power), warnings=eqs_sweep.warnings)
 
 
@@ -378,7 +385,9 @@ def _detection_distance(gains_db, min_gain_db: float, coupling: CouplingCapModel
     ``gains_db`` is the (quasistatic, EM body pair, device) triple of
     floats from ``mechanism_gains_db``, or a sweep's (3, n) mechanism
     table. An overflowing distance raises: FloatingPointError from an
-    ndarray, OverflowError from a float.
+    ndarray, OverflowError from a float. A quasistatic gain of -inf dB, which
+    would need an infinite coupling capacitance, raises ValueError naming it
+    and the gain floor.
     """
     _require_finite("min_gain_db", min_gain_db)
     min_gain_db = float(min_gain_db)  # a numpy scalar would keep float gains in numpy
@@ -390,13 +399,19 @@ def _detection_distance(gains_db, min_gain_db: float, coupling: CouplingCapModel
     with np.errstate(over="raise") if array else nullcontext():
         c_eqs = coupling.cap_at(1.0) * 10.0 ** ((min_gain_db - eqs_db) / 20.0)
         d_radiative = 10.0 ** ((radiative_db - min_gain_db) / 20.0)
+    try:
+        if array:
+            _require_each(_require_non_negative, "capacitance", c_eqs)
+        else:
+            d_eqs = coupling.distance_at(c_eqs)
+    except ValueError:  # c_eqs is inf: a quasistatic gain of -inf dB, or a NaN one
+        db = float(eqs_db[~(c_eqs < math.inf)][0]) if array else eqs_db
+        raise ValueError(f"the quasistatic gain of {db:g} dB at 1 m reaches the gain floor of "
+                         f"{min_gain_db:g} dB at no finite coupling capacitance") from None
     if array:  # coupling.distance_at, elementwise by the same expression
-        _require_each(_require_non_negative, "capacitance", c_eqs)
         d = np.divide(coupling.a, c_eqs - coupling.b, out=np.full(c_eqs.shape, math.inf),
                       where=c_eqs > coupling.b)
         d_eqs = np.where(c_eqs < coupling.cap_at(0.0), d - coupling.d0, 0.0)
-    else:
-        d_eqs = coupling.distance_at(c_eqs)
     return least(most(d_eqs, d_radiative), DETECTION_DISTANCE_CAP_M)
 
 

@@ -15,11 +15,21 @@ entries per element (and four per source incidence) its bin in the kept
 column, or a source's own entry, goes to one extra bin past them that is
 dropped. The values part sums the element admittances into those bins
 with one bincount, in element order, straight into the kept layout. The
-grid solver takes a stamp, not a netlist. A restamp (``_restamp``, one per
-root-finding step of the calibrations) sets some capacitances of a stamp
-and reruns only the values part on the kept topology, so it gets the very
-matrices a fresh stamp of the changed circuit would, and shares the
-stamp's read-only ``rhs``; no Element or Netlist is built for it.
+grid solver takes a stamp, not a netlist.
+
+A restamp (``_restamp``, one per root-finding step of the calibrations)
+sets some capacitances of a stamp and recomputes only the entries of c
+that they stamp. bincount adds each weight to its zeroed bin in input
+order, so every entry of a fresh stamp is 0.0 plus the signed admittances
+of its contributors, added one at a time in element order. The restamp
+recomputes each entry that a changed capacitor reaches as that same sum,
+of the same floats in the same order, and copies every other entry, which
+no changed value reaches; so its matrices are bit for bit, the sign of a
+zero included, those of a fresh stamp of the changed circuit. The entries
+that a set of capacitor labels reaches, with each one's contributors, are
+worked out on the first restamp of that set and kept on the topology. Of
+the peaks only c's is recomputed. The restamp shares the stamp's
+read-only ``rhs``; no Element or Netlist is built for it.
 
 A grid is solved in fixed-size frequency blocks: each block's matrices are
 built in one buffer of at most 128 KB (or one matrix, if larger), then pass
@@ -125,10 +135,19 @@ give the largest w*c and gamma/w. An entry past the range raises
 ValueError naming an element on it, where the solve would otherwise
 overflow into a wrong singular-system error (and LAPACK print to stderr).
 
-A single-frequency solve is the one-point case of the same path, so a
-sweep and per-frequency solves give bit-identical results. Netlists and
-results are immutable: grid points and sweep gains are read-only float64
-and complex128 ndarrays, and a probe's gain in dB, over a sweep or at one
+A single-frequency solve is the one-point case of the same function:
+``_solve_grid(stamp, (f,))`` keeps f and w = 2 pi f as Python floats, runs
+the float-range check and the certificate bound on them (an anchored
+certificate on a one-point ndarray, as above), assembles A(w) with the
+float w and makes one np.linalg.solve call, with no block loop; a longer
+grid's block of one point takes the same float w. Each float operation is
+the one that a block applies to that point, w*c and gamma/w entry by entry
+and then the same LAPACK solve, so a sweep and per-frequency solves give
+bit-identical results, the same warnings and the same singular-system
+error. A probe's gain at one frequency is read off that point's row
+(``bodychannel._probe_gain_db``), with no ACSolution. Netlists and results
+are immutable: grid points and sweep gains are read-only float64 and
+complex128 ndarrays, and a probe's gain in dB, over a sweep or at one
 frequency, goes through the one numpy expression ``_gain_db``.
 """
 from __future__ import annotations
@@ -219,6 +238,7 @@ class _Topology(NamedTuple):
     # (3, size, size) stack of g, c and gamma for size unknowns; an entry that is
     # dropped goes to bin 3 * size * size.
     bins: np.ndarray
+    plans: dict  # the restamp plan of each set of capacitor labels (see _restamp)
 
 
 class _Certificate(NamedTuple):
@@ -311,14 +331,14 @@ def _topology(netlist: Netlist) -> _Topology:
         at += (ri + r, r * size + i, rj + r, r * size + j)
     return _Topology(index, sources, tuple(e.label for e in elements),
                      "".join(e.kind for e in elements),
-                     np.minimum(np.fromiter(at, np.intp, len(at)), kept))
+                     np.minimum(np.fromiter(at, np.intp, len(at)), kept), {})
 
 
 def _stamp_values(topology: _Topology, values: tuple[float, ...], rhs: np.ndarray) -> _Stamp:
     """The stamp of the element ``values`` laid out by ``topology``.
 
-    One bincount sums every entry in element order, so a netlist stamped
-    fresh and a stamp restamped on its topology get the same matrices.
+    One bincount sums every entry in element order, starting from 0.0: the
+    order in which :func:`_restamp` sums each entry that it recomputes.
     """
     size = len(topology.index) + len(topology.sources)
     y = [1.0 / v if kind in "RL" else v for kind, v in zip(topology.kinds, values)]
@@ -337,10 +357,13 @@ def _restamp(stamp: _Stamp, caps: Mapping[str, float]) -> _Stamp:
 
     Each value passes Element's own check, in the order of ``caps``. The
     restamp keeps the stamp's topology and read-only ``rhs``, and gets the
-    matrices of a fresh stamp of the changed circuit. Without inductors, and
-    with both stamps in the float range, its certificate is the stamp's own,
-    scaled by the smallest and the largest ratio of a capacitance to its old
-    value, with 1 among them (see the module docstring).
+    matrices of a fresh stamp of the changed circuit: it recomputes only the
+    entries of c that the capacitors stamp, each as the in-order sum that
+    the fresh stamp's bincount makes of it, and only c's peak. Without
+    inductors, and with both stamps in the float range, its certificate is
+    the stamp's own, scaled by the smallest and the largest ratio of a
+    capacitance to its old value, with 1 among them (see the module
+    docstring).
     """
     topology, values = stamp.topology, list(stamp.values)
     ratios = [1.0]
@@ -351,7 +374,22 @@ def _restamp(stamp: _Stamp, caps: Mapping[str, float]) -> _Stamp:
         _require_positive(label, value)
         ratios.append(value / values[k])
         values[k] = value
-    restamped = _stamp_values(topology, tuple(values), stamp.rhs)
+    plan = topology.plans.get(key := frozenset(caps))
+    if plan is None:  # each kept entry that the capacitors reach, with its terms in element order
+        bins = topology.bins[:4 * len(values)].tolist()
+        reached = {bins[4 * topology.labels.index(label) + j] for label in caps for j in range(4)}
+        plan = topology.plans[key] = [
+            (at, [(j // 4, float(_SIGNS[j % 4])) for j, b in enumerate(bins) if b == at])
+            for at in sorted(reached) if at < stamp.matrices.size]
+    m = stamp.matrices.copy()
+    for at, terms in plan:
+        total = 0.0  # as bincount's zeroed bin
+        for k, sign in terms:
+            total += values[k] * sign
+        m.flat[at] = total
+    m.setflags(write=False)
+    restamped = _Stamp(m, m[0], m[1], None if stamp.gamma is None else m[2], stamp.rhs, topology,
+                       (stamp.peaks[0], float(np.abs(m[1]).max()), stamp.peaks[2]), tuple(values))
     if stamp.gamma is None and max(stamp.peaks + restamped.peaks) < math.inf:
         base = _certificate(stamp)
         # min(ratios) * C_old <= C <= max(ratios) * C_old, entry by entry and in the Loewner
@@ -447,17 +485,19 @@ def _bound_terms(cert: _Certificate, w, hypot):
     return hypot(ny, cert.b_norm) * h, alpha
 
 
-def _uncleared(cert: _Certificate, omega: np.ndarray) -> list[int]:
+def _uncleared(cert: _Certificate, omega) -> list[int]:
     """The indices of the points of ``omega`` whose bound is not below _CLEARED_BOUND.
 
-    A NaN bound is not below it either. An anchored one-point block takes the
-    ndarray path, whose errstate keeps the NumPy anchored term from warning.
+    A NaN bound is not below it either. ``omega`` is an ndarray, or a float
+    for a block of one point, which is bounded in Python floats, a few times
+    faster than on an ndarray; an anchored certificate takes the ndarray
+    path for it, whose errstate keeps the NumPy anchored term from warning.
     """
-    if len(omega) == 1 and not cert.lam_0:  # in floats, a few times faster than on an ndarray
-        num, alpha = _bound_terms(cert, float(omega[0]), math.hypot)
+    if isinstance(omega, float) and not cert.lam_0:
+        num, alpha = _bound_terms(cert, omega, math.hypot)
         return [] if num < _CLEARED_BOUND * alpha else [0]
     with np.errstate(all="ignore"):  # an overflow or a NaN is simply not cleared
-        num, alpha = _bound_terms(cert, omega, np.hypot)
+        num, alpha = _bound_terms(cert, np.atleast_1d(omega), np.hypot)
         return np.flatnonzero(~(num < _CLEARED_BOUND * alpha)).tolist()
 
 
@@ -522,7 +562,8 @@ def _solve_grid(stamp: _Stamp, freqs) -> tuple[np.ndarray, list[str]]:
     Raises ValueError, before any np.linalg call on the stamp, when an entry
     of g, w*c or gamma/w leaves the float range on the grid.
     """
-    freqs = np.asarray(freqs, dtype=float)
+    # one point stays a Python float, and skips the block loop below
+    freqs = (float(freqs[0]),) if len(freqs) == 1 else np.asarray(freqs, dtype=float)
     f_lo, f_hi = float(freqs[0]), float(freqs[-1])
     g_peak, c_peak, gamma_peak = stamp.peaks
     # w*c is largest at the top of the grid, gamma/w at the bottom
@@ -530,40 +571,55 @@ def _solve_grid(stamp: _Stamp, freqs) -> tuple[np.ndarray, list[str]]:
     if not max(reach) < math.inf:
         raise _out_of_range(stamp, reach, f_lo, f_hi)
     certificate = _certificate(stamp)
-    index = stamp.topology.index
-    size = len(index) + len(stamp.topology.sources)
+    size = stamp.rhs.shape[1]
+    warnings: list[str] = []
+    if len(freqs) == 1:
+        a = np.empty((1, size, size), dtype=complex)
+        return _solve_block(stamp, certificate, a, freqs, 2.0 * math.pi * f_lo, warnings), warnings
     block = max(1, _BLOCK_ENTRIES // (size * size))
     x = np.empty((len(freqs), size), dtype=complex) if len(freqs) > block else None
     buffer = np.empty((min(block, len(freqs)), size, size), dtype=complex)
-    warnings: list[str] = []
     for start in range(0, len(freqs), block):
         f = freqs[start:start + block]
-        a = buffer[:len(f)]
-        omega = 2.0 * math.pi * f
-        w = omega[:, None, None]
-        a.real = stamp.g
-        np.multiply(w, stamp.c, out=a.imag)
-        if stamp.gamma is not None:
-            a.imag -= stamp.gamma / w
-        try:
-            solution = np.linalg.solve(a, stamp.rhs)
-        except np.linalg.LinAlgError:
-            # Name the first singular frequency as a one-point solve finds it: by
-            # its singular values, or by an exact zero pivot that they missed.
-            for k in range(len(f)):
-                _check_condition(a, f, [k], index, warnings)
-                try:
-                    np.linalg.solve(a[k], stamp.rhs[0])
-                except np.linalg.LinAlgError:
-                    raise _singular(a[k], f[k], index) from None
-            raise
-        suspect = _uncleared(certificate, omega)
-        if suspect:
-            _check_condition(a, f, suspect, index, warnings)
+        omega = 2.0 * math.pi * f  # a block of one point takes it as a float, as one point does
+        solution = _solve_block(stamp, certificate, buffer[:len(f)], f,
+                                omega if len(f) > 1 else float(omega[0]), warnings)
         if x is None:
-            return solution[..., 0], warnings
-        x[start:start + len(f)] = solution[..., 0]
+            return solution, warnings
+        x[start:start + len(f)] = solution
     return x, warnings
+
+
+def _solve_block(stamp: _Stamp, certificate: _Certificate, a: np.ndarray, f, omega,
+                 warnings: list[str]) -> np.ndarray:
+    """The ``(len(f), unknowns)`` solutions at the block's frequencies ``f``, a view of
+    LAPACK's output, with A(w) assembled in ``a``; ``omega`` is 2 pi f, a Python float
+    for one point.
+
+    Appends the block's warnings, and raises for its first singular frequency.
+    """
+    w = omega if isinstance(omega, float) else omega[:, None, None]
+    a.real = stamp.g
+    np.multiply(w, stamp.c, out=a.imag)
+    if stamp.gamma is not None:
+        a.imag -= stamp.gamma / w
+    index = stamp.topology.index
+    try:
+        solution = np.linalg.solve(a, stamp.rhs)
+    except np.linalg.LinAlgError:
+        # Name the first singular frequency as a one-point solve finds it: by
+        # its singular values, or by an exact zero pivot that they missed.
+        for k in range(len(f)):
+            _check_condition(a, f, [k], index, warnings)
+            try:
+                np.linalg.solve(a[k], stamp.rhs[0])
+            except np.linalg.LinAlgError:
+                raise _singular(a[k], f[k], index) from None
+        raise
+    suspect = _uncleared(certificate, omega)
+    if suspect:
+        _check_condition(a, f, suspect, index, warnings)
+    return solution[..., 0]
 
 
 def solve_ac(netlist: Netlist, f: float) -> ACSolution:

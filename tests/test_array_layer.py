@@ -99,12 +99,14 @@ class TestArrayGains:
             g[17] = bad
             with pytest.raises(ValueError, match="frequency must be finite and > 0"):
                 body_em_pair_gain(default_region_config().em, g)
-        # a zero quasistatic gain (-inf dB) asks for an infinite capacitance
+        # a zero quasistatic gain (-inf dB) asks for an infinite capacitance; the error names
+        # the gain and the floor
         config_ = default_region_config()
         for f, eqs_db in ((np.array([1e5, 1e6]), np.array([-80.0, -math.inf])),
                           (1e6, -math.inf)):
             gains = (eqs_db, body_em_pair_gain(config_.em, f), device_pair_gain(config_.device, f))
-            with pytest.raises(ValueError, match="capacitance must be finite and >= 0"):
+            with pytest.raises(ValueError, match="^the quasistatic gain of -inf dB at 1 m reaches "
+                                                 "the gain floor of -95 dB at no finite"):
                 _detection_distance(gains, -95.0, DEFAULT_COUPLING_MODEL)
 
 

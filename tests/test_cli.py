@@ -389,16 +389,31 @@ class TestExtremeMultiregionValues:
             assert record["error"] == "ValueError"
             assert "out of the float range" in record["message"]
 
+    @pytest.mark.parametrize("value", ["1e300", "1e200"])
+    @pytest.mark.parametrize("env", ["open_air", "anechoic"])
     @pytest.mark.parametrize("key", ["multiregion.em_ref_db", "multiregion.device_ref_db"])
-    def test_overflowing_reference_gain_in_sweep(self, capsys, tmp_path, key):
+    def test_overflowing_reference_gain_in_sweep(self, capsys, tmp_path, key, env, value):
         scenario = tmp_path / "extreme.cfg"
-        scenario.write_text(scenario_with(f"{key} = 1e300"))
+        scenario.write_text(scenario_with(f"{key} = {value}"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(capsys, "sweep", "--scenario", str(scenario))
+            code, out, err = run(capsys, "sweep", "--scenario", str(scenario), "--env", env)
         assert (code, out) == (1, "")
-        assert json.loads(err) == {"error": "FloatingPointError",
-                                   "message": "overflow encountered in power"}
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": f"summed mechanism power is out of the float range; lower {key}"}
+
+    def test_quasistatic_gain_of_minus_inf_names_the_gain_floor(self, capsys, tmp_path):
+        # c_g_rx = 1e-160 F rounds the in-chamber probe voltage to exactly 0 above 600 MHz
+        scenario = tmp_path / "deaf.cfg"
+        scenario.write_text(scenario_with("c_g_rx = 1e-160"))
+        code, out, err = run(capsys, "regions", "--scenario", str(scenario), "--env", "anechoic",
+                             "--sensitivity-db", "-90")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "the quasistatic gain of -inf dB at 1 m reaches the gain floor of "
+                       "-90 dB at no finite coupling capacitance"}
 
 
 class TestRemovedConfigKeys:

@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from eqshbc import multiregion
 from eqshbc.bodychannel import Environment
 from eqshbc.cli import main
+from eqshbc.coupling import DEFAULT_COUPLING_MODEL
 from eqshbc.multiregion import (
     ANECHOIC_EM_ATTENUATION_DB,
     DETECTION_DISTANCE_CAP_M,
@@ -16,6 +18,7 @@ from eqshbc.multiregion import (
     CrossoverError,
     DeviceModel,
     EmBodyModel,
+    RegionConfig,
     RegionLabel,
     _mechanism_table,
     body_em_pair_gain,
@@ -112,6 +115,18 @@ class TestTotalResponse:
         peak_f = f[np.argmax(g[(f > 1e6) & (f < 2e8)].max() == g)]
         assert 20e6 <= peak_f <= 80e6
         assert g[-1] > g[np.searchsorted(f, 2e8)]  # rising again toward 1 GHz
+
+    @pytest.mark.parametrize("em_ref, device_ref, named", [
+        (1e300, DEVICE_REF_OPEN_AIR_DB, "multiregion.em_ref_db"),
+        (EM_REF_OPEN_AIR_DB, 1e300, "multiregion.device_ref_db"),
+        (1e300, 1e300, "multiregion.em_ref_db or multiregion.device_ref_db"),
+    ])
+    def test_overflowing_reference_gain_names_its_key(self, em_ref, device_ref, named):
+        config = default_region_config()
+        with pytest.raises(ValueError, match=f"^summed mechanism power is out of the float "
+                                             f"range; lower {named}$"):
+            total_response(config.eqs_sweep(GRID), EmBodyModel(ref_db=em_ref),
+                           DeviceModel(ref_db=device_ref))
 
     def test_anechoic_plateau_10db_above_open_air(self):
         open_air = default_region_config(Environment.OPEN_AIR)
@@ -257,6 +272,22 @@ class TestMaxDetectionDistance:
         # a float frequency is the math path, a numpy floor included
         with pytest.raises(OverflowError):
             max_detection_distance(default_region_config(), 1e6, floor)
+
+    def test_quasistatic_gain_of_minus_inf_names_the_gain_floor(self):
+        # c_g_rx = 1e-160 F rounds the in-chamber probe voltage to exactly 0 above 600 MHz
+        chamber = default_region_config(Environment.ANECHOIC)
+        base = replace(chamber.channel.base, c_g_rx=1e-160)
+        deaf = RegionConfig(replace(chamber.channel, base=base), chamber.em, chamber.device)
+        sweep = deaf.eqs_sweep(FrequencyGrid.log())
+        f = float(sweep.freqs[sweep.gain_db() == -math.inf][0])
+        assert deaf.eqs_gain_db(f) == -math.inf
+        want = ("^the quasistatic gain of -inf dB at 1 m reaches the gain floor of -90 dB at no "
+                "finite coupling capacitance$")
+        with pytest.raises(ValueError, match=want):
+            max_detection_distance(deaf, f, -90.0)
+        table = _mechanism_table(sweep, deaf.em, deaf.device)  # the array path, as regions takes it
+        with pytest.raises(ValueError, match=want):
+            multiregion._detection_distance(table, -90.0, DEFAULT_COUPLING_MODEL)
 
     def test_deaf_receiver_detects_essentially_nowhere(self):
         # quasistatic path gives exactly 0; the far-field 1/d extrapolation

@@ -16,5 +16,6 @@ def test_one_round_of_this_checkout():
     rows = [line.rsplit(None, 2) for line in rows]
     assert [row[0] for row in rows] == ["solve_ac", "calibration_step", "calibrate_return_scale",
                                         "calibrate_anechoic_boost", "45 max_detection_distance",
-                                        "40 load_config", "ladder_sweep", "resistive_sweep"]
+                                        "crossover", "40 load_config", "ladder_sweep",
+                                        "resistive_sweep"]
     assert all(row[2] == "us" and float(row[1]) > 0.0 for row in rows)

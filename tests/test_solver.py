@@ -18,7 +18,7 @@ from eqshbc.bodychannel import (
     calibrate_return_scale,
 )
 from eqshbc.multiregion import default_region_config
-from eqshbc import solver
+from eqshbc import bodychannel, solver
 from eqshbc.netlist import Element, Netlist, parse_netlist
 from eqshbc.solver import (
     FrequencyGrid,
@@ -954,6 +954,58 @@ class TestSweepIsItsPointSolves:
         assert res.gain.tobytes() == want.tobytes()
         assert res.warnings == tuple(w for sol in solutions for w in sol.warnings)
 
+    @pytest.mark.parametrize("text, top", [
+        ("V1 1 0 1\nR1 1 2 1k\nC1 2 0 1e300\nC2 2 0 1n", "C1 (C = 1e+300)"),
+        ("V1 1 0 1\nR1 1 2 1k\nL1 2 0 1e-307\nC1 2 0 1e300", "C1 (C = 1e+300)"),
+    ])
+    def test_an_out_of_range_point_names_the_grids_element(self, text, top):
+        # the grid's top point leaves the float range; a one-point solve there names the
+        # element that the grid names
+        net = parse_netlist(text)
+        points = FrequencyGrid.log(1e5, 1e9, 5).points
+        with pytest.raises(ValueError) as grid:
+            transfer(net, "V1", (2, 0), FrequencyGrid(points[2:]))
+        with pytest.raises(ValueError) as point:
+            solve_ac(net, points[-1])
+        assert str(point.value) == str(grid.value) == (
+            f"element {top} puts the MNA system out of the float range at f=1e+09 Hz")
+
+    def test_anchored_point_solves_are_the_sweep(self, svd_points):
+        # One-point solves of the 50 ohm circuit (lam_0 > 0) bound their point on an ndarray,
+        # as the sweep's block does; at 1e170 and 1e200 Hz that bound overflows and each
+        # point warns from its SVD.
+        params = InterBodyParams(BodyChannelParams(load=LoadSpec.resistive(50.0)), c_c=21e-12)
+        net = build_inter_body(params)
+        points = [*FrequencyGrid.log(1e5, 1e9, 9), 1e170, 1e200]
+        res = transfer(net, SOURCE_LABEL, INTER_PROBE, FrequencyGrid(points))
+        assert solver._stamp(net).certificate.lam_0 > 0.0 and svd_points == [2]
+        solutions = [solve_ac(net, f) for f in points]
+        assert svd_points == [2, 1, 1]
+        (plus, minus), source = INTER_PROBE, net.source(SOURCE_LABEL)
+        want = np.array([sol[plus] - sol[minus] for sol in solutions]) / source.value
+        assert res.gain.tobytes() == want.tobytes()
+        assert len(res.warnings) == 2
+        assert res.warnings == tuple(w for sol in solutions for w in sol.warnings)
+
+    @settings(max_examples=150, deadline=None)
+    @given(grounded_netlists(), st.floats(1e-3, 1e9), st.data())
+    def test_probe_gain_db_is_the_sweeps_gain_db_bit_for_bit(self, netlist, f, data):
+        assume(netlist.sources())
+        # unit sources, so that transfer's division by the source changes no bit
+        netlist = Netlist(tuple(replace(e, value=1.0) if e.kind == "V" else e
+                                for e in netlist.elements))
+        source = data.draw(st.sampled_from(netlist.sources()))
+        nodes = sorted(netlist.nodes())
+        probe = (data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(nodes)))
+        try:
+            want = transfer(netlist, source.label, probe, FrequencyGrid([f])).gain_db()[0]
+        except SingularCircuitError as exc:
+            with pytest.raises(SingularCircuitError) as point:
+                bodychannel._probe_gain_db(netlist, probe, f)
+            assert str(point.value) == str(exc)
+            return
+        assert bodychannel._probe_gain_db(netlist, probe, f).hex() == float(want).hex()
+
     def test_names_the_first_singular_frequency(self):
         # Two sources in parallel: at 1 Hz the LU meets an exact zero pivot while the
         # smallest singular value is rounding noise; at 2 Hz that value is exactly 0.
@@ -991,6 +1043,24 @@ class TestRestamp:
         assert parent.values == tuple(e.value for e in netlist.elements)
         # an RC restamp has its certificate from its parent's; one with inductors gets its own
         assert (got.certificate is None) == (parent.gamma is not None)
+
+    def test_a_restamped_entry_is_summed_in_element_order(self):
+        # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in floats: the restamp adds node 2's
+        # capacitances in element order, as a fresh stamp's bincount does
+        text = "V1 1 0 1\nR1 1 2 1k\nC1 2 0 {}\nC2 2 0 0.2\nC3 2 0 0.3"
+        got = solver._restamp(solver._stamp(parse_netlist(text.format(1))), {"C1": 0.1})
+        fresh = solver._build_stamp(parse_netlist(text.format(0.1)))
+        assert got.c.tobytes() == fresh.c.tobytes()
+        assert got.c[1, 1] == (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+
+    def test_the_plan_is_made_once_per_label_set(self):
+        stamp = solver._stamp(parse_netlist("V1 1 0 1\nR1 1 2 1k\nC1 2 0 1n\nC2 2 0 1n"))
+        first = solver._restamp(stamp, {"C1": 2e-9, "C2": 3e-9})
+        [plan] = stamp.topology.plans.values()
+        again = solver._restamp(first, {"C2": 4e-9, "C1": 5e-9})
+        assert again.topology is stamp.topology and list(stamp.topology.plans.values()) == [plan]
+        solver._restamp(again, {"C1": 6e-9})
+        assert len(stamp.topology.plans) == 2
 
     @pytest.mark.parametrize("value", [0.0, -1e-12, math.nan, math.inf])
     def test_restamp_checks_each_value(self, value):

@@ -16,6 +16,9 @@ times it 7 times in a row, keeping the median, in microseconds:
 - one ``calibrate_return_scale(80.0, c_c=21e-12)``;
 - one ``calibrate_anechoic_boost()``;
 - 45 ``max_detection_distance`` calls on the default scenario, 100 kHz - 1 GHz;
+- ``crossover``: one EQS to EM ``crossover_frequency`` on a fresh copy of
+  ``default_region_config("anechoic")``, so that neither its stamp nor its
+  scan is kept from the call before: the chunked scan and the root search;
 - 40 ``load_config`` reads of the bundled ``inter_body.cfg``;
 - ``ladder_sweep``: a fresh parse and a 100-point ``transfer`` of a
   64-section RC ladder and of a 64-section RLC ladder;
@@ -26,6 +29,7 @@ It prints, for each step, the median over the rounds of each checkout.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -37,7 +41,8 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
 STEPS = ("solve_ac", "calibration_step", "calibrate_return_scale", "calibrate_anechoic_boost",
-         "45 max_detection_distance", "40 load_config", "ladder_sweep", "resistive_sweep")
+         "45 max_detection_distance", "crossover", "40 load_config", "ladder_sweep",
+         "resistive_sweep")
 REPEATS = 7
 
 
@@ -77,6 +82,12 @@ def _step_calls() -> dict:
         for f in freqs:
             multiregion.max_detection_distance(region, f, -90.0)
 
+    chamber = multiregion.default_region_config("anechoic")
+
+    def crossover():
+        multiregion.crossover_frequency(dataclasses.replace(chamber), multiregion.RegionLabel.EQS,
+                                        multiregion.RegionLabel.EM_SMALL_MONOPOLE)
+
     def configs():
         for _ in range(40):
             config.load_config("inter_body.cfg")
@@ -98,9 +109,9 @@ def _step_calls() -> dict:
                         bodychannel.INTER_PROBE, band)
 
     return dict(zip(STEPS, (
-        lambda: bodychannel.solve_ac(circuit, 500e3), lambda: step(1.1),
+        lambda: solver.solve_ac(circuit, 500e3), lambda: step(1.1),
         lambda: bodychannel.calibrate_return_scale(80.0, c_c=21e-12),
-        bodychannel.calibrate_anechoic_boost, detection, configs, ladder_sweep,
+        bodychannel.calibrate_anechoic_boost, detection, crossover, configs, ladder_sweep,
         resistive_sweep)))
 
 
