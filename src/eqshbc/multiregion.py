@@ -384,10 +384,10 @@ def _detection_distance(gains_db, min_gain_db: float, coupling: CouplingCapModel
 
     ``gains_db`` is the (quasistatic, EM body pair, device) triple of
     floats from ``mechanism_gains_db``, or a sweep's (3, n) mechanism
-    table. An overflowing distance raises: FloatingPointError from an
-    ndarray, OverflowError from a float. A quasistatic gain of -inf dB, which
-    would need an infinite coupling capacitance, raises ValueError naming it
-    and the gain floor.
+    table. A gain floor so far from a mechanism's gain that its coupling
+    capacitance or distance overflows, and a quasistatic gain of -inf dB,
+    which would need an infinite coupling capacitance, raise ValueError
+    naming the gain floor and the mechanism.
     """
     _require_finite("min_gain_db", min_gain_db)
     min_gain_db = float(min_gain_db)  # a numpy scalar would keep float gains in numpy
@@ -397,8 +397,16 @@ def _detection_distance(gains_db, min_gain_db: float, coupling: CouplingCapModel
     radiative_db = most(em_db, dev_db)
     # np.errstate does not reach Python floats, whose ** raises OverflowError by itself
     with np.errstate(over="raise") if array else nullcontext():
-        c_eqs = coupling.cap_at(1.0) * 10.0 ** ((min_gain_db - eqs_db) / 20.0)
-        d_radiative = 10.0 ** ((radiative_db - min_gain_db) / 20.0)
+        try:
+            c_eqs = coupling.cap_at(1.0) * 10.0 ** ((min_gain_db - eqs_db) / 20.0)
+        except (OverflowError, FloatingPointError):
+            raise _far_floor(min_gain_db, "quasistatic") from None
+        try:
+            d_radiative = 10.0 ** ((radiative_db - min_gain_db) / 20.0)
+        except (OverflowError, FloatingPointError):
+            # the mechanism of the highest radiative gain, which overflows first
+            mechanism = "EM body pair" if np.max(em_db) >= np.max(dev_db) else "device"
+            raise _far_floor(min_gain_db, mechanism) from None
     try:
         if array:
             _require_each(_require_non_negative, "capacitance", c_eqs)
@@ -413,6 +421,11 @@ def _detection_distance(gains_db, min_gain_db: float, coupling: CouplingCapModel
                       where=c_eqs > coupling.b)
         d_eqs = np.where(c_eqs < coupling.cap_at(0.0), d - coupling.d0, 0.0)
     return least(most(d_eqs, d_radiative), DETECTION_DISTANCE_CAP_M)
+
+
+def _far_floor(min_gain_db: float, mechanism: str) -> ValueError:
+    return ValueError(f"the gain floor of {min_gain_db:g} dB (min_gain_db, --sensitivity-db) lies "
+                      f"too far from the {mechanism} gain at 1 m: the detection distance overflows")
 
 
 def calibrate_em_reference(config: RegionConfig, crossover_hz: float) -> float:

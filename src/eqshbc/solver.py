@@ -31,13 +31,16 @@ worked out on the first restamp of that set and kept on the topology. Of
 the peaks only c's is recomputed. The restamp shares the stamp's
 read-only ``rhs``; no Element or Netlist is built for it.
 
-A grid is solved in fixed-size frequency blocks: each block's matrices are
-built in one buffer of at most 128 KB (or one matrix, if larger), then pass
-through one batched partial-pivoting LU solve against z. A grid of one
-block (every one-point solve, and a sweep of up to 167 points of a
-7-unknown circuit) returns LAPACK's solution as it is; longer grids copy it
-out block by block, so memory stays flat however long the grid is.
-Circuits here stay small (up to ~70 unknowns), so no sparsity machinery.
+A grid is screened by the certificate below once, on its whole ndarray of
+w, and then solved in fixed-size frequency blocks: each block's matrices
+are built in one buffer of at most 256 KB (or one matrix, if larger), then
+pass through one batched partial-pivoting LU solve against z, and its
+share of the screen's suspect points through the SVD check. A grid of one
+block (every one-point solve, and a sweep of up to 334 points of a
+7-unknown circuit, or 3 of a 66-unknown ladder) returns LAPACK's solution
+as it is; longer grids copy it out block by block, so memory stays flat
+however long the grid is. Circuits here stay small (up to ~70 unknowns),
+so no sparsity machinery.
 
 A 2-norm condition number above 1e12 attaches a warning per offending
 frequency, in grid order, rather than failing; a singular system raises
@@ -46,7 +49,11 @@ certificate computed from the stamp clears most frequencies of both; the
 frequencies it does not clear, and a whole block whose LU hits an exact
 zero pivot, get the exact check: the condition number from their singular
 values, as ``np.linalg.cond`` gives it. The warnings and errors are
-therefore those of the SVD check at every frequency.
+therefore those of the SVD check at every frequency. A system that is
+singular only in floating point, where no source loop makes it singular
+whatever the values and the element admittances at f (1/R, wC, 1/(wL))
+span more than 1/u, raises :class:`AdmittanceSpanError` instead, a
+ValueError naming the elements of largest and smallest admittance.
 
 The certificate rests on passivity. Element requires R, C and L > 0, so the
 node blocks G, C and Gamma of g, c and gamma are symmetric positive
@@ -77,9 +84,9 @@ not below 1e10, so such a frequency goes to the SVD; so does every
 frequency when the sources fix every node voltage (N is empty). The
 scalars are computed on a stamp's first solve, after the float-range check
 below (an RC restamp's are scaled when it is made; see below), and kept on
-the stamp; a one-point block evaluates the bound in Python floats, a
+the stamp; a one-point grid evaluates the bound in Python floats, a
 longer one on its ndarray of w. The anchored term below is one NumPy
-expression, evaluated on an ndarray of w however many points the block
+expression, evaluated on an ndarray of w however many points the grid
 has: NumPy scalars would warn where Python floats overflow silently.
 
 Rounding: each lam is lowered by 1e3 * size^2 * u * max|entry| (u the unit
@@ -139,20 +146,20 @@ A single-frequency solve is the one-point case of the same function:
 ``_solve_grid(stamp, (f,))`` keeps f and w = 2 pi f as Python floats, runs
 the float-range check and the certificate bound on them (an anchored
 certificate on a one-point ndarray, as above), assembles A(w) with the
-float w and makes one np.linalg.solve call, with no block loop; a longer
-grid's block of one point takes the same float w. Each float operation is
-the one that a block applies to that point, w*c and gamma/w entry by entry
-and then the same LAPACK solve, so a sweep and per-frequency solves give
-bit-identical results, the same warnings and the same singular-system
-error. A probe's gain at one frequency is read off that point's row
-(``bodychannel._probe_gain_db``), with no ACSolution. Netlists and results
-are immutable: grid points and sweep gains are read-only float64 and
-complex128 ndarrays, and a probe's gain in dB, over a sweep or at one
-frequency, goes through the one numpy expression ``_gain_db``.
+float w and makes one np.linalg.solve call, with no block loop. Each float
+operation is the one that a block applies to that point, w*c and gamma/w
+entry by entry and then the same LAPACK solve, so a sweep and per-frequency
+solves give bit-identical results, the same warnings and the same
+singular-system error. A probe's gain at one frequency is read off that
+point's row (``bodychannel._probe_gain_db``), with no ACSolution. Netlists
+and results are immutable: grid points and sweep gains are read-only
+float64 and complex128 ndarrays, and a probe's gain in dB, over a sweep or
+at one frequency, goes through the one numpy expression ``_gain_db``.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import chain
@@ -164,6 +171,7 @@ from .netlist import Netlist, _require_positive
 
 __all__ = [
     "ACSolution",
+    "AdmittanceSpanError",
     "FrequencyGrid",
     "SingularCircuitError",
     "SweepResult",
@@ -183,9 +191,9 @@ _MARGIN = 1e3 * _EPS / 2.0
 # Floor of kappa**2 as a share of |C|_F |Gamma|_F; it keeps |Y(w)|_F from
 # reading low where w*C and Gamma/w cancel.
 _RESONANCE = 1e-6
-# Complex entries per frequency block (128 KB): the stacked system matrices
+# Complex entries per frequency block (256 KB): the stacked system matrices
 # of one block stay cache-sized however long the grid is.
-_BLOCK_ENTRIES = 1 << 13
+_BLOCK_ENTRIES = 1 << 14
 
 
 def _require_each(check, name: str, value) -> None:
@@ -209,6 +217,11 @@ class SingularCircuitError(ArithmeticError):
         if nodes:
             message = f"{message} (offending nodes: {list(nodes)})"
         super().__init__(message)
+
+
+class AdmittanceSpanError(SingularCircuitError, ValueError):
+    """The MNA system is singular in floating point only: the element admittances
+    at its frequency span more than 1/u (u the unit roundoff)."""
 
 
 class ACSolution(dict):
@@ -488,10 +501,11 @@ def _bound_terms(cert: _Certificate, w, hypot):
 def _uncleared(cert: _Certificate, omega) -> list[int]:
     """The indices of the points of ``omega`` whose bound is not below _CLEARED_BOUND.
 
-    A NaN bound is not below it either. ``omega`` is an ndarray, or a float
-    for a block of one point, which is bounded in Python floats, a few times
-    faster than on an ndarray; an anchored certificate takes the ndarray
-    path for it, whose errstate keeps the NumPy anchored term from warning.
+    A NaN bound is not below it either. ``omega`` is a grid's ndarray, or a
+    float for a one-point grid, which is bounded in Python floats, a few
+    times faster than on an ndarray; an anchored certificate takes the
+    ndarray path for it, whose errstate keeps the NumPy anchored term from
+    warning.
     """
     if isinstance(omega, float) and not cert.lam_0:
         num, alpha = _bound_terms(cert, omega, math.hypot)
@@ -513,12 +527,30 @@ def _singular_nodes(a: np.ndarray, index: dict[int, int]) -> tuple[int, ...]:
     return tuple(sorted(rev[i] for i in range(n) if null[i] > 0.1 * peak))
 
 
-def _singular(a: np.ndarray, f: float, index: dict[int, int]) -> SingularCircuitError:
-    return SingularCircuitError(f"singular MNA system at f={f:g} Hz", _singular_nodes(a, index))
+def _singular(stamp: _Stamp, a: np.ndarray, f: float) -> SingularCircuitError:
+    """The error for A(w) at f, which is singular in floating point.
+
+    Where no source loop makes it singular whatever the values, and the
+    element admittances at f (1/R, wC, 1/(wL)) span more than 1/u, rounding
+    is the cause: an AdmittanceSpanError names the elements of largest and
+    smallest admittance.
+    """
+    w, topology = 2.0 * math.pi * float(f), stamp.topology
+    admittance = {k: 1.0 / v if kind == "R" else w * v if kind == "C" else 1.0 / (w * v)
+                  for k, (kind, v) in enumerate(zip(topology.kinds, stamp.values)) if kind != "V"}
+    if admittance and stamp.certificate.inv_beta < math.inf:
+        top, low = (pick(admittance, key=admittance.get) for pick in (max, min))
+        if admittance[top] * (_EPS / 2.0) > admittance[low]:
+            top, low = (f"{topology.labels[k]} ({topology.kinds[k]} = {stamp.values[k]:g})"
+                        for k in (top, low))
+            return AdmittanceSpanError(f"element admittances at f={f:g} Hz span more than the "
+                                       f"float precision, from {top} down to {low}")
+    return SingularCircuitError(f"singular MNA system at f={f:g} Hz",
+                                _singular_nodes(a, topology.index))
 
 
-def _check_condition(a: np.ndarray, f: np.ndarray, points: list[int],
-                     index: dict[int, int], warnings: list[str]) -> None:
+def _check_condition(stamp: _Stamp, a: np.ndarray, f, points: list[int],
+                     warnings: list[str]) -> None:
     """The exact SVD check of ``a[k]`` for each k in ``points`` (ascending, not empty).
 
     Appends the ill-conditioning warnings in order and raises for the first
@@ -528,7 +560,7 @@ def _check_condition(a: np.ndarray, f: np.ndarray, points: list[int],
     for k, singular_values in zip(points, s.tolist()):
         s_max, s_min = singular_values[0], singular_values[-1]
         if s_min == 0.0:
-            raise _singular(a[k], f[k], index)
+            raise _singular(stamp, a[k], f[k])
         cond = s_max / s_min  # the 2-norm condition number, as np.linalg.cond gives it
         if cond > COND_WARN_THRESHOLD:
             warnings.append(f"ill-conditioned MNA system at f={f[k]:g} Hz (cond~{cond:.3g})")
@@ -562,39 +594,37 @@ def _solve_grid(stamp: _Stamp, freqs) -> tuple[np.ndarray, list[str]]:
     Raises ValueError, before any np.linalg call on the stamp, when an entry
     of g, w*c or gamma/w leaves the float range on the grid.
     """
-    # one point stays a Python float, and skips the block loop below
-    freqs = (float(freqs[0]),) if len(freqs) == 1 else np.asarray(freqs, dtype=float)
+    one = len(freqs) == 1  # one point stays a Python float
+    freqs = (float(freqs[0]),) if one else np.asarray(freqs, dtype=float)
     f_lo, f_hi = float(freqs[0]), float(freqs[-1])
     g_peak, c_peak, gamma_peak = stamp.peaks
     # w*c is largest at the top of the grid, gamma/w at the bottom
     reach = (g_peak, c_peak * (2.0 * math.pi * f_hi), gamma_peak / (2.0 * math.pi * f_lo))
     if not max(reach) < math.inf:
         raise _out_of_range(stamp, reach, f_lo, f_hi)
-    certificate = _certificate(stamp)
+    omega = 2.0 * math.pi * (f_lo if one else freqs)
+    suspect = _uncleared(_certificate(stamp), omega)  # one screen for the whole grid
     size = stamp.rhs.shape[1]
+    block = _BLOCK_ENTRIES // (size * size) or 1
     warnings: list[str] = []
-    if len(freqs) == 1:
-        a = np.empty((1, size, size), dtype=complex)
-        return _solve_block(stamp, certificate, a, freqs, 2.0 * math.pi * f_lo, warnings), warnings
-    block = max(1, _BLOCK_ENTRIES // (size * size))
-    x = np.empty((len(freqs), size), dtype=complex) if len(freqs) > block else None
-    buffer = np.empty((min(block, len(freqs)), size, size), dtype=complex)
+    if len(freqs) <= block:
+        a = np.empty((len(freqs), size, size), dtype=complex)
+        return _solve_block(stamp, a, freqs, omega, suspect, warnings), warnings
+    x = np.empty((len(freqs), size), dtype=complex)
+    buffer = np.empty((block, size, size), dtype=complex)
     for start in range(0, len(freqs), block):
-        f = freqs[start:start + block]
-        omega = 2.0 * math.pi * f  # a block of one point takes it as a float, as one point does
-        solution = _solve_block(stamp, certificate, buffer[:len(f)], f,
-                                omega if len(f) > 1 else float(omega[0]), warnings)
-        if x is None:
-            return solution, warnings
-        x[start:start + len(f)] = solution
+        stop = min(start + block, len(freqs))
+        share = suspect[bisect_left(suspect, start):bisect_left(suspect, stop)]
+        x[start:stop] = _solve_block(stamp, buffer[:stop - start], freqs[start:stop],
+                                     omega[start:stop], [k - start for k in share], warnings)
     return x, warnings
 
 
-def _solve_block(stamp: _Stamp, certificate: _Certificate, a: np.ndarray, f, omega,
+def _solve_block(stamp: _Stamp, a: np.ndarray, f, omega, suspect: list[int],
                  warnings: list[str]) -> np.ndarray:
     """The ``(len(f), unknowns)`` solutions at the block's frequencies ``f``, a view of
     LAPACK's output, with A(w) assembled in ``a``; ``omega`` is 2 pi f, a Python float
-    for one point.
+    for one point, and ``suspect`` the block's points that the certificate did not clear.
 
     Appends the block's warnings, and raises for its first singular frequency.
     """
@@ -603,22 +633,20 @@ def _solve_block(stamp: _Stamp, certificate: _Certificate, a: np.ndarray, f, ome
     np.multiply(w, stamp.c, out=a.imag)
     if stamp.gamma is not None:
         a.imag -= stamp.gamma / w
-    index = stamp.topology.index
     try:
         solution = np.linalg.solve(a, stamp.rhs)
     except np.linalg.LinAlgError:
         # Name the first singular frequency as a one-point solve finds it: by
         # its singular values, or by an exact zero pivot that they missed.
         for k in range(len(f)):
-            _check_condition(a, f, [k], index, warnings)
+            _check_condition(stamp, a, f, [k], warnings)
             try:
                 np.linalg.solve(a[k], stamp.rhs[0])
             except np.linalg.LinAlgError:
-                raise _singular(a[k], f[k], index) from None
+                raise _singular(stamp, a[k], f[k]) from None
         raise
-    suspect = _uncleared(certificate, omega)
     if suspect:
-        _check_condition(a, f, suspect, index, warnings)
+        _check_condition(stamp, a, f, suspect, warnings)
     return solution[..., 0]
 
 

@@ -416,6 +416,28 @@ class TestExtremeMultiregionValues:
                        "-90 dB at no finite coupling capacitance"}
 
 
+class TestAdmittanceSpan:
+    """A return capacitance of 1e200 F puts the element admittances past 1/u apart: the
+    LU fails from rounding, and the error names the elements, not a node set."""
+
+    @pytest.mark.parametrize("command, key, f, top, low", [
+        ("sweep", "c_g_tx", "100000", "CGTX", "CGRX"),
+        ("regions", "c_g_tx", "100000", "CGTX", "CGRX"),
+        ("sweep", "c_g_rx", "104737", "CGRX", "CGTX"),
+        ("regions", "c_g_rx", "104737", "CGRX", "CGTX"),
+    ])
+    def test_names_the_elements_of_largest_and_smallest_admittance(
+            self, capsys, tmp_path, command, key, f, top, low):
+        scenario = tmp_path / "wide.cfg"
+        scenario.write_text(scenario_with(f"{key} = 1e200"))
+        code, out, err = run(capsys, command, "--scenario", str(scenario))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "AdmittanceSpanError",
+            "message": f"element admittances at f={f} Hz span more than the float precision, "
+                       f"from {top} (C = 1e+200) down to {low} (C = 3.86253e-13)"}
+
+
 class TestRemovedConfigKeys:
     @pytest.mark.parametrize("key", REMOVED_KEYS)
     def test_removed_key_is_one_json_error_line(self, capsys, tmp_path, key):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eqshbc import multiregion
+from eqshbc import multiregion, solver
 from eqshbc.bodychannel import Environment
 from eqshbc.cli import main
 from eqshbc.coupling import DEFAULT_COUPLING_MODEL
@@ -267,11 +267,26 @@ class TestMaxDetectionDistance:
         assert near < far < DETECTION_DISTANCE_CAP_M
         assert far / near == pytest.approx(10.0, rel=1e-12)
 
-    @pytest.mark.parametrize("floor", [-7000.0, 7000.0, np.float64(-7000.0), np.float64(7000.0)])
-    def test_overflowing_distance_at_one_frequency_raises_overflow_error(self, floor):
-        # a float frequency is the math path, a numpy floor included
-        with pytest.raises(OverflowError):
+    @pytest.mark.parametrize("floor, mechanism", [
+        (-7000.0, "EM body pair"), (7000.0, "quasistatic"),
+        (np.float64(-7000.0), "EM body pair"), (np.float64(7000.0), "quasistatic")])
+    def test_overflowing_distance_names_the_gain_floor(self, floor, mechanism):
+        # a float frequency is the math path, a numpy floor included; 10 ** (7000 / 20) overflows
+        want = (f"^the gain floor of {floor:g} dB \\(min_gain_db, --sensitivity-db\\) lies too far "
+                f"from the {mechanism} gain at 1 m: the detection distance overflows$")
+        with pytest.raises(ValueError, match=want):
             max_detection_distance(default_region_config(), 1e6, floor)
+
+    @pytest.mark.parametrize("floor, mechanism", [(-7000.0, "device"), (7000.0, "quasistatic")])
+    def test_overflowing_distance_over_a_sweep_names_the_gain_floor(self, floor, mechanism):
+        # the array path, as regions takes it: the device gain is the highest radiative one
+        config = default_region_config()
+        table = _mechanism_table(config.eqs_sweep(FrequencyGrid.log()), config.em, config.device)
+        assert table[2].max() > table[1].max()
+        want = (f"^the gain floor of {floor:g} dB \\(min_gain_db, --sensitivity-db\\) lies too far "
+                f"from the {mechanism} gain at 1 m: the detection distance overflows$")
+        with pytest.raises(ValueError, match=want):
+            multiregion._detection_distance(table, floor, DEFAULT_COUPLING_MODEL)
 
     def test_quasistatic_gain_of_minus_inf_names_the_gain_floor(self):
         # c_g_rx = 1e-160 F rounds the in-chamber probe voltage to exactly 0 above 600 MHz
@@ -424,7 +439,7 @@ class TestSolveOnce:
 
     @pytest.mark.parametrize("environment", ["open_air", "anechoic"])
     def test_scalar_and_sweep_gains_agree_bit_for_bit(self, environment):
-        # 400 points span three solver blocks of the 7-unknown circuit
+        # 2.4 solver blocks of the 7-unknown circuit
         config = default_region_config(environment)
-        grid = FrequencyGrid.log(1e5, 1e9, 400)
+        grid = FrequencyGrid.log(1e5, 1e9, int(2.4 * (solver._BLOCK_ENTRIES // 7 ** 2)))
         assert [config.eqs_gain_db(f) for f in grid] == config.eqs_sweep(grid).gain_db().tolist()

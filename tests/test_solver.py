@@ -21,6 +21,7 @@ from eqshbc.multiregion import default_region_config
 from eqshbc import bodychannel, solver
 from eqshbc.netlist import Element, Netlist, parse_netlist
 from eqshbc.solver import (
+    AdmittanceSpanError,
     FrequencyGrid,
     SingularCircuitError,
     SweepResult,
@@ -318,8 +319,8 @@ class TestBatchedSolve:
     def test_ladders_match_oracle_across_blocks(self, sections, r, c, l, blocks):
         elements = ladder(sections, r, c, l)
         net = netlist_from_tuples(elements)
-        # sections + 2 unknowns; a block holds 1 << 13 complex matrix entries
-        n = int(blocks * (1 << 13) / (sections + 2) ** 2)
+        # sections + 2 unknowns; a block holds solver._BLOCK_ENTRIES complex matrix entries
+        n = int(blocks * solver._BLOCK_ENTRIES / (sections + 2) ** 2)
         corner = 1.0 / (2.0 * math.pi * r * c * sections ** 2)
         grid = FrequencyGrid.log(corner / 100.0, corner * 100.0, n)
         res = transfer(net, "V1", (sections + 1, 0), grid)
@@ -340,10 +341,12 @@ class TestBatchedSolve:
                 assert g == (sol[probe[0]] - sol[probe[1]]) / value
 
     def test_warnings_one_per_ill_conditioned_frequency_in_grid_order(self):
-        # cond ~ 1/(w*C) crosses 1e12 near 0.08 Hz; 2000 points span three blocks
+        # cond ~ 1/(w*C) crosses 1e12 near 0.08 Hz; the grid spans 2.2 blocks of 3 unknowns,
+        # and its offending points more than one
         c1, c2 = 1e-12, 1e-12
         net = parse_netlist(f"V1 1 0 1.0\nC1 1 2 {c1}\nC2 2 0 {c2}")
-        grid = FrequencyGrid.log(1e-3, 1.0, 2000)
+        block = solver._BLOCK_ENTRIES // 3 ** 2
+        grid = FrequencyGrid.log(1e-3, 1.0, int(2.2 * block))
         res = transfer(net, "V1", (2, 0), grid)
 
         def mna(f):
@@ -352,7 +355,7 @@ class TestBatchedSolve:
                              [1.0, 0.0, 0.0]])
 
         offending = [f for f in grid if np.linalg.cond(mna(f)) > 1e12]
-        assert 910 < len(offending) < len(grid)
+        assert block < len(offending) < len(grid)
         assert res.warnings == tuple(
             f"ill-conditioned MNA system at f={f:g} Hz (cond~{np.linalg.cond(mna(f)):.3g})"
             for f in offending)
@@ -362,7 +365,9 @@ class TestBatchedSolve:
         # series L-C from the source: node 2 has zero admittance at w = 1/sqrt(LC) = 1
         net = parse_netlist("V1 1 0 1.0\nL1 1 2 1\nC1 2 0 1")
         f_res = 1.0 / (2.0 * math.pi)
-        points = tuple(np.geomspace(1e-3, 1e-1, 1000)) + (f_res, 1.0, 10.0)
+        # f_res follows 1.5 blocks of 3 unknowns
+        below = int(1.5 * (solver._BLOCK_ENTRIES // 3 ** 2))
+        points = tuple(np.geomspace(1e-3, 1e-1, below)) + (f_res, 1.0, 10.0)
         with pytest.raises(SingularCircuitError, match=r"f=0\.159155 Hz") as info:
             transfer(net, "V1", (2, 0), FrequencyGrid(points))
         assert info.value.nodes == (2,)
@@ -407,6 +412,46 @@ class TestBatchedSolve:
             tracemalloc.stop()
         assert len(res.gain) == 1000
         assert peak < 2 * 2 ** 20
+
+    def test_one_screen_per_grid(self, monkeypatch):
+        # the certificate screens the whole grid at once, however many blocks it spans
+        screened = []
+        real_uncleared = solver._uncleared
+        monkeypatch.setattr(solver, "_uncleared", lambda cert, omega: screened.append(
+            np.size(omega)) or real_uncleared(cert, omega))
+        net = netlist_from_tuples(ladder(10, 1e3, 1e-9, 1e-3))
+        block = solver._BLOCK_ENTRIES // 12 ** 2
+        for n in (1, block, 3 * block + 1):
+            screened.clear()
+            res = transfer(net, "V1", (11, 0), FrequencyGrid.log(1e3, 1e7, n))
+            assert len(res.gain) == n and screened == [n]
+        screened.clear()
+        solve_ac(net, 1e5)
+        assert screened == [1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.floats(1e1, 1e4), c=st.floats(1e-11, 1e-8),
+           l=st.one_of(st.none(), st.floats(1e-6, 1e-2)),
+           exponents=st.lists(st.floats(-10.0, 9.0), min_size=1, max_size=10, unique=True))
+    def test_three_points_per_block_are_their_point_solves(self, r, c, l, exponents):
+        # a ladder of size unknowns takes 3 points per block: grids of 1-10 points end in
+        # full and partial blocks, and split the screen's suspects between them; below
+        # about 1e-6 Hz some points go to the SVD, and some of those warn
+        size = math.isqrt(solver._BLOCK_ENTRIES // 3)
+        assert solver._BLOCK_ENTRIES // size ** 2 == 3
+        net = netlist_from_tuples(ladder(size - 2, r, c, l))
+        points = sorted({10.0 ** e for e in exponents})
+        svd = []
+        real_svd = np.linalg.svd
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: svd.append(
+                1 if a.ndim == 2 else a.shape[0]) or real_svd(a, *args, **kwargs))
+            res = transfer(net, "V1", (size - 1, 0), FrequencyGrid(points))
+            swept = sum(svd)
+            solutions = [solve_ac(net, f) for f in points]
+        assert res.gain.tobytes() == np.array([sol[size - 1] for sol in solutions]).tobytes()
+        assert res.warnings == tuple(w for sol in solutions for w in sol.warnings)
+        assert sum(svd) == 2 * swept
 
 
 @pytest.fixture
@@ -1014,6 +1059,41 @@ class TestSweepIsItsPointSolves:
         for points in ([1.0], [1.0, 2.0]):
             with pytest.raises(SingularCircuitError, match="^singular MNA system at f=1 Hz$"):
                 transfer(net, "V6", (1, 0), FrequencyGrid(points))
+
+
+class TestAdmittanceSpan:
+    """A singular system whose element admittances span more than 1/u is a range error
+    naming the elements of largest and smallest admittance."""
+
+    WIDE = parse_netlist("V1 1 0 1\nR1 1 2 1k\nC1 2 0 1n\nC2 2 0 1e200")
+
+    def test_an_lu_failure_names_the_span(self, monkeypatch):
+        # at 1 kHz, w*C2 is 6e203 S and w*C1 6e-6 S; the LU failure is forced at one point
+        grid = FrequencyGrid.log(1e2, 1e4, 9)
+        bad = grid.points[4]
+        real_solve = np.linalg.solve
+
+        def failing_solve(a, b):
+            if np.any(a[..., 1, 1].imag == 2.0 * math.pi * bad * (1e-9 + 1e200)):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        want = (f"^element admittances at f={bad:g} Hz span more than the float precision, "
+                "from C2 \\(C = 1e\\+200\\) down to C1 \\(C = 1e-09\\)$")
+        with pytest.raises(AdmittanceSpanError, match=want) as grid_error:
+            transfer(self.WIDE, "V1", (2, 0), grid)
+        with pytest.raises(AdmittanceSpanError) as point_error:
+            solve_ac(self.WIDE, bad)
+        assert str(point_error.value) == str(grid_error.value)
+        assert isinstance(grid_error.value, ValueError)
+
+    def test_a_source_loop_stays_singular_whatever_the_span(self):
+        # two sources in parallel are singular for any values: the node set is named
+        net = parse_netlist("V1 1 0 1\nV2 1 0 2\nR1 1 0 1e12\nC1 1 0 1e10")
+        with pytest.raises(SingularCircuitError, match="^singular MNA system at f=1000 Hz") as info:
+            transfer(net, "V1", (1, 0), FrequencyGrid.log(1e3, 1e6, 5))
+        assert type(info.value) is SingularCircuitError
 
 
 class TestRestamp:
