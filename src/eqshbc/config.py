@@ -38,6 +38,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from importlib import resources
 from json.scanner import NUMBER_RE
 from pathlib import Path
@@ -101,6 +102,22 @@ _PAIR_LIST_KEYS = frozenset(("coupling.anchors", "interferers"))
 
 def _present(cfg: dict, keys: dict[str, str]) -> dict:
     return {name: cfg[key] for key, name in keys.items() if key in cfg}
+
+
+def _model(build, cfg: dict, keys: dict[str, str]):
+    """build(**fields) from the config's ``keys``.
+
+    A field that the model refuses, by a ValueError whose message opens with
+    its name, raises ConfigError naming its key instead.
+    """
+    try:
+        return build(**_present(cfg, keys))
+    except ValueError as exc:
+        message = str(exc)
+        for key, name in keys.items():
+            if key in cfg and message.startswith(name + " "):
+                raise ConfigError(f"config key {key!r}{message[len(name):]}") from exc
+        raise
 
 
 def _finite(value) -> bool:
@@ -210,14 +227,22 @@ def _read_config(path: Path) -> dict:
 
 
 def body_params_from_config(cfg: dict, environment: str | None = None) -> BodyChannelParams:
-    from .bodychannel import BodyChannelParams, LoadSpec
+    """The channel of the config's keys; ``environment``, if given, replaces the file's own."""
+    from .bodychannel import BodyChannelParams, Environment, LoadSpec
 
     defaults = BodyChannelParams()
     changes = _present(cfg, _BODY_KEYS)
     if "load.kind" in cfg or "load.value" in cfg:
         changes["load"] = LoadSpec(cfg.get("load.kind", defaults.load.kind),
                                    cfg.get("load.value", defaults.load.value))
-    changes["environment"] = environment or cfg.get("environment", defaults.environment)
+    if not environment and "environment" in cfg:
+        try:
+            environment = Environment(cfg["environment"])
+        except ValueError:
+            raise ConfigError(f"config key 'environment' must be "
+                              f"{' or '.join(repr(e.value) for e in Environment)}, "
+                              f"got {json.dumps(cfg['environment'])}") from None
+    changes["environment"] = environment or defaults.environment
     return replace(defaults, **changes)
 
 
@@ -249,8 +274,8 @@ def region_config_from_config(cfg: dict, environment: str | None = None) -> Regi
     from . import bodychannel, multiregion
 
     channel = inter_params_from_config(cfg, environment)
-    em = multiregion.EmBodyModel(**_present(cfg, _EM_KEYS))
-    device = multiregion.DeviceModel(**_present(cfg, _DEVICE_KEYS))
+    em = _model(multiregion.EmBodyModel, cfg, _EM_KEYS)
+    device = _model(multiregion.DeviceModel, cfg, _DEVICE_KEYS)
     if channel.base.environment is bodychannel.Environment.ANECHOIC:
         attn = cfg.get("multiregion.anechoic_em_attenuation_db",
                        multiregion.ANECHOIC_EM_ATTENUATION_DB)
@@ -260,4 +285,4 @@ def region_config_from_config(cfg: dict, environment: str | None = None) -> Regi
 
 
 def field_model_from_config(cfg: dict) -> FieldDecayModel:
-    return replace(DEFAULT_FIELD_MODEL, **_present(cfg, _FIELD_KEYS))
+    return _model(partial(replace, DEFAULT_FIELD_MODEL), cfg, _FIELD_KEYS)

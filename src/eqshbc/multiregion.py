@@ -24,15 +24,16 @@ reads it.
 
 The mechanism gains take a float frequency (a float out, through ``math``)
 or an ndarray of them (an ndarray out, through numpy), validated once per
-call; ``RegionConfig.mechanism_gains_db`` takes a float. Everything over a frequency grid is array arithmetic over one solved
-quasistatic sweep and its mechanism table: the (3, n) gains in dB of the
-quasistatic, EM-body and device mechanisms, built on first use and kept on
-the sweep, so the stitched response, the region labels and the detection
-distances evaluate each closed-form gain once. A config likewise keeps the
-crossover scan of the last band asked for, its 241 points with their EM and
-device gains, which both crossovers of that band read. A crossover is the
-root of the upper mechanism's gain over the lower one's, the same float
-whichever order its two labels come in.
+call; ``RegionConfig.mechanism_gains_db`` takes a float. Everything over a
+frequency grid is array arithmetic over one solved quasistatic sweep and
+its mechanism table: the (3, n) gains in dB of the quasistatic, EM-body and
+device mechanisms, built on first use and kept on the sweep, so the
+stitched response, the region labels and the detection distances evaluate
+each closed-form gain once. A config likewise keeps the crossover scan of
+the last band asked for, its 241 points with their EM and device gains,
+which both crossovers of that band read. A crossover is the root of the
+upper mechanism's gain over the lower one's, the same float whichever order
+its two labels come in.
 """
 
 from __future__ import annotations
@@ -145,11 +146,17 @@ class DeviceModel:
         return SPEED_OF_LIGHT / (4.0 * self.electrode_length)
 
 
-def _resonant_shape_db(f, f_res: float, q: float):
+# The config keys that set each mechanism's f_res and q
+_EM_SHAPE_KEYS = "multiregion.em_height or multiregion.em_q"
+_DEVICE_SHAPE_KEYS = "multiregion.device_length"
+
+
+def _resonant_shape_db(f, f_res: float, q: float, keys: str):
     """Peak-normalized resonant pair response in dB (0 dB at f_res); validates f.
 
     A response outside the float range, from an extreme but finite f, f_res
-    or q, raises ValueError instead of turning into inf or NaN.
+    or q, raises ValueError naming ``keys``, the config keys that set f_res
+    and q, instead of turning into inf or NaN.
     """
     if isinstance(f, np.ndarray):
         _require_each(_require_positive, "frequency", f)
@@ -167,7 +174,7 @@ def _resonant_shape_db(f, f_res: float, q: float):
         if math.isfinite(shape):
             return shape
     raise ValueError(f"resonant response with f_res = {f_res:g} Hz and q = {q:g} "
-                     "is out of the float range in this band")
+                     f"is out of the float range in this band; change {keys}, or the band")
 
 
 def _shape_db(log10, u, q):
@@ -178,12 +185,12 @@ def _shape_db(log10, u, q):
 
 def body_em_pair_gain(model: EmBodyModel, f):
     """Pair gain in dB of two body-monopoles; 40 dB/decade below resonance."""
-    return model.ref_db + _resonant_shape_db(f, model.f_res, model.q)
+    return model.ref_db + _resonant_shape_db(f, model.f_res, model.q, _EM_SHAPE_KEYS)
 
 
 def device_pair_gain(model: DeviceModel, f):
     """Pair gain in dB of the two device electrodes; peaks at c/(4*l_e)."""
-    return model.ref_db + _resonant_shape_db(f, model.f_res, DEVICE_Q)
+    return model.ref_db + _resonant_shape_db(f, model.f_res, DEVICE_Q, _DEVICE_SHAPE_KEYS)
 
 
 @dataclass(frozen=True)
@@ -431,11 +438,11 @@ def _far_floor(min_gain_db: float, mechanism: str) -> ValueError:
 def calibrate_em_reference(config: RegionConfig, crossover_hz: float) -> float:
     """EM peak reference putting the quasistatic/EM handoff at crossover_hz."""
     return (config.eqs_gain_db(crossover_hz)
-            - _resonant_shape_db(crossover_hz, config.em.f_res, config.em.q))
+            - _resonant_shape_db(crossover_hz, config.em.f_res, config.em.q, _EM_SHAPE_KEYS))
 
 
 def calibrate_device_reference(em: EmBodyModel, device: DeviceModel,
                                handoff_hz: float) -> float:
     """Device peak reference putting the EM/device handoff at handoff_hz."""
     return (body_em_pair_gain(em, handoff_hz)
-            - _resonant_shape_db(handoff_hz, device.f_res, DEVICE_Q))
+            - _resonant_shape_db(handoff_hz, device.f_res, DEVICE_Q, _DEVICE_SHAPE_KEYS))

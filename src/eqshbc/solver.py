@@ -75,26 +75,27 @@ b = c = (1 + ny / alpha) / beta and d = ny b / beta, so
 
     cond_2(A) <= |A|_F * |[[a, b], [c, d]]|_F,    |A|_F^2 = ny^2 + 2 |B|_F^2,
 
-a closed form in w. Its per-stamp scalars are lam_G, lam_C, |G|_F, |C|_F,
-|Gamma|_F, beta, |B|_F and kappa, where |w C - Gamma / w|_F^2 =
-(w |C|_F - |Gamma|_F / w)^2 + kappa^2 and kappa^2 = 2 (|C|_F |Gamma|_F -
-<C, Gamma>). A frequency whose bound is below 1e10 is cleared. The bound
-is evaluated with no division by alpha, and a NaN or an overflow in it is
-not below 1e10, so such a frequency goes to the SVD; so does every
-frequency when the sources fix every node voltage (N is empty). The
-scalars are computed on a stamp's first solve, after the float-range check
-below (an RC restamp's are scaled when it is made; see below), and kept on
-the stamp; a one-point grid evaluates the bound in Python floats, a
+a closed form in w. As G is real and w C - Gamma / w imaginary, the
+triangle inequality gives |Y(w)|_F^2 = |G|_F^2 + |w C - Gamma / w|_F^2 <=
+|G|_F^2 + (w |C|_F + |Gamma|_F / w)^2, so ny = hypot(|G|_F, w |C|_F +
+|Gamma|_F / w), and the per-stamp scalars are lam_G, lam_C, |G|_F, |C|_F,
+|Gamma|_F, beta and |B|_F. A frequency whose bound is below 1e10 is
+cleared. The bound is evaluated with no division by alpha, and a NaN or an
+overflow in it is not below 1e10, so such a frequency goes to the SVD; so
+does every frequency when the sources fix every node voltage (N is empty).
+The scalars are computed on a stamp's first solve, after the float-range
+check below (a restamp's are scaled when it is made; see below), and kept
+on the stamp; a one-point grid evaluates the bound in Python floats, a
 longer one on its ndarray of w. The anchored term below is one NumPy
 expression, evaluated on an ndarray of w however many points the grid
 has: NumPy scalars would warn where Python floats overflow silently.
 
 Rounding: each lam is lowered by 1e3 * size^2 * u * max|entry| (u the unit
-roundoff), which covers the computed N and eigenvalues; kappa^2 is raised
-by 1e-6 |C|_F |Gamma|_F, so that ny stays above |Y(w)|_F where w C and
-Gamma / w cancel, and the rounding of the assembled w*c - gamma/w stays
-below 1% of sigma_min at a cleared frequency; the factor 100 between 1e10
-and 1e12 covers the rest.
+roundoff), which covers the computed N and eigenvalues. An entry of the
+assembled w*c - gamma/w is off by at most 2u (w |c_ij| + |gamma_ij| / w), so
+the assembled A(w) is off by at most 2u ny in norm. A cleared frequency has
+sigma_min(A) > |A|_F / 1e10 >= ny / 1e10, so that rounding stays below
+3e-6 sigma_min, and the factor 100 between 1e10 and 1e12 covers the rest.
 
 The anchored term. Without inductors, lam_G is 0 when a part of the
 circuit has no conductive path to ground, and lam_C is 0 when a node has
@@ -118,18 +119,18 @@ else lam_0 is 0: with inductors the anchored term is 0, as lam_C is, and
 where alpha > 0 one more eigenvalue problem per stamp costs more than the
 points it could clear.
 
-A restamp of capacitances in an RC circuit (the calibrations' steps on
-CGTX and CGRX) keeps G and N. Each capacitor enters C as c_k u_k u_k^T,
-so with r_lo and r_hi the smallest and largest ratio of a new capacitance
-to its old one, 1 among them, C >= r_lo C_old in the Loewner order and
-|C|_F <= r_hi |C_old|_F entry by entry: the restamp scales its parent's
-lam_C and |C|_F in a few float operations, when it is made. Only the
-parent's certificate is computed then, if it has none, and only from
-finite matrices; so no np.linalg call sees the restamped system before the
-float-range check below. The restamp does not take the parent's lam_0,
-which belongs to the parent's C, so its lam_0 is 0. With inductors, or
-where either stamp has an entry past the float range, the restamp has no
-scaled certificate and gets its own on its first solve.
+A restamp of capacitances (the calibrations' steps on CGTX and CGRX) keeps
+G, Gamma and N. Each capacitor enters C as c_k u_k u_k^T, so with r_lo and
+r_hi the smallest and largest ratio of a new capacitance to its old one, 1
+among them, C >= r_lo C_old in the Loewner order and |C|_F <= r_hi |C_old|_F
+entry by entry: the restamp scales its parent's lam_C (0 with inductors,
+and so still 0) and |C|_F in a few float operations, when it is made, and
+keeps every other scalar. Only the parent's certificate is computed then,
+if it has none, and only from finite matrices; so no np.linalg call sees
+the restamped system before the float-range check below. The restamp does
+not take the parent's lam_0, which belongs to the parent's C, so its lam_0
+is 0. Where either stamp has an entry past the float range, the restamp
+has no scaled certificate and gets its own on its first solve.
 
 Each stamp's certificate is made once and never upgraded: there is no
 second screen. A frequency that it does not clear, a restamp's included,
@@ -188,9 +189,6 @@ _EPS = float(np.finfo(float).eps)
 # Rounding margin per squared unknown, as a share of the largest |entry|:
 # 1e3 times the unit roundoff.
 _MARGIN = 1e3 * _EPS / 2.0
-# Floor of kappa**2 as a share of |C|_F |Gamma|_F; it keeps |Y(w)|_F from
-# reading low where w*C and Gamma/w cancel.
-_RESONANCE = 1e-6
 # Complex entries per frequency block (256 KB): the stacked system matrices
 # of one block stay cache-sized however long the grid is.
 _BLOCK_ENTRIES = 1 << 14
@@ -261,7 +259,7 @@ class _Certificate(NamedTuple):
     lam_c: float  # lam_c is 0.0 with inductors, whose alpha is lam_g alone
     c_norm: float  # |C|_F, or an upper bound on it
     gamma_norm: float  # |Gamma|_F
-    g_kappa: float  # hypot(|G|_F, kappa), the part of |Y(w)|_F that w does not move
+    g_norm: float  # |G|_F
     b_norm: float  # sqrt(2) * |B|_F, the source incidence's part of |A(w)|_F
     inv_beta: float  # 1 / beta: 0.0 without sources, inf when beta = 0
     # The anchored term's lower bound on lambda_min(N^T (G + w_0 C) N) and the anchor
@@ -274,8 +272,8 @@ class _Certificate(NamedTuple):
 class _Stamp:
     """Real MNA matrices of a circuit; ``gamma`` is None without inductors.
 
-    ``values`` is what :func:`_restamp` patches. An RC
-    restamp gets its ``certificate`` when it is made, scaled from its
+    ``values`` is what :func:`_restamp` patches. A restamp in the float
+    range gets its ``certificate`` when it is made, scaled from its
     parent's; any other stamp gets its own from :func:`_certificate` on its
     first solve. Once set, it is never replaced.
     """
@@ -372,11 +370,10 @@ def _restamp(stamp: _Stamp, caps: Mapping[str, float]) -> _Stamp:
     restamp keeps the stamp's topology and read-only ``rhs``, and gets the
     matrices of a fresh stamp of the changed circuit: it recomputes only the
     entries of c that the capacitors stamp, each as the in-order sum that
-    the fresh stamp's bincount makes of it, and only c's peak. Without
-    inductors, and with both stamps in the float range, its certificate is
-    the stamp's own, scaled by the smallest and the largest ratio of a
-    capacitance to its old value, with 1 among them (see the module
-    docstring).
+    the fresh stamp's bincount makes of it, and only c's peak. With both
+    stamps in the float range, its certificate is the stamp's own, scaled by
+    the smallest and the largest ratio of a capacitance to its old value,
+    with 1 among them (see the module docstring).
     """
     topology, values = stamp.topology, list(stamp.values)
     ratios = [1.0]
@@ -403,10 +400,10 @@ def _restamp(stamp: _Stamp, caps: Mapping[str, float]) -> _Stamp:
     m.setflags(write=False)
     restamped = _Stamp(m, m[0], m[1], None if stamp.gamma is None else m[2], stamp.rhs, topology,
                        (stamp.peaks[0], float(np.abs(m[1]).max()), stamp.peaks[2]), tuple(values))
-    if stamp.gamma is None and max(stamp.peaks + restamped.peaks) < math.inf:
+    if max(stamp.peaks + restamped.peaks) < math.inf:
         base = _certificate(stamp)
         # min(ratios) * C_old <= C <= max(ratios) * C_old, entry by entry and in the Loewner
-        # order; never the parent's anchored term: it was computed for the parent's C
+        # order; G, Gamma and N are the parent's, but not its anchored term, made for its C
         tol = _MARGIN * len(stamp.g) ** 2
         restamped.certificate = base._replace(
             lam_c=max(min(ratios) * base.lam_c - tol * restamped.peaks[1], 0.0),
@@ -436,49 +433,37 @@ def _source_kernel(incidence: np.ndarray) -> tuple[np.ndarray | None, float, flo
 
 
 def _certificate(stamp: _Stamp) -> _Certificate:
-    """The stamp's certificate: the one it has, or its own, computed once and kept on it.
+    """The stamp's certificate: the one it has, or its own from its matrices, computed
+    once and kept on it.
 
-    An RC restamp has its scaled certificate from :func:`_restamp`.
+    A restamp in the float range has its scaled certificate from
+    :func:`_restamp`. A stamp's own has the anchored term when alpha is 0 at
+    every frequency: an RC stamp with lam_g = lam_c = 0, a kernel, and G, C
+    nonzero with w_0 in the float range.
     """
-    if stamp.certificate is None:
-        stamp.certificate = _fresh_certificate(stamp)
-    return stamp.certificate
-
-
-def _fresh_certificate(stamp: _Stamp) -> _Certificate:
-    """The certificate from the stamp's own matrices.
-
-    It has the anchored term when alpha is 0 at every frequency: an RC stamp
-    with lam_g = lam_c = 0, a kernel, and G, C nonzero with w_0 in the float
-    range.
-    """
+    if stamp.certificate is not None:
+        return stamp.certificate
     n = len(stamp.topology.index)
     tol = _MARGIN * len(stamp.g) ** 2
     kernel, inv_beta, b_norm = _source_kernel(stamp.matrices[0, :n, n:])
     blocks = stamp.matrices[:, :n, :n]  # G, C and Gamma (zero without inductors)
     peaks = np.abs(blocks).max(axis=(1, 2), initial=0.0)
     units = blocks / np.where(peaks > 0.0, peaks, 1.0)[:, None, None]  # no overflow below
-    g_fro, c_fro, gamma_fro = np.sqrt((units * units).sum(axis=(1, 2))).tolist()
-    g_peak, c_peak, gamma_peak = peaks.tolist()
-    g_norm, c_norm = g_peak * g_fro, c_peak * c_fro
-    # kappa**2 = 2 (|C| |Gamma| - <C, Gamma>), raised by _RESONANCE |C| |Gamma|
-    kappa = (math.sqrt(c_peak) * math.sqrt(gamma_peak)
-             * math.sqrt(max(2.0 * (c_fro * gamma_fro - float(np.vdot(units[1], units[2]))), 0.0)
-                         + _RESONANCE * c_fro * gamma_fro))
+    g_norm, c_norm, gamma_norm = (peaks * np.sqrt((units * units).sum(axis=(1, 2)))).tolist()
     lam_g = lam_c = lam_0 = w_0 = 0.0
     if kernel is not None and kernel.shape[1]:
         lows = np.linalg.eigvalsh(kernel.T @ units[:2] @ kernel)[:, 0].tolist()
         # each less its rounding margin, and at least 0; a NaN stays NaN
-        lam_g, lam_c = (max(low - tol, 0.0) * peak for low, peak in zip(lows, (g_peak, c_peak)))
+        lam_g, lam_c = (max(low - tol, 0.0) * peak for low, peak in zip(lows, peaks.tolist()))
         w_0 = g_norm / c_norm if c_norm else 0.0
         if stamp.gamma is None and lam_g == lam_c == 0.0 and 0.0 < w_0 < math.inf:
             # (G + w_0 C) / |G|_F = G / |G|_F + C / |C|_F, each term at most 1 in every entry
             unit = blocks[0] / g_norm + blocks[1] / c_norm
             low = float(np.linalg.eigvalsh(kernel.T @ unit @ kernel)[0])
             lam_0 = max(low - 2.0 * tol, 0.0) * g_norm
-    return _Certificate(lam_g, 0.0 if stamp.gamma is not None else lam_c, c_norm,
-                        gamma_peak * gamma_fro, math.hypot(g_norm, kappa), b_norm, inv_beta,
-                        lam_0, w_0)
+    stamp.certificate = _Certificate(lam_g, 0.0 if stamp.gamma is not None else lam_c, c_norm,
+                                     gamma_norm, g_norm, b_norm, inv_beta, lam_0, w_0)
+    return stamp.certificate
 
 
 def _bound_terms(cert: _Certificate, w, hypot):
@@ -492,7 +477,7 @@ def _bound_terms(cert: _Certificate, w, hypot):
     alpha = hypot(cert.lam_g, w * cert.lam_c)
     if cert.lam_0:  # the anchored term, where it applies
         alpha = np.maximum(np.minimum(1.0, w / cert.w_0) * (cert.lam_0 / math.sqrt(2.0)), alpha)
-    ny = hypot(cert.g_kappa, w * cert.c_norm - cert.gamma_norm / w)  # >= |Y(w)|_F
+    ny = hypot(cert.g_norm, w * cert.c_norm + cert.gamma_norm / w)  # >= |Y(w)|_F
     t, inv_beta = alpha + ny, cert.inv_beta
     h = hypot(hypot(1.0, math.sqrt(2.0) * inv_beta * t), inv_beta * inv_beta * ny * t)
     return hypot(ny, cert.b_norm) * h, alpha

@@ -416,6 +416,62 @@ class TestExtremeMultiregionValues:
                        "-90 dB at no finite coupling capacitance"}
 
 
+class TestRefusedModelValues:
+    """A scenario value that a model refuses names its config key."""
+
+    @pytest.mark.parametrize("command", ["sweep", "regions"])
+    @pytest.mark.parametrize("line, message", [
+        ("multiregion.em_height = 0.0",
+         "config key 'multiregion.em_height' must be finite and > 0, got 0.0"),
+        ("multiregion.em_q = -1.0",
+         "config key 'multiregion.em_q' must be finite and > 0, got -1.0"),
+        ("multiregion.device_length = 0.0",
+         "config key 'multiregion.device_length' must be finite and > 0, got 0.0"),
+        ('environment = "indoor"',
+         "config key 'environment' must be 'open_air' or 'anechoic', got \"indoor\""),
+    ])
+    def test_a_scenario_value_names_its_key(self, capsys, tmp_path, command, line, message):
+        scenario = tmp_path / "refused.cfg"
+        scenario.write_text(scenario_with(line))
+        code, out, err = run(capsys, command, "--scenario", str(scenario))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ConfigError", "message": message}
+
+    def test_the_env_flag_replaces_the_files_environment(self, capsys, tmp_path):
+        scenario = tmp_path / "refused.cfg"
+        scenario.write_text(scenario_with('environment = "indoor"'))
+        code, _, err = run(capsys, "regions", "--scenario", str(scenario), "--env", "anechoic")
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("key, value", [
+        ("fcc.anchor_field", "0.0"), ("fcc.anchor_distance", "-0.1"), ("fcc.exponent", "-3.0")])
+    def test_a_field_model_value_names_its_key(self, capsys, tmp_path, key, value):
+        config = tmp_path / "field.cfg"
+        config.write_text(f"{key} = {value}\n")
+        code, out, err = run(capsys, "fcc", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "ConfigError",
+            "message": f"config key {key!r} must be finite and > 0, got {value}"}
+
+    @pytest.mark.parametrize("command", ["sweep", "regions"])
+    @pytest.mark.parametrize("line, f_res, q, keys", [
+        ("multiregion.em_height = 7.4e191", "1.01281e-184", "3",
+         "multiregion.em_height or multiregion.em_q"),
+        ("multiregion.device_length = 1e300", "7.49481e-293", "2", "multiregion.device_length"),
+    ])
+    def test_a_resonance_out_of_the_float_range_names_its_keys(self, capsys, tmp_path, command,
+                                                              line, f_res, q, keys):
+        scenario = tmp_path / "extreme.cfg"
+        scenario.write_text(scenario_with(line))
+        code, out, err = run(capsys, command, "--scenario", str(scenario))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": f"resonant response with f_res = {f_res} Hz and q = {q} is out of the "
+                       f"float range in this band; change {keys}, or the band"}
+
+
 class TestAdmittanceSpan:
     """A return capacitance of 1e200 F puts the element admittances past 1/u apart: the
     LU fails from rounding, and the error names the elements, not a node set."""

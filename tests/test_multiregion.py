@@ -392,10 +392,10 @@ class TestSolveOnce:
         calls = []
         original = multiregion._resonant_shape_db
 
-        def spy(f, f_res, q):
+        def spy(f, f_res, q, keys):
             if isinstance(f, np.ndarray):
                 calls.append((f.size, f_res))
-            return original(f, f_res, q)
+            return original(f, f_res, q, keys)
 
         monkeypatch.setattr(multiregion, "_resonant_shape_db", spy)
         return calls
