@@ -19,6 +19,7 @@ checked against (see extra_loss_db).
 from __future__ import annotations
 
 import enum
+import json
 import math
 from dataclasses import dataclass, replace
 
@@ -30,7 +31,7 @@ from .coupling import (
     DEFAULT_COUPLING_D0,
     default_coupling_model,
 )
-from .netlist import Element, Netlist, _require_positive
+from .netlist import Element, Netlist, ParameterError, _require_positive
 from . import solver
 from .solver import FrequencyGrid, SweepResult, _gain_db, transfer
 
@@ -116,7 +117,11 @@ class BodyChannelParams:
     def __post_init__(self):
         if self.load is None:
             object.__setattr__(self, "load", LoadSpec.capacitive())
-        object.__setattr__(self, "environment", Environment(self.environment))
+        try:
+            object.__setattr__(self, "environment", Environment(self.environment))
+        except ValueError:
+            raise ParameterError("{} must be 'open_air' or 'anechoic', got {got}", "environment",
+                                 got=json.dumps(self.environment, default=repr)) from None
         for name in ("c_g_tx", "c_g_rx", "c_body", "r_b", "r_s", "anechoic_boost"):
             _require_positive(name, getattr(self, name))
 
@@ -146,11 +151,12 @@ class InterBodyParams:
         _require_positive("c_c", self.c_c)
         _require_positive("c_body2", self.c_body2)
         if self.c_c > self.c_body2:
-            raise ValueError(
-                f"c_c ({self.c_c}) exceeds the receiving body's self capacitance "
-                f"({self.c_body2}); the re-partition model requires c_c <= c_body2")
+            raise ParameterError(f"{{}} ({self.c_c}) exceeds the receiving body's self capacitance "
+                                 f"({self.c_body2}); the re-partition model requires {{}} <= {{}}",
+                                 "c_c", "c_c", "c_body2")
         if self.base.c_body <= self._branch_series_cap():
-            raise ValueError("c_body too small for the coupling branch re-partition")
+            raise ParameterError("{} too small for the coupling branch re-partition of {} and {}",
+                                 "c_body", "c_c", "c_body2")
 
     def _branch_series_cap(self) -> float:
         # Capacitance body 1 presents toward ground through body 2.

@@ -378,6 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.func(args)
     except (ValueError, ArithmeticError, KeyError, OSError) as exc:
+        exc = cfgmod._keyed(exc)  # a refused scenario value names its config key
         # str() of a KeyError is the repr of its argument; report the message itself
         message = exc.args[0] if isinstance(exc, KeyError) else str(exc)
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": message}) + "\n")

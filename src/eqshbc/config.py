@@ -21,6 +21,21 @@ Field decay:  fcc.anchor_field, fcc.anchor_distance, fcc.exponent
 ``interferers`` lists of number pairs, and every other key a finite number
 (``true``/``false`` are not numbers); a file breaking this is rejected.
 
+A value that a model refuses names its key as well. The models raise a
+``netlist.ParameterError`` naming their own parameters; ``_keyed``, which
+the CLI applies to every error at its one ``except``, makes it a
+ConfigError naming each parameter's key from ``_PARAMETER_KEYS``. A
+refused relation between values (c_c above c_body2, a resonance out of the
+float range) names every key in it. These keep their own messages: load.*
+(the --load flag writes the same key), element-level errors (a label such
+as CGTX, ``AdmittanceSpanError``) and the coupling fit's ConfigError, which
+names coupling.anchors and coupling.d0. The builders below raise the
+model's ParameterError, naming the parameter, not the key. In the chamber
+multiregion.anechoic_em_attenuation_db must be finite and >= 0: it lowers
+both references, never raises them. A reference gain may be any finite
+number: ``sweep`` refuses one whose summed power leaves the float range,
+and ``regions`` never sums powers.
+
 Bare scenario names given to the CLI resolve against the directory in
 ``$EQSHBC_CONFIG_DIR`` first and then the bundled defaults (inter_body.cfg,
 intra_body.cfg). The bundled ``inter_body.cfg`` is the one definition of
@@ -38,7 +53,6 @@ import math
 import os
 import sys
 from dataclasses import replace
-from functools import partial
 from importlib import resources
 from json.scanner import NUMBER_RE
 from pathlib import Path
@@ -52,6 +66,7 @@ from .coupling import (
     fit_coupling_model,
 )
 from .fcc import DEFAULT_FIELD_MODEL, FieldDecayModel
+from .netlist import ParameterError, _require_non_negative
 
 if TYPE_CHECKING:
     from .bodychannel import BodyChannelParams, InterBodyParams
@@ -85,6 +100,12 @@ _EM_KEYS = {"multiregion.em_height": "height", "multiregion.em_q": "q",
 _DEVICE_KEYS = {"multiregion.device_length": "electrode_length",
                 "multiregion.device_ref_db": "ref_db"}
 _FIELD_KEYS = {f"fcc.{name}": name for name in ("anchor_field", "anchor_distance", "exponent")}
+# Parameter name -> the config key that sets it, for naming a refused value (see _keyed).
+_PARAMETER_KEYS = {name: key for key, name in (*_BODY_KEYS.items(), *_FIELD_KEYS.items())} | {
+    "c_c": "c_c", "c_body2": "c_body2", "environment": "environment", "q": "multiregion.em_q",
+    "height": "multiregion.em_height", "em ref_db": "multiregion.em_ref_db",
+    "electrode_length": "multiregion.device_length", "device ref_db": "multiregion.device_ref_db",
+    "anechoic_em_attenuation_db": "multiregion.anechoic_em_attenuation_db"}
 
 
 # The documented keys above; load_config rejects any other key (a typo, say).
@@ -104,20 +125,18 @@ def _present(cfg: dict, keys: dict[str, str]) -> dict:
     return {name: cfg[key] for key, name in keys.items() if key in cfg}
 
 
-def _model(build, cfg: dict, keys: dict[str, str]):
-    """build(**fields) from the config's ``keys``.
+def _keyed(exc: Exception) -> Exception:
+    """The error to report for ``exc``, with the config key of each parameter it names.
 
-    A field that the model refuses, by a ValueError whose message opens with
-    its name, raises ConfigError naming its key instead.
+    A ParameterError whose parameters all have a key in _PARAMETER_KEYS
+    becomes a ConfigError that names each as ``config key '<key>'``; any
+    other ParameterError becomes a ValueError with its own message. Every
+    other exception is returned as it is.
     """
-    try:
-        return build(**_present(cfg, keys))
-    except ValueError as exc:
-        message = str(exc)
-        for key, name in keys.items():
-            if key in cfg and message.startswith(name + " "):
-                raise ConfigError(f"config key {key!r}{message[len(name):]}") from exc
-        raise
+    if isinstance(exc, ParameterError) and set(exc.names) <= _PARAMETER_KEYS.keys():
+        keys = [f"config key {_PARAMETER_KEYS[name]!r}" for name in exc.names]
+        return ConfigError(exc.template.format(*keys, **exc.values))
+    return ValueError(str(exc)) if isinstance(exc, ParameterError) else exc
 
 
 def _finite(value) -> bool:
@@ -228,21 +247,14 @@ def _read_config(path: Path) -> dict:
 
 def body_params_from_config(cfg: dict, environment: str | None = None) -> BodyChannelParams:
     """The channel of the config's keys; ``environment``, if given, replaces the file's own."""
-    from .bodychannel import BodyChannelParams, Environment, LoadSpec
+    from .bodychannel import BodyChannelParams, LoadSpec
 
     defaults = BodyChannelParams()
     changes = _present(cfg, _BODY_KEYS)
     if "load.kind" in cfg or "load.value" in cfg:
         changes["load"] = LoadSpec(cfg.get("load.kind", defaults.load.kind),
                                    cfg.get("load.value", defaults.load.value))
-    if not environment and "environment" in cfg:
-        try:
-            environment = Environment(cfg["environment"])
-        except ValueError:
-            raise ConfigError(f"config key 'environment' must be "
-                              f"{' or '.join(repr(e.value) for e in Environment)}, "
-                              f"got {json.dumps(cfg['environment'])}") from None
-    changes["environment"] = environment or defaults.environment
+    changes["environment"] = environment or cfg.get("environment", defaults.environment)
     return replace(defaults, **changes)
 
 
@@ -274,15 +286,16 @@ def region_config_from_config(cfg: dict, environment: str | None = None) -> Regi
     from . import bodychannel, multiregion
 
     channel = inter_params_from_config(cfg, environment)
-    em = _model(multiregion.EmBodyModel, cfg, _EM_KEYS)
-    device = _model(multiregion.DeviceModel, cfg, _DEVICE_KEYS)
+    em = multiregion.EmBodyModel(**_present(cfg, _EM_KEYS))
+    device = multiregion.DeviceModel(**_present(cfg, _DEVICE_KEYS))
     if channel.base.environment is bodychannel.Environment.ANECHOIC:
         attn = cfg.get("multiregion.anechoic_em_attenuation_db",
                        multiregion.ANECHOIC_EM_ATTENUATION_DB)
+        _require_non_negative("anechoic_em_attenuation_db", attn)  # lowers, never raises, a gain
         em = replace(em, ref_db=em.ref_db - attn)
         device = replace(device, ref_db=device.ref_db - attn)
     return multiregion.RegionConfig(channel=channel, em=em, device=device)
 
 
 def field_model_from_config(cfg: dict) -> FieldDecayModel:
-    return _model(partial(replace, DEFAULT_FIELD_MODEL), cfg, _FIELD_KEYS)
+    return replace(DEFAULT_FIELD_MODEL, **_present(cfg, _FIELD_KEYS))

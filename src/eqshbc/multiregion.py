@@ -57,7 +57,8 @@ from .bodychannel import (
     build_inter_body,
 )
 from .coupling import DEFAULT_COUPLING_MODEL, CouplingCapModel
-from .netlist import Netlist, _require_finite, _require_non_negative, _require_positive
+from .netlist import (Netlist, ParameterError, _require_finite, _require_non_negative,
+                      _require_positive)
 from .solver import FrequencyGrid, SweepResult, _require_each, transfer
 
 __all__ = [
@@ -101,10 +102,10 @@ class CrossoverError(ValueError):
     """The requested mechanisms never exchange dominance in band."""
 
 
-def _require_ref_db(ref_db: float) -> None:
+def _require_ref_db(name: str, ref_db: float) -> None:
     """A peak reference gain is finite, or -inf to disable its mechanism."""
     if ref_db != -math.inf:
-        _require_finite("ref_db", ref_db)
+        _require_finite(name, ref_db)
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ class EmBodyModel:
     def __post_init__(self):
         _require_positive("height", self.height)
         _require_positive("q", self.q)
-        _require_ref_db(self.ref_db)
+        _require_ref_db("em ref_db", self.ref_db)
 
     @cached_property
     def f_res(self) -> float:
@@ -139,24 +140,24 @@ class DeviceModel:
 
     def __post_init__(self):
         _require_positive("electrode_length", self.electrode_length)
-        _require_ref_db(self.ref_db)
+        _require_ref_db("device ref_db", self.ref_db)
 
     @cached_property
     def f_res(self) -> float:
         return SPEED_OF_LIGHT / (4.0 * self.electrode_length)
 
 
-# The config keys that set each mechanism's f_res and q
-_EM_SHAPE_KEYS = "multiregion.em_height or multiregion.em_q"
-_DEVICE_SHAPE_KEYS = "multiregion.device_length"
+# The parameters that set each mechanism's f_res and q
+_EM_SHAPE = ("height", "q")
+_DEVICE_SHAPE = ("electrode_length",)
 
 
-def _resonant_shape_db(f, f_res: float, q: float, keys: str):
+def _resonant_shape_db(f, f_res: float, q: float, names: tuple[str, ...]):
     """Peak-normalized resonant pair response in dB (0 dB at f_res); validates f.
 
     A response outside the float range, from an extreme but finite f, f_res
-    or q, raises ValueError naming ``keys``, the config keys that set f_res
-    and q, instead of turning into inf or NaN.
+    or q, raises ParameterError naming ``names``, the parameters that set
+    f_res and q, instead of turning into inf or NaN.
     """
     if isinstance(f, np.ndarray):
         _require_each(_require_positive, "frequency", f)
@@ -173,8 +174,9 @@ def _resonant_shape_db(f, f_res: float, q: float, keys: str):
             shape = math.nan
         if math.isfinite(shape):
             return shape
-    raise ValueError(f"resonant response with f_res = {f_res:g} Hz and q = {q:g} "
-                     f"is out of the float range in this band; change {keys}, or the band")
+    raise ParameterError(f"resonant response with f_res = {f_res:g} Hz and q = {q:g} is out of "
+                         f"the float range in this band; change {' or '.join(['{}'] * len(names))}"
+                         ", or the band", *names)
 
 
 def _shape_db(log10, u, q):
@@ -185,12 +187,12 @@ def _shape_db(log10, u, q):
 
 def body_em_pair_gain(model: EmBodyModel, f):
     """Pair gain in dB of two body-monopoles; 40 dB/decade below resonance."""
-    return model.ref_db + _resonant_shape_db(f, model.f_res, model.q, _EM_SHAPE_KEYS)
+    return model.ref_db + _resonant_shape_db(f, model.f_res, model.q, _EM_SHAPE)
 
 
 def device_pair_gain(model: DeviceModel, f):
     """Pair gain in dB of the two device electrodes; peaks at c/(4*l_e)."""
-    return model.ref_db + _resonant_shape_db(f, model.f_res, DEVICE_Q, _DEVICE_SHAPE_KEYS)
+    return model.ref_db + _resonant_shape_db(f, model.f_res, DEVICE_Q, _DEVICE_SHAPE)
 
 
 @dataclass(frozen=True)
@@ -266,18 +268,24 @@ def total_response(eqs_sweep: SweepResult, em: EmBodyModel, device: DeviceModel)
 
     The result is magnitude-only; it dominates every individual mechanism
     at every frequency and degenerates to the quasistatic sweep when both
-    EM references are -inf. It is taken at the sweep's own frequencies.
+    EM references are -inf. It is taken at the sweep's own frequencies. A
+    power sum out of the float range, or of 0 (-inf dB), raises ValueError;
+    one that an extreme reference gain takes out of range names that gain.
     """
     _, em_db, dev_db = _mechanism_table(eqs_sweep, em, device)
     try:
         with np.errstate(over="raise"):
             power = np.abs(eqs_sweep.gain) ** 2 + (10.0 ** (em_db / 10.0) + 10.0 ** (dev_db / 10.0))
-    except FloatingPointError:  # an extreme reference gain: name its config key
-        refs = {"multiregion.em_ref_db": em_db, "multiregion.device_ref_db": dev_db}
-        with np.errstate(over="ignore"):  # the key whose own power overflows; both if neither does
-            named = [key for key, db in refs.items() if np.isinf(10.0 ** (db / 10.0)).any()] or refs
-        raise ValueError("summed mechanism power is out of the float range; lower "
-                         + " or ".join(named)) from None
+    except FloatingPointError:  # an extreme gain: name it
+        refs = {"em ref_db": em_db, "device ref_db": dev_db}
+        with np.errstate(over="ignore"):  # the gain whose own power overflows; both if neither does
+            if np.isinf(np.abs(eqs_sweep.gain) ** 2).any():
+                raise ValueError("the quasistatic gain's power is out of the float range") from None
+            named = [n for n, db in refs.items() if np.isinf(10.0 ** (db / 10.0)).any()] or refs
+        raise ParameterError("summed mechanism power is out of the float range; lower "
+                             + " or ".join(["{}"] * len(named)), *named) from None
+    if not power.all():  # every mechanism's power rounds to 0: no gain in dB
+        raise ValueError(f"summed mechanism power is 0 at f={eqs_sweep.freqs[power == 0.0][0]:g} Hz")
     return SweepResult(freqs=eqs_sweep.freqs, gain=np.sqrt(power), warnings=eqs_sweep.warnings)
 
 
@@ -438,11 +446,11 @@ def _far_floor(min_gain_db: float, mechanism: str) -> ValueError:
 def calibrate_em_reference(config: RegionConfig, crossover_hz: float) -> float:
     """EM peak reference putting the quasistatic/EM handoff at crossover_hz."""
     return (config.eqs_gain_db(crossover_hz)
-            - _resonant_shape_db(crossover_hz, config.em.f_res, config.em.q, _EM_SHAPE_KEYS))
+            - _resonant_shape_db(crossover_hz, config.em.f_res, config.em.q, _EM_SHAPE))
 
 
 def calibrate_device_reference(em: EmBodyModel, device: DeviceModel,
                                handoff_hz: float) -> float:
     """Device peak reference putting the EM/device handoff at handoff_hz."""
     return (body_em_pair_gain(em, handoff_hz)
-            - _resonant_shape_db(handoff_hz, device.f_res, DEVICE_Q, _DEVICE_SHAPE_KEYS))
+            - _resonant_shape_db(handoff_hz, device.f_res, DEVICE_Q, _DEVICE_SHAPE))

@@ -23,6 +23,7 @@ __all__ = [
     "Element",
     "Netlist",
     "NetlistError",
+    "ParameterError",
     "parse_netlist",
     "format_netlist",
     "parse_si_value",
@@ -44,6 +45,20 @@ SI_SUFFIXES = {
 _VALUE_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)([A-Za-z]*)$")
 
 
+class ParameterError(ValueError):
+    """A refused parameter value: ``template`` with its ``{}`` filled by ``names``.
+
+    ``names`` are the parameters the message names, in order, so that a
+    caller that knows where each one was set (``config._keyed``) can name
+    that place instead. ``values`` fill the template's named fields, so a
+    value of any text, braces too, is never read as a field.
+    """
+
+    def __init__(self, template: str, *names: str, **values):
+        super().__init__(template.format(*names, **values))
+        self.template, self.names, self.values = template, names, values
+
+
 def _require_real(name: str, value) -> None:
     """value must be one real number: a Python or numpy scalar, not an ndarray or a complex.
 
@@ -57,7 +72,7 @@ def _require_finite(name: str, value: float) -> None:
     if type(value) is not float:
         _require_real(name, value)
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+        raise ParameterError(f"{{}} must be finite, got {value}", name)
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -65,7 +80,7 @@ def _require_positive(name: str, value: float) -> None:
     if type(value) is not float:
         _require_real(name, value)
     if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and > 0, got {value}")
+        raise ParameterError(f"{{}} must be finite and > 0, got {value}", name)
 
 
 def _require_non_negative(name: str, value: float) -> None:
@@ -73,7 +88,7 @@ def _require_non_negative(name: str, value: float) -> None:
     if type(value) is not float:
         _require_real(name, value)
     if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        raise ParameterError(f"{{}} must be finite and >= 0, got {value}", name)
 
 
 class NetlistError(ValueError):

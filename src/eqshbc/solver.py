@@ -449,7 +449,8 @@ def _certificate(stamp: _Stamp) -> _Certificate:
     blocks = stamp.matrices[:, :n, :n]  # G, C and Gamma (zero without inductors)
     peaks = np.abs(blocks).max(axis=(1, 2), initial=0.0)
     units = blocks / np.where(peaks > 0.0, peaks, 1.0)[:, None, None]  # no overflow below
-    g_norm, c_norm, gamma_norm = (peaks * np.sqrt((units * units).sum(axis=(1, 2)))).tolist()
+    with np.errstate(over="ignore"):  # a norm past the float range is inf, and clears no point
+        g_norm, c_norm, gamma_norm = (peaks * np.sqrt((units * units).sum(axis=(1, 2)))).tolist()
     lam_g = lam_c = lam_0 = w_0 = 0.0
     if kernel is not None and kernel.shape[1]:
         lows = np.linalg.eigvalsh(kernel.T @ units[:2] @ kernel)[:, 0].tolist()
@@ -762,8 +763,10 @@ def transfer(netlist: Netlist, source_label: str, probe: tuple[int, int],
     x, warnings = _solve_grid(stamp, grid.points)
     plus, minus = (np.zeros(len(x), dtype=complex) if node == netlist.ground
                    else x[:, stamp.topology.index[node]] for node in probe)
-    return SweepResult(freqs=grid.points, gain=(plus - minus) / source.value,
-                       warnings=tuple(warnings))
+    # real and imaginary parts scaled by 1/V, the factor numpy's complex division applies;
+    # dividing by complex(V, 0) would also add 0.0 to each real part, making a -0.0 +0.0
+    gain = ((plus - minus).view(float) * (1.0 / source.value)).view(complex)
+    return SweepResult(freqs=grid.points, gain=gain, warnings=tuple(warnings))
 
 
 def sweep_csv(result: SweepResult, regions: list[str] | None = None) -> str:

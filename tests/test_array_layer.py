@@ -12,8 +12,8 @@ from eqshbc import config, multiregion
 from eqshbc.bodychannel import _bisect_root
 from eqshbc.coupling import DEFAULT_COUPLING_MODEL
 from eqshbc.multiregion import (
-    _DEVICE_SHAPE_KEYS,
-    _EM_SHAPE_KEYS,
+    _DEVICE_SHAPE,
+    _EM_SHAPE,
     DEVICE_Q,
     CrossoverError,
     RegionLabel,
@@ -76,11 +76,11 @@ class TestArrayGains:
     def test_array_gains_match_scalar_gains(self, drawn, grid):
         config_, _ = drawn
         f = np.asarray(grid.points)
-        for model, q, keys, gain in ((config_.em, config_.em.q, _EM_SHAPE_KEYS, body_em_pair_gain),
-                                     (config_.device, DEVICE_Q, _DEVICE_SHAPE_KEYS,
+        for model, q, names, gain in ((config_.em, config_.em.q, _EM_SHAPE, body_em_pair_gain),
+                                     (config_.device, DEVICE_Q, _DEVICE_SHAPE,
                                       device_pair_gain)):
-            shape = [_resonant_shape_db(x, model.f_res, q, keys) for x in grid]
-            np.testing.assert_array_max_ulp(_resonant_shape_db(f, model.f_res, q, keys), shape, 4)
+            shape = [_resonant_shape_db(x, model.f_res, q, names) for x in grid]
+            np.testing.assert_array_max_ulp(_resonant_shape_db(f, model.f_res, q, names), shape, 4)
             # ref_db + shape cancels near 0 dB, where a relative ulp says
             # nothing, so the sum is held to 4 ulp of its larger term
             scalar = np.array([gain(model, x) for x in grid])

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from eqshbc import cli
 from eqshbc.cli import _MAX_GRID_POINTS, _build_parser, _json_text, _parse_grid, main
+from eqshbc.config import parse_config
 from eqshbc.solver import FrequencyGrid
 from perfbench.golden import GOLDEN_DIR, cases
 
@@ -30,9 +32,9 @@ REMOVED_KEYS = ("snr_intended_db", "attacker_distance", "snr_threshold_db",
 
 
 def scenario_with(line: str) -> str:
-    """inter_body.cfg with ``line`` in place of the line setting the same key."""
-    key = line.split("=")[0].strip()
-    kept = [row for row in INTER_BODY_TEXT.splitlines() if not row.startswith(f"{key} =")]
+    """inter_body.cfg with each line of ``line`` in place of the line setting the same key."""
+    keys = tuple(f"{row.split('=')[0].strip()} =" for row in line.splitlines())
+    kept = [row for row in INTER_BODY_TEXT.splitlines() if not row.startswith(keys)]
     return "\n".join(kept + [line]) + "\n"
 
 
@@ -386,8 +388,9 @@ class TestExtremeMultiregionValues:
             assert (code, out) == (1, "")
             assert err.count("\n") == 1
             record = json.loads(err)
-            assert record["error"] == "ValueError"
+            assert record["error"] == "ConfigError"
             assert "out of the float range" in record["message"]
+            assert "config key 'multiregion." in record["message"]
 
     @pytest.mark.parametrize("value", ["1e300", "1e200"])
     @pytest.mark.parametrize("env", ["open_air", "anechoic"])
@@ -400,8 +403,26 @@ class TestExtremeMultiregionValues:
             code, out, err = run(capsys, "sweep", "--scenario", str(scenario), "--env", env)
         assert (code, out) == (1, "")
         assert json.loads(err) == {
-            "error": "ValueError",
-            "message": f"summed mechanism power is out of the float range; lower {key}"}
+            "error": "ConfigError",
+            "message": f"summed mechanism power is out of the float range; lower config key {key!r}"}
+
+    @pytest.mark.parametrize("lines, message", [
+        # the chamber's 3145 dB take both radiative powers below the float range, and the
+        # probe voltage across a 3798 F load rounds to 0 at 522 kHz: the sum has no dB
+        ("load.value = 3798.0\nmultiregion.anechoic_em_attenuation_db = 3145.0",
+         "summed mechanism power is 0 at f=522335 Hz"),
+        # an ill-conditioned solve (cond ~1e19, warned) gives the quasistatic gain as 3.9e202:
+        # its power overflows, not a reference gain's
+        ("c_c = 4.8e-229\nc_body2 = 4.8e-229\nc_g_rx = 4.8e-229",
+         "the quasistatic gain's power is out of the float range"),
+    ])
+    def test_a_power_sum_out_of_the_float_range_in_sweep(self, capsys, tmp_path, lines, message):
+        scenario = tmp_path / "extreme.cfg"
+        scenario.write_text(scenario_with(lines))
+        code, out, err = run(capsys, "sweep", "--scenario", str(scenario), "--env", "anechoic",
+                             "--grid", "1e5:1e9:40")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ValueError", "message": message}
 
     def test_quasistatic_gain_of_minus_inf_names_the_gain_floor(self, capsys, tmp_path):
         # c_g_rx = 1e-160 F rounds the in-chamber probe voltage to exactly 0 above 600 MHz
@@ -416,24 +437,45 @@ class TestExtremeMultiregionValues:
                        "-90 dB at no finite coupling capacitance"}
 
 
+# The argv before a config file: the closed-form commands that read c_body and coupling.*
+CLOSED_FORM_ARGV = (["attack", "--snr", "10", "--distance", "1", "--config"],
+                    ["sir", "--v-sig", "1", "--interferer", "1:1", "--config"])
+# Scenario lines that a model refuses, and the message that names their keys.
+SCENARIO_REFUSALS = [
+    ("multiregion.em_height = 0.0",
+     "config key 'multiregion.em_height' must be finite and > 0, got 0.0"),
+    ("multiregion.em_q = -1.0",
+     "config key 'multiregion.em_q' must be finite and > 0, got -1.0"),
+    ("multiregion.device_length = 0.0",
+     "config key 'multiregion.device_length' must be finite and > 0, got 0.0"),
+    ('environment = "indoor"',
+     "config key 'environment' must be 'open_air' or 'anechoic', got \"indoor\""),
+    *((f"{key} = 0.0", f"config key {key!r} must be finite and > 0, got 0.0")
+      for key in ("c_g_tx", "c_g_rx", "c_body", "r_b", "r_s", "anechoic_boost", "c_c", "c_body2")),
+    ("c_c = 2e-10",
+     "config key 'c_c' (2e-10) exceeds the receiving body's self capacitance (1.5e-10); the "
+     "re-partition model requires config key 'c_c' <= config key 'c_body2'"),
+]
+
+
 class TestRefusedModelValues:
     """A scenario value that a model refuses names its config key."""
 
-    @pytest.mark.parametrize("command", ["sweep", "regions"])
-    @pytest.mark.parametrize("line, message", [
-        ("multiregion.em_height = 0.0",
-         "config key 'multiregion.em_height' must be finite and > 0, got 0.0"),
-        ("multiregion.em_q = -1.0",
-         "config key 'multiregion.em_q' must be finite and > 0, got -1.0"),
-        ("multiregion.device_length = 0.0",
-         "config key 'multiregion.device_length' must be finite and > 0, got 0.0"),
-        ('environment = "indoor"',
-         "config key 'environment' must be 'open_air' or 'anechoic', got \"indoor\""),
+    @pytest.mark.parametrize("argv, line, message", [
+        *(([command, "--scenario"], line, message)
+          for line, message in SCENARIO_REFUSALS for command in ("sweep", "regions")),
+        # the chamber lowers both references by the attenuation, which must not lift them
+        *(([command, "--env", "anechoic", "--scenario"],
+           "multiregion.em_ref_db = 1e308\nmultiregion.anechoic_em_attenuation_db = -1e308",
+           "config key 'multiregion.anechoic_em_attenuation_db' must be finite and >= 0, "
+           "got -1e+308") for command in ("sweep", "regions")),
+        *((argv, "c_body = 0.0", "config key 'c_body' must be finite and > 0, got 0.0")
+          for argv in CLOSED_FORM_ARGV),
     ])
-    def test_a_scenario_value_names_its_key(self, capsys, tmp_path, command, line, message):
+    def test_a_scenario_value_names_its_key(self, capsys, tmp_path, argv, line, message):
         scenario = tmp_path / "refused.cfg"
         scenario.write_text(scenario_with(line))
-        code, out, err = run(capsys, command, "--scenario", str(scenario))
+        code, out, err = run(capsys, *argv, str(scenario))
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "ConfigError", "message": message}
 
@@ -457,8 +499,9 @@ class TestRefusedModelValues:
     @pytest.mark.parametrize("command", ["sweep", "regions"])
     @pytest.mark.parametrize("line, f_res, q, keys", [
         ("multiregion.em_height = 7.4e191", "1.01281e-184", "3",
-         "multiregion.em_height or multiregion.em_q"),
-        ("multiregion.device_length = 1e300", "7.49481e-293", "2", "multiregion.device_length"),
+         "config key 'multiregion.em_height' or config key 'multiregion.em_q'"),
+        ("multiregion.device_length = 1e300", "7.49481e-293", "2",
+         "config key 'multiregion.device_length'"),
     ])
     def test_a_resonance_out_of_the_float_range_names_its_keys(self, capsys, tmp_path, command,
                                                               line, f_res, q, keys):
@@ -467,9 +510,58 @@ class TestRefusedModelValues:
         code, out, err = run(capsys, command, "--scenario", str(scenario))
         assert (code, out) == (1, "")
         assert json.loads(err) == {
-            "error": "ValueError",
+            "error": "ConfigError",
             "message": f"resonant response with f_res = {f_res} Hz and q = {q} is out of the "
                        f"float range in this band; change {keys}, or the band"}
+
+
+# The numeric keys of the bundled inter-body scenario, and any finite value for them.
+NUMERIC_KEYS = sorted(key for key, value in parse_config(INTER_BODY_TEXT).items()
+                      if isinstance(value, (int, float)))
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.fixture(scope="module")
+def drawn_scenario(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn") / "drawn.cfg"
+
+
+class TestAnyScenarioValue:
+    """1-3 numeric keys of inter_body.cfg set to any finite floats, through sweep or regions."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.dictionaries(st.sampled_from(NUMERIC_KEYS), FINITE, min_size=1, max_size=3),
+           command=st.sampled_from(["sweep", "regions"]),
+           env=st.sampled_from([None, "open_air", "anechoic"]),
+           sensitivity=st.one_of(st.none(), FINITE))
+    def test_finite_output_or_one_error_line_naming_a_drawn_key(self, drawn_scenario, values,
+                                                                 command, env, sensitivity):
+        drawn_scenario.write_text(scenario_with(
+            "\n".join(f"{key} = {value!r}" for key, value in values.items())))
+        argv = [command, "--scenario", str(drawn_scenario), "--grid", "1e5:1e9:40"]
+        argv += ["--env", env] if env else []
+        # "--flag=value", as argparse takes a value such as -1e4 for an option otherwise
+        argv += [f"--sensitivity-db={sensitivity!r}"] if command == "regions" and sensitivity is not None else []
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        if code == 0:
+            assert err.getvalue() == ""
+            assert not re.search(r"\b(nan|inf|infinity)\b", out.getvalue(), re.IGNORECASE)
+            return
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue().count("\n") == 1
+        message = json.loads(err.getvalue())["message"]
+        # A refused value names its key, a drawn one. A refused relation between values
+        # (c_c against c_body2, say) names every key in it, so one of them is drawn.
+        named = set(re.findall(r"config key '([^']*)'", message))
+        assert not named or named & set(values), message
+        # A scenario parameter refused under its own name has no key in
+        # config._PARAMETER_KEYS. Only "load value" stays so: the --load flag sets it too.
+        # Element-level refusals (CGTX, ...) keep their element's label.
+        assert not re.match(r"[a-z][\w ]* must be", message) or message.startswith("load value ")
 
 
 class TestAdmittanceSpan:
@@ -492,6 +584,18 @@ class TestAdmittanceSpan:
             "error": "AdmittanceSpanError",
             "message": f"element admittances at f={f} Hz span more than the float precision, "
                        f"from {top} (C = 1e+200) down to {low} (C = 3.86253e-13)"}
+
+
+    def test_a_norm_out_of_the_float_range_warns_nothing(self, capsys, tmp_path):
+        # 1/r_b = 9e307 S: the certificate's Frobenius norm of G overflows to inf, which
+        # clears no point, so the SVD check finds the span
+        scenario = tmp_path / "wide.cfg"
+        scenario.write_text(scenario_with("r_b = 1.1125369292536007e-308"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "sweep", "--scenario", str(scenario))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "AdmittanceSpanError"
 
 
 class TestRemovedConfigKeys:

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import math
 import re
@@ -7,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqshbc.bodychannel import Environment
+from eqshbc import bodychannel, coupling, fcc, multiregion, netlist, risk, solver
 from eqshbc.cli import main
 from eqshbc.config import (
     _KNOWN_KEYS,
+    _PARAMETER_KEYS,
     ConfigError,
+    _keyed,
     body_params_from_config,
     coupling_model_from_config,
     field_model_from_config,
@@ -23,6 +28,7 @@ from eqshbc.config import (
 from eqshbc.bodychannel import BodyChannelParams, calibrate_anechoic_boost, calibrate_return_scale
 from eqshbc.coupling import DEFAULT_COUPLING_ANCHORS, DEFAULT_COUPLING_D0
 from eqshbc.fcc import DEFAULT_FIELD_MODEL
+from eqshbc.netlist import ParameterError
 from eqshbc.multiregion import (
     ANECHOIC_EM_ATTENUATION_DB,
     DEVICE_REF_OPEN_AIR_DB,
@@ -345,3 +351,54 @@ class TestEveryKeyIsRead:
             assert main(["attack", "--snr", "10", "--distance", "1", *config]) == 0
             readings.append(json.loads(capsys.readouterr().out)["min_safe_distance_m"])
         assert readings[0] != readings[1]
+
+
+class TestKeyedRefusals:
+    """config._keyed names the config key of each parameter a refusal names."""
+
+    def test_a_refusal_of_mapped_parameters_names_their_keys(self):
+        error = ParameterError("{} ({x}) exceeds {}", "c_c", "c_body2", x="{not a field}")
+        assert str(error) == "c_c ({not a field}) exceeds c_body2"
+        keyed = _keyed(error)
+        assert type(keyed) is ConfigError
+        assert str(keyed) == "config key 'c_c' ({not a field}) exceeds config key 'c_body2'"
+
+    def test_a_refusal_naming_an_unmapped_parameter_keeps_its_message(self):
+        # load.* stays unmapped: the --load flag writes the same key
+        for error in (ParameterError("{} must be finite, got nan", "load value"),
+                      ParameterError("{} is below {}", "c_body", "frequency")):
+            keyed = _keyed(error)
+            assert (type(keyed), str(keyed)) == (ValueError, str(error))
+
+    def test_any_other_error_is_returned_as_it_is(self):
+        for error in (ConfigError("c_body"), ValueError("c_body must be"), KeyError("c_c")):
+            assert _keyed(error) is error
+
+    def test_every_mapped_key_is_a_known_key(self):
+        assert set(_PARAMETER_KEYS.values()) <= _KNOWN_KEYS
+
+    @pytest.mark.parametrize("cfg, name", [
+        ({"c_c": 21e-12, "environment": "indoor"}, "environment"),
+        ({"c_c": 21e-12, "multiregion.em_q": 0.0}, "q"),
+        ({"c_c": 21e-12, "multiregion.em_ref_db": math.inf}, "em ref_db"),
+        ({"c_c": 21e-12, "multiregion.device_ref_db": math.nan}, "device ref_db"),
+        ({"c_c": 2e-10}, "c_c"),
+    ])
+    def test_the_builders_raise_the_parameters_refusal(self, cfg, name):
+        with pytest.raises(ParameterError) as raised:
+            region_config_from_config(cfg)
+        assert raised.value.names[0] == name
+
+
+# The modules that model the physics; config and cli alone know the config keys.
+PHYSICS_MODULES = (netlist, solver, bodychannel, multiregion, coupling, fcc, risk)
+
+
+@pytest.mark.parametrize("module", PHYSICS_MODULES, ids=lambda module: module.__name__)
+def test_a_physics_module_holds_no_config_key(module):
+    dotted = sorted(key for key in _KNOWN_KEYS if "." in key)
+    tree = ast.parse(inspect.getsource(module))
+    held = {(node.lineno, key) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for key in dotted if key in node.value}
+    assert not held

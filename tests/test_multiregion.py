@@ -117,9 +117,9 @@ class TestTotalResponse:
         assert g[-1] > g[np.searchsorted(f, 2e8)]  # rising again toward 1 GHz
 
     @pytest.mark.parametrize("em_ref, device_ref, named", [
-        (1e300, DEVICE_REF_OPEN_AIR_DB, "multiregion.em_ref_db"),
-        (EM_REF_OPEN_AIR_DB, 1e300, "multiregion.device_ref_db"),
-        (1e300, 1e300, "multiregion.em_ref_db or multiregion.device_ref_db"),
+        (1e300, DEVICE_REF_OPEN_AIR_DB, "em ref_db"),
+        (EM_REF_OPEN_AIR_DB, 1e300, "device ref_db"),
+        (1e300, 1e300, "em ref_db or device ref_db"),
     ])
     def test_overflowing_reference_gain_names_its_key(self, em_ref, device_ref, named):
         config = default_region_config()
