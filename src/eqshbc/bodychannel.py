@@ -124,6 +124,11 @@ class BodyChannelParams:
                                  got=json.dumps(self.environment, default=repr)) from None
         for name in ("c_g_tx", "c_g_rx", "c_body", "r_b", "r_s", "anechoic_boost"):
             _require_positive(name, getattr(self, name))
+        if self.environment is Environment.ANECHOIC:
+            for name in ("c_g_tx", "c_g_rx"):
+                if getattr(self, name) * self.anechoic_boost == math.inf:
+                    raise ParameterError("{} times {} is past the float range in the chamber",
+                                         name, "anechoic_boost")
 
 
 def _return_caps(params: BodyChannelParams, scale: float) -> dict[str, float]:

@@ -26,15 +26,16 @@ A value that a model refuses names its key as well. The models raise a
 the CLI applies to every error at its one ``except``, makes it a
 ConfigError naming each parameter's key from ``_PARAMETER_KEYS``. A
 refused relation between values (c_c above c_body2, a resonance out of the
-float range) names every key in it. These keep their own messages: load.*
-(the --load flag writes the same key), element-level errors (a label such
-as CGTX, ``AdmittanceSpanError``) and the coupling fit's ConfigError, which
-names coupling.anchors and coupling.d0. The builders below raise the
-model's ParameterError, naming the parameter, not the key. In the chamber
-multiregion.anechoic_em_attenuation_db must be finite and >= 0: it lowers
-both references, never raises them. A reference gain may be any finite
-number: ``sweep`` refuses one whose summed power leaves the float range,
-and ``regions`` never sums powers.
+float range, in the chamber a c_g_tx or c_g_rx whose product with
+anechoic_boost is not finite) names every key in it. These keep their own
+messages: load.* (the --load flag writes the same key), element-level
+errors (a label such as CGTX, ``AdmittanceSpanError``) and the coupling
+fit's ConfigError, which names coupling.anchors and coupling.d0. The
+builders below raise the model's ParameterError, naming the parameter, not
+the key. In the chamber multiregion.anechoic_em_attenuation_db must be
+finite and >= 0: it lowers both references, never raises them. A
+reference gain may be any finite number: ``sweep`` refuses one whose
+summed power leaves the float range, and ``regions`` never sums powers.
 
 Bare scenario names given to the CLI resolve against the directory in
 ``$EQSHBC_CONFIG_DIR`` first and then the bundled defaults (inter_body.cfg,

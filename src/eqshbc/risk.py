@@ -134,13 +134,20 @@ def sir_db(scenario: InterferenceScenario) -> float:
     """Signal-to-interference ratio at the considered user's body.
 
     Interferer contributions add as voltages. An empty interferer list
-    yields +inf.
+    yields +inf. Where the interferer sum or the ratio leaves the float
+    range, the terms are summed as log10s, the largest factored out.
     """
     if not scenario.interferers:
         return math.inf
     v_intf = sum(v * coupling_coefficient(scenario.coupling, d, scenario.c_body)
                  for v, d in scenario.interferers)
-    return 20.0 * math.log10(scenario.v_sig_user / v_intf)
+    if v_intf and 0.0 < (ratio := scenario.v_sig_user / v_intf) < math.inf:
+        return 20.0 * math.log10(ratio)
+    logs = [math.log10(v) + math.log10(scenario.coupling.cap_at(d)) - math.log10(scenario.c_body)
+            for v, d in scenario.interferers]
+    top = max(logs)
+    return 20.0 * (math.log10(scenario.v_sig_user) - top
+                   - math.log10(math.fsum(10.0 ** (t - top) for t in logs)))
 
 
 def max_cochannel_users(v_sig_user: float, v_sig_each: float, d_each: float,

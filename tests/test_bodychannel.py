@@ -348,9 +348,6 @@ class TestEnvironment:
         rise = inter_body_gain_db(chamber, 500e3) - inter_body_gain_db(open_air, 500e3)
         assert rise == pytest.approx(10.0, abs=0.05)
 
-    def test_pinned_boost_matches_recalibration(self):
-        assert calibrate_anechoic_boost() == pytest.approx(ANECHOIC_RETURN_BOOST, abs=1e-4)
-
     def test_boost_calibration_solve_budget(self, solve_calls):
         # one reference solve and the ITP evaluations: 19 measured (bisection took 57)
         assert calibrate_anechoic_boost() == pytest.approx(ANECHOIC_RETURN_BOOST, abs=1e-4)

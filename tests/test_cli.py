@@ -191,12 +191,19 @@ class TestSir:
         missing = record["message"].partition("missing ")[2]
         assert missing == " and ".join(flag for flag in flags if flag not in given)
 
-    def test_overflowing_sir_exits_1(self, capsys):
-        # a 1e300 V link over a 1e-300 V interferer overflows the SIR to inf
-        assert run(capsys, "sir", "--v-sig", "1e300", "--interferer", "1e-300:1") == (
-            1, "", json.dumps({"error": "ValueError",
-                               "message": "Out of range float values are not JSON compliant: inf"})
-            + "\n")
+    @pytest.mark.parametrize("argv, expected", [
+        # the ratio underflows to 0
+        (["--v-sig", "1e-320", "--interferer", "1e5:1"], -6482.92266),
+        # the interferer sum overflows to inf
+        (["--v-sig", "1", *["--interferer", "1e308:0.001"] * 3], -6167.16184),
+        # the ratio overflows to inf
+        (["--v-sig", "1e308", "--interferer", "1e-320:1e300"], 12596.3632),
+        (["--v-sig", "1e300", "--interferer", "1e-300:1"], 12017.0774),
+    ])
+    def test_sir_past_the_float_range(self, capsys, argv, expected):
+        code, out, err = run(capsys, "sir", *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["sir_db"] == expected
 
 
 class TestFcc:
@@ -469,6 +476,10 @@ class TestRefusedModelValues:
            "multiregion.em_ref_db = 1e308\nmultiregion.anechoic_em_attenuation_db = -1e308",
            "config key 'multiregion.anechoic_em_attenuation_db' must be finite and >= 0, "
            "got -1e+308") for command in ("sweep", "regions")),
+        # the chamber boost takes a return capacitance past the float range
+        *(([command, "--env", "anechoic", "--scenario"], f"{key} = 1.7976931348623157e+308",
+           f"config key {key!r} times config key 'anechoic_boost' is past the float range in "
+           "the chamber") for key in ("c_g_tx", "c_g_rx") for command in ("sweep", "regions")),
         *((argv, "c_body = 0.0", "config key 'c_body' must be finite and > 0, got 0.0")
           for argv in CLOSED_FORM_ARGV),
     ])

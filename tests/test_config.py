@@ -25,7 +25,12 @@ from eqshbc.config import (
     region_config_from_config,
     resolve_config_path,
 )
-from eqshbc.bodychannel import BodyChannelParams, calibrate_anechoic_boost, calibrate_return_scale
+from eqshbc.bodychannel import (
+    ANECHOIC_RETURN_BOOST,
+    BodyChannelParams,
+    calibrate_anechoic_boost,
+    calibrate_return_scale,
+)
 from eqshbc.coupling import DEFAULT_COUPLING_ANCHORS, DEFAULT_COUPLING_D0
 from eqshbc.fcc import DEFAULT_FIELD_MODEL
 from eqshbc.netlist import ParameterError
@@ -35,6 +40,8 @@ from eqshbc.multiregion import (
     EM_REF_OPEN_AIR_DB,
     DeviceModel,
     EmBodyModel,
+    calibrate_device_reference,
+    calibrate_em_reference,
     default_region_config,
 )
 
@@ -270,16 +277,36 @@ class TestBundledScenario:
         assert cfg["multiregion.anechoic_em_attenuation_db"] == ANECHOIC_EM_ATTENUATION_DB
         assert tuple(map(tuple, cfg["coupling.anchors"])) == DEFAULT_COUPLING_ANCHORS
         assert cfg["coupling.d0"] == DEFAULT_COUPLING_D0
+        assert cfg["c_g_rx"] == cfg["c_g_tx"]
 
-    def test_inter_body_cfg_pins_its_calibrated_numbers(self):
-        # the 7-digit return capacitances and chamber boost are the calibrations' results
+    @pytest.mark.parametrize("pinned, recompute", [
+        pytest.param(lambda cfg: EM_REF_OPEN_AIR_DB,
+                     lambda cfg: calibrate_em_reference(default_region_config(), 1e6),
+                     id="EM_REF_OPEN_AIR_DB"),
+        pytest.param(lambda cfg: ANECHOIC_EM_ATTENUATION_DB,
+                     lambda cfg: EM_REF_OPEN_AIR_DB - calibrate_em_reference(
+                         default_region_config("anechoic"), 10e6),
+                     id="ANECHOIC_EM_ATTENUATION_DB"),
+        pytest.param(lambda cfg: DEVICE_REF_OPEN_AIR_DB,
+                     lambda cfg: calibrate_device_reference(
+                         default_region_config().em, default_region_config().device, 150e6),
+                     id="DEVICE_REF_OPEN_AIR_DB"),
+        pytest.param(lambda cfg: ANECHOIC_RETURN_BOOST, lambda cfg: calibrate_anechoic_boost(),
+                     id="ANECHOIC_RETURN_BOOST"),
+        # the file's c_g_tx and c_g_rx are 0.6 pF times the 7-digit scale
+        pytest.param(lambda cfg: cfg["c_g_tx"] / 0.6e-12,
+                     lambda cfg: calibrate_return_scale(80.0, c_c=21e-12),
+                     id="inter_body.cfg return scale"),
+        pytest.param(lambda cfg: cfg["anechoic_boost"],
+                     lambda cfg: calibrate_anechoic_boost(
+                         params=BodyChannelParams(c_g_tx=cfg["c_g_tx"], c_g_rx=cfg["c_g_rx"])),
+                     id="inter_body.cfg anechoic_boost"),
+    ])
+    def test_a_pinned_constant_recomputes_to_its_printed_digits(self, pinned, recompute):
         cfg = load_config("inter_body.cfg")
-        c_g = 0.6e-12 * calibrate_return_scale(80.0, c_c=21e-12)
-        assert cfg["c_g_tx"] == pytest.approx(c_g, rel=1e-6)
-        assert cfg["c_g_rx"] == pytest.approx(c_g, rel=1e-6)
-        boost = calibrate_anechoic_boost(
-            params=BodyChannelParams(c_g_tx=cfg["c_g_tx"], c_g_rx=cfg["c_g_rx"]))
-        assert cfg["anechoic_boost"] == pytest.approx(boost, rel=1e-7)
+        value = pinned(cfg)
+        digits = len(repr(value).partition(".")[2])
+        assert round(recompute(cfg), digits) == value
 
     def test_intra_body_cfg_is_the_code_defaults(self):
         assert body_params_from_config(load_config("intra_body.cfg")) == BodyChannelParams()

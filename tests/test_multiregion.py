@@ -11,7 +11,6 @@ from eqshbc.bodychannel import Environment
 from eqshbc.cli import main
 from eqshbc.coupling import DEFAULT_COUPLING_MODEL
 from eqshbc.multiregion import (
-    ANECHOIC_EM_ATTENUATION_DB,
     DETECTION_DISTANCE_CAP_M,
     DEVICE_REF_OPEN_AIR_DB,
     EM_REF_OPEN_AIR_DB,
@@ -22,8 +21,6 @@ from eqshbc.multiregion import (
     RegionLabel,
     _mechanism_table,
     body_em_pair_gain,
-    calibrate_device_reference,
-    calibrate_em_reference,
     classify_sweep,
     crossover_frequency,
     default_region_config,
@@ -312,21 +309,6 @@ class TestMaxDetectionDistance:
 
 
 class TestCalibrationRegression:
-    def test_em_reference_pins_1mhz_crossover(self):
-        config = default_region_config()
-        assert calibrate_em_reference(config, 1e6) == pytest.approx(EM_REF_OPEN_AIR_DB, abs=5e-3)
-
-    def test_anechoic_attenuation_pins_10mhz_crossover(self):
-        chamber = default_region_config(Environment.ANECHOIC)
-        em_ref_anechoic = calibrate_em_reference(chamber, 10e6)
-        assert (EM_REF_OPEN_AIR_DB - em_ref_anechoic) == pytest.approx(
-            ANECHOIC_EM_ATTENUATION_DB, abs=5e-3)
-
-    def test_device_reference_pins_150mhz_handoff(self):
-        config = default_region_config()
-        got = calibrate_device_reference(config.em, config.device, 150e6)
-        assert got == pytest.approx(DEVICE_REF_OPEN_AIR_DB, abs=5e-3)
-
     def test_open_air_plateau_at_minus_80(self):
         assert default_region_config().eqs_gain_db(500e3) == pytest.approx(-80.0, abs=0.05)
 
