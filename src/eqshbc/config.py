@@ -37,11 +37,12 @@ finite and >= 0: it lowers both references, never raises them. A
 reference gain may be any finite number: ``sweep`` refuses one whose
 summed power leaves the float range, and ``regions`` never sums powers.
 
-Bare scenario names given to the CLI resolve against the directory in
-``$EQSHBC_CONFIG_DIR`` first and then the bundled defaults (inter_body.cfg,
-intra_body.cfg). The bundled ``inter_body.cfg`` is the one definition of
-the pinned default scenario: ``multiregion.default_region_config`` reads it
-straight from the package data.
+A scenario name given to the CLI is tried as a path first (a relative one
+from the working directory), then in the directory in ``$EQSHBC_CONFIG_DIR``,
+then among the bundled defaults (inter_body.cfg, intra_body.cfg). The
+bundled ``inter_body.cfg`` is the one definition of the pinned default
+scenario: ``multiregion.default_region_config`` reads it straight from the
+package data.
 
 Reading a config needs no numpy; the three builders of circuit parameters
 import ``bodychannel`` and ``multiregion`` inside their functions.
@@ -175,12 +176,12 @@ def parse_config(text: str) -> dict:
     """
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, equals, value = line.partition("=")
+        if not equals:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, _, value = line.partition("=")
         key = key.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
@@ -193,9 +194,11 @@ def parse_config(text: str) -> dict:
                 # a number, built as json's scanner builds it (the pattern's \d also
                 # takes non-ASCII digits, which the scanner refuses)
                 integer, frac, exp = number.groups()
-                out[key] = float(value) if frac or exp else int(integer)
+                parsed = float(value) if frac or exp else int(integer)
+                finite = isinstance(parsed, int) or math.isfinite(parsed)
             else:
-                out[key] = json.loads(value)
+                parsed = json.loads(value)
+                finite = _finite(parsed)
         except json.JSONDecodeError:
             raise ConfigError(
                 f"line {lineno}: value for {key!r} is not a JSON fragment: {value!r}") from None
@@ -204,8 +207,9 @@ def parse_config(text: str) -> dict:
                               f"{sys.get_int_max_str_digits()} digits") from None
         except RecursionError:
             raise ConfigError(f"line {lineno}: value for {key!r} is nested too deeply") from None
-        if not _finite(out[key]):
+        if not finite:
             raise ConfigError(f"line {lineno}: value for {key!r} is not finite: {value!r}")
+        out[key] = parsed
     return out
 
 
@@ -230,18 +234,31 @@ def _bundled_path(name: str) -> Path:
 
 def load_config(name: str) -> dict:
     """Parse a scenario file; an undocumented key (a typo, say) is an error."""
-    return _read_config(resolve_config_path(name))
+    try:
+        file = open(name)  # a name that opens is the file resolve_config_path returns
+    except (OSError, ValueError):
+        return _read_config(resolve_config_path(name))
+    with file:
+        return _checked_config(file.read(), name)
 
 
 def _read_config(path: Path) -> dict:
-    cfg = parse_config(path.read_text())
-    unknown = sorted(set(cfg) - _KNOWN_KEYS)
+    return _checked_config(path.read_text(), path)
+
+
+def _checked_config(text: str, path: str | Path) -> dict:
+    """The config in text, each key known and of its kind; an error prints path as Path does."""
+    cfg = parse_config(text)
+    unknown = cfg.keys() - _KNOWN_KEYS
     if unknown:
-        raise ConfigError(f"{path}: unknown config key {unknown[0]!r}")
+        raise ConfigError(f"{Path(path)}: unknown config key {min(unknown)!r}")
     for key, value in cfg.items():
+        # parse_config refused every non-finite float, so a float is a number key's kind
+        if type(value) is float and key not in _STRING_KEYS and key not in _PAIR_LIST_KEYS:
+            continue
         expected = _value_kind_error(key, value)
         if expected:
-            raise ConfigError(f"{path}: config key {key!r} must be {expected}, "
+            raise ConfigError(f"{Path(path)}: config key {key!r} must be {expected}, "
                               f"got {json.dumps(value)}")
     return cfg
 

@@ -199,7 +199,8 @@ def is_unintentional_radiator(model: FieldDecayModel, freqs: FrequencyGrid) -> C
     limit, distance, field_uv, margin = _compliance_columns(model, freqs.points)
     compliant = margin > 1.0
     columns = (freqs.points, limit, distance, field_uv, margin, compliant)
-    rows = tuple({"freq_hz": f, "limit_uv_per_m": lim, "distance_m": d, "field_uv_per_m": e,
-                  "margin_factor": m, "compliant": ok}
-                 for f, lim, d, e, m, ok in zip(*(column.tolist() for column in columns)))
+    # tuple() of a list, not of a generator, which resumes its frame once per row
+    rows = tuple([{"freq_hz": f, "limit_uv_per_m": lim, "distance_m": d, "field_uv_per_m": e,
+                   "margin_factor": m, "compliant": ok}
+                  for f, lim, d, e, m, ok in zip(*(column.tolist() for column in columns))])
     return ComplianceReport(compliant=bool(compliant.all()), rows=rows)

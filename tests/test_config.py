@@ -3,6 +3,8 @@ import inspect
 import json
 import math
 import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from eqshbc.config import (
     _PARAMETER_KEYS,
     ConfigError,
     _keyed,
+    _value_kind_error,
     body_params_from_config,
     coupling_model_from_config,
     field_model_from_config,
@@ -81,11 +84,16 @@ class TestParse:
                                               r"more than \d+ digits"):
             parse_config(f"c_c = 21e-12\nc_g_tx = {value}")
 
-    def test_deeply_nested_value_names_key(self):
+    # json reads 600 nested lists, but checking each for a float past the range did not
+    # fit in the recursion limit; json itself refuses 100 000
+    @pytest.mark.parametrize("value", ["[" * 600 + "]" * 600, "[" * 100_000],
+                             ids=["600 closed", "100000 open"])
+    def test_deeply_nested_value_names_key(self, value):
         with pytest.raises(ConfigError, match="line 1: value for 'interferers' is nested too deeply"):
-            parse_config("interferers = " + "[" * 100_000)
+            parse_config("interferers = " + value)
 
-    @pytest.mark.parametrize("value", ["9" * 5000, "[[1.0, " + "9" * 5000 + "]]", "[" * 100_000])
+    @pytest.mark.parametrize("value", ["9" * 5000, "[[1.0, " + "9" * 5000 + "]]", "[" * 100_000,
+                                       pytest.param("[" * 600 + "]" * 600, id="600 closed")])
     def test_unreadable_value_exits_1_with_one_json_line(self, capsys, tmp_path, value):
         path = tmp_path / "scenario.cfg"
         path.write_text(f"c_c = 21e-12\nc_g_tx = {value}\n")
@@ -197,6 +205,139 @@ class TestResolution:
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="not found"):
             resolve_config_path("no_such_scenario.cfg")
+
+    def test_a_name_in_the_working_directory_wins_over_the_config_dir(self, tmp_path,
+                                                                     monkeypatch):
+        for folder, c_c in (("here", 1e-12), ("there", 2e-12)):
+            (tmp_path / folder).mkdir()
+            (tmp_path / folder / "mine.cfg").write_text(f"c_c = {c_c}\n")
+        monkeypatch.chdir(tmp_path / "here")
+        monkeypatch.setenv("EQSHBC_CONFIG_DIR", str(tmp_path / "there"))
+        assert resolve_config_path("mine.cfg") == Path("mine.cfg")
+        assert load_config("mine.cfg") == {"c_c": 1e-12}
+
+
+def reference_load_config(name: str) -> dict:
+    """load_config by its definition: resolve to a Path, read_text, json.loads every value,
+    then reject the alphabetically first unknown key and the first value of the wrong kind."""
+    path = resolve_config_path(name)
+    cfg: dict = {}
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not key:
+            raise ConfigError(f"line {lineno}: empty key")
+        if key in cfg:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        try:
+            cfg[key] = json.loads(value)
+        except json.JSONDecodeError:
+            raise ConfigError(
+                f"line {lineno}: value for {key!r} is not a JSON fragment: {value!r}") from None
+        except ValueError:
+            raise ConfigError(f"line {lineno}: value for {key!r} has an integer of more than "
+                              f"{sys.get_int_max_str_digits()} digits") from None
+        if not all(math.isfinite(x) for x in flatten(cfg[key]) if isinstance(x, float)):
+            raise ConfigError(f"line {lineno}: value for {key!r} is not finite: {value!r}")
+    unknown = sorted(set(cfg) - _KNOWN_KEYS)
+    if unknown:
+        raise ConfigError(f"{path}: unknown config key {unknown[0]!r}")
+    for key, value in cfg.items():
+        expected = _value_kind_error(key, value)
+        if expected:
+            raise ConfigError(f"{path}: config key {key!r} must be {expected}, "
+                              f"got {json.dumps(value)}")
+    return cfg
+
+
+def flatten(value):
+    return [x for item in value for x in flatten(item)] if isinstance(value, list) else [value]
+
+
+def outcome(read, name: str) -> str:
+    """What read(name) gives: the repr of its dict (telling -0.0 and ints apart) or its error."""
+    try:
+        return repr(read(name))
+    except (ConfigError, OSError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+NUMBER_KEYS = sorted(_KNOWN_KEYS - {"load.kind", "environment", "coupling.anchors",
+                                    "interferers"})
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NUMBER_TEXT = st.one_of(FINITE.map(repr), st.integers().map(str),
+                        st.sampled_from(["-0.0", "-0", "1E+2", "2.5e-12"]))
+PAIRS_TEXT = st.lists(st.tuples(FINITE, st.one_of(FINITE, st.integers())).map(list),
+                      max_size=3).map(json.dumps)
+ODD_VALUE_TEXT = st.sampled_from(["true", "null", "not-json", "[1.0", "", "{}", "01", "1e400",
+                                  "-1e400", "NaN", "-Infinity", "[[1.0, NaN]]", "[[1e400, 1]]"])
+ANY_VALUE_TEXT = st.one_of(
+    NUMBER_TEXT, PAIRS_TEXT, st.text(max_size=4).map(json.dumps),
+    st.floats().map(repr), st.floats().map(json.dumps),
+    st.lists(st.lists(st.one_of(st.floats(), st.integers(), st.booleans(), st.text(max_size=2)),
+                      max_size=3), max_size=3).map(json.dumps),
+    ODD_VALUE_TEXT, ODD_VALUE_TEXT)
+# a known key with a value of its own kind, so that whole files are accepted too
+TYPED_LINE = st.one_of(
+    st.tuples(st.sampled_from(NUMBER_KEYS), NUMBER_TEXT),
+    st.tuples(st.sampled_from(["load.kind", "environment"]),
+              st.text(max_size=8).map(json.dumps)),
+    st.tuples(st.sampled_from(["coupling.anchors", "interferers"]), PAIRS_TEXT),
+).map(" = ".join)
+LINE = st.one_of(
+    TYPED_LINE, TYPED_LINE,
+    st.tuples(st.sampled_from(["c_gtx", "zz", "a.b", "Coupling.d0"]), NUMBER_TEXT).map(" = ".join),
+    st.tuples(st.sampled_from(["load.kind", "environment", "coupling.anchors", "interferers",
+                               "c_c", "r_b", ""]), ANY_VALUE_TEXT).map(" = ".join),
+    st.tuples(TYPED_LINE, st.sampled_from(["  # trailing", "#", "# a = 1"])).map("".join),
+    st.sampled_from(["", "   ", "# comment", "no equals here", "= 1", "c_c 21e-12"]))
+
+
+@pytest.fixture(scope="module")
+def drawn_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn") / "drawn.cfg"
+
+
+class TestReadPath:
+    # the drawn lines have distinct keys, and one file in four repeats its first line
+    @settings(max_examples=400, deadline=None)
+    @given(lines=st.lists(LINE, min_size=1, max_size=8,
+                          unique_by=lambda line: line.partition("#")[0].partition("=")[0].strip()),
+           repeat=st.sampled_from([False, False, False, True]))
+    def test_reads_as_the_definition_reads(self, drawn_file, lines, repeat):
+        if repeat:
+            lines.append(lines[0])
+        drawn_file.write_text("\n".join(lines) + "\n")
+        assert outcome(load_config, str(drawn_file)) == outcome(reference_load_config,
+                                                                str(drawn_file))
+
+    @pytest.mark.parametrize("text", ["c_c = 21e-12\nc_gtx = 1e-9\n", "c_c = true\n",
+                                      "c_c = 1e-12\n"])
+    @pytest.mark.parametrize("form", ["{tmp}//typo.cfg", "./typo.cfg", "typo.cfg/", "{tmp}/.",
+                                      "{tmp}/", ""])
+    def test_each_form_of_a_path_reads_as_the_definition_reads(self, tmp_path, monkeypatch,
+                                                                text, form):
+        # the path in a message is printed as Path prints it: '//', './' and a trailing '/'
+        # are dropped, and a trailing '/' still names the file
+        (tmp_path / "typo.cfg").write_text(text)
+        monkeypatch.chdir(tmp_path)
+        name = form.format(tmp=tmp_path)
+        assert outcome(load_config, name) == outcome(reference_load_config, name)
+
+    @pytest.mark.parametrize("form,shown", [("{tmp}//typo.cfg", "{tmp}/typo.cfg"),
+                                            ("./typo.cfg", "typo.cfg")])
+    def test_a_message_prints_the_path_as_path_does(self, tmp_path, monkeypatch, form, shown):
+        (tmp_path / "typo.cfg").write_text("c_c = 21e-12\nc_gtx = 1e-9\n")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError) as raised:
+            load_config(form.format(tmp=tmp_path))
+        assert str(raised.value) == (f"{shown.format(tmp=tmp_path)}: "
+                                     "unknown config key 'c_gtx'")
 
 
 class TestBuilders:
