@@ -218,7 +218,8 @@ def _cmd_sweep(args) -> None:
     region_config = cfgmod.region_config_from_config(cfg, args.env)
     eqs = region_config.eqs_sweep(args.grid)
     total = multiregion.total_response(eqs, region_config.em, region_config.device)
-    labels = [label.value for label in multiregion.classify_sweep(region_config, eqs)]
+    texts = multiregion._LABEL_TEXTS
+    labels = [texts[i] for i in multiregion._region_index(region_config, eqs).tolist()]
     _emit(solver.sweep_csv(total, regions=labels), args.out)
 
 
@@ -278,7 +279,7 @@ def _cmd_fcc(args) -> None:
 
 
 def _cmd_regions(args) -> None:
-    from .multiregion import (_LABELS, CrossoverError, RegionLabel, _detection_distance,
+    from .multiregion import (_LABEL_TEXTS, CrossoverError, RegionLabel, _detection_distance,
                               _mechanism_table, _region_index, crossover_frequency)
 
     cfg = cfgmod.load_config(args.scenario)
@@ -288,7 +289,7 @@ def _cmd_regions(args) -> None:
     # a segment runs from the first point of its label to the first of the next label
     edges = [0, *((index[1:] != index[:-1]).nonzero()[0] + 1).tolist(), len(index) - 1]
     points = args.grid.points
-    segments = [{"f_lo_hz": points[lo], "f_hi_hz": points[hi], "region": _LABELS[index[lo]].value}
+    segments = [{"f_lo_hz": points[lo], "f_hi_hz": points[hi], "region": _LABEL_TEXTS[index[lo]]}
                 for lo, hi in zip(edges, edges[1:])]
     crossovers = {}
     for name, (a, b) in (("eqs_to_em_hz", (RegionLabel.EQS, RegionLabel.EM_SMALL_MONOPOLE)),

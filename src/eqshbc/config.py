@@ -39,7 +39,9 @@ summed power leaves the float range, and ``regions`` never sums powers.
 
 A scenario name given to the CLI is tried as a path first (a relative one
 from the working directory), then in the directory in ``$EQSHBC_CONFIG_DIR``,
-then among the bundled defaults (inter_body.cfg, intra_body.cfg). The
+then among the bundled defaults (inter_body.cfg, intra_body.cfg). A name
+that is tried as a path counts only where the OS finds a file by it, so
+``""``, a directory and ``x.cfg/`` are not found, a ConfigError. The
 bundled ``inter_body.cfg`` is the one definition of the pinned default
 scenario: ``multiregion.default_region_config`` reads it straight from the
 package data.
@@ -53,6 +55,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -214,18 +217,35 @@ def parse_config(text: str) -> dict:
 
 
 def resolve_config_path(name: str) -> Path:
-    """Resolve a scenario argument: explicit path, config dir, then bundled."""
-    p = Path(name)
-    if p.exists():
-        return p
+    """Resolve a scenario argument: explicit path, config dir, then bundled.
+
+    A path is taken only where it names a file as the OS reads the text
+    (see :func:`_names_a_file`): ``""``, a directory and ``x.cfg/`` name none.
+    """
+    if _names_a_file(name):
+        return Path(name)
     env_dir = os.environ.get(CONFIG_DIR_ENV)
-    if env_dir:
-        candidate = Path(env_dir) / name
-        if candidate.exists():
-            return candidate
+    if env_dir and _names_a_file(os.path.join(env_dir, name)):
+        return Path(env_dir) / name
     if name in BUNDLED_CONFIGS:
         return _bundled_path(name)
     raise ConfigError(f"config {name!r} not found (cwd, ${CONFIG_DIR_ENV}, bundled)")
+
+
+def _names_a_file(path: str) -> bool:
+    """Whether the text ``path`` names something other than a directory.
+
+    ``Path.exists`` raises what it raises (a name too long, a directory
+    that may not be searched), but it reads ``""`` as ``.`` and drops a
+    trailing ``/``; so the text itself, as the OS resolves it, must name
+    something other than a directory too.
+    """
+    if not Path(path).exists():
+        return False
+    try:
+        return not stat.S_ISDIR(os.stat(path).st_mode)
+    except OSError:
+        return False
 
 
 def _bundled_path(name: str) -> Path:

@@ -290,6 +290,7 @@ def total_response(eqs_sweep: SweepResult, em: EmBodyModel, device: DeviceModel)
 
 
 _LABELS = tuple(RegionLabel)  # EQS, EM small monopole, EM resonant, device
+_LABEL_TEXTS = tuple(label.value for label in _LABELS)  # as the CLI writes them
 # each label's mechanism table row: EQS 0, either EM region 1, device 2
 _MECHANISM = (0, 1, 1, 2)
 

@@ -29,12 +29,27 @@ zero included, those of a fresh stamp of the changed circuit. The entries
 that a set of capacitor labels reaches, with each one's contributors, are
 worked out on the first restamp of that set and kept on the topology. Of
 the peaks only c's is recomputed. The restamp shares the stamp's
-read-only ``rhs``; no Element or Netlist is built for it.
+read-only ``rhs``, ``base`` and gamma; no Element or Netlist is built for
+it.
+
+Assembly. The topology keeps, beside its bins, its reactive entries: those
+that some capacitor or inductor reaches. At every other entry A(w) is g's
+entry with a +0.0 imaginary part (w*0 - 0/w) at every w. The stamp's
+read-only ``base``, g + 0j, holds these and the real parts of the reactive
+entries, and the stamp keeps c and gamma gathered at the reactive entries;
+a restamp gathers its new c. A grid's buffer is filled from the base once,
+and each block then writes only the imaginary part w*c_ij - gamma_ij/w of
+each reactive entry: the same two roundings and one subtraction per entry
+as the whole-matrix w*c - gamma/w, so A(w) is the same bit for bit. A
+one-point grid writes its entries as one flat row, and a longer grid as a
+row per point: the same floats, each by its faster write (for one point
+the 2-D index costs about 0.8 us more, some 8% of a 7-unknown point solve
+on a 2-vCPU Xeon VM).
 
 A grid is screened by the certificate below once, on its whole ndarray of
 w, and then solved in fixed-size frequency blocks: each block's matrices
-are built in one buffer of at most 256 KB (or one matrix, if larger), then
-pass through one batched partial-pivoting LU solve against z, and its
+are assembled in one buffer of at most 256 KB (or one matrix, if larger),
+then pass through one batched partial-pivoting LU solve against z, and its
 share of the screen's suspect points through the SVD check. A grid of one
 block (every one-point solve, and a sweep of up to 334 points of a
 7-unknown circuit, or 3 of a 66-unknown ladder) returns LAPACK's solution
@@ -61,11 +76,13 @@ semidefinite, and with the source incidence B = g[:n, n:] (n x m)
 
     A(w) = [[Y, B], [B^T, 0]],    Y(w) = G + j (w C - Gamma / w).
 
-Let beta = sigma_m(B) and N an orthonormal basis of ker B^T, both from one
-eigendecomposition of B B^T; beta is 0 when m > n or B is rank-deficient
-(a source loop), and then nothing is cleared. For a unit x in the range of
-N, |x* Y x| >= hypot(x* G x, w x* C x), and >= x* G x with inductors, whose
-imaginary part w x* C x - x* Gamma x / w can cancel. So sigma_min(N^T Y N)
+Let N be an orthonormal basis of ker B^T, from one Householder QR of B,
+and beta = sigma_m(B), from the eigenvalues of the m x m integer matrix
+B^T B; both are kept per B, which the source positions fix. beta is 0
+when m > n or B is rank-deficient (a source loop), and then nothing is
+cleared. For a unit x in the range of N, |x* Y x| >= hypot(x* G x,
+w x* C x), and >= x* G x with inductors, whose imaginary part
+w x* C x - x* Gamma x / w can cancel. So sigma_min(N^T Y N)
 >= alpha = hypot(lam_G, w lam_C), with lam_G and lam_C the smallest
 eigenvalues of N^T G N and N^T C N, and lam_C taken as 0 with inductors.
 Write the solution of A [x; y] = [f; g] as x = x_p + N v, with x_p the
@@ -91,11 +108,22 @@ expression, evaluated on an ndarray of w however many points the grid
 has: NumPy scalars would warn where Python floats overflow silently.
 
 Rounding: each lam is lowered by 1e3 * size^2 * u * max|entry| (u the unit
-roundoff), which covers the computed N and eigenvalues. An entry of the
-assembled w*c - gamma/w is off by at most 2u (w |c_ij| + |gamma_ij| / w), so
-the assembled A(w) is off by at most 2u ny in norm. A cleared frequency has
-sigma_min(A) > |A|_F / 1e10 >= ny / 1e10, so that rounding stays below
-3e-6 sigma_min, and the factor 100 between 1e10 and 1e12 covers the rest.
+roundoff), which covers the computed N and eigenvalues. Householder QR is
+backward stable: N^T N - I and B^T N are within a small multiple of n u in
+every entry (the tests check 4 n u), so N is within about n u (1 + 1/beta)
+of an orthonormal basis of ker B^T. A lam computed from it is then within
+about 3 (1 + 1/beta) n u |G|_2 <= 3 (1 + 1/beta) size^2 u max|entry| of
+the exact one, and eigvalsh adds a few size u |N^T G N|. beta is not
+small: without a source loop the sources form a forest on the nodes and
+ground, and for x in the range of B each |x_i| (ground's entry 0) or
+|x_i - x_j| of one tree sums the differences along a path of at most m
+edges, which gives |x| <= (m + 1) |B^T x|: 1/beta <= m + 1, so
+3 (1 + 1/beta) stays inside the margin's 1e3 up to 330 sources. An
+entry of the assembled w*c - gamma/w is off by at most 2u (w |c_ij| +
+|gamma_ij| / w), so the assembled A(w) is off by at most 2u ny in norm. A
+cleared frequency has sigma_min(A) > |A|_F / 1e10 >= ny / 1e10, so that
+rounding stays below 3e-6 sigma_min, and the factor 100 between 1e10 and
+1e12 covers the rest.
 
 The anchored term. Without inductors, lam_G is 0 when a part of the
 circuit has no conductive path to ground, and lam_C is 0 when a node has
@@ -146,16 +174,17 @@ overflow into a wrong singular-system error (and LAPACK print to stderr).
 A single-frequency solve is the one-point case of the same function:
 ``_solve_grid(stamp, (f,))`` keeps f and w = 2 pi f as Python floats, runs
 the float-range check and the certificate bound on them (an anchored
-certificate on a one-point ndarray, as above), assembles A(w) with the
-float w and makes one np.linalg.solve call, with no block loop. Each float
-operation is the one that a block applies to that point, w*c and gamma/w
-entry by entry and then the same LAPACK solve, so a sweep and per-frequency
-solves give bit-identical results, the same warnings and the same
-singular-system error. A probe's gain at one frequency is read off that
-point's row (``bodychannel._probe_gain_db``), with no ACSolution. Netlists
-and results are immutable: grid points and sweep gains are read-only
-float64 and complex128 ndarrays, and a probe's gain in dB, over a sweep or
-at one frequency, goes through the one numpy expression ``_gain_db``.
+certificate on a one-point ndarray, as above), assembles A(w) from a copy
+of the base with the float w and makes one np.linalg.solve call, with no
+block loop. Each float operation is the one that a block applies to that
+point, w*c and gamma/w entry by entry and then the same LAPACK solve, so a
+sweep and per-frequency solves give bit-identical results, the same
+warnings and the same singular-system error. A probe's gain at one
+frequency is read off that point's row (``bodychannel._probe_gain_db``),
+with no ACSolution. Netlists and results are immutable: grid points and
+sweep gains are read-only float64 and complex128 ndarrays, and a probe's
+gain in dB, over a sweep or at one frequency, goes through the one numpy
+expression ``_gain_db``.
 """
 from __future__ import annotations
 
@@ -163,6 +192,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -249,6 +279,8 @@ class _Topology(NamedTuple):
     # (3, size, size) stack of g, c and gamma for size unknowns; an entry that is
     # dropped goes to bin 3 * size * size.
     bins: np.ndarray
+    # The flat index in a (size, size) matrix of each entry that a C or an L reaches, ascending
+    reactive: np.ndarray
     plans: dict  # the restamp plan of each set of capacitor labels (see _restamp)
 
 
@@ -282,6 +314,12 @@ class _Stamp:
     g: np.ndarray
     c: np.ndarray
     gamma: np.ndarray | None
+    # The read-only g + 0j, shape (1, unknowns, unknowns): A(w) at each entry that no C or L
+    # reaches, and the real part of every other
+    base: np.ndarray
+    # c and gamma at topology.reactive (gamma's None without inductors)
+    c_reactive: np.ndarray
+    gamma_reactive: np.ndarray | None
     rhs: np.ndarray  # z, shape (1, unknowns, 1)
     topology: _Topology
     peaks: tuple[float, float, float]  # largest |entry| of g, c and gamma (0.0 without one)
@@ -340,9 +378,13 @@ def _topology(netlist: Netlist) -> _Topology:
         a, b = elements[k].nodes
         (ri, i), (rj, j) = place[a], place[b]
         at += (ri + r, r * size + i, rj + r, r * size + j)
+    bins = np.minimum(np.fromiter(at, np.intp, len(at)), kept)
+    hit = np.zeros(kept + 1, dtype=bool)
+    hit[bins] = True
+    square = size * size  # c's bins and then gamma's, each square of them
+    reactive = np.flatnonzero(hit[square:2 * square] | hit[2 * square:kept])
     return _Topology(index, sources, tuple(e.label for e in elements),
-                     "".join(e.kind for e in elements),
-                     np.minimum(np.fromiter(at, np.intp, len(at)), kept), {})
+                     "".join(e.kind for e in elements), bins, reactive, {})
 
 
 def _stamp_values(topology: _Topology, values: tuple[float, ...], rhs: np.ndarray) -> _Stamp:
@@ -359,8 +401,14 @@ def _stamp_values(topology: _Topology, values: tuple[float, ...], rhs: np.ndarra
     m = np.bincount(topology.bins, weights, kept + 1)[:kept].reshape(3, size, size)
     m.setflags(write=False)
     g, c, gamma = m
+    base = m[:1].astype(complex)
+    base.setflags(write=False)
     peaks = tuple(np.abs(m).max(axis=(1, 2)).tolist())
-    return _Stamp(m, g, c, gamma if "L" in topology.kinds else None, rhs, topology, peaks, values)
+    if "L" not in topology.kinds:
+        gamma = None
+    return _Stamp(m, g, c, gamma, base, c.take(topology.reactive),
+                  None if gamma is None else gamma.take(topology.reactive), rhs, topology, peaks,
+                  values)
 
 
 def _restamp(stamp: _Stamp, caps: Mapping[str, float]) -> _Stamp:
@@ -398,7 +446,8 @@ def _restamp(stamp: _Stamp, caps: Mapping[str, float]) -> _Stamp:
             total += values[k] * sign
         m.flat[at] = total
     m.setflags(write=False)
-    restamped = _Stamp(m, m[0], m[1], None if stamp.gamma is None else m[2], stamp.rhs, topology,
+    restamped = _Stamp(m, m[0], m[1], None if stamp.gamma is None else m[2], stamp.base,
+                       m[1].take(topology.reactive), stamp.gamma_reactive, stamp.rhs, topology,
                        (stamp.peaks[0], float(np.abs(m[1]).max()), stamp.peaks[2]), tuple(values))
     if max(stamp.peaks + restamped.peaks) < math.inf:
         base = _certificate(stamp)
@@ -412,24 +461,38 @@ def _restamp(stamp: _Stamp, caps: Mapping[str, float]) -> _Stamp:
 
 
 def _source_kernel(incidence: np.ndarray) -> tuple[np.ndarray | None, float, float]:
-    """(N, 1 / beta, sqrt(2) * |B|_F) of the source incidence B (n x m).
+    """(N, 1 / beta, sqrt(2) * |B|_F) of the source incidence B (n x m), N read-only.
 
-    One eigendecomposition of the integer matrix B B^T gives both: its n - m
-    smallest eigenvalues belong to ker B^T, and the next one is beta**2. beta
-    is taken as 0, and N as None, when m > n or when beta**2 is rounding
-    noise: B is rank-deficient, a source loop.
+    N is the last n - m columns of Q from one Householder QR, B = Q R. The
+    squared singular values of B, beta**2 the smallest, are the eigenvalues
+    of the m x m matrix B^T B = R^T R, whose entries are small integers and
+    so formed exactly. beta is taken as 0, and N as None, when m > n or when
+    beta**2 is rounding noise against the largest one: B is rank-deficient,
+    a source loop. The three are kept for the last 32 incidences: B is fixed
+    by where the sources sit, so every body channel built in one process
+    shares one, and numpy's QR and eigh cost some 30 us on a small B.
     """
-    n, m = incidence.shape
+    return _kernel_of(incidence.shape, incidence.tobytes())
+
+
+@lru_cache(maxsize=32)
+def _kernel_of(shape: tuple[int, int], entries: bytes) -> tuple[np.ndarray | None, float, float]:
+    incidence = np.frombuffer(entries).reshape(shape)
+    n, m = shape
     b_norm = math.sqrt(2.0 * np.count_nonzero(incidence))
     if not m:
-        return np.eye(n), 0.0, b_norm
+        basis = np.eye(n)
+        basis.setflags(write=False)
+        return basis, 0.0, b_norm
     if m > n:
         return None, math.inf, b_norm
-    squares, vectors = np.linalg.eigh(incidence @ incidence.T)
-    beta_sq = float(squares[n - m])
+    squares = np.linalg.eigh(incidence.T @ incidence)[0]
+    beta_sq = float(squares[0])
     if not beta_sq > float(squares[-1]) * n * _EPS:
         return None, math.inf, b_norm
-    return vectors[:, :n - m], 1.0 / math.sqrt(beta_sq), b_norm
+    basis = np.linalg.qr(incidence, mode="complete")[0][:, m:]
+    basis.setflags(write=False)
+    return basis, 1.0 / math.sqrt(beta_sq), b_norm
 
 
 def _certificate(stamp: _Stamp) -> _Certificate:
@@ -594,10 +657,10 @@ def _solve_grid(stamp: _Stamp, freqs) -> tuple[np.ndarray, list[str]]:
     block = _BLOCK_ENTRIES // (size * size) or 1
     warnings: list[str] = []
     if len(freqs) <= block:
-        a = np.empty((len(freqs), size, size), dtype=complex)
+        a = stamp.base.copy() if one else stamp.base.repeat(len(freqs), axis=0)
         return _solve_block(stamp, a, freqs, omega, suspect, warnings), warnings
     x = np.empty((len(freqs), size), dtype=complex)
-    buffer = np.empty((block, size, size), dtype=complex)
+    buffer = stamp.base.repeat(block, axis=0)  # g and the zero parts, once for every block
     for start in range(0, len(freqs), block):
         stop = min(start + block, len(freqs))
         share = suspect[bisect_left(suspect, start):bisect_left(suspect, stop)]
@@ -609,16 +672,23 @@ def _solve_grid(stamp: _Stamp, freqs) -> tuple[np.ndarray, list[str]]:
 def _solve_block(stamp: _Stamp, a: np.ndarray, f, omega, suspect: list[int],
                  warnings: list[str]) -> np.ndarray:
     """The ``(len(f), unknowns)`` solutions at the block's frequencies ``f``, a view of
-    LAPACK's output, with A(w) assembled in ``a``; ``omega`` is 2 pi f, a Python float
-    for one point, and ``suspect`` the block's points that the certificate did not clear.
+    LAPACK's output; ``omega`` is 2 pi f, a Python float for one point, and ``suspect``
+    the block's points that the certificate did not clear.
 
+    ``a`` holds the stamp's base at every point, but for the imaginary parts of the
+    reactive entries (an earlier block's, in a buffer that blocks share); A(w) is
+    completed by writing those, w*c - gamma/w, and no other entry.
     Appends the block's warnings, and raises for its first singular frequency.
     """
-    w = omega if isinstance(omega, float) else omega[:, None, None]
-    a.real = stamp.g
-    np.multiply(w, stamp.c, out=a.imag)
-    if stamp.gamma is not None:
-        a.imag -= stamp.gamma / w
+    entries = stamp.topology.reactive
+    if isinstance(omega, float):  # one point: its entries in one flat row
+        w, imag = omega, a.imag.reshape(-1)
+    else:  # a row of entries per point
+        w, imag, entries = omega[:, None], a.imag.reshape(len(a), -1), (slice(None), entries)
+    part = w * stamp.c_reactive
+    if stamp.gamma_reactive is not None:
+        part -= stamp.gamma_reactive / w
+    imag[entries] = part
     try:
         solution = np.linalg.solve(a, stamp.rhs)
     except np.linalg.LinAlgError:

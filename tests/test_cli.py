@@ -328,6 +328,17 @@ class TestScenarioValidation:
             assert record["error"] == "ConfigError"
             assert message in record["message"]
 
+    @pytest.mark.parametrize("form", ["", "{tmp}", "{tmp}/mine.cfg/"])
+    def test_a_scenario_of_no_file_is_not_found(self, capsys, tmp_path, form):
+        (tmp_path / "mine.cfg").write_text(INTER_BODY_TEXT)
+        name = form.format(tmp=tmp_path)
+        for command in ("sweep", "regions"):
+            code, out, err = run(capsys, command, "--scenario", name)
+            assert (code, out) == (1, "")
+            assert json.loads(err) == {
+                "error": "ConfigError",
+                "message": f"config {name!r} not found (cwd, $EQSHBC_CONFIG_DIR, bundled)"}
+
     @pytest.mark.parametrize("load", ["capacitive:nan", "resistive:inf"])
     def test_non_finite_load_override(self, capsys, load):
         code, out, err = run(capsys, "sweep", "--scenario", "inter_body.cfg", "--load", load)

@@ -1,7 +1,9 @@
 import ast
+import errno
 import inspect
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -322,12 +324,47 @@ class TestReadPath:
                                       "{tmp}/", ""])
     def test_each_form_of_a_path_reads_as_the_definition_reads(self, tmp_path, monkeypatch,
                                                                 text, form):
-        # the path in a message is printed as Path prints it: '//', './' and a trailing '/'
-        # are dropped, and a trailing '/' still names the file
+        # the path in a message is printed as Path prints it: '//' and './' are dropped
         (tmp_path / "typo.cfg").write_text(text)
         monkeypatch.chdir(tmp_path)
         name = form.format(tmp=tmp_path)
         assert outcome(load_config, name) == outcome(reference_load_config, name)
+
+    @pytest.mark.parametrize("config_dir", [False, True])
+    @pytest.mark.parametrize("form", ["typo.cfg/", "{tmp}/typo.cfg/", "typo.cfg/.", "{tmp}/.",
+                                      "{tmp}/", ".", ""])
+    def test_a_name_of_no_file_is_not_found(self, tmp_path, monkeypatch, config_dir, form):
+        # '' and a directory name no file, and neither does a file's name with a '/' after
+        # it, which the OS refuses; nor does any of them joined to $EQSHBC_CONFIG_DIR
+        (tmp_path / "typo.cfg").write_text("c_c = 1e-12\n")
+        monkeypatch.chdir(tmp_path)
+        if config_dir:
+            monkeypatch.setenv("EQSHBC_CONFIG_DIR", str(tmp_path))
+        else:
+            monkeypatch.delenv("EQSHBC_CONFIG_DIR", raising=False)
+        name = form.format(tmp=tmp_path)
+        want = f"ConfigError: config {name!r} not found (cwd, $EQSHBC_CONFIG_DIR, bundled)"
+        assert outcome(load_config, name) == outcome(reference_load_config, name) == want
+
+    def test_a_name_too_long_is_the_oses_error(self):
+        name = "a" * 300 + ".cfg/"
+        assert outcome(load_config, name) == (
+            f"OSError: [Errno {errno.ENAMETOOLONG}] File name too long: {name[:-1]!r}")
+
+    def test_a_path_that_may_not_be_searched_is_the_oses_error(self, monkeypatch):
+        # a superuser may search any directory, so the refusal is made here, at the stat
+        # that Path.exists makes
+        name = "locked/typo.cfg"
+        real_stat = os.stat
+
+        def refusing(path, *args, **kwargs):
+            if os.fspath(path) == name:
+                raise PermissionError(errno.EACCES, "Permission denied", name)
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", refusing)
+        assert outcome(load_config, name) == (
+            f"PermissionError: [Errno {errno.EACCES}] Permission denied: {name!r}")
 
     @pytest.mark.parametrize("form,shown", [("{tmp}//typo.cfg", "{tmp}/typo.cfg"),
                                             ("./typo.cfg", "typo.cfg")])

@@ -698,12 +698,18 @@ class TestStampIsTheTextbookLoop:
     def test_stamp_equals_the_loop_bit_for_bit(self, netlist):
         stamp = solver._build_stamp(netlist)
         g, c, gamma = loop_stamp(netlist)
+        reactive = stamp.topology.reactive
         assert np.array_equal(stamp.g, g) and np.array_equal(stamp.c, c)
         if any(e.kind == "L" for e in netlist.elements):
             assert np.array_equal(stamp.gamma, gamma)
+            assert stamp.gamma_reactive.tobytes() == gamma.ravel()[reactive].tobytes()
         else:
-            assert stamp.gamma is None
+            assert stamp.gamma is None and stamp.gamma_reactive is None
         assert stamp.peaks == tuple(np.abs(m).max() for m in (g, c, gamma))
+        # every C and L is > 0, so the entries they reach are the nonzero ones of c and gamma
+        assert np.array_equal(reactive, np.flatnonzero((c != 0.0) | (gamma != 0.0)))
+        assert stamp.c_reactive.tobytes() == c.ravel()[reactive].tobytes()
+        assert stamp.base.tobytes() == (g + 0j)[None].tobytes()
 
 
 def solved(netlist, f):
@@ -844,6 +850,67 @@ def with_anchor(stamp):
 
 
 FREQUENCY_LISTS = st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=12, unique=True).map(sorted)
+
+
+@st.composite
+def sourced_netlists(draw):
+    """A grounded R, C and L netlist with 1-3 unit sources, each across two drawn nodes
+    (ground among them), and one more across the ends of the first, a loop, half the time."""
+    core = draw(grounded_netlists("RCL"))
+    nodes = sorted(core.nodes())
+    pairs = draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+                          .filter(lambda p: p[0] != p[1]), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        pairs.append(pairs[0][::-1])
+    return Netlist(core.elements + tuple(Element("V", 1.0, p, f"V{k}")
+                                         for k, p in enumerate(pairs)))
+
+
+def has_source_loop(netlist):
+    """Whether some sources form a loop, ground a node like any other: union-find."""
+    root = {}
+
+    def find(node):
+        while root.get(node, node) != node:
+            node = root[node]
+        return node
+
+    for a, b in (e.nodes for e in netlist.sources()):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return True
+        root[ra] = rb
+    return False
+
+
+class TestSourceKernel:
+    """N and beta of the source incidence B, from one Householder QR of B."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sourced_netlists())
+    def test_kernel_is_orthonormal_and_beta_is_the_smallest_singular_value(self, netlist):
+        stamp = solver._build_stamp(netlist)
+        n = len(stamp.topology.index)
+        incidence = stamp.g[:n, n:]
+        basis, inv_beta, _ = solver._source_kernel(incidence)
+        if has_source_loop(netlist):
+            assert basis is None and inv_beta == math.inf
+            return
+        m = incidence.shape[1]
+        assert basis.shape == (n, n - m)
+        tol = 4.0 * n * solver._EPS
+        assert np.abs(basis.T @ basis - np.eye(n - m)).max(initial=0.0) <= tol
+        assert np.abs(incidence.T @ basis).max(initial=0.0) <= tol
+        beta = np.linalg.svd(incidence, compute_uv=False)[-1]
+        assert 1.0 / inv_beta == pytest.approx(beta, rel=1e-12)
+
+    def test_circuits_with_one_incidence_share_one_read_only_kernel(self):
+        # the values and the kinds differ, the source's nodes do not
+        one, same, moved = (kernel(solver._build_stamp(parse_netlist(text))) for text in (
+            "V1 1 0 1\nR1 1 2 1k\nC1 2 0 1n", "V1 1 0 2\nR1 1 2 5k\nL1 2 0 1u",
+            "V1 2 0 1\nR1 1 2 1k\nC1 1 0 1n"))
+        assert same is one and not one.flags.writeable
+        assert moved is not one and moved.shape == one.shape
 
 
 class TestCertificate:
@@ -1049,6 +1116,28 @@ class TestCertificate:
         assert dropped[0].tobytes() == fresh[0].tobytes() and dropped[1] == fresh[1]
 
 
+def assert_transfer_is_its_point_solves(netlist, points, data):
+    """transfer over points gives, bit for bit, the gains and warnings of solve_ac at each
+    point, or the error of the first singular one, for a drawn source and probe."""
+    source = data.draw(st.sampled_from(netlist.sources()))
+    nodes = sorted(netlist.nodes())
+    probe = (data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(nodes)))
+    try:
+        res = transfer(netlist, source.label, probe, FrequencyGrid(points))
+    except SingularCircuitError as exc:
+        with pytest.raises(SingularCircuitError) as per_point:
+            for f in points:
+                solve_ac(netlist, f)
+        assert str(per_point.value) == str(exc)
+        return
+    solutions = [solve_ac(netlist, f) for f in points]
+    # the same scaling as transfer's, so only the solved voltages are compared
+    want = np.array([sol[probe[0]] - sol[probe[1]] for sol in solutions])
+    want = (want.view(float) * (1.0 / source.value)).view(complex)
+    assert res.gain.tobytes() == want.tobytes()
+    assert res.warnings == tuple(w for sol in solutions for w in sol.warnings)
+
+
 class TestSweepIsItsPointSolves:
     @settings(max_examples=150, deadline=None)
     @given(grounded_netlists(),
@@ -1056,23 +1145,26 @@ class TestSweepIsItsPointSolves:
            st.data())
     def test_transfer_equals_solve_ac_bit_for_bit(self, netlist, points, data):
         assume(netlist.sources())
-        source = data.draw(st.sampled_from(netlist.sources()))
+        assert_transfer_is_its_point_solves(netlist, points, data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(grounded_netlists(),
+           st.lists(st.floats(1e-3, 1e9), min_size=3, max_size=13, unique=True).map(sorted),
+           st.data())
+    def test_blocks_of_two_points_are_their_point_solves(self, netlist, points, data):
+        # Two points per block: the grid crosses full blocks, and with an odd count ends in a
+        # partial one, all in one buffer that holds g once. The node added here is reached
+        # by no capacitor or inductor, so its entries keep their +0.0 imaginary parts.
+        assume(netlist.sources())
         nodes = sorted(netlist.nodes())
-        probe = (data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(nodes)))
-        try:
-            res = transfer(netlist, source.label, probe, FrequencyGrid(points))
-        except SingularCircuitError as exc:
-            with pytest.raises(SingularCircuitError) as per_point:
-                for f in points:
-                    solve_ac(netlist, f)
-            assert str(per_point.value) == str(exc)
-            return
-        solutions = [solve_ac(netlist, f) for f in points]
-        # the same scaling as transfer's, so only the solved voltages are compared
-        want = np.array([sol[probe[0]] - sol[probe[1]] for sol in solutions])
-        want = (want.view(float) * (1.0 / source.value)).view(complex)
-        assert res.gain.tobytes() == want.tobytes()
-        assert res.warnings == tuple(w for sol in solutions for w in sol.warnings)
+        tail = Element("R", data.draw(st.floats(1e-12, 1e6)),
+                       (max(nodes) + 1, data.draw(st.sampled_from(nodes))), "Rtail")
+        netlist = Netlist((*netlist.elements, tail))
+        size = len(nodes) + len(netlist.sources())  # the nodes, the new one less ground
+        assert solver._stamp(netlist).rhs.shape[1] == size
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_BLOCK_ENTRIES", 2 * size * size)
+            assert_transfer_is_its_point_solves(netlist, points, data)
 
     @pytest.mark.parametrize("text, top", [
         ("V1 1 0 1\nR1 1 2 1k\nC1 2 0 1e300\nC2 2 0 1n", "C1 (C = 1e+300)"),
@@ -1186,7 +1278,8 @@ class TestRestamp:
         fresh = solver._build_stamp(Netlist(tuple(replace(e, value=values.get(e.label, e.value))
                                                   for e in netlist.elements)))
         assert got.topology is parent.topology and got.rhs is parent.rhs
-        for name in ("g", "c", "gamma", "rhs"):
+        assert got.base is parent.base  # g, and so its complex copy, is the parent's
+        for name in ("g", "c", "gamma", "rhs", "base", "c_reactive", "gamma_reactive"):
             want = getattr(fresh, name)
             if want is None:
                 assert getattr(got, name) is None
@@ -1232,7 +1325,7 @@ class TestRestamp:
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg reached")
 
-        for name in ("solve", "svd", "eigh", "eigvalsh"):
+        for name in ("solve", "svd", "eigh", "eigvalsh", "qr"):
             monkeypatch.setattr(np.linalg, name, refuse)
         with pytest.raises(ValueError, match=r"^element C1 \(C = 1e\+300\) puts .* f=1e\+09 Hz$"):
             solver._solve_grid(restamped, FrequencyGrid.log(1e-3, 1e9, 5).points)
@@ -1252,7 +1345,7 @@ class TestOutOfFloatRange:
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg reached")
 
-        for name in ("solve", "svd", "eigh", "eigvalsh"):
+        for name in ("solve", "svd", "eigh", "eigvalsh", "qr"):
             monkeypatch.setattr(np.linalg, name, refuse)
 
     @pytest.mark.parametrize("text, label, f", [
