@@ -23,6 +23,8 @@ import json
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 # DEFAULT_COUPLING_ANCHORS and DEFAULT_COUPLING_D0 (read here by perfbench) and
 # default_coupling_model (by tests/test_acceptance.py) are re-exported.
 from .coupling import (
@@ -215,19 +217,42 @@ def build_inter_body(params: InterBodyParams) -> Netlist:
     return Netlist(elements=tuple(elements))
 
 
-def _probe_gain_db(netlist: Netlist, probe: tuple[int, int], f: float) -> float:
-    """Single-frequency gain in dB across probe for the unit source.
+def _probe_gain(netlist: Netlist, probe: tuple[int, int]):
+    """gain_db(f): the gain in dB across ``probe`` for the unit source, from the
+    netlist's kept stamp, with the stamp and the probe's rows looked up once.
 
-    The one-point case of ``transfer(...).gain_db()``, bit for bit: one
-    point of ``solver._solve_grid`` on the netlist's kept stamp, with ground
-    at 0j, so it builds no ACSolution; it raises the errors of ``solve_ac``.
+    ``f`` is one float, or an ndarray of points that a ``FrequencyGrid``
+    would hold; neither is checked. A float's gain is a float, and an
+    ndarray's is ``transfer(...).gain_db()`` on those points, bit for bit,
+    a non-finite gain raising that sweep's ValueError; a point of a grid has
+    its one-float gain. Each is solved by ``solver._solve_grid`` with ground
+    at 0j, so no ACSolution, FrequencyGrid or SweepResult is built, and it
+    raises the errors of ``solve_ac``.
+    """
+    stamp, ground = solver._stamp(netlist), netlist.ground
+    plus, minus = [None if node == ground else stamp.topology.index[node] for node in probe]
+
+    def gain_db(f):
+        one = not isinstance(f, np.ndarray)
+        x, _ = solver._solve_grid(stamp, (f,) if one else f)
+        # a float's row, or every row of a grid; ground at 0j, as transfer reads it
+        at, zero = (0, 0j) if one else (slice(None), np.zeros(len(x), dtype=complex))
+        gain = (zero if plus is None else x[at, plus]) - (zero if minus is None else x[at, minus])
+        if one:
+            return float(_gain_db(gain))
+        if not np.isfinite(np.abs(gain)).all():
+            raise ValueError("non-finite gain in sweep result")
+        return _gain_db(gain)
+
+    return gain_db
+
+
+def _probe_gain_db(netlist: Netlist, probe: tuple[int, int], f: float) -> float:
+    """Single-frequency gain in dB across probe for the unit source: ``_probe_gain``'s,
+    for a float f that is checked first.
     """
     _require_positive("frequency", f)
-    stamp = solver._stamp(netlist)
-    x, _ = solver._solve_grid(stamp, (f,))
-    index = stamp.topology.index
-    plus, minus = (0j if node == netlist.ground else x[0, index[node]] for node in probe)
-    return float(_gain_db(plus - minus))
+    return _probe_gain(netlist, probe)(f)
 
 
 def intra_body_gain_db(params: BodyChannelParams, f: float) -> float:

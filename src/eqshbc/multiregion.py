@@ -29,11 +29,14 @@ frequency grid is array arithmetic over one solved quasistatic sweep and
 its mechanism table: the (3, n) gains in dB of the quasistatic, EM-body and
 device mechanisms, built on first use and kept on the sweep, so the
 stitched response, the region labels and the detection distances evaluate
-each closed-form gain once. A config likewise keeps the crossover scan of
-the last band asked for, its 241 points with their EM and device gains,
-which both crossovers of that band read. A crossover is the root of the
-upper mechanism's gain over the lower one's, the same float whichever order
-its two labels come in.
+each closed-form gain once. The crossover scan's 241 points are built once
+per band (the last eight bands are kept), and a config keeps their EM and
+device gains for the last band asked for, which both crossovers of that band
+read. The scan's chunks and the root search's steps take the quasistatic gain
+straight from the config's kept stamp, through one gain function per config
+that looks up the stamp and the probe rows once. A crossover is the root of
+the upper mechanism's gain over the lower one's, the same float whichever
+order its two labels come in.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import enum
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -53,7 +56,7 @@ from .bodychannel import (
     Environment,
     InterBodyParams,
     _bisect_root,
-    _probe_gain_db,
+    _probe_gain,
     build_inter_body,
 )
 from .coupling import DEFAULT_COUPLING_MODEL, CouplingCapModel
@@ -207,8 +210,14 @@ class RegionConfig:
     def __post_init__(self):
         object.__setattr__(self, "_netlist", build_inter_body(self.channel))
 
+    @cached_property
+    def _eqs_gain_db(self):
+        """The quasistatic gain in dB at an unchecked float or scan chunk (``_probe_gain``)."""
+        return _probe_gain(self._netlist, INTER_PROBE)
+
     def eqs_gain_db(self, f: float) -> float:
-        return _probe_gain_db(self._netlist, INTER_PROBE, f)
+        _require_positive("frequency", f)
+        return self._eqs_gain_db(f)
 
     def eqs_sweep(self, grid: FrequencyGrid) -> SweepResult:
         return transfer(self._netlist, SOURCE_LABEL, INTER_PROBE, grid)
@@ -218,21 +227,21 @@ class RegionConfig:
         return self.eqs_gain_db(f), body_em_pair_gain(self.em, f), device_pair_gain(self.device, f)
 
     def _crossover_scan(self, f_lo: float, f_hi: float) -> tuple[np.ndarray, np.ndarray]:
-        """The crossover scan of [f_lo, f_hi]: its 241 log-spaced points and their
-        (2, 241) EM body pair and device gains in dB.
+        """The crossover scan of [f_lo, f_hi]: its 241 points, from ``_scan_points``, and
+        their (2, 241) EM body pair and device gains in dB.
 
-        Built on first use and kept on the config for the last band asked
-        for, as a netlist keeps its MNA stamp.
+        The gains are built on first use and kept on the config for the last
+        band asked for, as a netlist keeps its MNA stamp.
         """
+        scan = _scan_points(f_lo, f_hi)
         kept = getattr(self, "_scan", None)
         if kept is None or kept[0] != (f_lo, f_hi):
-            scan = np.geomspace(f_lo, f_hi, _SCAN_POINTS)
             db = np.stack((body_em_pair_gain(self.em, scan), device_pair_gain(self.device, scan)))
-            scan.flags.writeable = db.flags.writeable = False
-            kept = ((f_lo, f_hi), scan, db)
-            # the config is frozen; the scan is derived from its fields and never compared
+            db.flags.writeable = False
+            kept = ((f_lo, f_hi), db)
+            # the config is frozen; the gains are derived from its fields and never compared
             object.__setattr__(self, "_scan", kept)
-        return kept[1], kept[2]
+        return scan, kept[1]
 
 
 def default_region_config(environment: Environment | str = Environment.OPEN_AIR) -> RegionConfig:
@@ -321,6 +330,20 @@ _SCAN_POINTS = 241
 _SCAN_CHUNK = 80
 
 
+@lru_cache(maxsize=8)
+def _scan_points(f_lo: float, f_hi: float) -> np.ndarray:
+    """The read-only 241 log-spaced scan points of [f_lo, f_hi], built once per band.
+
+    A band too narrow for 241 strictly increasing floats raises ValueError.
+    """
+    scan = np.geomspace(f_lo, f_hi, _SCAN_POINTS)
+    if not (scan[1:] > scan[:-1]).all():
+        raise ValueError(f"the band from f_lo = {f_lo!r} Hz to f_hi = {f_hi!r} Hz is too narrow "
+                         f"for {_SCAN_POINTS} strictly increasing scan points")
+    scan.flags.writeable = False
+    return scan
+
+
 def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
                         region_b: RegionLabel,
                         f_lo: float = 1e5, f_hi: float = 1e9) -> float:
@@ -330,11 +353,16 @@ def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
     EM-body/device); only those two are evaluated. Located by scanning 241
     log-spaced points for the first sign change of the upper mechanism's
     gain over the lower one's, then :func:`_bisect_root`, so the crossover
-    is the same float whichever order the two labels come in. Where the
+    is the same float whichever order the two labels come in. The scan
+    points are kept per band, and a band too narrow for 241 strictly
+    increasing points raises ValueError before any solve. Where the
     quasistatic mechanism takes part, the scan runs upward in chunks of 81
     points that share their end points and stops at the first chunk holding
     a zero or a sign change, so the circuit is not solved above the
     crossover; the bracket, and so the root, is that of the whole scan.
+    The chunks and the root-search steps read the quasistatic gain straight
+    from the config's kept stamp (``RegionConfig._eqs_gain_db``), the chunks
+    bit for bit as ``eqs_sweep`` would give it.
     """
     _require_positive("f_lo", f_lo)
     _require_positive("f_hi", f_hi)
@@ -349,7 +377,7 @@ def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
 
     lower, upper = sorted((mech_a, mech_b))
     scan, radiative_db = config._crossover_scan(f_lo, f_hi)
-    gains = (config.eqs_gain_db, partial(body_em_pair_gain, config.em),
+    gains = (config._eqs_gain_db, partial(body_em_pair_gain, config.em),
              partial(device_pair_gain, config.device))
     # Only the quasistatic gain costs circuit solves; the EM pair is scanned in one chunk.
     step = _SCAN_POINTS - 1 if lower else _SCAN_CHUNK
@@ -357,8 +385,7 @@ def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
     for start in range(0, _SCAN_POINTS - 1, step):
         stop = start + step + 1
         chunk = scan[start:stop]
-        lower_db = (radiative_db[0, start:stop] if lower
-                    else config.eqs_sweep(FrequencyGrid(chunk)).gain_db())
+        lower_db = radiative_db[0, start:stop] if lower else config._eqs_gain_db(chunk)
         sign = np.sign(radiative_db[upper - 1, start:stop] - lower_db)
         # chunk points where the difference is zero or flips sign before the next one
         hits = np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))

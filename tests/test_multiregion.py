@@ -5,10 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqshbc import multiregion, solver
-from eqshbc.bodychannel import Environment
+from eqshbc.bodychannel import Environment, _bisect_root
 from eqshbc.cli import main
+from eqshbc.config import load_config, region_config_from_config
 from eqshbc.coupling import DEFAULT_COUPLING_MODEL
 from eqshbc.multiregion import (
     DETECTION_DISTANCE_CAP_M,
@@ -229,6 +232,100 @@ class TestCrossoverPairs:
                        else (RegionLabel.EM_RESONANT, RegionLabel.DEVICE_COUPLING))
             want = crossover_frequency(config, *forward)
             assert crossover_frequency(config, region_a, region_b).hex() == want.hex()
+
+
+# Both adjacent mechanism pairs, in both label orders
+ORDERED_PAIRS = [(RegionLabel.EQS, RegionLabel.EM_SMALL_MONOPOLE),
+                 (RegionLabel.EM_SMALL_MONOPOLE, RegionLabel.EQS),
+                 (RegionLabel.EM_RESONANT, RegionLabel.DEVICE_COUPLING),
+                 (RegionLabel.DEVICE_COUPLING, RegionLabel.EM_RESONANT)]
+BASE_CFG = load_config("inter_body.cfg")
+NUMERIC_KEYS = sorted(key for key, value in BASE_CFG.items() if isinstance(value, float))
+
+
+@st.composite
+def scaled_configs(draw):
+    """inter_body.cfg with each number scaled in [0.9, 1.1], in either environment, with a
+    capacitive or a resistive load (around 50 ohm)."""
+    factor = st.floats(0.9, 1.1)
+    cfg = {key: BASE_CFG[key] * draw(factor) for key in NUMERIC_KEYS}
+    cfg["load.kind"] = draw(st.sampled_from(["capacitive", "resistive"]))
+    if cfg["load.kind"] == "resistive":
+        cfg["load.value"] = 50.0 * draw(factor)
+    return region_config_from_config(cfg, draw(st.sampled_from(list(Environment))))
+
+
+bands = st.tuples(st.floats(1e4, 1e6), st.floats(1e7, 1e10))
+
+
+def reference_crossover(config_, region_a, region_b, f_lo, f_hi):
+    """crossover_frequency as it was computed through the public sweep: each 81-point
+    chunk of a fresh 241-point scan through ``eqs_sweep`` on its own FrequencyGrid, and
+    each root-search step through ``eqs_gain_db``."""
+    mechanism = {RegionLabel.EQS: 0, RegionLabel.EM_SMALL_MONOPOLE: 1,
+                 RegionLabel.EM_RESONANT: 1, RegionLabel.DEVICE_COUPLING: 2}
+    lower, upper = sorted((mechanism[region_a], mechanism[region_b]))
+    scan = np.geomspace(f_lo, f_hi, 241)
+    radiative_db = np.stack((body_em_pair_gain(config_.em, scan),
+                             device_pair_gain(config_.device, scan)))
+    gains = (config_.eqs_gain_db, lambda f: body_em_pair_gain(config_.em, f),
+             lambda f: device_pair_gain(config_.device, f))
+    step = 240 if lower else 80
+    for start in range(0, 240, step):
+        stop = start + step + 1
+        chunk = scan[start:stop]
+        lower_db = (radiative_db[0, start:stop] if lower
+                    else config_.eqs_sweep(FrequencyGrid(chunk)).gain_db())
+        sign = np.sign(radiative_db[upper - 1, start:stop] - lower_db)
+        hits = np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))
+        if hits.size:
+            i = hits[0]
+            if sign[i] == 0.0:
+                return float(chunk[i])
+            lo, hi = chunk[i:i + 2].tolist()
+            solved = {} if lower else dict(zip((lo, hi), lower_db[i:i + 2].tolist()))
+            return _bisect_root(
+                lambda f: gains[upper](f) - (solved[f] if f in solved else gains[lower](f)),
+                lo, hi)
+    raise CrossoverError(f"{region_a} and {region_b} never exchange dominance in "
+                         f"[{f_lo:g}, {f_hi:g}] Hz")
+
+
+class TestCrossoverFromTheKeptStamp:
+    @settings(max_examples=30, deadline=None)
+    @given(scaled_configs(), bands, bands)
+    def test_matches_the_sweep_based_reference(self, config_, band, other):
+        # band, another band, then the first again: the kept scan points and gains follow
+        for f_lo, f_hi in (band, other, band):
+            for region_a, region_b in ORDERED_PAIRS:
+                try:
+                    want = reference_crossover(config_, region_a, region_b, f_lo, f_hi)
+                except ValueError as exc:
+                    with pytest.raises(type(exc)) as got:
+                        crossover_frequency(config_, region_a, region_b, f_lo, f_hi)
+                    assert str(got.value) == str(exc)
+                else:
+                    assert crossover_frequency(config_, region_a, region_b, f_lo, f_hi) == want
+
+    @pytest.mark.parametrize("region_a, region_b", ORDERED_PAIRS)
+    def test_band_too_narrow_for_the_scan_is_refused_before_any_solve(
+            self, solve_calls, region_a, region_b):
+        f_hi = math.nextafter(1e5, 2e5)
+        with pytest.raises(ValueError) as exc:
+            crossover_frequency(default_region_config(), region_a, region_b, 1e5, f_hi)
+        assert str(exc.value) == ("the band from f_lo = 100000.0 Hz to f_hi = "
+                                  "100000.00000000001 Hz is too narrow for 241 strictly "
+                                  "increasing scan points")
+        assert type(exc.value) is ValueError and solve_calls == []
+
+    def test_scan_points_are_built_once_per_band(self):
+        one, other = default_region_config(), default_region_config(Environment.ANECHOIC)
+        scan, _ = one._crossover_scan(1e5, 1e9)
+        assert other._crossover_scan(1e5, 1e9)[0] is scan
+        assert not scan.flags.writeable
+        assert scan.tobytes() == np.geomspace(1e5, 1e9, 241).tobytes()
+        assert one._crossover_scan(3e5, 3e6)[0] is not scan
+        assert one._crossover_scan(1e5, 1e9)[0] is scan
 
 
 class TestMaxDetectionDistance:

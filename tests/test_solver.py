@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -1217,6 +1218,60 @@ class TestSweepIsItsPointSolves:
             assert str(point.value) == str(exc)
             return
         assert bodychannel._probe_gain_db(netlist, probe, f).hex() == float(want).hex()
+
+    @settings(max_examples=150, deadline=None)
+    @given(grounded_netlists(),
+           st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=12, unique=True).map(sorted),
+           st.data())
+    def test_probe_gain_over_a_grid_is_the_sweeps_gain_db_bit_for_bit(self, netlist, points,
+                                                                       data):
+        assume(netlist.sources())
+        netlist = Netlist(tuple(replace(e, value=1.0) if e.kind == "V" else e
+                                for e in netlist.elements))
+        source = data.draw(st.sampled_from(netlist.sources()))
+        nodes = sorted(netlist.nodes())
+        probe = (data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(nodes)))
+        gain_db = bodychannel._probe_gain(netlist, probe)
+        grid = FrequencyGrid(points)
+        try:
+            want = transfer(netlist, source.label, probe, grid).gain_db()
+        except SingularCircuitError as exc:
+            with pytest.raises(SingularCircuitError) as got:
+                gain_db(grid.points)
+            assert str(got.value) == str(exc)
+            return
+        got = gain_db(grid.points)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # each point's one-float gain is its grid value
+        assert [bodychannel._probe_gain_db(netlist, probe, f) for f in points] == got.tolist()
+
+    def test_probe_gain_over_a_grid_refuses_a_non_finite_gain_as_the_sweep_does(
+            self, monkeypatch):
+        net = build_inter_body(InterBodyParams(BodyChannelParams(), c_c=21e-12))
+        grid = FrequencyGrid.log(1e5, 1e9, 5)
+        solve = solver._solve_grid
+
+        def overflowing(stamp, freqs):
+            x, warnings = solve(stamp, freqs)
+            x = x.copy()
+            x[-1, solver._stamp(net).topology.index[INTER_PROBE[0]]] = complex(math.inf, 0.0)
+            return x, warnings
+
+        monkeypatch.setattr(solver, "_solve_grid", overflowing)
+        with pytest.raises(ValueError) as sweep:
+            transfer(net, SOURCE_LABEL, INTER_PROBE, grid)
+        with pytest.raises(ValueError) as probe:
+            bodychannel._probe_gain(net, INTER_PROBE)(grid.points)
+        assert str(probe.value) == str(sweep.value) == "non-finite gain in sweep result"
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_one_float_probe_gain_refuses_a_bad_frequency(self, bad):
+        config = default_region_config()
+        for gain_db in (config.eqs_gain_db,
+                        lambda f: bodychannel._probe_gain_db(config._netlist, INTER_PROBE, f)):
+            with pytest.raises(ValueError, match=rf"^frequency must be finite and > 0, got "
+                                                 rf"{re.escape(str(bad))}$"):
+                gain_db(bad)
 
     def test_names_the_first_singular_frequency(self):
         # Two sources in parallel: at 1 Hz the LU meets an exact zero pivot while the
