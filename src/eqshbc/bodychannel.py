@@ -23,8 +23,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 # DEFAULT_COUPLING_ANCHORS and DEFAULT_COUPLING_D0 (read here by perfbench) and
 # default_coupling_model (by tests/test_acceptance.py) are re-exported.
 from .coupling import (
@@ -35,7 +33,7 @@ from .coupling import (
 )
 from .netlist import Element, Netlist, ParameterError, _require_positive
 from . import solver
-from .solver import FrequencyGrid, SweepResult, _gain_db, transfer
+from .solver import FrequencyGrid, SweepResult, transfer
 
 __all__ = [
     "ANECHOIC_RETURN_BOOST",
@@ -217,50 +215,16 @@ def build_inter_body(params: InterBodyParams) -> Netlist:
     return Netlist(elements=tuple(elements))
 
 
-def _probe_gain(netlist: Netlist, probe: tuple[int, int]):
-    """gain_db(f): the gain in dB across ``probe`` for the unit source, from the
-    netlist's kept stamp, with the stamp and the probe's rows looked up once.
-
-    ``f`` is one float, or an ndarray of points that a ``FrequencyGrid``
-    would hold; neither is checked. A float's gain is a float, and an
-    ndarray's is ``transfer(...).gain_db()`` on those points, bit for bit,
-    a non-finite gain raising that sweep's ValueError; a point of a grid has
-    its one-float gain. Each is solved by ``solver._solve_grid`` with ground
-    at 0j, so no ACSolution, FrequencyGrid or SweepResult is built, and it
-    raises the errors of ``solve_ac``.
-    """
-    stamp, ground = solver._stamp(netlist), netlist.ground
-    plus, minus = [None if node == ground else stamp.topology.index[node] for node in probe]
-
-    def gain_db(f):
-        one = not isinstance(f, np.ndarray)
-        x, _ = solver._solve_grid(stamp, (f,) if one else f)
-        # a float's row, or every row of a grid; ground at 0j, as transfer reads it
-        at, zero = (0, 0j) if one else (slice(None), np.zeros(len(x), dtype=complex))
-        gain = (zero if plus is None else x[at, plus]) - (zero if minus is None else x[at, minus])
-        if one:
-            return float(_gain_db(gain))
-        if not np.isfinite(np.abs(gain)).all():
-            raise ValueError("non-finite gain in sweep result")
-        return _gain_db(gain)
-
-    return gain_db
-
-
-def _probe_gain_db(netlist: Netlist, probe: tuple[int, int], f: float) -> float:
-    """Single-frequency gain in dB across probe for the unit source: ``_probe_gain``'s,
-    for a float f that is checked first.
-    """
-    _require_positive("frequency", f)
-    return _probe_gain(netlist, probe)(f)
-
-
 def intra_body_gain_db(params: BodyChannelParams, f: float) -> float:
-    return _probe_gain_db(build_intra_body(params), INTRA_PROBE, f)
+    circuit = build_intra_body(params)
+    _require_positive("frequency", f)
+    return solver._probe_gain(circuit, INTRA_PROBE)(f)
 
 
 def inter_body_gain_db(params: InterBodyParams, f: float) -> float:
-    return _probe_gain_db(build_inter_body(params), INTER_PROBE, f)
+    circuit = build_inter_body(params)
+    _require_positive("frequency", f)
+    return solver._probe_gain(circuit, INTER_PROBE)(f)
 
 
 def intra_body_sweep(params: BodyChannelParams, grid: FrequencyGrid) -> SweepResult:
@@ -334,30 +298,6 @@ def _bisect_root(fn, lo: float, hi: float) -> float:
             hi, y_hi = x, y
 
 
-def _return_path_gain(circuit: Netlist, params: BodyChannelParams, probe: tuple[int, int],
-                      f: float):
-    """gain(scale): the dB gain across ``probe`` (no ground node) at ``f`` of ``circuit``,
-    built from ``params``, with ``scale_return_path(params, scale)``.
-
-    Bit for bit ``_probe_gain_db`` of the rebuilt circuit. ``circuit`` is
-    stamped once; each call restamps CGTX and CGRX on that stamp, which
-    recomputes only the entries of c that they reach, and solves it at the
-    one point through ``solver._solve_grid``, as ``_probe_gain_db`` does
-    the rebuilt circuit. So it builds no Element, Netlist or ACSolution, and
-    raises the errors that the rebuilt circuit's solve would.
-    """
-    _require_positive("frequency", f)
-    stamp = solver._stamp(circuit)
-    plus, minus = (stamp.topology.index[node] for node in probe)
-
-    def gain(scale: float) -> float:
-        _require_positive("scale", scale)
-        x, _ = solver._solve_grid(solver._restamp(stamp, _return_caps(params, scale)), (f,))
-        return float(_gain_db(x[0, plus] - x[0, minus]))
-
-    return gain
-
-
 def calibrate_anechoic_boost(params: BodyChannelParams | None = None,
                              c_c: float = 21e-12, f: float = 500e3,
                              target_db: float = 10.0) -> float:
@@ -365,14 +305,19 @@ def calibrate_anechoic_boost(params: BodyChannelParams | None = None,
 
     Used to pin ANECHOIC_RETURN_BOOST; the rise is strictly increasing in
     the boost, so its target crossing is located by :func:`_bisect_root`
-    over boosts in [1, 50]. The open-air circuit is built and stamped once;
-    each step restamps its return capacitances.
+    over boosts in [1, 50]. The open-air circuit is built and stamped once,
+    and ``f`` checked once. Each step solves the one point through
+    ``solver._probe_gain`` with the return capacitances of
+    ``scale_return_path(base, boost)`` restamped, bit for bit the rebuilt
+    circuit's gain; a step builds no Element or Netlist.
     """
     base = replace(params or BodyChannelParams(), environment=Environment.OPEN_AIR)
     circuit = build_inter_body(InterBodyParams(base=base, c_c=c_c))
-    reference = _probe_gain_db(circuit, INTER_PROBE, f)
-    gain = _return_path_gain(circuit, base, INTER_PROBE, f)
-    return _bisect_root(lambda boost: gain(boost) - reference - target_db, 1.0, 50.0)
+    _require_positive("frequency", f)
+    gain_db = solver._probe_gain(circuit, INTER_PROBE)
+    reference = gain_db(f)
+    return _bisect_root(lambda boost: gain_db(f, _return_caps(base, boost)) - reference - target_db,
+                        1.0, 50.0)
 
 
 def calibrate_return_scale(target_loss_db: float, c_c: float | None = None,
@@ -386,8 +331,10 @@ def calibrate_return_scale(target_loss_db: float, c_c: float | None = None,
     chamber, 80 dB inter-body in open air); it makes no physics claim
     about the return capacitances themselves. The gain rises with the
     scale; the target is located by :func:`_bisect_root` over [1e-3, 1e3].
-    The circuit is built and stamped once; each step restamps its return
-    capacitances.
+    The circuit is built and stamped once, and ``f`` checked once. Each step
+    solves the one point through ``solver._probe_gain`` with the return
+    capacitances of ``scale_return_path(base, scale)`` restamped, bit for
+    bit the rebuilt circuit's gain.
     """
     _require_positive("target_loss_db", target_loss_db)
     base = params or BodyChannelParams()
@@ -395,5 +342,7 @@ def calibrate_return_scale(target_loss_db: float, c_c: float | None = None,
         circuit, probe = build_intra_body(base), INTRA_PROBE
     else:
         circuit, probe = build_inter_body(InterBodyParams(base=base, c_c=c_c)), INTER_PROBE
-    gain = _return_path_gain(circuit, base, probe, f)
-    return _bisect_root(lambda scale: gain(scale) + target_loss_db, 1e-3, 1e3)
+    _require_positive("frequency", f)
+    gain_db = solver._probe_gain(circuit, probe)
+    return _bisect_root(lambda scale: gain_db(f, _return_caps(base, scale)) + target_loss_db,
+                        1e-3, 1e3)

@@ -33,10 +33,10 @@ each closed-form gain once. The crossover scan's 241 points are built once
 per band (the last eight bands are kept), and a config keeps their EM and
 device gains for the last band asked for, which both crossovers of that band
 read. The scan's chunks and the root search's steps take the quasistatic gain
-straight from the config's kept stamp, through one gain function per config
-that looks up the stamp and the probe rows once. A crossover is the root of
-the upper mechanism's gain over the lower one's, the same float whichever
-order its two labels come in.
+from the solver's one probe read, ``solver._probe_gain`` of the config's
+circuit, kept on the config. A crossover is the root of the upper
+mechanism's gain over the lower one's, the same float whichever order its
+two labels come in.
 """
 
 from __future__ import annotations
@@ -56,13 +56,12 @@ from .bodychannel import (
     Environment,
     InterBodyParams,
     _bisect_root,
-    _probe_gain,
     build_inter_body,
 )
 from .coupling import DEFAULT_COUPLING_MODEL, CouplingCapModel
 from .netlist import (Netlist, ParameterError, _require_finite, _require_non_negative,
                       _require_positive)
-from .solver import FrequencyGrid, SweepResult, _require_each, transfer
+from .solver import FrequencyGrid, SweepResult, _probe_gain, _require_each, transfer
 
 __all__ = [
     "DEVICE_Q",
@@ -212,7 +211,8 @@ class RegionConfig:
 
     @cached_property
     def _eqs_gain_db(self):
-        """The quasistatic gain in dB at an unchecked float or scan chunk (``_probe_gain``)."""
+        """The quasistatic gain in dB at an unchecked float or scan chunk
+        (``solver._probe_gain``)."""
         return _probe_gain(self._netlist, INTER_PROBE)
 
     def eqs_gain_db(self, f: float) -> float:
@@ -360,20 +360,23 @@ def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
     points that share their end points and stops at the first chunk holding
     a zero or a sign change, so the circuit is not solved above the
     crossover; the bracket, and so the root, is that of the whole scan.
-    The chunks and the root-search steps read the quasistatic gain straight
-    from the config's kept stamp (``RegionConfig._eqs_gain_db``), the chunks
-    bit for bit as ``eqs_sweep`` would give it.
+    The chunks and the root-search steps take the quasistatic gain from
+    ``solver._probe_gain`` of the config's circuit (``RegionConfig._eqs_gain_db``),
+    the chunks bit for bit as ``eqs_sweep`` would give it. A ``CrossoverError``
+    names the labels as the CLI writes them, and the band by the repr of its
+    ends.
     """
     _require_positive("f_lo", f_lo)
     _require_positive("f_hi", f_hi)
     if not f_lo < f_hi:
         raise ValueError(f"f_lo ({f_lo:g} Hz) must be below f_hi ({f_hi:g} Hz)")
-    mech_a, mech_b = (_MECHANISM[_LABELS.index(RegionLabel(r))] for r in (region_a, region_b))
+    labels = [RegionLabel(r) for r in (region_a, region_b)]
+    mech_a, mech_b = (_MECHANISM[_LABELS.index(label)] for label in labels)
+    pair = " and ".join(label.value for label in labels)  # the labels as the CLI writes them
     if mech_a == mech_b:
-        raise CrossoverError(
-            f"{region_a} and {region_b} share a mechanism; no gain crossover exists")
+        raise CrossoverError(f"{pair} share a mechanism; no gain crossover exists")
     if abs(mech_a - mech_b) != 1:
-        raise CrossoverError(f"{region_a} and {region_b} are not adjacent mechanisms")
+        raise CrossoverError(f"{pair} are not adjacent mechanisms")
 
     lower, upper = sorted((mech_a, mech_b))
     scan, radiative_db = config._crossover_scan(f_lo, f_hi)
@@ -400,8 +403,7 @@ def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
             return _bisect_root(
                 lambda f: gains[upper](f) - (solved[f] if f in solved else gains[lower](f)),
                 lo, hi)
-    raise CrossoverError(f"{region_a} and {region_b} never exchange dominance in "
-                         f"[{f_lo:g}, {f_hi:g}] Hz")
+    raise CrossoverError(f"{pair} never exchange dominance in [{f_lo!r}, {f_hi!r}] Hz")
 
 
 DETECTION_DISTANCE_CAP_M = 1e4

@@ -179,12 +179,21 @@ of the base with the float w and makes one np.linalg.solve call, with no
 block loop. Each float operation is the one that a block applies to that
 point, w*c and gamma/w entry by entry and then the same LAPACK solve, so a
 sweep and per-frequency solves give bit-identical results, the same
-warnings and the same singular-system error. A probe's gain at one
-frequency is read off that point's row (``bodychannel._probe_gain_db``),
-with no ACSolution. Netlists and results are immutable: grid points and
-sweep gains are read-only float64 and complex128 ndarrays, and a probe's
-gain in dB, over a sweep or at one frequency, goes through the one numpy
+warnings and the same singular-system error.
+
+A probe's voltage is read off the solved rows in one place, ``_across``,
+with ground read as 0j: ``transfer`` scales it by the source into its
+sweep, and ``_probe_gain`` gives its gain in dB for a unit source at one
+float or over a grid, of the kept stamp or of a restamp, with no
+ACSolution, FrequencyGrid or SweepResult. Netlists and results are
+immutable: grid points and sweep gains are read-only float64 and
+complex128 ndarrays, and every gain in dB goes through the one numpy
 expression ``_gain_db``.
+
+A netlist of more than ``_MAX_UNKNOWNS`` unknowns (nodes other than
+ground, plus one branch current per source) is refused before its stamp
+is allocated: the dense stamp holds 3 * size**2 floats and size**2
+complex values, some 160 MB at the cap.
 """
 from __future__ import annotations
 
@@ -222,6 +231,8 @@ _MARGIN = 1e3 * _EPS / 2.0
 # Complex entries per frequency block (256 KB): the stacked system matrices
 # of one block stay cache-sized however long the grid is.
 _BLOCK_ENTRIES = 1 << 14
+# The most MNA unknowns a netlist may have: its dense stamp is some 160 MB here.
+_MAX_UNKNOWNS = 2048
 
 
 def _require_each(check, name: str, value) -> None:
@@ -362,6 +373,8 @@ def _topology(netlist: Netlist) -> _Topology:
     elements = netlist.elements
     sources = tuple(k for k, e in enumerate(elements) if e.kind == "V")
     n, size = len(index), len(index) + len(sources)
+    if size > _MAX_UNKNOWNS:
+        raise ValueError(f"the netlist has {size} MNA unknowns; at most {_MAX_UNKNOWNS} are allowed")
     # Entry (i, j) of matrix m goes to bin (m * size + i) * size + j. Ground's
     # row and column, and the fourth matrix (a source's own entries), lie at or
     # past bin 3 * size * size, where np.minimum gathers every dropped entry.
@@ -829,14 +842,54 @@ def transfer(netlist: Netlist, source_label: str, probe: tuple[int, int],
     for p in probe:
         if p not in nodes:
             raise ValueError(f"probe node {p} not present in netlist")
-    stamp = _stamp(netlist)
+    stamp, rows = _probe_rows(netlist, probe)
     x, warnings = _solve_grid(stamp, grid.points)
-    plus, minus = (np.zeros(len(x), dtype=complex) if node == netlist.ground
-                   else x[:, stamp.topology.index[node]] for node in probe)
     # real and imaginary parts scaled by 1/V, the factor numpy's complex division applies;
     # dividing by complex(V, 0) would also add 0.0 to each real part, making a -0.0 +0.0
-    gain = ((plus - minus).view(float) * (1.0 / source.value)).view(complex)
+    gain = (_across(x, rows, False).view(float) * (1.0 / source.value)).view(complex)
     return SweepResult(freqs=grid.points, gain=gain, warnings=tuple(warnings))
+
+
+def _probe_rows(netlist: Netlist, probe: tuple[int, int]) -> tuple[_Stamp, tuple]:
+    """The netlist's kept stamp, and the row of each probe node in its solutions (None for
+    ground)."""
+    stamp, ground = _stamp(netlist), netlist.ground
+    return stamp, tuple(None if node == ground else stamp.topology.index[node] for node in probe)
+
+
+def _across(x: np.ndarray, rows: tuple, one: bool):
+    """The probe's voltage off ``_solve_grid``'s solutions ``x``, ground's row (None) read as
+    0j: a complex scalar off the first row if ``one``, else an ndarray over every row."""
+    plus, minus = rows
+    at, zero = (0, 0j) if one else (slice(None), np.zeros(len(x), dtype=complex))
+    return (zero if plus is None else x[at, plus]) - (zero if minus is None else x[at, minus])
+
+
+def _probe_gain(netlist: Netlist, probe: tuple[int, int]):
+    """gain_db(f, caps=None): the gain in dB across ``probe`` for a unit source.
+
+    ``f`` is one float, or an ndarray of points that a ``FrequencyGrid``
+    would hold; neither is checked. The netlist's kept stamp is solved, or,
+    with ``caps``, its ``_restamp`` with those capacitor values; the stamp
+    and the probe's rows are looked up once. A float's gain is a float, and
+    an ndarray's is ``transfer(...).gain_db()`` of the circuit so changed on
+    those points, bit for bit, a non-finite gain raising that sweep's
+    ValueError; a point of a grid has its one-float gain. It raises the
+    errors of ``solve_ac`` on that circuit.
+    """
+    stamp, rows = _probe_rows(netlist, probe)
+
+    def gain_db(f, caps=None):
+        one = not isinstance(f, np.ndarray)
+        x, _ = _solve_grid(stamp if caps is None else _restamp(stamp, caps), (f,) if one else f)
+        gain = _across(x, rows, one)
+        if one:
+            return float(_gain_db(gain))
+        if not np.isfinite(np.abs(gain)).all():
+            raise ValueError("non-finite gain in sweep result")
+        return _gain_db(gain)
+
+    return gain_db
 
 
 def sweep_csv(result: SweepResult, regions: list[str] | None = None) -> str:

@@ -184,8 +184,8 @@ def full_scan_crossover(config_, region_a, region_b, f_lo, f_hi):
     sign = np.sign(diff(scan))
     hits = np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))
     if not hits.size:
-        raise CrossoverError(
-            f"{region_a} and {region_b} never exchange dominance in [{f_lo:g}, {f_hi:g}] Hz")
+        raise CrossoverError(f"{region_a.value} and {region_b.value} never exchange dominance "
+                             f"in [{f_lo!r}, {f_hi!r}] Hz")
     i = hits[0]
     if sign[i] == 0.0:
         return float(scan[i])

@@ -17,6 +17,7 @@ from eqshbc.bodychannel import (
     InterBodyParams,
     LoadSpec,
     _bisect_root,
+    _return_caps,
     build_inter_body,
     build_intra_body,
     calibrate_anechoic_boost,
@@ -412,7 +413,7 @@ class TestCalibrationsRestampOneCircuit:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "_solve_grid",
                           lambda stamp, freqs: stamps.append(stamp) or real_solve_grid(stamp, freqs))
-            bodychannel._return_path_gain(build(params), params, probe, 500e3)(scale)
+            solver._probe_gain(build(params), probe)(500e3, _return_caps(params, scale))
         [got] = stamps  # the stamp that the step solves
         rebuilt = build(scale_return_path(params, scale))
         fresh = solver._build_stamp(rebuilt)
@@ -430,9 +431,9 @@ class TestCalibrationsRestampOneCircuit:
                                                              c_c, f, load):
         params = BodyChannelParams(environment=environment, load=load)
         build, probe = circuit_of(inter, c_c)
-        step = bodychannel._return_path_gain(build(params), params, probe, f)
-        want = bodychannel._probe_gain_db(build(scale_return_path(params, scale)), probe, f)
-        assert step(scale).hex() == want.hex()
+        step = solver._probe_gain(build(params), probe)(f, _return_caps(params, scale))
+        want = solver._probe_gain(build(scale_return_path(params, scale)), probe)(f)
+        assert step.hex() == want.hex()
 
     def test_calibrations_return_the_rebuild_floats(self):
         assert calibrate_anechoic_boost() == rebuilt_anechoic_boost()
@@ -475,11 +476,14 @@ class TestCalibrationsRestampOneCircuit:
         assert len(solve_calls) == references + len(steps)
 
     def test_bad_scale_rejected(self):
-        gain = bodychannel._return_path_gain(build_intra_body(BodyChannelParams()),
-                                             BodyChannelParams(), INTRA_PROBE, 500e3)
-        for scale in (0.0, -1.0, math.nan, math.inf):
+        # scale_return_path refuses the scale; a step's restamp refuses the capacitance it gives
+        params = BodyChannelParams()
+        gain_db = solver._probe_gain(build_intra_body(params), INTRA_PROBE)
+        for scale, got in ((0.0, "0.0"), (-1.0, "-6e-13"), (math.nan, "nan"), (math.inf, "inf")):
             with pytest.raises(ValueError, match="^scale must be finite and > 0"):
-                gain(scale)
+                scale_return_path(params, scale)
+            with pytest.raises(ValueError, match=rf"^CGTX must be finite and > 0, got {got}$"):
+                gain_db(500e3, _return_caps(params, scale))
 
 
 def refuse_linalg(monkeypatch, names):

@@ -70,6 +70,15 @@ class TestSolve:
         record = json.loads(err)
         assert "message" in record
 
+    def test_a_netlist_past_the_unknown_cap_exits_1(self, capsys, tmp_path):
+        # 2048 nodes but ground, and the source's branch current
+        netlist = tmp_path / "chain.cir"
+        netlist.write_text("V1 1 0 1\n" + "".join(f"R{k} {k} {k + 1} 1k\n" for k in range(1, 2048)))
+        code, out, err = run(capsys, "solve", "--netlist", str(netlist), "--probe", "2,0")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ValueError", "message": "the netlist has 2049 MNA "
+                                   "unknowns; at most 2048 are allowed"}
+
     def test_bad_netlist_reports_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.cir"
         bad.write_text("V1 1 0 1.0\nR1 1 1 50\n")

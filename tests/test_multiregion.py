@@ -185,14 +185,26 @@ class TestCrossover:
             crossover_frequency(muted, RegionLabel.EQS, RegionLabel.EM_SMALL_MONOPOLE)
 
     def test_same_mechanism_rejected(self):
-        with pytest.raises(CrossoverError, match="share a mechanism"):
+        with pytest.raises(CrossoverError, match="^EM_SmallMonopole and EM_Resonant share a "
+                                                 "mechanism; no gain crossover exists$"):
             crossover_frequency(default_region_config(), RegionLabel.EM_SMALL_MONOPOLE,
                                 RegionLabel.EM_RESONANT)
 
     def test_non_adjacent_rejected(self):
-        with pytest.raises(CrossoverError, match="adjacent"):
+        # a label given as the CLI's text is named as a member is
+        with pytest.raises(CrossoverError,
+                           match="^EQS and DeviceCoupling are not adjacent mechanisms$"):
+            crossover_frequency(default_region_config(), "EQS", RegionLabel.DEVICE_COUPLING)
+
+    def test_a_band_without_a_crossover_is_printed_by_repr(self):
+        # a band of one part in 1e12, which the general format would print as [100000, 100000]
+        f_hi = 1e5 * (1 + 1e-12)
+        with pytest.raises(CrossoverError) as exc:
             crossover_frequency(default_region_config(), RegionLabel.EQS,
-                                RegionLabel.DEVICE_COUPLING)
+                                RegionLabel.EM_SMALL_MONOPOLE, 1e5, f_hi)
+        assert str(exc.value) == (f"EQS and EM_SmallMonopole never exchange dominance in "
+                                  f"[100000.0, {f_hi!r}] Hz")
+        assert repr(f_hi) == "100000.00000010002"
 
     def test_raising_boost_raises_plateau_and_crossover(self):
         import dataclasses
@@ -287,8 +299,8 @@ def reference_crossover(config_, region_a, region_b, f_lo, f_hi):
             return _bisect_root(
                 lambda f: gains[upper](f) - (solved[f] if f in solved else gains[lower](f)),
                 lo, hi)
-    raise CrossoverError(f"{region_a} and {region_b} never exchange dominance in "
-                         f"[{f_lo:g}, {f_hi:g}] Hz")
+    raise CrossoverError(f"{region_a.value} and {region_b.value} never exchange dominance in "
+                         f"[{f_lo!r}, {f_hi!r}] Hz")
 
 
 class TestCrossoverFromTheKeptStamp:

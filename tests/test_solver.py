@@ -17,9 +17,11 @@ from eqshbc.bodychannel import (
     LoadSpec,
     build_inter_body,
     calibrate_return_scale,
+    inter_body_gain_db,
+    intra_body_gain_db,
 )
 from eqshbc.multiregion import default_region_config
-from eqshbc import bodychannel, solver
+from eqshbc import solver
 from eqshbc.netlist import Element, Netlist, parse_netlist
 from eqshbc.solver import (
     AdmittanceSpanError,
@@ -1117,6 +1119,16 @@ class TestCertificate:
         assert dropped[0].tobytes() == fresh[0].tobytes() and dropped[1] == fresh[1]
 
 
+def outcome(fn):
+    """What fn() gives: the type and bits of its float or float64 ndarray, or the type and
+    message of the error it raises."""
+    try:
+        value = fn()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return type(value), value.hex() if isinstance(value, float) else (value.dtype, value.tobytes())
+
+
 def assert_transfer_is_its_point_solves(netlist, points, data):
     """transfer over points gives, bit for bit, the gains and warnings of solve_ac at each
     point, or the error of the first singular one, for a drawn source and probe."""
@@ -1200,50 +1212,38 @@ class TestSweepIsItsPointSolves:
         assert len(res.warnings) == 2
         assert res.warnings == tuple(w for sol in solutions for w in sol.warnings)
 
-    @settings(max_examples=150, deadline=None)
-    @given(grounded_netlists(), st.floats(1e-3, 1e9), st.data())
-    def test_probe_gain_db_is_the_sweeps_gain_db_bit_for_bit(self, netlist, f, data):
+    @settings(max_examples=200, deadline=None)
+    @given(grounded_netlists(),
+           st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=12, unique=True).map(sorted),
+           st.data())
+    def test_probe_gain_is_the_rebuilt_netlists_sweep_bit_for_bit(self, netlist, points, data):
         assume(netlist.sources())
         # unit sources, so that transfer's division by the source changes no bit
         netlist = Netlist(tuple(replace(e, value=1.0) if e.kind == "V" else e
                                 for e in netlist.elements))
-        source = data.draw(st.sampled_from(netlist.sources()))
-        nodes = sorted(netlist.nodes())
+        source = data.draw(st.sampled_from(netlist.sources())).label
+        nodes = sorted(netlist.nodes())  # ground among them
         probe = (data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(nodes)))
-        try:
-            want = transfer(netlist, source.label, probe, FrequencyGrid([f])).gain_db()[0]
-        except SingularCircuitError as exc:
-            with pytest.raises(SingularCircuitError) as point:
-                bodychannel._probe_gain_db(netlist, probe, f)
-            assert str(point.value) == str(exc)
-            return
-        assert bodychannel._probe_gain_db(netlist, probe, f).hex() == float(want).hex()
-
-    @settings(max_examples=150, deadline=None)
-    @given(grounded_netlists(),
-           st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=12, unique=True).map(sorted),
-           st.data())
-    def test_probe_gain_over_a_grid_is_the_sweeps_gain_db_bit_for_bit(self, netlist, points,
-                                                                       data):
-        assume(netlist.sources())
-        netlist = Netlist(tuple(replace(e, value=1.0) if e.kind == "V" else e
+        labels = [e.label for e in netlist.elements if e.kind == "C"]
+        caps = data.draw(st.dictionaries(st.sampled_from(labels), st.floats(1e-12, 1e6))
+                         if labels else st.just({}))
+        rebuilt = Netlist(tuple(replace(e, value=caps[e.label]) if e.label in caps else e
                                 for e in netlist.elements))
-        source = data.draw(st.sampled_from(netlist.sources()))
-        nodes = sorted(netlist.nodes())
-        probe = (data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(nodes)))
-        gain_db = bodychannel._probe_gain(netlist, probe)
-        grid = FrequencyGrid(points)
-        try:
-            want = transfer(netlist, source.label, probe, grid).gain_db()
-        except SingularCircuitError as exc:
-            with pytest.raises(SingularCircuitError) as got:
-                gain_db(grid.points)
-            assert str(got.value) == str(exc)
-            return
-        got = gain_db(grid.points)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        # each point's one-float gain is its grid value
-        assert [bodychannel._probe_gain_db(netlist, probe, f) for f in points] == got.tolist()
+        gain_db, f = solver._probe_gain(netlist, probe), points[0]
+
+        def sweep(net, freqs):
+            return lambda: transfer(net, source, probe, FrequencyGrid(freqs)).gain_db()
+
+        def one(net):
+            return lambda: float(sweep(net, [f])()[0])
+
+        grid = FrequencyGrid(points).points
+        assert outcome(lambda: gain_db(f)) == outcome(one(netlist))
+        assert (got := outcome(lambda: gain_db(grid))) == outcome(sweep(netlist, points))
+        if got[0] is np.ndarray:  # each point's one-float gain is its grid value
+            assert [gain_db(point) for point in points] == gain_db(grid).tolist()
+        assert outcome(lambda: gain_db(f, caps)) == outcome(one(rebuilt))
+        assert outcome(lambda: gain_db(grid, caps)) == outcome(sweep(rebuilt, points))
 
     def test_probe_gain_over_a_grid_refuses_a_non_finite_gain_as_the_sweep_does(
             self, monkeypatch):
@@ -1261,14 +1261,14 @@ class TestSweepIsItsPointSolves:
         with pytest.raises(ValueError) as sweep:
             transfer(net, SOURCE_LABEL, INTER_PROBE, grid)
         with pytest.raises(ValueError) as probe:
-            bodychannel._probe_gain(net, INTER_PROBE)(grid.points)
+            solver._probe_gain(net, INTER_PROBE)(grid.points)
         assert str(probe.value) == str(sweep.value) == "non-finite gain in sweep result"
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_one_float_probe_gain_refuses_a_bad_frequency(self, bad):
         config = default_region_config()
-        for gain_db in (config.eqs_gain_db,
-                        lambda f: bodychannel._probe_gain_db(config._netlist, INTER_PROBE, f)):
+        for gain_db in (config.eqs_gain_db, lambda f: inter_body_gain_db(config.channel, f),
+                        lambda f: intra_body_gain_db(config.channel.base, f)):
             with pytest.raises(ValueError, match=rf"^frequency must be finite and > 0, got "
                                                  rf"{re.escape(str(bad))}$"):
                 gain_db(bad)
@@ -1281,6 +1281,23 @@ class TestSweepIsItsPointSolves:
         for points in ([1.0], [1.0, 2.0]):
             with pytest.raises(SingularCircuitError, match="^singular MNA system at f=1 Hz$"):
                 transfer(net, "V6", (1, 0), FrequencyGrid(points))
+
+
+class TestUnknownCap:
+    def test_one_unknown_past_the_cap_is_refused_before_the_stamp(self):
+        # a source and a resistor chain: 2048 nodes but ground, and the source's branch current
+        net = parse_netlist("V1 1 0 1\n" + "".join(f"R{k} {k} {k + 1} 1k\n" for k in range(1, 2048)))
+        assert solver._MAX_UNKNOWNS == 2048 == len(net.nodes()) - 1
+        # its stamp's g, c and gamma alone would take 3 * size**2 floats, some 100 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                solve_ac(net, 1e6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "the netlist has 2049 MNA unknowns; at most 2048 are allowed"
+        assert peak < 2 ** 20 and getattr(net, "_mna", None) is None
 
 
 class TestAdmittanceSpan:
