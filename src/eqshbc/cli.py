@@ -5,8 +5,10 @@ significant digits, so repeated runs with identical inputs are
 byte-identical. JSON is laid out as ``json.dumps(..., sort_keys=True,
 indent=2)`` lays it out, each float as the repr of its 9-digit rounding,
 written from the ``.9g`` text without parsing it again (see
-``_float_text``). Exit codes: 0 success, 1 model/solver error (with a
-machine-readable JSON line on stderr), 2 usage error.
+``_float_layout``). A dict has one layout, the row of ``_json_items``,
+which a lone dict takes as a list of one. Exit codes: 0 success, 1
+model/solver error (with a machine-readable JSON line on stderr), 2 usage
+error.
 
 The closed-form commands, attack, sir and fcc --freq, load no numpy: the
 circuit commands import the solver and the multi-region layer inside
@@ -98,22 +100,17 @@ def _round9(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _float_text(x: float) -> str:
-    """repr of x rounded to 9 significant digits, laid out from the ``_round9`` text.
+def _float_layout(x: float, text: str) -> str:
+    """repr of x rounded to 9 significant digits, laid out from ``text``, its ``_round9`` text.
 
     For a normal double the rounded value's repr has exactly the digits of
     that text, since two decimals of at most 9 digits lie more than an ulp
     apart; only the layout differs, and repr is positional from 1e-4 up to
     1e16. A subnormal value has fewer digits of precision, so it takes the
-    round trip through float. The f-string keeps ``_round9``'s text as it
-    is, and would write a float there as its repr, so a ``_round9`` that
-    does not round makes this repr(x).
+    round trip through float. Callers pass ``f"{_round9(x)}"``: the
+    f-string keeps ``_round9``'s text as it is, and would write a float there
+    as its repr, so a ``_round9`` that does not round makes this repr(x).
     """
-    return _float_layout(x, f"{_round9(x)}")
-
-
-def _float_layout(x: float, text: str) -> str:
-    """The JSON text of x from its ``_round9`` text; see ``_float_text``."""
     if "e" in text:
         mantissa, _, exponent = text.partition("e")
         e = int(exponent)
@@ -130,24 +127,20 @@ def _float_layout(x: float, text: str) -> str:
     return text + ".0"
 
 
-def _json_object(members: list[str], indent: str) -> str:
-    """The ``"key": value`` members as a JSON object that starts on a line at indent."""
-    inner = indent + "  "
-    return "{" + inner + ("," + inner).join(members) + indent + "}"
-
-
 def _json_items(items, indent: str) -> str:
     """The items of a non-empty list as JSON, each on a line starting with indent.
 
     Dicts with the same keys share one row layout, built once per list and
     filled in by one % over all rows; their floats are laid out in place.
+    It is the one layout of a dict: a lone dict comes here as a list of one.
     """
     first = items[0]
     keys = first.keys() if isinstance(first, dict) else None
     if keys and all([isinstance(item, dict) and item.keys() == keys for item in items]):
         keys = sorted(keys)
         inner = indent + "  "
-        row = _json_object([_json_str(k).replace("%", "%%") + ": %s" for k in keys], indent)
+        members = [_json_str(k).replace("%", "%%") + ": %s" for k in keys]
+        row = "{" + inner + ("," + inner).join(members) + indent + "}"
         texts = [_float_layout(v, f"{_round9(v)}") if type(v) is float else _json_text(v, inner)
                  for item in items for v in map(item.__getitem__, keys)]
         return ("," + indent).join([row] * len(items)) % tuple(texts)
@@ -162,18 +155,15 @@ def _json_text(obj, indent: str = "\n") -> str:
     on. A NaN or infinity raises json's ValueError.
     """
     if isinstance(obj, float):
-        return _float_text(obj)
-    inner = indent + "  "
+        return _float_layout(obj, f"{_round9(obj)}")
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        return _json_object(
-            [_json_str(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)], indent)
+        return _json_items([obj], indent) if obj else "{}"
     if isinstance(obj, str):
         return _json_str(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        inner = indent + "  "
         return "[" + inner + _json_items(obj, inner) + indent + "]"
     if obj is None:
         return "null"
@@ -275,7 +265,7 @@ def _cmd_fcc(args) -> None:
                 "model": {"anchor_field_v_per_m": model.anchor_field,
                           "anchor_distance_m": model.anchor_distance,
                           "exponent": model.exponent},
-                "rows": list(report.rows)}, args.out)
+                "rows": report.rows}, args.out)
 
 
 def _cmd_regions(args) -> None:

@@ -78,7 +78,6 @@ if TYPE_CHECKING:
     from .multiregion import RegionConfig
 
 __all__ = [
-    "CONFIG_DIR_ENV",
     "ConfigError",
     "body_params_from_config",
     "coupling_model_from_config",
@@ -90,7 +89,7 @@ __all__ = [
     "resolve_config_path",
 ]
 
-CONFIG_DIR_ENV = "EQSHBC_CONFIG_DIR"
+_CONFIG_DIR_ENV = "EQSHBC_CONFIG_DIR"
 BUNDLED_CONFIGS = ("inter_body.cfg", "intra_body.cfg")
 
 
@@ -224,12 +223,12 @@ def resolve_config_path(name: str) -> Path:
     """
     if _names_a_file(name):
         return Path(name)
-    env_dir = os.environ.get(CONFIG_DIR_ENV)
+    env_dir = os.environ.get(_CONFIG_DIR_ENV)
     if env_dir and _names_a_file(os.path.join(env_dir, name)):
         return Path(env_dir) / name
     if name in BUNDLED_CONFIGS:
         return _bundled_path(name)
-    raise ConfigError(f"config {name!r} not found (cwd, ${CONFIG_DIR_ENV}, bundled)")
+    raise ConfigError(f"config {name!r} not found (cwd, ${_CONFIG_DIR_ENV}, bundled)")
 
 
 def _names_a_file(path: str) -> bool:

@@ -32,7 +32,6 @@ __all__ = [
     "ComplianceReport",
     "FccLimitRow",
     "FieldDecayModel",
-    "TABLE_VERSION",
     "fcc_limit",
     "field_at",
     "is_unintentional_radiator",
@@ -42,8 +41,8 @@ __all__ = [
     "serialize_limit_table",
 ]
 
-TABLE_VERSION = "v1"
-_TABLE_RESOURCE = f"fcc_limits_{TABLE_VERSION}.csv"
+_TABLE_VERSION = "v1"
+_TABLE_RESOURCE = f"fcc_limits_{_TABLE_VERSION}.csv"
 _HEADER = "f_low_hz,f_high_hz,limit_spec,distance_m"
 
 

@@ -70,7 +70,6 @@ __all__ = [
     "CrossoverError",
     "RegionConfig",
     "RegionLabel",
-    "SPEED_OF_LIGHT",
     "body_em_pair_gain",
     "classify_sweep",
     "crossover_frequency",
@@ -80,7 +79,7 @@ __all__ = [
     "total_response",
 ]
 
-SPEED_OF_LIGHT = 299_792_458.0
+_SPEED_OF_LIGHT = 299_792_458.0
 
 # Electrode resonance sharpness; rigid metal discs resonate more cleanly
 # than the lossy body, but nothing downstream is sensitive to the value.
@@ -130,7 +129,7 @@ class EmBodyModel:
 
     @cached_property
     def f_res(self) -> float:
-        return SPEED_OF_LIGHT / (4.0 * self.height)
+        return _SPEED_OF_LIGHT / (4.0 * self.height)
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,7 @@ class DeviceModel:
 
     @cached_property
     def f_res(self) -> float:
-        return SPEED_OF_LIGHT / (4.0 * self.electrode_length)
+        return _SPEED_OF_LIGHT / (4.0 * self.electrode_length)
 
 
 # The parameters that set each mechanism's f_res and q
@@ -338,8 +337,8 @@ def _scan_points(f_lo: float, f_hi: float) -> np.ndarray:
     """
     scan = np.geomspace(f_lo, f_hi, _SCAN_POINTS)
     if not (scan[1:] > scan[:-1]).all():
-        raise ValueError(f"the band from f_lo = {f_lo!r} Hz to f_hi = {f_hi!r} Hz is too narrow "
-                         f"for {_SCAN_POINTS} strictly increasing scan points")
+        raise ValueError(f"the band from f_lo = {float(f_lo)!r} Hz to f_hi = {float(f_hi)!r} Hz "
+                         f"is too narrow for {_SCAN_POINTS} strictly increasing scan points")
     scan.flags.writeable = False
     return scan
 
@@ -364,7 +363,7 @@ def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
     ``solver._probe_gain`` of the config's circuit (``RegionConfig._eqs_gain_db``),
     the chunks bit for bit as ``eqs_sweep`` would give it. A ``CrossoverError``
     names the labels as the CLI writes them, and the band by the repr of its
-    ends.
+    ends as Python floats.
     """
     _require_positive("f_lo", f_lo)
     _require_positive("f_hi", f_hi)
@@ -403,7 +402,8 @@ def crossover_frequency(config: RegionConfig, region_a: RegionLabel,
             return _bisect_root(
                 lambda f: gains[upper](f) - (solved[f] if f in solved else gains[lower](f)),
                 lo, hi)
-    raise CrossoverError(f"{pair} never exchange dominance in [{f_lo!r}, {f_hi!r}] Hz")
+    raise CrossoverError(
+        f"{pair} never exchange dominance in [{float(f_lo)!r}, {float(f_hi)!r}] Hz")
 
 
 DETECTION_DISTANCE_CAP_M = 1e4

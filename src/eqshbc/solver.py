@@ -14,8 +14,10 @@ entries per element (and four per source incidence) its bin in the kept
 (3, size, size) layout of g, c and gamma; an entry on ground's row or
 column, or a source's own entry, goes to one extra bin past them that is
 dropped. The values part sums the element admittances into those bins
-with one bincount, in element order, straight into the kept layout. The
-grid solver takes a stamp, not a netlist.
+with one bincount, in element order, straight into the kept layout. That
+read-only stack, the stamp's ``matrices``, is the only home of g, c and
+gamma; a stamp without inductors is told by ``gamma_reactive is None``.
+The grid solver takes a stamp, not a netlist.
 
 A restamp (``_restamp``, one per root-finding step of the calibrations)
 sets some capacitances of a stamp and recomputes only the entries of c
@@ -29,8 +31,8 @@ zero included, those of a fresh stamp of the changed circuit. The entries
 that a set of capacitor labels reaches, with each one's contributors, are
 worked out on the first restamp of that set and kept on the topology. Of
 the peaks only c's is recomputed. The restamp shares the stamp's
-read-only ``rhs``, ``base`` and gamma; no Element or Netlist is built for
-it.
+read-only ``rhs``, ``base`` and ``gamma_reactive``; no Element or Netlist is
+built for it.
 
 Assembly. The topology keeps, beside its bins, its reactive entries: those
 that some capacitor or inductor reaches. At every other entry A(w) is g's
@@ -313,18 +315,17 @@ class _Certificate(NamedTuple):
 
 @dataclass(eq=False, slots=True)
 class _Stamp:
-    """Real MNA matrices of a circuit; ``gamma`` is None without inductors.
+    """Real MNA matrices of a circuit.
 
-    ``values`` is what :func:`_restamp` patches. A restamp in the float
-    range gets its ``certificate`` when it is made, scaled from its
-    parent's; any other stamp gets its own from :func:`_certificate` on its
-    first solve. Once set, it is never replaced.
+    ``matrices`` is the only home of g, c and gamma; ``gamma_reactive`` is
+    None, and only then, when the circuit has no inductors. ``values`` is
+    what :func:`_restamp` patches. A restamp in the float range gets its
+    ``certificate`` when it is made, scaled from its parent's; any other
+    stamp gets its own from :func:`_certificate` on its first solve. Once
+    set, it is never replaced.
     """
 
     matrices: np.ndarray  # the read-only (3, unknowns, unknowns) stack of g, c and gamma
-    g: np.ndarray
-    c: np.ndarray
-    gamma: np.ndarray | None
     # The read-only g + 0j, shape (1, unknowns, unknowns): A(w) at each entry that no C or L
     # reaches, and the real part of every other
     base: np.ndarray
@@ -413,15 +414,11 @@ def _stamp_values(topology: _Topology, values: tuple[float, ...], rhs: np.ndarra
     kept = 3 * size * size
     m = np.bincount(topology.bins, weights, kept + 1)[:kept].reshape(3, size, size)
     m.setflags(write=False)
-    g, c, gamma = m
     base = m[:1].astype(complex)
     base.setflags(write=False)
     peaks = tuple(np.abs(m).max(axis=(1, 2)).tolist())
-    if "L" not in topology.kinds:
-        gamma = None
-    return _Stamp(m, g, c, gamma, base, c.take(topology.reactive),
-                  None if gamma is None else gamma.take(topology.reactive), rhs, topology, peaks,
-                  values)
+    gamma = m[2].take(topology.reactive) if "L" in topology.kinds else None
+    return _Stamp(m, base, m[1].take(topology.reactive), gamma, rhs, topology, peaks, values)
 
 
 def _restamp(stamp: _Stamp, caps: Mapping[str, float]) -> _Stamp:
@@ -459,14 +456,14 @@ def _restamp(stamp: _Stamp, caps: Mapping[str, float]) -> _Stamp:
             total += values[k] * sign
         m.flat[at] = total
     m.setflags(write=False)
-    restamped = _Stamp(m, m[0], m[1], None if stamp.gamma is None else m[2], stamp.base,
-                       m[1].take(topology.reactive), stamp.gamma_reactive, stamp.rhs, topology,
-                       (stamp.peaks[0], float(np.abs(m[1]).max()), stamp.peaks[2]), tuple(values))
+    peaks = (stamp.peaks[0], float(np.abs(m[1]).max()), stamp.peaks[2])
+    restamped = _Stamp(m, stamp.base, m[1].take(topology.reactive), stamp.gamma_reactive,
+                       stamp.rhs, topology, peaks, tuple(values))
     if max(stamp.peaks + restamped.peaks) < math.inf:
         base = _certificate(stamp)
         # min(ratios) * C_old <= C <= max(ratios) * C_old, entry by entry and in the Loewner
         # order; G, Gamma and N are the parent's, but not its anchored term, made for its C
-        tol = _MARGIN * len(stamp.g) ** 2
+        tol = _MARGIN * m.shape[1] ** 2
         restamped.certificate = base._replace(
             lam_c=max(min(ratios) * base.lam_c - tol * restamped.peaks[1], 0.0),
             c_norm=max(ratios) * base.c_norm, lam_0=0.0)
@@ -520,7 +517,7 @@ def _certificate(stamp: _Stamp) -> _Certificate:
     if stamp.certificate is not None:
         return stamp.certificate
     n = len(stamp.topology.index)
-    tol = _MARGIN * len(stamp.g) ** 2
+    tol = _MARGIN * stamp.matrices.shape[1] ** 2
     kernel, inv_beta, b_norm = _source_kernel(stamp.matrices[0, :n, n:])
     blocks = stamp.matrices[:, :n, :n]  # G, C and Gamma (zero without inductors)
     peaks = np.abs(blocks).max(axis=(1, 2), initial=0.0)
@@ -533,12 +530,12 @@ def _certificate(stamp: _Stamp) -> _Certificate:
         # each less its rounding margin, and at least 0; a NaN stays NaN
         lam_g, lam_c = (max(low - tol, 0.0) * peak for low, peak in zip(lows, peaks.tolist()))
         w_0 = g_norm / c_norm if c_norm else 0.0
-        if stamp.gamma is None and lam_g == lam_c == 0.0 and 0.0 < w_0 < math.inf:
+        if stamp.gamma_reactive is None and lam_g == lam_c == 0.0 and 0.0 < w_0 < math.inf:
             # (G + w_0 C) / |G|_F = G / |G|_F + C / |C|_F, each term at most 1 in every entry
             unit = blocks[0] / g_norm + blocks[1] / c_norm
             low = float(np.linalg.eigvalsh(kernel.T @ unit @ kernel)[0])
             lam_0 = max(low - 2.0 * tol, 0.0) * g_norm
-    stamp.certificate = _Certificate(lam_g, 0.0 if stamp.gamma is not None else lam_c, c_norm,
+    stamp.certificate = _Certificate(lam_g, lam_c if stamp.gamma_reactive is None else 0.0, c_norm,
                                      gamma_norm, g_norm, b_norm, inv_beta, lam_0, w_0)
     return stamp.certificate
 
@@ -638,7 +635,7 @@ def _out_of_range(stamp: _Stamp, reach: tuple[float, float, float],
     """
     matrix = next(k for k, peak in enumerate(reach) if not peak < math.inf)
     f = f_hi if matrix == 1 else f_lo
-    entry = matrix * stamp.g.size + int(np.abs(stamp.matrices[matrix]).argmax())
+    entry = matrix * stamp.matrices[0].size + int(np.abs(stamp.matrices[matrix]).argmax())
     values, kinds = stamp.values, stamp.topology.kinds
     bins = stamp.topology.bins[:4 * len(values)].reshape(-1, 4)
     on_entry = np.flatnonzero((bins == entry).any(axis=1))

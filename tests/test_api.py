@@ -1,4 +1,5 @@
-"""Every exported name resolves, including the names the benchmark calls.
+"""Every exported name resolves, including the names the benchmark calls, and is used
+outside its module.
 
 ``perfbench/tracing.py`` wraps every ``__all__`` entry of each module, so a
 stale entry breaks a traced benchmark run before any test would notice.
@@ -15,7 +16,11 @@ import eqshbc
 from eqshbc import multiregion
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(eqshbc.__path__))
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+# Public though nothing outside their module names them: they are the documented return
+# types of solve_ac and is_unintentional_radiator, and perfbench reads the second's fields.
+RETURN_TYPES = {"solver.ACSolution", "fcc.ComplianceReport"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -59,3 +64,30 @@ def test_benchmark_names_resolve():
     assert missing == []
     # Called on an instance, so not seen as module.name above.
     assert callable(multiregion.RegionConfig.mechanism_gains_db)
+
+
+def used_names(path: Path) -> set[str]:
+    """The names, attributes and imported names that a Python file refers to."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_public_name_is_used_outside_its_module():
+    here = Path(__file__).resolve()
+    used = {path: used_names(path) for top in ("src", "tests", "perfbench", "tools")
+            for path in (ROOT / top).rglob("*.py") if path != here}
+    unused = []
+    for name in MODULES:
+        module = importlib.import_module(f"eqshbc.{name}")
+        home = Path(module.__file__).resolve()
+        unused += [f"{name}.{entry}" for entry in module.__all__
+                   if f"{name}.{entry}" not in RETURN_TYPES
+                   and not any(entry in names for path, names in used.items() if path != home)]
+    assert unused == []

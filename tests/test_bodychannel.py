@@ -419,9 +419,9 @@ class TestCalibrationsRestampOneCircuit:
         fresh = solver._build_stamp(rebuilt)
         assert got.values == tuple(e.value for e in rebuilt.elements)
         assert got.topology.labels == tuple(e.label for e in rebuilt.elements)
-        for name in ("g", "c", "rhs"):
+        for name in ("matrices", "rhs"):
             assert np.array_equal(getattr(got, name), getattr(fresh, name))
-        assert got.gamma is None and fresh.gamma is None
+        assert got.gamma_reactive is None and fresh.gamma_reactive is None
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(1e-3, 1e3), st.sampled_from(list(Environment)), st.booleans(),

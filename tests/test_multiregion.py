@@ -206,6 +206,18 @@ class TestCrossover:
                                   f"[100000.0, {f_hi!r}] Hz")
         assert repr(f_hi) == "100000.00000010002"
 
+    @pytest.mark.parametrize("end, f_hi", [(np.float64, math.nextafter(1e5, 2e5)),
+                                           (np.float64, 2e5), (int, 2e5)])
+    def test_band_ends_are_printed_as_python_floats(self, end, f_hi):
+        # a band too narrow for the scan, and a band with no crossover
+        args = (default_region_config(), RegionLabel.EM_RESONANT, RegionLabel.DEVICE_COUPLING)
+        with pytest.raises(ValueError) as want:
+            crossover_frequency(*args, 1e5, f_hi)
+        with pytest.raises(ValueError) as got:
+            crossover_frequency(*args, end(1e5), end(f_hi))
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
     def test_raising_boost_raises_plateau_and_crossover(self):
         import dataclasses
         base_cfg = default_region_config(Environment.ANECHOIC)

@@ -702,12 +702,11 @@ class TestStampIsTheTextbookLoop:
         stamp = solver._build_stamp(netlist)
         g, c, gamma = loop_stamp(netlist)
         reactive = stamp.topology.reactive
-        assert np.array_equal(stamp.g, g) and np.array_equal(stamp.c, c)
+        assert np.array_equal(stamp.matrices, np.stack((g, c, gamma)))
         if any(e.kind == "L" for e in netlist.elements):
-            assert np.array_equal(stamp.gamma, gamma)
             assert stamp.gamma_reactive.tobytes() == gamma.ravel()[reactive].tobytes()
         else:
-            assert stamp.gamma is None and stamp.gamma_reactive is None
+            assert stamp.gamma_reactive is None
         assert stamp.peaks == tuple(np.abs(m).max() for m in (g, c, gamma))
         # every C and L is > 0, so the entries they reach are the nonzero ones of c and gamma
         assert np.array_equal(reactive, np.flatnonzero((c != 0.0) | (gamma != 0.0)))
@@ -795,11 +794,12 @@ class TestCircuitProperties:
 def assembled(stamp, f):
     """A(w) for each frequency in f, built as the solver builds it."""
     w = (2.0 * math.pi * np.asarray(f, dtype=float))[:, None, None]
-    a = np.empty((len(f), *stamp.g.shape), dtype=complex)
-    a.real = stamp.g
-    np.multiply(w, stamp.c, out=a.imag)
-    if stamp.gamma is not None:
-        a.imag -= stamp.gamma / w
+    g, c, gamma = stamp.matrices
+    a = np.empty((len(f), *g.shape), dtype=complex)
+    a.real = g
+    np.multiply(w, c, out=a.imag)
+    if stamp.gamma_reactive is not None:
+        a.imag -= gamma / w
     return a
 
 
@@ -826,14 +826,15 @@ def assert_bound_holds(cert, points, conds, size):
 def kernel(stamp):
     """N, the orthonormal basis of ker B^T that the certificate uses; None when beta = 0."""
     n = len(stamp.topology.index)
-    return solver._source_kernel(stamp.g[:n, n:])[0]
+    return solver._source_kernel(stamp.matrices[0, :n, n:])[0]
 
 
 def anchor_matrix(stamp, w_0):
     """N^T (G + w_0 C) N."""
     n = len(stamp.topology.index)
     basis = kernel(stamp)
-    return basis.T @ (stamp.g[:n, :n] + w_0 * stamp.c[:n, :n]) @ basis
+    g, c, _ = stamp.matrices[:, :n, :n]
+    return basis.T @ (g + w_0 * c) @ basis
 
 
 def with_anchor(stamp):
@@ -845,10 +846,11 @@ def with_anchor(stamp):
     cert = solver._certificate(stamp)
     basis = kernel(stamp)
     w_0 = cert.g_norm / cert.c_norm if cert.c_norm else 0.0
-    if stamp.gamma is not None or basis is None or not basis.shape[1] or not 0.0 < w_0 < math.inf:
+    if (stamp.gamma_reactive is not None or basis is None or not basis.shape[1]
+            or not 0.0 < w_0 < math.inf):
         return cert
     low = float(np.linalg.eigvalsh(anchor_matrix(stamp, w_0))[0])
-    tol = 2.0 * solver._MARGIN * len(stamp.g) ** 2 * cert.g_norm
+    tol = 2.0 * solver._MARGIN * len(stamp.matrices[0]) ** 2 * cert.g_norm
     return cert._replace(lam_0=max(low - tol, 0.0), w_0=w_0)
 
 
@@ -894,7 +896,7 @@ class TestSourceKernel:
     def test_kernel_is_orthonormal_and_beta_is_the_smallest_singular_value(self, netlist):
         stamp = solver._build_stamp(netlist)
         n = len(stamp.topology.index)
-        incidence = stamp.g[:n, n:]
+        incidence = stamp.matrices[0, :n, n:]
         basis, inv_beta, _ = solver._source_kernel(incidence)
         if has_source_loop(netlist):
             assert basis is None and inv_beta == math.inf
@@ -934,7 +936,7 @@ class TestCertificate:
             assert not (bound < solver._CLEARED_BOUND and cond > 1e12)
         # and with an anchored term, which the solver never computes with inductors
         assert_bound_holds(with_anchor(stamp), points, conds, len(a[0]))
-        if stamp.gamma is not None:
+        if stamp.gamma_reactive is not None:
             assert cert.lam_0 == 0.0
         # a source loop or more sources than nodes (beta = 0) clears nothing
         if cert.inv_beta == math.inf:
@@ -1035,12 +1037,10 @@ class TestCertificate:
         assume(basis is not None and basis.shape[1])
         n = len(stamp.topology.index)
         assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
-        assert np.abs(stamp.g[:n, n:].T @ basis).max(initial=0.0) < 1e-12
-        for m in (stamp.g, stamp.c, stamp.gamma):
-            if m is not None:
-                block = m[:n, :n]
-                low = np.linalg.eigvalsh(basis.T @ block @ basis)[0]
-                assert low >= -margin(m)
+        assert np.abs(stamp.matrices[0, :n, n:].T @ basis).max(initial=0.0) < 1e-12
+        for m in stamp.matrices:  # gamma is all zeros without inductors
+            low = np.linalg.eigvalsh(basis.T @ m[:n, :n] @ basis)[0]
+            assert low >= -margin(m)
 
     @settings(max_examples=200, deadline=None)
     @given(grounded_netlists(), st.data())
@@ -1054,12 +1054,12 @@ class TestCertificate:
         restamped = solver._restamp(parent, values)
         derived = restamped.certificate  # made with the restamp, before any solve
         exact = solver._certificate(replace(restamped, certificate=None))
-        assert derived.lam_c <= exact.lam_c + margin(restamped.c)
+        assert derived.lam_c <= exact.lam_c + margin(restamped.matrices[1])
         assert derived.c_norm >= exact.c_norm * (1.0 - 1e-12)
         assert (derived.lam_g, derived.g_norm, derived.gamma_norm) == (
             exact.lam_g, exact.g_norm, exact.gamma_norm)
         assert derived.lam_0 == 0.0  # never the parent's anchored term
-        if restamped.gamma is not None:  # with inductors alpha is lam_g alone
+        if restamped.gamma_reactive is not None:  # with inductors alpha is lam_g alone
             assert derived.lam_c == exact.lam_c == 0.0
 
     def test_calibration_steps_take_no_eigensolve(self, eigvalsh_calls, svd_points):
@@ -1351,7 +1351,7 @@ class TestRestamp:
                                                   for e in netlist.elements)))
         assert got.topology is parent.topology and got.rhs is parent.rhs
         assert got.base is parent.base  # g, and so its complex copy, is the parent's
-        for name in ("g", "c", "gamma", "rhs", "base", "c_reactive", "gamma_reactive"):
+        for name in ("matrices", "rhs", "base", "c_reactive", "gamma_reactive"):
             want = getattr(fresh, name)
             if want is None:
                 assert getattr(got, name) is None
@@ -1370,8 +1370,8 @@ class TestRestamp:
         text = "V1 1 0 1\nR1 1 2 1k\nC1 2 0 {}\nC2 2 0 0.2\nC3 2 0 0.3"
         got = solver._restamp(solver._stamp(parse_netlist(text.format(1))), {"C1": 0.1})
         fresh = solver._build_stamp(parse_netlist(text.format(0.1)))
-        assert got.c.tobytes() == fresh.c.tobytes()
-        assert got.c[1, 1] == (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+        assert got.matrices[1].tobytes() == fresh.matrices[1].tobytes()
+        assert got.matrices[1, 1, 1] == (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
 
     def test_the_plan_is_made_once_per_label_set(self):
         stamp = solver._stamp(parse_netlist("V1 1 0 1\nR1 1 2 1k\nC1 2 0 1n\nC2 2 0 1n"))
