@@ -55,17 +55,21 @@ _FLOAT_MIN = sys.float_info.min
 def _parse_grid(spec: str) -> FrequencyGrid:
     from .solver import FrequencyGrid
 
+    usage = f"grid must be 'start:stop:N[log|lin]', got {spec!r}"
     try:
         start, stop, count = spec.split(":")
         build = FrequencyGrid.linear if count.endswith("lin") else FrequencyGrid.log
         n = int(count[:-3]) if count[-3:] in ("lin", "log") else int(count)
-        if n <= _MAX_GRID_POINTS:
-            return build(float(start), float(stop), n)
-    except (ValueError, TypeError):
+        start, stop = float(start), float(stop)
+    except ValueError:
+        raise argparse.ArgumentTypeError(usage) from None
+    if not 1 <= n <= _MAX_GRID_POINTS:  # checked before numpy is asked for n points
         raise argparse.ArgumentTypeError(
-            f"grid must be 'start:stop:N[log|lin]', got {spec!r}") from None
-    raise argparse.ArgumentTypeError(
-        f"grid has {n} points; at most {_MAX_GRID_POINTS} are allowed")
+            f"grid has {n} points; at least 1 and at most {_MAX_GRID_POINTS} are allowed")
+    try:
+        return build(start, stop, n)
+    except ValueError as exc:  # the grid's own check: the cause follows the usage
+        raise argparse.ArgumentTypeError(f"{usage}: {exc}") from None
 
 
 def _parse_probe(spec: str) -> tuple[int, int]:
@@ -106,18 +110,14 @@ def _float_layout(x: float, text: str) -> str:
     For a normal double the rounded value's repr has exactly the digits of
     that text, since two decimals of at most 9 digits lie more than an ulp
     apart; only the layout differs, and repr is positional from 1e-4 up to
-    1e16. A subnormal value has fewer digits of precision, so it takes the
-    round trip through float. Callers pass ``f"{_round9(x)}"``: the
-    f-string keeps ``_round9``'s text as it is, and would write a float there
-    as its repr, so a ``_round9`` that does not round makes this repr(x).
+    1e16. A text with an exponent of 9 to 15, which repr writes positionally,
+    and a subnormal value, which has fewer digits of precision, take the
+    round trip through float. Callers pass ``f"{_round9(x)}"``: the f-string
+    keeps ``_round9``'s text as it is, and would write a float there as its
+    repr, so a ``_round9`` that does not round makes this repr(x).
     """
     if "e" in text:
-        mantissa, _, exponent = text.partition("e")
-        e = int(exponent)
-        if 9 <= e <= 15:
-            digits = mantissa.replace(".", "")
-            return digits.ljust(e + 1 + (x < 0.0), "0") + ".0"
-        if -_FLOAT_MIN < x < _FLOAT_MIN:
+        if 9 <= int(text.partition("e")[2]) <= 15 or -_FLOAT_MIN < x < _FLOAT_MIN:
             return float.__repr__(float(text))
         return text
     if "." in text:
@@ -234,13 +234,10 @@ def _cmd_sir(args) -> None:
     cfg = _load_scenario(args)
     coupling = cfgmod.coupling_model_from_config(cfg)
     c_body = cfg.get("c_body", DEFAULT_C_BODY)
-    interferers = list(args.interferer or [])
-    if not interferers and "interferers" in cfg:
-        interferers = [(v, d) for v, d in cfg["interferers"]]
+    interferers = args.interferer or cfg.get("interferers", [])
     record: dict = {"v_sig_user": args.v_sig, "interferers": interferers}
     if interferers:
-        scenario = InterferenceScenario(v_sig_user=args.v_sig,
-                                        interferers=tuple(interferers),
+        scenario = InterferenceScenario(v_sig_user=args.v_sig, interferers=interferers,
                                         coupling=coupling, c_body=c_body)
         record["sir_db"] = sir_db(scenario)
     if not missing:

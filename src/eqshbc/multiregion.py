@@ -420,7 +420,6 @@ def max_detection_distance(config: RegionConfig, f: float, min_gain_db: float,
     in the quasistatic region, rising steeply once the bodies radiate,
     saturating at the cap of 1e4 m in the resonant/device regions.
     """
-    _require_positive("frequency", f)
     return _detection_distance(config.mechanism_gains_db(f), min_gain_db, coupling)
 
 

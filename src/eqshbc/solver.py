@@ -237,17 +237,15 @@ _BLOCK_ENTRIES = 1 << 14
 _MAX_UNKNOWNS = 2048
 
 
-def _require_each(check, name: str, value) -> None:
-    """check(name, value) for a scalar; an ndarray is checked through its extremes.
+def _require_each(check, name: str, values: np.ndarray) -> None:
+    """check(name, value) for each value of an ndarray, through its extremes.
 
     Each of netlist's ``_require_*`` checks accepts one interval, so an
     array passes when its minimum and maximum do; a NaN anywhere reaches both.
     """
-    if not isinstance(value, np.ndarray):
-        check(name, value)
-    elif value.size:
-        check(name, value.min())
-        check(name, value.max())
+    if values.size:
+        check(name, values.min())
+        check(name, values.max())
 
 
 class SingularCircuitError(ArithmeticError):
@@ -360,11 +358,28 @@ def _stamp(netlist: Netlist) -> _Stamp:
 
 
 def _build_stamp(netlist: Netlist) -> _Stamp:
+    """The netlist's stamp, laid out by its topology.
+
+    One bincount sums every entry in element order, starting from 0.0: the
+    order in which :func:`_restamp` sums each entry that it recomputes.
+    """
     topology, elements = _topology(netlist), netlist.elements
-    rhs = np.zeros((1, len(topology.index) + len(topology.sources), 1), dtype=complex)
+    size = len(topology.index) + len(topology.sources)
+    rhs = np.zeros((1, size, 1), dtype=complex)
     rhs[0, len(topology.index):, 0] = [elements[k].value for k in topology.sources]
     rhs.setflags(write=False)
-    return _stamp_values(topology, tuple(e.value for e in elements), rhs)
+    values = tuple(e.value for e in elements)
+    y = [1.0 / v if kind in "RL" else v for kind, v in zip(topology.kinds, values)]
+    y += [1.0] * len(topology.sources)  # the unit incidence of each branch current
+    weights = (np.fromiter(y, float, len(y))[:, None] * _SIGNS).ravel()
+    kept = 3 * size * size
+    m = np.bincount(topology.bins, weights, kept + 1)[:kept].reshape(3, size, size)
+    m.setflags(write=False)
+    base = m[:1].astype(complex)
+    base.setflags(write=False)
+    peaks = tuple(np.abs(m).max(axis=(1, 2)).tolist())
+    gamma = m[2].take(topology.reactive) if "L" in topology.kinds else None
+    return _Stamp(m, base, m[1].take(topology.reactive), gamma, rhs, topology, peaks, values)
 
 
 def _topology(netlist: Netlist) -> _Topology:
@@ -399,26 +414,6 @@ def _topology(netlist: Netlist) -> _Topology:
     reactive = np.flatnonzero(hit[square:2 * square] | hit[2 * square:kept])
     return _Topology(index, sources, tuple(e.label for e in elements),
                      "".join(e.kind for e in elements), bins, reactive, {})
-
-
-def _stamp_values(topology: _Topology, values: tuple[float, ...], rhs: np.ndarray) -> _Stamp:
-    """The stamp of the element ``values`` laid out by ``topology``.
-
-    One bincount sums every entry in element order, starting from 0.0: the
-    order in which :func:`_restamp` sums each entry that it recomputes.
-    """
-    size = len(topology.index) + len(topology.sources)
-    y = [1.0 / v if kind in "RL" else v for kind, v in zip(topology.kinds, values)]
-    y += [1.0] * len(topology.sources)  # the unit incidence of each branch current
-    weights = (np.fromiter(y, float, len(y))[:, None] * _SIGNS).ravel()
-    kept = 3 * size * size
-    m = np.bincount(topology.bins, weights, kept + 1)[:kept].reshape(3, size, size)
-    m.setflags(write=False)
-    base = m[:1].astype(complex)
-    base.setflags(write=False)
-    peaks = tuple(np.abs(m).max(axis=(1, 2)).tolist())
-    gamma = m[2].take(topology.reactive) if "L" in topology.kinds else None
-    return _Stamp(m, base, m[1].take(topology.reactive), gamma, rhs, topology, peaks, values)
 
 
 def _restamp(stamp: _Stamp, caps: Mapping[str, float]) -> _Stamp:
@@ -835,10 +830,6 @@ def transfer(netlist: Netlist, source_label: str, probe: tuple[int, int],
     source = netlist.source(source_label)
     if source.value == 0:
         raise ValueError(f"source {source_label!r} has zero amplitude")
-    nodes = netlist.nodes()
-    for p in probe:
-        if p not in nodes:
-            raise ValueError(f"probe node {p} not present in netlist")
     stamp, rows = _probe_rows(netlist, probe)
     x, warnings = _solve_grid(stamp, grid.points)
     # real and imaginary parts scaled by 1/V, the factor numpy's complex division applies;
@@ -849,9 +840,13 @@ def transfer(netlist: Netlist, source_label: str, probe: tuple[int, int],
 
 def _probe_rows(netlist: Netlist, probe: tuple[int, int]) -> tuple[_Stamp, tuple]:
     """The netlist's kept stamp, and the row of each probe node in its solutions (None for
-    ground)."""
+    ground); a probe node that is neither ground nor in the netlist raises ValueError."""
     stamp, ground = _stamp(netlist), netlist.ground
-    return stamp, tuple(None if node == ground else stamp.topology.index[node] for node in probe)
+    index = stamp.topology.index
+    for node in probe:
+        if node != ground and node not in index:
+            raise ValueError(f"probe node {node} not present in netlist")
+    return stamp, tuple(None if node == ground else index[node] for node in probe)
 
 
 def _across(x: np.ndarray, rows: tuple, one: bool):

@@ -677,6 +677,28 @@ class TestArgumentErrors:
         assert "Warning" not in err
         assert f"got {grid!r}" in err
 
+    @pytest.mark.parametrize("grid, cause", [
+        ("-1:1e9:10", "start must be finite and > 0, got -1.0"),
+        ("1e9:1e5:10", "frequencies must be strictly increasing"),
+        ("1e5:inf:10", "stop must be finite and > 0, got inf"),
+        ("0:1e9:5lin", "start must be finite and > 0, got 0.0"),
+        ("1e5:1e5:3", "frequencies must be strictly increasing"),
+        ("1e5:1e9:0", "grid has 0 points"),
+        ("1e5:1e9:-5", "grid has -5 points"),
+    ])
+    def test_grid_that_parses_names_what_is_wrong_with_it(self, capsys, grid, cause):
+        # the grid's own refusal follows the format; a count below 1 meets the cap's check
+        if cause.startswith("grid has"):
+            message = f"{cause}; at least 1 and at most {_MAX_GRID_POINTS} are allowed"
+        else:
+            message = f"grid must be 'start:stop:N[log|lin]', got {grid!r}: {cause}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                main(["regions", f"--grid={grid}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"argument --grid: {message}\n")
+
 
 # Argument values that no command may turn into a traceback or a numpy warning.
 ODD_TOKENS = ("nan", "inf", "-inf", "1e400", "1e300", "1e4", "-1e4", "-0", "0", "-1", "",

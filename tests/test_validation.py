@@ -1,4 +1,5 @@
-"""Non-finite numbers are rejected by every model constructor and analysis function."""
+"""Non-finite numbers are rejected by every model constructor and analysis function, and a
+direct call meets each check that the CLI and the parsers never reach."""
 
 import math
 
@@ -12,7 +13,14 @@ from eqshbc.coupling import (
     coupling_coefficient,
     fit_coupling_model,
 )
-from eqshbc.fcc import DEFAULT_FIELD_MODEL, FccLimitRow, FieldDecayModel, field_at
+from eqshbc.cli import _json_text
+from eqshbc.fcc import (
+    DEFAULT_FIELD_MODEL,
+    FccLimitRow,
+    FieldDecayModel,
+    field_at,
+    parse_limit_table,
+)
 from eqshbc.multiregion import (
     DeviceModel,
     EmBodyModel,
@@ -23,8 +31,8 @@ from eqshbc.multiregion import (
     device_pair_gain,
     max_detection_distance,
 )
-from eqshbc.netlist import Element, parse_netlist
-from eqshbc.solver import solve_ac
+from eqshbc.netlist import Element, Netlist, NetlistError, ParameterError, parse_netlist
+from eqshbc.solver import FrequencyGrid, solve_ac, transfer
 
 NAN, INF = math.nan, math.inf
 
@@ -108,3 +116,41 @@ def test_scalar_entry_points_take_one_real_number(call):
             call(value)
     # numpy scalars pass, as FrequencyGrid's extremes reach the checks
     assert call(np.float64(1e5)) == call(1e5)
+
+
+# Checks that no other test reaches: (call, exception type, message) of each.
+REFUSALS = {
+    "Element.kind": (lambda: Element("X", 1.0, (1, 0), "X1"),
+                     ValueError, "unknown element kind 'X'"),
+    "Element.nodes": (lambda: Element("R", 1.0, (-1, 0), "R1"),
+                      ValueError, "element R1: negative node id"),
+    # parse_netlist refuses a repeated label on its own line, before Netlist sees it
+    "Netlist.labels": (lambda: Netlist((Element("R", 1.0, (1, 0), "R1"),
+                                        Element("R", 2.0, (1, 0), "R1"))),
+                       NetlistError, "duplicate element labels: ['R1']"),
+    "fit_coupling_model.anchors": (lambda: fit_coupling_model([(1.0, 21e-12)]),
+                                   ValueError, "need at least 2 anchors"),
+    "parse_limit_table.header": (
+        lambda: parse_limit_table("f_hz,limit\n9000,1e6,100,3\n"), ValueError,
+        "limit table must start with header 'f_low_hz,f_high_hz,limit_spec,distance_m'"),
+    "FccLimitRow.limit_spec": (lambda: FccLimitRow(9e3, 1e6, "2400/F", 300.0),
+                               ValueError, "unknown limit spec '2400/F'"),
+    "transfer.source": (lambda: transfer(parse_netlist("V1 1 0 0\nR1 1 0 1k"), "V1", (1, 0),
+                                         FrequencyGrid.log(1e5, 1e6, 3)),
+                        ValueError, "source 'V1' has zero amplitude"),
+    # the float path: q * q underflows to 0.0, and the shape would divide by it
+    "body_em_pair_gain.q": (
+        lambda: body_em_pair_gain(EmBodyModel(q=1e-200), 1e6), ParameterError,
+        "resonant response with f_res = 4.16378e+07 Hz and q = 1e-200 is out of the float "
+        "range in this band; change height or q, or the band"),
+    "_json_text": (lambda: _json_text(object()),
+                   TypeError, "Object of type object is not JSON serializable"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_direct_call_meets_its_check(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
